@@ -37,7 +37,7 @@ fn main() {
 
     // Validate the matrix selection up front: a bad --cells index must
     // fail in milliseconds, not after the full E1–E14 report phase.
-    let matrix = tp_bench::shaped_matrix(args.models).with_replay_check(args.replay_check);
+    let matrix = tp_bench::shaped_matrix(args.models).with_mode(args.proof_mode());
     let indices = match args.select_cells(matrix.cells().len()) {
         Ok(v) => v,
         Err(e) => {
@@ -72,12 +72,14 @@ fn main() {
     }
 
     println!("\n=== Scenario matrix (the suite as one engine run) ===");
-    let proved = tp_bench::run_matrix_cells(&matrix, &indices, |_, _, line| eprintln!("{line}"));
+    let (outcomes, _, _) =
+        tp_bench::run_matrix_cells(&matrix, &indices, None, None, |_, _, line| {
+            eprintln!("{line}")
+        });
+    tp_bench::finish_telemetry(args.metrics, args.trace_out.as_deref(), indices.len());
+    let proved = tp_bench::proved_or_exit("all", outcomes);
     print!(
         "{}",
-        tp_bench::render_matrix_report(&tp_core::MatrixReport {
-            cells: proved.into_iter().map(|(_, c, r)| (c, r)).collect(),
-        })
+        tp_bench::render_matrix_report(&tp_core::MatrixReport::from(proved))
     );
-    tp_bench::finish_telemetry(args.metrics, args.trace_out.as_deref(), indices.len());
 }

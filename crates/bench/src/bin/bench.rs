@@ -44,7 +44,7 @@ use tp_bench::trajectory::{
     self, best_comparable, check_trend, RunRecord, Trajectory, TrendVerdict,
 };
 use tp_bench::{canonical_machine, canonical_scenario, host_info, time_iters};
-use tp_core::engine::{check_exhaustive_parallel_on, ProofMode, ScenarioMatrix};
+use tp_core::engine::{check_exhaustive_parallel, ProofMode, ScenarioMatrix};
 use tp_core::exhaustive::{space_size, ExhaustiveConfig};
 use tp_core::{default_time_models, MatrixReport};
 use tp_kernel::config::TimeProtConfig;
@@ -156,13 +156,8 @@ fn main() {
             };
             let matrix = e11_matrix(models, ProofMode::Certified);
             let all: Vec<usize> = (0..matrix.cells().len()).collect();
-            let (proved, stats) = matrix.run_subset_cached(
-                tp_sched::global(),
-                &all,
-                &mut cache,
-                |cell| canonical_scenario(cell.disable),
-                |_, _, _| {},
-            );
+            let (outcomes, stats, _) =
+                tp_bench::run_matrix_cells(&matrix, &all, Some(&mut cache), None, |_, _, _| {});
             eprintln!("{}", tp_bench::cache_summary(&stats, cache.len()));
             if let Err(e) =
                 tp_core::persist::write_atomic(std::path::Path::new(path), cache.save().as_bytes())
@@ -170,9 +165,7 @@ fn main() {
                 eprintln!("bench: cannot write cache {path}: {e}");
                 std::process::exit(2);
             }
-            MatrixReport {
-                cells: proved.into_iter().map(|(_, c, r)| (c, r)).collect(),
-            }
+            MatrixReport::from(tp_bench::proved_or_exit("bench", outcomes))
         }
     };
     let cells = report.cells.len();
@@ -193,9 +186,7 @@ fn main() {
         ..ExhaustiveConfig::small(TimeProtConfig::full())
     };
     let programs = space_size(exh_cfg.alphabet.len(), exh_cfg.max_len) + 1;
-    let (_, t_exh) = time_iters(iters, || {
-        check_exhaustive_parallel_on(tp_sched::global(), &exh_cfg)
-    });
+    let (_, t_exh) = time_iters(iters, || check_exhaustive_parallel(&exh_cfg));
     eprintln!("exhaustive: {programs} Hi programs (len <= {exh_len}) in {t_exh:?}");
 
     let secs = |d: Duration| d.as_secs_f64().max(1e-9);

@@ -75,7 +75,7 @@ fn main() {
         return;
     }
 
-    let matrix = tp_bench::shaped_matrix(args.models).with_replay_check(args.replay_check);
+    let matrix = tp_bench::shaped_matrix(args.models).with_mode(args.proof_mode());
     let indices = match args.select_cells(matrix.cells().len()) {
         Ok(v) => v,
         Err(e) => {
@@ -97,66 +97,85 @@ fn main() {
         }
     };
 
-    let proved = if let Some(path) = args.journal.as_deref().or(args.resume.as_deref()) {
-        run_journaled(&matrix, &indices, path, args.resume.is_some(), progress)
-    } else {
-        match &args.cache {
-            None => tp_bench::run_matrix_cells(&matrix, &indices, progress),
-            Some(path) => {
-                // A missing cache file is a cold start, not an error; a
-                // malformed one is untrusted input and fails loudly rather
-                // than silently proving everything live.
-                let mut cache = match std::fs::read_to_string(path) {
-                    Ok(text) => match tp_core::ProofCache::load(&text) {
-                        Ok(c) => c,
-                        Err(e) => {
-                            eprintln!("matrix: cannot parse cache {path}: {e}");
-                            std::process::exit(tp_bench::cli::EXIT_MALFORMED);
-                        }
-                    },
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                        tp_core::ProofCache::new()
-                    }
-                    Err(e) => {
-                        eprintln!("matrix: cannot read cache {path}: {e}");
-                        std::process::exit(2);
-                    }
-                };
-                let (proved, stats) =
-                    tp_bench::run_matrix_cells_cached(&matrix, &indices, &mut cache, progress);
-                eprintln!("{}", tp_bench::cache_summary(&stats, cache.len()));
-                // Atomic replace: a crash mid-persist must leave the
-                // previous cache intact, never a torn file that bricks
-                // the next run with EXIT_MALFORMED.
-                if let Err(e) = tp_core::persist::write_atomic(
-                    std::path::Path::new(path),
-                    cache.save().as_bytes(),
-                ) {
-                    eprintln!("matrix: cannot write cache {path}: {e}");
-                    std::process::exit(2);
-                }
-                proved
-            }
+    // `--journal` / `--resume` sweep against an in-memory cache seeded
+    // from the journal; `--cache` against the cache file; otherwise
+    // uncached. All three run the same driver.
+    let journal_path = args.journal.as_deref().or(args.resume.as_deref());
+    let (mut cache, mut writer, torn) = match journal_path {
+        Some(path) => {
+            let (cache, writer, torn) = open_journal(path, args.resume.is_some());
+            (Some(cache), Some(writer), torn)
         }
+        None => (args.cache.as_deref().map(load_cache), None, 0),
     };
+    let (outcomes, stats, jerr) =
+        tp_bench::run_matrix_cells(&matrix, &indices, cache.as_mut(), writer.as_mut(), progress);
+
+    if journal_path.is_some() {
+        if let Some(e) = jerr {
+            eprintln!(
+                "matrix: journal append failed: {e} \
+                 (sweep completed; a resume would re-prove the unjournaled cells)"
+            );
+        }
+        eprintln!(
+            "journal: {} replayed, {} torn-dropped, {} re-proved",
+            stats.hits,
+            torn,
+            stats.reproved()
+        );
+        if args.resume.is_some() {
+            tp_telemetry::count_n(
+                tp_telemetry::Counter::JournalRecordsReplayed,
+                stats.hits as u64,
+            );
+            tp_telemetry::count_n(
+                tp_telemetry::Counter::ResumeCellsReproved,
+                stats.reproved() as u64,
+            );
+        }
+    } else if let (Some(path), Some(cache)) = (&args.cache, &cache) {
+        eprintln!("{}", tp_bench::cache_summary(&stats, cache.len()));
+        // Atomic replace: a crash mid-persist must leave the previous
+        // cache intact, never a torn file that bricks the next run with
+        // EXIT_MALFORMED.
+        if let Err(e) =
+            tp_core::persist::write_atomic(std::path::Path::new(path), cache.save().as_bytes())
+        {
+            eprintln!("matrix: cannot write cache {path}: {e}");
+            std::process::exit(2);
+        }
+    }
 
     tp_bench::finish_telemetry(args.metrics, args.trace_out.as_deref(), indices.len());
 
-    emit_output(&args, proved);
+    emit_output(&args, tp_bench::proved_or_exit("matrix", outcomes));
 }
 
-/// The crash-safe sweep path (`--journal` fresh / `--resume` reload):
-/// run against an in-memory cache seeded from the journal's surviving
-/// records, checkpointing every freshly proved cell back to `path`.
-/// Prints the `journal:` stats lines to stderr — the byte-identity
-/// contract keeps stdout for the report/records alone.
-fn run_journaled(
-    matrix: &tp_core::ScenarioMatrix,
-    indices: &[usize],
-    path: &str,
-    resume: bool,
-    progress: impl FnMut(usize, usize, &str),
-) -> Vec<(usize, tp_core::MatrixCell, tp_core::ProofReport)> {
+/// Load the `--cache` file. A missing file is a cold start, not an
+/// error; a malformed one is untrusted input and fails loudly rather
+/// than silently proving everything live.
+fn load_cache(path: &str) -> tp_core::ProofCache {
+    match std::fs::read_to_string(path) {
+        Ok(text) => tp_core::ProofCache::load(&text).unwrap_or_else(|e| {
+            eprintln!("matrix: cannot parse cache {path}: {e}");
+            std::process::exit(tp_bench::cli::EXIT_MALFORMED);
+        }),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => tp_core::ProofCache::new(),
+        Err(e) => {
+            eprintln!("matrix: cannot read cache {path}: {e}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Open the crash-safe sweep's journal (`--journal` fresh / `--resume`
+/// reload): returns an in-memory cache seeded from the journal's
+/// surviving records, the writer that checkpoints freshly proved cells
+/// back to `path`, and the number of torn records dropped. The
+/// `journal:` stats lines go to stderr — the byte-identity contract
+/// keeps stdout for the report/records alone.
+fn open_journal(path: &str, resume: bool) -> (tp_core::ProofCache, tp_core::JournalWriter, usize) {
     use tp_core::journal;
 
     let p = std::path::Path::new(path);
@@ -207,43 +226,18 @@ fn run_journaled(
     } else {
         journal::JournalWriter::create(p)
     };
-    let mut writer = match open {
-        Ok(w) => w,
+    match open {
+        Ok(w) => (cache, w, torn),
         Err(e) => {
             eprintln!("matrix: cannot open journal {path}: {e}");
             std::process::exit(2);
         }
-    };
-    let (proved, stats, jerr) =
-        tp_bench::run_matrix_cells_journaled(matrix, indices, &mut cache, &mut writer, progress);
-    if let Some(e) = jerr {
-        eprintln!(
-            "matrix: journal append failed: {e} \
-             (sweep completed; a resume would re-prove the unjournaled cells)"
-        );
     }
-    eprintln!(
-        "journal: {} replayed, {} torn-dropped, {} re-proved",
-        stats.hits,
-        torn,
-        stats.reproved()
-    );
-    if resume {
-        tp_telemetry::count_n(
-            tp_telemetry::Counter::JournalRecordsReplayed,
-            stats.hits as u64,
-        );
-        tp_telemetry::count_n(
-            tp_telemetry::Counter::ResumeCellsReproved,
-            stats.reproved() as u64,
-        );
-    }
-    proved
 }
 
 /// Print the run's stdout: wire records in `--worker` mode, the
 /// rendered report otherwise.
-fn emit_output(args: &SweepArgs, proved: Vec<(usize, tp_core::MatrixCell, tp_core::ProofReport)>) {
+fn emit_output(args: &SweepArgs, proved: Vec<tp_core::ProvedCell>) {
     if args.worker {
         // Wire records only on stdout: shard outputs concatenate.
         let mut out = String::new();
@@ -254,9 +248,7 @@ fn emit_output(args: &SweepArgs, proved: Vec<(usize, tp_core::MatrixCell, tp_cor
     } else {
         print!(
             "{}",
-            tp_bench::render_matrix_report(&tp_core::MatrixReport {
-                cells: proved.into_iter().map(|(_, c, r)| (c, r)).collect(),
-            })
+            tp_bench::render_matrix_report(&tp_core::MatrixReport::from(proved))
         );
     }
 }

@@ -175,6 +175,16 @@ impl SweepArgs {
         Ok(out)
     }
 
+    /// The proof mode the sweep runs in: `--replay-check` selects the
+    /// paranoid double-run audit, the default is certified single-run.
+    pub fn proof_mode(&self) -> tp_core::ProofMode {
+        if self.replay_check {
+            tp_core::ProofMode::ReplayCheck
+        } else {
+            tp_core::ProofMode::Certified
+        }
+    }
+
     /// The cell indices to run given a matrix of `total` cells: the
     /// `--cells` selection (validated against `total`) or all of them.
     pub fn select_cells(&self, total: usize) -> Result<Vec<usize>, String> {

@@ -760,149 +760,79 @@ pub fn report_e14(max_len: usize) -> String {
 /// the full time-model family — the whole experiment suite's proof
 /// surface flattened into one submission on the persistent pool.
 pub fn report_matrix() -> String {
-    let matrix = canonical_matrix();
-    let all: Vec<usize> = (0..matrix.cells().len()).collect();
-    let proved = run_matrix_cells(&matrix, &all, |_, _, _| {});
-    render_matrix_report(&tp_core::MatrixReport {
-        cells: proved.into_iter().map(|(_, c, r)| (c, r)).collect(),
-    })
+    render_matrix_report(&canonical_matrix().run(|cell| canonical_scenario(cell.disable)))
 }
 
-/// Prove the canonical scenario on the cells at `indices` of `matrix`,
-/// flattened into one pool submission, streaming one progress call per
-/// finished cell (in deterministic order) to `progress` as
+/// Prove the canonical scenario on the cells at `indices` of `matrix`
+/// through the engine's one sweep driver, streaming one progress call
+/// per finished cell (in deterministic order) to `progress` as
 /// `(done, total, line)`. `bin/matrix` points `progress` at stderr so
 /// long sweeps show life without disturbing the report (or wire
 /// records) on stdout; the counts also feed the `--progress` ETA
 /// heartbeat.
-pub fn run_matrix_cells(
-    matrix: &tp_core::ScenarioMatrix,
-    indices: &[usize],
-    mut progress: impl FnMut(usize, usize, &str),
-) -> Vec<(usize, tp_core::MatrixCell, tp_core::ProofReport)> {
-    let total = indices.len();
-    let mut done = 0usize;
-    matrix.run_subset_streamed(
-        tp_sched::global(),
-        indices,
-        |cell| canonical_scenario(cell.disable),
-        |ci, cell, r| {
-            done += 1;
-            progress(
-                done,
-                total,
-                &format!(
-                    "[{done}/{total}] cell {ci}: {:<28} {}",
-                    cell.label(),
-                    if r.time_protection_proved() {
-                        "PROVED"
-                    } else {
-                        "NOT proved"
-                    }
-                ),
-            );
-        },
-    )
-}
-
-/// [`run_matrix_cells`] backed by the content-addressed proof cache:
-/// validated hits replay their stored reports, only changed cells are
-/// proved live, and freshly proved cells are inserted back into
-/// `cache`. Output (reports, progress lines, and anything serialised
-/// from the returned triples) is byte-identical to the uncached path;
-/// the hit/re-prove statistics come back for the caller to print on
-/// stderr, never on stdout.
-pub fn run_matrix_cells_cached(
-    matrix: &tp_core::ScenarioMatrix,
-    indices: &[usize],
-    cache: &mut tp_core::ProofCache,
-    mut progress: impl FnMut(usize, usize, &str),
-) -> (
-    Vec<(usize, tp_core::MatrixCell, tp_core::ProofReport)>,
-    tp_core::CacheStats,
-) {
-    let total = indices.len();
-    let mut done = 0usize;
-    matrix.run_subset_cached(
-        tp_sched::global(),
-        indices,
-        cache,
-        |cell| canonical_scenario(cell.disable),
-        |ci, cell, r| {
-            done += 1;
-            progress(
-                done,
-                total,
-                &format!(
-                    "[{done}/{total}] cell {ci}: {:<28} {}",
-                    cell.label(),
-                    if r.time_protection_proved() {
-                        "PROVED"
-                    } else {
-                        "NOT proved"
-                    }
-                ),
-            );
-        },
-    )
-}
-
-/// [`run_matrix_cells_cached`] with crash-safe checkpointing: every
-/// freshly proved cacheable cell is appended to `journal` — fsynced —
+///
+/// `cache` answers validated hits and takes every freshly proved cell;
+/// `journal` checkpoints each freshly proved cacheable cell — fsynced —
 /// the moment it completes, so a killed process loses at most the cell
 /// in flight. Journal I/O failures do **not** abort the sweep (the
 /// journal is belt-and-braces; the proof output stays correct): the
 /// first error is returned for the caller to report, and further
-/// appends are skipped rather than spamming a sick disk.
-pub fn run_matrix_cells_journaled(
+/// appends are skipped rather than spamming a sick disk. Reports,
+/// progress lines and anything serialised from the outcomes are
+/// byte-identical whether or not a cache or journal is given.
+pub fn run_matrix_cells(
     matrix: &tp_core::ScenarioMatrix,
     indices: &[usize],
-    cache: &mut tp_core::ProofCache,
-    journal: &mut tp_core::JournalWriter,
+    cache: Option<&mut tp_core::ProofCache>,
+    mut journal: Option<&mut tp_core::JournalWriter>,
     mut progress: impl FnMut(usize, usize, &str),
 ) -> (
-    Vec<(usize, tp_core::MatrixCell, tp_core::ProofReport)>,
+    tp_core::CellOutcomes,
     tp_core::CacheStats,
     Option<std::io::Error>,
 ) {
     let total = indices.len();
     let mut done = 0usize;
+    let journaled = journal.is_some();
     let mut jerr: Option<std::io::Error> = None;
-    let mut on_proved = |i: usize,
-                         cell: &tp_core::MatrixCell,
-                         report: &tp_core::ProofReport,
-                         meta: &tp_core::wire::CachedMeta| {
-        if jerr.is_some() {
-            return;
-        }
-        if let Err(e) = journal.append(i, cell, report, meta) {
-            jerr = Some(e);
+    let mut append = |i: usize,
+                      cell: &tp_core::MatrixCell,
+                      report: &tp_core::ProofReport,
+                      meta: &tp_core::wire::CachedMeta| {
+        if let (None, Some(w)) = (&jerr, journal.as_deref_mut()) {
+            jerr = w.append(i, cell, report, meta).err();
         }
     };
-    let (proved, stats) = matrix.run_subset_journaled(
+    let (outcomes, stats) = matrix.sweep(
         tp_sched::global(),
         indices,
         cache,
+        journaled.then_some(&mut append as tp_core::engine::OnProved),
         |cell| canonical_scenario(cell.disable),
-        |ci, cell, r| {
+        |ci, cell, outcome| {
             done += 1;
-            progress(
-                done,
-                total,
-                &format!(
-                    "[{done}/{total}] cell {ci}: {:<28} {}",
-                    cell.label(),
-                    if r.time_protection_proved() {
-                        "PROVED"
-                    } else {
-                        "NOT proved"
-                    }
-                ),
-            );
+            let verdict = match outcome {
+                Ok(r) if r.time_protection_proved() => "PROVED",
+                Ok(_) => "NOT proved",
+                Err(_) => "FAILED",
+            };
+            let line = format!("[{done}/{total}] cell {ci}: {:<28} {verdict}", cell.label());
+            progress(done, total, &line);
         },
-        Some(&mut on_proved),
     );
-    (proved, stats, jerr)
+    (outcomes, stats, jerr)
+}
+
+/// The proved cells of a CLI sweep — or, when any cell failed, one
+/// `{prog}: cell N failed: <message>` line per failed cell on stderr and
+/// exit code 1, with nothing written to stdout.
+pub fn proved_or_exit(prog: &str, outcomes: tp_core::CellOutcomes) -> Vec<tp_core::ProvedCell> {
+    tp_core::proved_cells(outcomes).unwrap_or_else(|failed| {
+        for (i, msg) in failed {
+            eprintln!("{prog}: cell {i} failed: {msg}");
+        }
+        std::process::exit(1);
+    })
 }
 
 /// Render a [`tp_core::MatrixReport`] the way `bin/matrix` prints it.

@@ -3,8 +3,9 @@
 //! must resume with byte-identical stdout, re-proving only the cells
 //! the journal lost — at 1, 2 and 8 workers, because the checkpoint
 //! order must not depend on scheduling. Also pins the torn-tail drop
-//! (a crash mid-append) and the fail-closed exit for a journal
-//! corrupted anywhere but its physical tail.
+//! (a crash mid-append), the fail-closed exit for a journal corrupted
+//! anywhere but its physical tail, and the contained exit of a sweep
+//! whose proof task panics.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -21,14 +22,14 @@ fn scratch_journal() -> PathBuf {
     ))
 }
 
-/// Run the matrix binary on six cells of the one-model matrix.
-fn matrix_run(threads: usize, extra: &[&str], faults: Option<&str>) -> Output {
+/// Run the matrix binary on six cells of the `models`-model matrix.
+fn matrix_run(threads: usize, models: usize, extra: &[&str], faults: Option<&str>) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_matrix"));
     cmd.args([
         "--threads",
         &threads.to_string(),
         "--models",
-        "1",
+        &models.to_string(),
         "--cells",
         "0..6",
     ])
@@ -53,11 +54,11 @@ fn crash_then_resume(threads: usize, faults: &str, replayed: usize, torn: usize)
     let jpath = journal.to_str().unwrap();
 
     // The uninterrupted reference for this thread count.
-    let clean = matrix_run(threads, &[], None);
+    let clean = matrix_run(threads, 1, &[], None);
     assert!(clean.status.success(), "clean run: {}", stderr_of(&clean));
 
     // The crash: the injected fault aborts the process mid-sweep.
-    let crashed = matrix_run(threads, &["--journal", jpath], Some(faults));
+    let crashed = matrix_run(threads, 1, &["--journal", jpath], Some(faults));
     assert!(
         !crashed.status.success(),
         "the injected fault must kill the run"
@@ -70,7 +71,7 @@ fn crash_then_resume(threads: usize, faults: &str, replayed: usize, torn: usize)
 
     // The resume: replays the survivors, re-proves the rest, and the
     // report is byte-identical to never having crashed at all.
-    let resumed = matrix_run(threads, &["--resume", jpath], None);
+    let resumed = matrix_run(threads, 1, &["--resume", jpath], None);
     let stderr = stderr_of(&resumed);
     assert!(resumed.status.success(), "resume run: {stderr}");
     assert!(
@@ -93,7 +94,7 @@ fn crash_then_resume(threads: usize, faults: &str, replayed: usize, torn: usize)
 
     // The compaction rewrote the journal clean: a second resume
     // replays everything and re-proves nothing.
-    let again = matrix_run(threads, &["--resume", jpath], None);
+    let again = matrix_run(threads, 1, &["--resume", jpath], None);
     let stderr = stderr_of(&again);
     assert!(again.status.success(), "second resume: {stderr}");
     assert!(
@@ -132,7 +133,7 @@ fn corruption_before_the_tail_fails_the_resume_closed() {
     let jpath = journal.to_str().unwrap();
 
     // Build a healthy two-record journal by crashing on the third.
-    let crashed = matrix_run(2, &["--journal", jpath], Some("7:journal.append=kill@3"));
+    let crashed = matrix_run(2, 1, &["--journal", jpath], Some("7:journal.append=kill@3"));
     assert!(!crashed.status.success());
 
     // Flip one byte in the FIRST record's payload: damage before the
@@ -144,7 +145,7 @@ fn corruption_before_the_tail_fails_the_resume_closed() {
     bytes[at] ^= 1;
     std::fs::write(Path::new(jpath), &bytes).expect("journal rewritten");
 
-    let resumed = matrix_run(2, &["--resume", jpath], None);
+    let resumed = matrix_run(2, 1, &["--resume", jpath], None);
     assert_eq!(
         resumed.status.code(),
         Some(tp_bench::cli::EXIT_MALFORMED),
@@ -158,4 +159,58 @@ fn corruption_before_the_tail_fails_the_resume_closed() {
     );
 
     std::fs::remove_file(&journal).ok();
+}
+
+#[test]
+fn a_panicking_task_fails_its_cell_and_resume_reproves_only_that_cell() {
+    // task=panic@20: one proof task of the two-model sweep (7 tasks per
+    // cell) panics. The driver contains it: that cell fails, the other
+    // five still prove and journal, and the binary exits 1 with a
+    // per-cell error instead of unwinding.
+    for threads in [1, 2, 8] {
+        let journal = scratch_journal();
+        let jpath = journal.to_str().unwrap();
+        let clean = matrix_run(threads, 2, &[], None);
+        assert!(clean.status.success(), "clean run: {}", stderr_of(&clean));
+
+        let faulted = matrix_run(threads, 2, &["--journal", jpath], Some("7:task=panic@20"));
+        let stderr = stderr_of(&faulted);
+        assert_eq!(
+            faulted.status.code(),
+            Some(1),
+            "threads={threads}: {stderr}"
+        );
+        assert!(
+            faulted.stdout.is_empty(),
+            "threads={threads}: no report on failure"
+        );
+        assert_eq!(
+            stderr.matches("matrix: cell ").count(),
+            1,
+            "threads={threads}: one failed cell reported: {stderr}"
+        );
+        assert!(
+            stderr.contains("failed: injected fault: task panicked"),
+            "threads={threads}: {stderr}"
+        );
+        let text = std::fs::read_to_string(&journal).expect("journal readable");
+        assert_eq!(
+            text.lines().filter(|l| l.starts_with("jrec ")).count(),
+            5,
+            "threads={threads}: every healthy cell journals"
+        );
+
+        let resumed = matrix_run(threads, 2, &["--resume", jpath], None);
+        let stderr = stderr_of(&resumed);
+        assert!(resumed.status.success(), "threads={threads}: {stderr}");
+        assert!(
+            stderr.contains("journal: 5 replayed, 0 torn-dropped, 1 re-proved"),
+            "threads={threads}: {stderr}"
+        );
+        assert_eq!(
+            clean.stdout, resumed.stdout,
+            "threads={threads}: resumed stdout must be byte-identical"
+        );
+        std::fs::remove_file(&journal).ok();
+    }
 }

@@ -3,8 +3,7 @@
 //! functionally bit-identical to the forced-recording single-run mode
 //! ([`ProofMode::CertifiedRecording`]) — and no slower in wall-clock.
 //!
-//! Like its siblings in `engine_speedup.rs`, the timing assertion
-//! self-calibrates instead of hardcoding budgets: both modes run the
+//! The timing assertion self-calibrates instead of hardcoding budgets: both modes run the
 //! identical sweep on a multi-worker pool (so the merge thread's
 //! divergence re-runs overlap the sweep tail, the shape digest-first is
 //! designed for), best-of-N per attempt, with a noise margin and
@@ -13,16 +12,28 @@
 //! equivalence gate always runs.
 
 use tp_bench::{canonical_machine, canonical_scenario, time_iters};
-use tp_core::engine::{available_threads, ProofMode, ScenarioMatrix};
+use tp_core::engine::{available_threads, proved_cells, ProofMode, ScenarioMatrix};
 use tp_core::proof::default_time_models;
+use tp_core::MatrixReport;
 use tp_sched::WorkerPool;
 
-fn e11(mode: ProofMode) -> ScenarioMatrix {
+/// The E11 sweep in `mode`, proved on `pool`.
+fn e11(pool: &WorkerPool, mode: ProofMode) -> MatrixReport {
     // Two time models keep the double sweep test-profile friendly.
-    ScenarioMatrix::new("canonical", canonical_machine())
+    let matrix = ScenarioMatrix::new("canonical", canonical_machine())
         .sweep_ablations()
         .with_models(default_time_models()[..2].to_vec())
-        .with_mode(mode)
+        .with_mode(mode);
+    let all: Vec<usize> = (0..matrix.cells().len()).collect();
+    let (outcomes, _) = matrix.sweep(
+        pool,
+        &all,
+        None,
+        None,
+        |c| canonical_scenario(c.disable),
+        |_, _, _| {},
+    );
+    MatrixReport::from(proved_cells(outcomes).expect("every E11 cell proves"))
 }
 
 #[test]
@@ -33,9 +44,8 @@ fn digest_first_is_no_slower_than_recording_on_the_e11_sweep() {
     // Functional gate first: the digest-first sweep must reproduce the
     // recording sweep bit for bit — verdicts, witnesses, certificates,
     // rendered text — or timing it is meaningless.
-    let digest = e11(ProofMode::Certified).run_on(&pool, |c| canonical_scenario(c.disable));
-    let recording =
-        e11(ProofMode::CertifiedRecording).run_on(&pool, |c| canonical_scenario(c.disable));
+    let digest = e11(&pool, ProofMode::Certified);
+    let recording = e11(&pool, ProofMode::CertifiedRecording);
     assert_eq!(
         digest, recording,
         "digest-first and recording E11 sweeps must agree bit for bit"
@@ -62,14 +72,8 @@ fn digest_first_is_no_slower_than_recording_on_the_e11_sweep() {
     let margin = 1.25;
     let mut ratios = Vec::new();
     for attempt in 0..3 {
-        let t_digest = time_iters(3, || {
-            e11(ProofMode::Certified).run_on(&pool, |c| canonical_scenario(c.disable))
-        })
-        .1;
-        let t_recording = time_iters(3, || {
-            e11(ProofMode::CertifiedRecording).run_on(&pool, |c| canonical_scenario(c.disable))
-        })
-        .1;
+        let t_digest = time_iters(3, || e11(&pool, ProofMode::Certified)).1;
+        let t_recording = time_iters(3, || e11(&pool, ProofMode::CertifiedRecording)).1;
         let ratio = t_digest.as_secs_f64() / t_recording.as_secs_f64();
         eprintln!(
             "attempt {attempt}: digest-first {t_digest:?}, recording {t_recording:?} \

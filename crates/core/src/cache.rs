@@ -11,7 +11,7 @@
 //! verdicts were derived from, its [`ProofReport`] (including the
 //! [`TransparencyCert`]) and a checksum over the entry's canonical
 //! serialised bytes. A cache-backed sweep
-//! ([`crate::engine::ScenarioMatrix::run_subset_cached`]) re-proves
+//! ([`crate::engine::ScenarioMatrix::sweep`] with a cache) re-proves
 //! only cells whose content hash changed and replays the rest, with
 //! reports and wire records byte-identical to an uncached run.
 //!

@@ -1,5 +1,6 @@
-//! The scenario-matrix proof engine: parallel drivers for the proof
-//! obligations and a sweep builder for whole families of scenarios.
+//! The scenario-matrix proof engine: one fault-contained sweep driver
+//! for whole families of proof scenarios, plus pooled drivers for a
+//! single proof and for the exhaustive check.
 //!
 //! The paper's §5.1 argument — the proof must hold under *every*
 //! deterministic-but-unspecified time model — is inherently a fan-out
@@ -10,38 +11,41 @@
 //! pool while keeping results **bit-identical** to the sequential
 //! checkers:
 //!
-//! * [`prove_parallel`] — shards one *certified, trace-free* monitored
-//!   run per (model, secret) (the run's rolling Lo fingerprint doubles
-//!   as the NI baseline, with a single digest-only plain replay
-//!   certifying observation transparency — [`ProofMode`]), then merges
-//!   P/F/T evidence and verdicts in the exact lexicographic order the
-//!   sequential `prove` accumulates in, re-running only fingerprint-
-//!   diverging pairs with recording sinks for their witnesses.
+//! * [`ScenarioMatrix::sweep`] — the one sweep driver. It builds the
+//!   cross product of machine configurations, mechanism ablations and
+//!   time models, flattens the selected cells into **one**
+//!   (cell × model × secret) task list, and hands each cell's outcome
+//!   to the caller in deterministic cell order as soon as the cell's
+//!   outputs have arrived. Each (model, secret) shard is one
+//!   *certified, trace-free* monitored run whose rolling Lo fingerprint
+//!   doubles as the NI baseline, with a single digest-only plain replay
+//!   certifying observation transparency ([`ProofMode`]); the merge
+//!   follows the exact lexicographic order the sequential `prove`
+//!   accumulates in, re-running only fingerprint-diverging pairs with
+//!   recording sinks for their witnesses. An optional [`ProofCache`]
+//!   answers validated hits without running anything, an optional
+//!   [`OnProved`] hook checkpoints every freshly proved cell, and a
+//!   panic anywhere in a cell's proof becomes that cell's `Err` outcome.
+//!   `matrix`, `all`, `bench` and `tp-serve` jobs all run through it;
+//!   [`ScenarioMatrix::run`] is its all-cells wrapper on the global pool.
+//! * [`prove_parallel`] — one scenario's proof, planned, submitted and
+//!   merged by the same code as one sweep cell.
 //! * [`check_exhaustive_parallel`] — shards the program enumeration by
 //!   index blocks, each Hi-word digest-only against the cached baseline
 //!   fingerprint; a leak verdict is the *lowest-index* witness, which
 //!   is precisely the sequential first-witness.
-//! * [`ScenarioMatrix`] — builds the cross product of machine
-//!   configurations (cache geometry, core counts), mechanism ablations
-//!   and time models, flattens the whole sweep into **one**
-//!   (cell × model × secret) task list, and proves every cell in one
-//!   submission. [`ScenarioMatrix::run_streamed`] additionally hands
-//!   each cell's report to the caller in deterministic cell order as
-//!   soon as it completes, so report generators can stream.
 //!
-//! Each driver comes in three flavours sharing one task/merge core:
-//! the default (the process-wide [`tp_sched::global`] pool — no per-call
-//! thread spawning), an `_on` variant taking an explicit
-//! [`WorkerPool`], and a `_scoped` variant that spawns a scoped pool
-//! per call (the pre-`tp-sched` behaviour, kept as a comparison
-//! baseline for the determinism and performance harnesses).
+//! The zero-argument-pool forms run on the process-wide
+//! [`tp_sched::global`] pool; the `_on` forms take a pool and a mode.
+//! The sequential `prove` / `check_exhaustive` stay the reference every
+//! pooled path is pinned against.
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::cache::{entry_check, CacheMiss, CacheStats, ProofCache, CACHE_SALT};
+use crate::cache::{cell_key, entry_check, CacheMiss, CacheStats, ProofCache, CACHE_SALT};
 use crate::exhaustive::{
     recorded_leak, space_size, word_for_index_into, ExhaustiveConfig, ExhaustiveMode,
     ExhaustiveRunner, ExhaustiveVerdict,
@@ -53,7 +57,7 @@ use crate::noninterference::{
 use crate::obligation::ObligationResult;
 use crate::proof::{ModelVerdict, ProofReport};
 use crate::wire::CachedMeta;
-use tp_hw::aisa::check_conformance;
+use tp_hw::aisa::{check_conformance, ConformanceReport};
 use tp_hw::cache::CacheConfig;
 use tp_hw::clock::TimeModel;
 use tp_hw::machine::MachineConfig;
@@ -66,51 +70,6 @@ use tp_sched::{OrderedResults, WorkerPool};
 use tp_telemetry::{Counter, SpanKind};
 
 pub use tp_sched::available_threads;
-
-/// Map `f` over `items` on a pool of `threads` scoped worker threads,
-/// returning results in item order. Workers claim items through an
-/// atomic cursor, so scheduling is dynamic but the output is
-/// position-stable — the foundation of the engine's determinism.
-/// Results flow back through the same ordered-results channel the
-/// persistent pool streams over ([`tp_sched::OrderedResults`]), so the
-/// engine has exactly one result-collection path.
-///
-/// This is the legacy spawn-per-call primitive; the default drivers now
-/// run on the persistent [`tp_sched::global`] pool and only the
-/// `_scoped` comparison paths still use it. A panicking worker
-/// propagates its panic to the caller, matching the sequential
-/// checkers' failure mode.
-pub fn parallel_map<I, T, F>(items: &[I], threads: usize, f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I) -> T + Sync,
-{
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads <= 1 {
-        return items.iter().enumerate().map(|(i, it)| f(i, it)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::scope(|s| {
-        let (next, f) = (&next, &f);
-        for _ in 0..threads {
-            let tx = tx.clone();
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i, &items[i])));
-                // A send failure means the consumer already panicked
-                // (and dropped the stream); nothing left to deliver to.
-                let _ = tx.send((i, r));
-            });
-        }
-        drop(tx);
-        OrderedResults::from_channel(rx, items.len()).collect()
-    })
-}
 
 // ---------------------------------------------------------------------
 // Proof sharding
@@ -187,6 +146,11 @@ impl ProofTask {
     fn build(&self) -> System {
         System::from_parts(&self.mcfg, &self.kcfg)
             .expect("scenario construction must succeed for every secret")
+    }
+
+    /// The digest-only plain replay: Lo's `(len, digest)` fingerprint.
+    fn fingerprint(&self) -> (usize, u64) {
+        lo_digest_len(&self.mcfg, &self.kcfg, self.lo, self.budget, self.max_steps)
     }
 
     /// Lockstep witness extraction against another shard of the same
@@ -269,30 +233,39 @@ enum TaskOutput {
     Cert(u64),
 }
 
-/// One proof's flattened shard list: the engine tasks in submission
-/// order, plus the bare (model, secret) run inputs the merge keeps for
-/// divergence re-runs (pointer-cheap — the configs are `Arc`-shared
-/// with the tasks).
-struct ProofBatch {
-    tasks: Vec<EngineTask>,
+/// One proof flattened for the pool: what the merge needs once the
+/// proof's task outputs come back. The engine tasks themselves go into
+/// the caller's shared submission.
+struct PlannedProof {
+    aisa: ConformanceReport,
+    secrets: Vec<u64>,
     /// One entry per (model, secret), model-major — the order the merge
-    /// consumes shards in.
+    /// consumes shards in, kept for divergence re-runs (pointer-cheap:
+    /// the configs are `Arc`-shared with the tasks).
     runs: Vec<ProofTask>,
+    /// How many engine tasks this proof submitted.
+    tasks: usize,
 }
 
-/// Flatten `scenario` × `models` into owned engine tasks, in the
-/// (model, secret) lexicographic order the merge consumes them in. In
-/// certified modes the certification replay leads the list so it
-/// overlaps the monitored runs on the pool. Kernel configurations are
-/// built once per secret and `Arc`-shared across models; machines once
-/// per model, shared across secrets. `cell` is the matrix cell index
-/// the shards report telemetry under (0 for single-scenario drivers).
-fn proof_tasks(
+/// Flatten `scenario` × `models` into owned engine tasks appended to
+/// `tasks`, in the (model, secret) lexicographic order the merge
+/// consumes them in. In certified modes the certification replay leads
+/// so it overlaps the monitored runs on the pool. Kernel configurations
+/// are built once per secret and `Arc`-shared across models; machines
+/// once per model, shared across secrets. `cell` is the matrix cell
+/// index the shards report telemetry under.
+fn plan_proof(
     scenario: &NiScenario,
     models: &[TimeModel],
     mode: ProofMode,
     cell: usize,
-) -> ProofBatch {
+    tasks: &mut Vec<EngineTask>,
+) -> PlannedProof {
+    assert!(!models.is_empty(), "need at least one time model");
+    assert!(
+        scenario.secrets.len() >= 2,
+        "need at least two secrets to compare"
+    );
     let kcfgs: Vec<Arc<KernelConfig>> = scenario
         .secrets
         .iter()
@@ -314,12 +287,34 @@ fn proof_tasks(
             });
         }
     }
-    let mut tasks = Vec::with_capacity(runs.len() + 1);
+    let before = tasks.len();
     if mode != ProofMode::ReplayCheck {
         tasks.push(EngineTask::CertReplay(runs[0].clone()));
     }
     tasks.extend(runs.iter().cloned().map(EngineTask::Run));
-    ProofBatch { tasks, runs }
+    PlannedProof {
+        aisa: check_conformance(&scenario.mcfg),
+        secrets: scenario.secrets.clone(),
+        runs,
+        tasks: tasks.len() - before,
+    }
+}
+
+/// Submit engine tasks to `pool` — the one place proof tasks reach a
+/// pool. Outputs stream back in submission order; a task that panics
+/// arrives as its slot's `Err` outcome.
+fn submit(
+    pool: &WorkerPool,
+    tasks: Vec<EngineTask>,
+    mode: ProofMode,
+) -> OrderedResults<TaskOutput> {
+    let queued = tp_telemetry::span_start();
+    pool.map_streamed(tasks, move |_, t| {
+        if let Some(q) = queued {
+            tp_telemetry::span(SpanKind::QueueWait, t.cell(), tp_sched::current_worker(), q);
+        }
+        run_engine_task(t, mode)
+    })
 }
 
 /// Execute one engine task. A [`EngineTask::Run`] in a certified mode
@@ -338,7 +333,7 @@ fn run_engine_task(task: EngineTask, mode: ProofMode) -> TaskOutput {
         // comes straight from the replay system's sink.
         EngineTask::CertReplay(t) => {
             let span = tp_telemetry::span_start();
-            let digest = lo_digest_len(&t.mcfg, &t.kcfg, t.lo, t.budget, t.max_steps).1;
+            let digest = t.fingerprint().1;
             if let Some(start) = span {
                 tp_telemetry::span(SpanKind::Replay, t.cell, worker, start);
             }
@@ -378,111 +373,154 @@ fn run_engine_task(task: EngineTask, mode: ProofMode) -> TaskOutput {
     }
 }
 
-/// Number of engine tasks one proof submits under `mode`.
-fn proof_task_count(models: usize, secrets: usize, mode: ProofMode) -> usize {
-    models * secrets
-        + match mode {
-            ProofMode::Certified | ProofMode::CertifiedRecording => 1,
-            ProofMode::ReplayCheck => 0,
-        }
-}
+/// Each run's `(secret, lo_len, monitored_digest)` observation
+/// fingerprint, model-major — the evidence a cache entry stores.
+type Fingerprints = Vec<(u64, usize, u64)>;
 
-/// Merge one proof's task outputs (consumed from `it` in submission
-/// order) into a [`ProofReport`] identical to the sequential `prove`:
-/// same verdicts, same violation order, same first witness, same step
-/// count, same transparency certificate.
-///
-/// `runs` are the proof's (model, secret) inputs in the same
-/// model-major order: when a digest-first model's fingerprints
-/// disagree, the merge re-runs the offending pair with recording sinks
-/// to extract the witness — the only trace materialisation a
-/// digest-first proof ever performs.
-///
-/// Alongside the report, returns each run's
-/// `(secret, lo_len, monitored_digest)` observation fingerprint in
-/// model-major order — the evidence the proof cache stores and
-/// re-validates on every hit.
-fn merge_proof_stream(
-    aisa: tp_hw::aisa::ConformanceReport,
-    models: &[TimeModel],
-    secrets: &[u64],
-    mode: ProofMode,
-    runs: &[ProofTask],
-    it: &mut impl Iterator<Item = TaskOutput>,
-) -> (ProofReport, Vec<(u64, usize, u64)>) {
-    let cert_replay = match mode {
-        ProofMode::Certified | ProofMode::CertifiedRecording => match it.next() {
-            Some(TaskOutput::Cert(d)) => Some(d),
-            _ => panic!("certification replay must lead a certified proof stream"),
-        },
-        ProofMode::ReplayCheck => None,
-    };
-    let mut p = ObligationResult::new("P");
-    let mut f = ObligationResult::new("F");
-    let mut t = ObligationResult::new("T");
-    let mut ni = Vec::with_capacity(models.len());
-    let mut steps = 0;
-    let mut transparency: Option<TransparencyCert> = None;
-    let mut fps = Vec::with_capacity(models.len() * secrets.len());
-    for (mi, model) in models.iter().enumerate() {
-        let mut traces: Vec<(u64, Vec<ObsEvent>)> = Vec::new();
-        let mut digests: Vec<(u64, usize, u64)> = Vec::new();
-        for &s in secrets {
-            let shard = match it.next() {
-                Some(TaskOutput::Run(s)) => *s,
-                _ => panic!("one monitored shard per (model, secret)"),
-            };
-            fps.push((s, shard.lo_len, shard.monitored_digest));
-            p.merge(shard.p);
-            f.merge(shard.f);
-            t.merge(shard.t);
-            steps += shard.steps;
-            if transparency.is_none() {
-                transparency = Some(TransparencyCert {
-                    monitored_digest: shard.monitored_digest,
-                    replay_digest: cert_replay
-                        .or(shard.replay_digest)
-                        .expect("certified or replay-check digest for the first shard"),
-                    switch_digest: shard.switch_digest,
-                });
-            }
-            match shard.trace {
-                Some(trace) => traces.push((s, trace)),
-                None => digests.push((s, shard.lo_len, shard.monitored_digest)),
+impl PlannedProof {
+    /// Drain this proof's task outputs from `stream` and merge them,
+    /// containing every panic: a panicking task or merge yields
+    /// `Err(panic message)`. The proof's whole task quota is drained even
+    /// after a panic, so the next proof's outputs stay aligned. The
+    /// `verify` span starts once the outputs have arrived, so it times
+    /// the merge alone, never the wait for workers.
+    fn collect(
+        self,
+        models: &[TimeModel],
+        mode: ProofMode,
+        stream: &mut OrderedResults<TaskOutput>,
+    ) -> Result<(ProofReport, Fingerprints), String> {
+        let mut outputs = Vec::with_capacity(self.tasks);
+        let mut panic_msg = None;
+        for _ in 0..self.tasks {
+            match stream
+                .next_outcome()
+                .expect("one outcome per submitted engine task")
+            {
+                Ok(o) => outputs.push(o),
+                Err(payload) => {
+                    panic_msg.get_or_insert_with(|| {
+                        tp_sched::panic_message(payload.as_ref()).to_string()
+                    });
+                }
             }
         }
-        let verdict = if digests.is_empty() {
-            compare_secret_runs(&traces)
-        } else {
-            compare_secret_digests(&digests).unwrap_or_else(|b| {
-                // Fingerprint divergence: lockstep re-run of the
-                // baseline and the offending secret with recording
-                // sinks, stopped at the first diverging event. Sinks
-                // (and the read-only monitors, per the transparency
-                // certification) cannot influence execution, so the
-                // extracted witness is exactly what the digest runs
-                // observed.
-                let model_runs = &runs[mi * secrets.len()..(mi + 1) * secrets.len()];
-                model_runs[0].lockstep_leak(&model_runs[b], secrets[0], secrets[b])
-            })
-        };
-        ni.push(ModelVerdict {
-            model: *model,
-            verdict,
-        });
+        if let Some(msg) = panic_msg {
+            return Err(msg);
+        }
+        let cell = self.runs[0].cell;
+        let span = tp_telemetry::span_start();
+        let merged = catch_unwind(AssertUnwindSafe(|| self.merge(models, mode, outputs)));
+        if let Some(start) = span {
+            tp_telemetry::span(SpanKind::Verify, cell, tp_sched::current_worker(), start);
+        }
+        merged.map_err(|payload| {
+            tp_telemetry::count(Counter::TasksPanicked);
+            tp_sched::panic_message(payload.as_ref()).to_string()
+        })
     }
-    (
-        ProofReport {
+
+    /// Merge one proof's task outputs (in submission order) into a
+    /// [`ProofReport`] identical to the sequential `prove`: same
+    /// verdicts, same violation order, same first witness, same step
+    /// count, same transparency certificate.
+    ///
+    /// When a digest-first model's fingerprints disagree, the merge
+    /// re-runs the offending pair with recording sinks to extract the
+    /// witness — the only trace materialisation a digest-first proof
+    /// ever performs.
+    ///
+    /// Alongside the report, returns each run's
+    /// `(secret, lo_len, monitored_digest)` observation fingerprint in
+    /// model-major order — the evidence the proof cache stores and
+    /// re-validates on every hit.
+    fn merge(
+        self,
+        models: &[TimeModel],
+        mode: ProofMode,
+        outputs: Vec<TaskOutput>,
+    ) -> (ProofReport, Fingerprints) {
+        let PlannedProof {
             aisa,
-            p,
-            f,
-            t,
-            ni,
-            steps,
-            transparency,
-        },
-        fps,
-    )
+            secrets,
+            runs,
+            ..
+        } = self;
+        let mut it = outputs.into_iter();
+        let cert_replay = match mode {
+            ProofMode::Certified | ProofMode::CertifiedRecording => match it.next() {
+                Some(TaskOutput::Cert(d)) => Some(d),
+                _ => panic!("certification replay must lead a certified proof stream"),
+            },
+            ProofMode::ReplayCheck => None,
+        };
+        let mut p = ObligationResult::new("P");
+        let mut f = ObligationResult::new("F");
+        let mut t = ObligationResult::new("T");
+        let mut ni = Vec::with_capacity(models.len());
+        let mut steps = 0;
+        let mut transparency: Option<TransparencyCert> = None;
+        let mut fps = Vec::with_capacity(models.len() * secrets.len());
+        for (mi, model) in models.iter().enumerate() {
+            let mut traces: Vec<(u64, Vec<ObsEvent>)> = Vec::new();
+            let mut digests: Vec<(u64, usize, u64)> = Vec::new();
+            for &s in &secrets {
+                let shard = match it.next() {
+                    Some(TaskOutput::Run(s)) => *s,
+                    _ => panic!("one monitored shard per (model, secret)"),
+                };
+                fps.push((s, shard.lo_len, shard.monitored_digest));
+                p.merge(shard.p);
+                f.merge(shard.f);
+                t.merge(shard.t);
+                steps += shard.steps;
+                if transparency.is_none() {
+                    transparency = Some(TransparencyCert {
+                        monitored_digest: shard.monitored_digest,
+                        replay_digest: cert_replay
+                            .or(shard.replay_digest)
+                            .expect("certified or replay-check digest for the first shard"),
+                        switch_digest: shard.switch_digest,
+                    });
+                }
+                match shard.trace {
+                    Some(trace) => traces.push((s, trace)),
+                    None => digests.push((s, shard.lo_len, shard.monitored_digest)),
+                }
+            }
+            let verdict = if digests.is_empty() {
+                compare_secret_runs(&traces)
+            } else {
+                compare_secret_digests(&digests).unwrap_or_else(|b| {
+                    // Fingerprint divergence: lockstep re-run of the
+                    // baseline and the offending secret with recording
+                    // sinks, stopped at the first diverging event. Sinks
+                    // (and the read-only monitors, per the transparency
+                    // certification) cannot influence execution, so the
+                    // extracted witness is exactly what the digest runs
+                    // observed.
+                    let model_runs = &runs[mi * secrets.len()..(mi + 1) * secrets.len()];
+                    model_runs[0].lockstep_leak(&model_runs[b], secrets[0], secrets[b])
+                })
+            };
+            ni.push(ModelVerdict {
+                model: *model,
+                verdict,
+            });
+        }
+        (
+            ProofReport {
+                aisa,
+                p,
+                f,
+                t,
+                ni,
+                steps,
+                transparency,
+            },
+            fps,
+        )
+    }
 }
 
 /// The telemetry counter a cache validation-gauntlet rejection reports
@@ -501,15 +539,6 @@ fn reject_counter(r: crate::cache::RejectReason) -> Counter {
     }
 }
 
-/// Guard the preconditions shared by every proof driver.
-fn check_proof_inputs(scenario: &NiScenario, models: &[TimeModel]) {
-    assert!(!models.is_empty(), "need at least one time model");
-    assert!(
-        scenario.secrets.len() >= 2,
-        "need at least two secrets to compare"
-    );
-}
-
 /// [`crate::proof::prove`], sharded over the (time-model × secret)
 /// product on the process-wide [`tp_sched::global`] pool, in certified
 /// single-run mode ([`ProofMode::Certified`]).
@@ -517,82 +546,27 @@ fn check_proof_inputs(scenario: &NiScenario, models: &[TimeModel]) {
 /// The resulting [`ProofReport`] is bit-identical to
 /// `prove(scenario, models)` regardless of worker count or scheduling.
 pub fn prove_parallel(scenario: &NiScenario, models: &[TimeModel]) -> ProofReport {
-    prove_parallel_on(tp_sched::global(), scenario, models)
+    prove_parallel_on(tp_sched::global(), scenario, models, ProofMode::Certified)
 }
 
-/// [`prove_parallel`] on an explicit pool.
+/// [`prove_parallel`] on an explicit pool under an explicit
+/// [`ProofMode`] — [`ProofMode::ReplayCheck`] is the `--replay-check`
+/// audit path that re-enables the paranoid double-run. Planned,
+/// submitted and merged exactly like one [`ScenarioMatrix::sweep`]
+/// cell; a panicking shard re-panics here with its message.
 pub fn prove_parallel_on(
     pool: &WorkerPool,
     scenario: &NiScenario,
     models: &[TimeModel],
-) -> ProofReport {
-    prove_parallel_mode(pool, scenario, models, ProofMode::Certified)
-}
-
-/// [`prove_parallel`] on an explicit pool with an explicit
-/// [`ProofMode`] — [`ProofMode::ReplayCheck`] is the `--replay-check`
-/// audit path that re-enables the paranoid double-run.
-pub fn prove_parallel_mode(
-    pool: &WorkerPool,
-    scenario: &NiScenario,
-    models: &[TimeModel],
     mode: ProofMode,
 ) -> ProofReport {
-    check_proof_inputs(scenario, models);
-    let aisa = check_conformance(&scenario.mcfg);
-    let batch = proof_tasks(scenario, models, mode, 0);
-    let queued = tp_telemetry::span_start();
-    let outputs = pool.map(batch.tasks, move |_, t| {
-        if let Some(q) = queued {
-            tp_telemetry::span(SpanKind::QueueWait, t.cell(), tp_sched::current_worker(), q);
-        }
-        run_engine_task(t, mode)
-    });
-    merge_proof_stream(
-        aisa,
-        models,
-        &scenario.secrets,
-        mode,
-        &batch.runs,
-        &mut outputs.into_iter(),
-    )
-    .0
-}
-
-/// [`prove_parallel`] on a scoped spawn-per-call pool of `threads`
-/// workers — the pre-`tp-sched` execution path, kept as the comparison
-/// baseline the determinism harness checks the pool against.
-pub fn prove_parallel_scoped(
-    scenario: &NiScenario,
-    models: &[TimeModel],
-    threads: usize,
-) -> ProofReport {
-    prove_parallel_scoped_mode(scenario, models, threads, ProofMode::Certified)
-}
-
-/// [`prove_parallel_scoped`] with an explicit [`ProofMode`].
-pub fn prove_parallel_scoped_mode(
-    scenario: &NiScenario,
-    models: &[TimeModel],
-    threads: usize,
-    mode: ProofMode,
-) -> ProofReport {
-    check_proof_inputs(scenario, models);
-    let aisa = check_conformance(&scenario.mcfg);
-    let batch = proof_tasks(scenario, models, mode, 0);
-    // Tasks clone at pointer cost: their configs are Arc-shared.
-    let outputs = parallel_map(&batch.tasks, threads, |_, t| {
-        run_engine_task(t.clone(), mode)
-    });
-    merge_proof_stream(
-        aisa,
-        models,
-        &scenario.secrets,
-        mode,
-        &batch.runs,
-        &mut outputs.into_iter(),
-    )
-    .0
+    let mut tasks = Vec::new();
+    let proof = plan_proof(scenario, models, mode, 0, &mut tasks);
+    let mut stream = submit(pool, tasks, mode);
+    match proof.collect(models, mode, &mut stream) {
+        Ok((report, _)) => report,
+        Err(msg) => panic!("{msg}"),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -608,39 +582,6 @@ thread_local! {
     /// per thread for the whole sweep instead of an allocation per
     /// enumerated word.
     static EXH_SCRATCH: RefCell<Vec<ObsEvent>> = const { RefCell::new(Vec::new()) };
-}
-
-/// A leak found by one exhaustive shard.
-struct ExhCandidate {
-    index: usize,
-    witness: Vec<Instr>,
-    divergence: usize,
-    baseline_event: Option<ObsEvent>,
-    witness_event: Option<ObsEvent>,
-}
-
-impl ExhCandidate {
-    /// Rebuild the candidate's full evidence from a digest-first hit:
-    /// recording re-runs of the baseline and the witness.
-    fn from_digest_hit(runner: &ExhaustiveRunner, index: usize, word: Vec<Instr>) -> Self {
-        let ExhaustiveVerdict::Leak {
-            program_index,
-            witness,
-            divergence,
-            baseline_event,
-            witness_event,
-        } = recorded_leak(runner, index, word)
-        else {
-            unreachable!("recorded_leak always returns a leak");
-        };
-        ExhCandidate {
-            index: program_index,
-            witness,
-            divergence,
-            baseline_event,
-            witness_event,
-        }
-    }
 }
 
 /// The shared baseline an exhaustive scan compares against: always the
@@ -670,7 +611,8 @@ impl ExhBaseline {
 }
 
 /// Scan one contiguous index block for leaks against `baseline`,
-/// pruning past any already-known lower-index leak in `best`.
+/// pruning past any already-known lower-index leak in `best`. A leak
+/// comes back as its program index and full verdict.
 /// Digest-first scans compare fingerprints and only materialise traces
 /// for a hit; recording scans replay every word into the per-worker
 /// scratch buffer.
@@ -682,7 +624,7 @@ fn scan_exhaustive_block(
     best: &AtomicUsize,
     start: usize,
     end: usize,
-) -> Option<ExhCandidate> {
+) -> Option<(usize, ExhaustiveVerdict)> {
     // One word buffer for the whole block: the scan only materialises an
     // owned copy on the rare leak-candidate path.
     let mut word = Vec::new();
@@ -697,14 +639,15 @@ fn scan_exhaustive_block(
             word_for_index_into(alphabet, max_len, index, &mut word),
             "index is within the enumerated space"
         );
-        let candidate = match &baseline.trace {
+        let leak = match &baseline.trace {
+            // A digest-first hit re-runs baseline and witness recorded.
             None => (runner.run_digest(&word) != baseline.fingerprint)
-                .then(|| ExhCandidate::from_digest_hit(runner, index, word.clone())),
+                .then(|| recorded_leak(runner, index, word.clone())),
             Some(base) => EXH_SCRATCH.with(|scratch| {
                 let buf = &mut *scratch.borrow_mut();
                 runner.run_recorded_into(&word, buf);
-                first_divergence(base, buf).map(|div| ExhCandidate {
-                    index,
+                first_divergence(base, buf).map(|div| ExhaustiveVerdict::Leak {
+                    program_index: index,
                     witness: word.clone(),
                     divergence: div,
                     baseline_event: base.get(div).copied(),
@@ -712,9 +655,9 @@ fn scan_exhaustive_block(
                 })
             }),
         };
-        if let Some(c) = candidate {
+        if let Some(v) = leak {
             best.fetch_min(index, Ordering::Relaxed);
-            found = Some(c);
+            found = Some((index, v));
             break;
         }
     }
@@ -722,26 +665,6 @@ fn scan_exhaustive_block(
     // inner loop.
     tp_telemetry::count_n(Counter::ExhPrograms, scanned);
     found
-}
-
-/// Pick the sequential verdict out of the shards' findings: the
-/// lowest-index leak, or a pass over the whole space.
-fn merge_exhaustive_candidates(
-    found: impl IntoIterator<Item = ExhCandidate>,
-    total: usize,
-) -> ExhaustiveVerdict {
-    match found.into_iter().min_by_key(|c| c.index) {
-        Some(c) => ExhaustiveVerdict::Leak {
-            program_index: c.index,
-            witness: c.witness,
-            divergence: c.divergence,
-            baseline_event: c.baseline_event,
-            witness_event: c.witness_event,
-        },
-        None => ExhaustiveVerdict::Pass {
-            programs: total + 1,
-        },
-    }
 }
 
 /// [`crate::exhaustive::check_exhaustive`], sharded by index blocks on
@@ -755,21 +678,13 @@ fn merge_exhaustive_candidates(
 /// and all shards run systems stamped from one [`ExhaustiveRunner`]
 /// template instead of paying full construction per program.
 pub fn check_exhaustive_parallel(cfg: &ExhaustiveConfig) -> ExhaustiveVerdict {
-    check_exhaustive_parallel_on(tp_sched::global(), cfg)
+    check_exhaustive_parallel_on(tp_sched::global(), cfg, ExhaustiveMode::DigestFirst)
 }
 
-/// [`check_exhaustive_parallel`] on an explicit pool.
-pub fn check_exhaustive_parallel_on(
-    pool: &WorkerPool,
-    cfg: &ExhaustiveConfig,
-) -> ExhaustiveVerdict {
-    check_exhaustive_parallel_mode(pool, cfg, ExhaustiveMode::DigestFirst)
-}
-
-/// [`check_exhaustive_parallel_on`] with an explicit
+/// [`check_exhaustive_parallel`] on an explicit pool under an explicit
 /// [`ExhaustiveMode`] — [`ExhaustiveMode::Recording`] is the fully
 /// materialised equivalence oracle.
-pub fn check_exhaustive_parallel_mode(
+pub fn check_exhaustive_parallel_on(
     pool: &WorkerPool,
     cfg: &ExhaustiveConfig,
     mode: ExhaustiveMode,
@@ -786,56 +701,16 @@ pub fn check_exhaustive_parallel_mode(
         let end = (start + EXH_BLOCK - 1).min(total);
         scan_exhaustive_block(&runner, &alphabet, max_len, &baseline, &best, start, end)
     });
-    merge_exhaustive_candidates(found.into_iter().flatten(), total)
-}
-
-/// [`check_exhaustive_parallel`] on a scoped spawn-per-call pool — the
-/// pre-`tp-sched`, fully recording execution path, kept as a comparison
-/// baseline for both the scheduler and the digest-first optimisation.
-pub fn check_exhaustive_parallel_scoped(
-    cfg: &ExhaustiveConfig,
-    threads: usize,
-) -> ExhaustiveVerdict {
-    let runner = ExhaustiveRunner::new(cfg);
-    let baseline = ExhBaseline::new(&runner, ExhaustiveMode::Recording);
-    let total = space_size(cfg.alphabet.len(), cfg.max_len);
-
-    // No point spawning more workers than there are blocks to claim.
-    let threads = threads.max(1).min(total.div_ceil(EXH_BLOCK).max(1));
-    let next_block = AtomicUsize::new(0);
-    let best = AtomicUsize::new(usize::MAX);
-    let candidates: std::sync::Mutex<Vec<ExhCandidate>> = std::sync::Mutex::new(Vec::new());
-
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let start = 1 + next_block.fetch_add(1, Ordering::Relaxed) * EXH_BLOCK;
-                if start > total {
-                    break;
-                }
-                // Blocks are claimed in increasing index order, so once a
-                // leak below this block exists nothing later can beat it.
-                if start > best.load(Ordering::Relaxed) {
-                    break;
-                }
-                let end = (start + EXH_BLOCK - 1).min(total);
-                if let Some(c) = scan_exhaustive_block(
-                    &runner,
-                    &cfg.alphabet,
-                    cfg.max_len,
-                    &baseline,
-                    &best,
-                    start,
-                    end,
-                ) {
-                    candidates.lock().expect("candidate list poisoned").push(c);
-                }
-            });
-        }
-    });
-
-    let found = candidates.into_inner().expect("candidate list poisoned");
-    merge_exhaustive_candidates(found, total)
+    found
+        .into_iter()
+        .flatten()
+        .min_by_key(|(index, _)| *index)
+        .map_or(
+            ExhaustiveVerdict::Pass {
+                programs: total + 1,
+            },
+            |(_, leak)| leak,
+        )
 }
 
 // ---------------------------------------------------------------------
@@ -890,20 +765,8 @@ impl ScenarioMatrix {
         }
     }
 
-    /// Re-enable the paranoid double-run per (model, secret) — the
-    /// `--replay-check` audit path. Reports stay bit-identical to
-    /// certified mode as long as monitoring is transparent (which the
-    /// certificate in every report pins).
-    pub fn with_replay_check(mut self, enabled: bool) -> Self {
-        self.mode = if enabled {
-            ProofMode::ReplayCheck
-        } else {
-            ProofMode::Certified
-        };
-        self
-    }
-
     /// Prove every cell under an explicit [`ProofMode`] —
+    /// [`ProofMode::ReplayCheck`] is the `--replay-check` audit path;
     /// [`ProofMode::CertifiedRecording`] is how the equivalence and
     /// perf harnesses force the pre-digest-first behaviour.
     pub fn with_mode(mut self, mode: ProofMode) -> Self {
@@ -1029,183 +892,83 @@ impl ScenarioMatrix {
         Ok(validated)
     }
 
-    /// Prove every cell on the process-wide [`tp_sched::global`] pool.
+    /// Prove every cell on the process-wide [`tp_sched::global`] pool:
+    /// [`ScenarioMatrix::sweep`] over all cells, uncached. A failed cell
+    /// panics here with its index and message — callers that must
+    /// survive a fault call `sweep` and handle its outcomes.
+    pub fn run<F>(&self, make_scenario: F) -> MatrixReport
+    where
+        F: Fn(&MatrixCell) -> NiScenario,
+    {
+        let all: Vec<usize> = (0..self.cells().len()).collect();
+        let (outcomes, _) = self.sweep(
+            tp_sched::global(),
+            &all,
+            None,
+            None,
+            make_scenario,
+            |_, _, _| {},
+        );
+        match proved_cells(outcomes) {
+            Ok(cells) => MatrixReport::from(cells),
+            Err(failed) => panic!("matrix cell {} failed: {}", failed[0].0, failed[0].1),
+        }
+    }
+
+    /// The sweep driver: prove the cells at `indices` (positions in
+    /// [`ScenarioMatrix::cells`] order), flattened into one task-list
+    /// submission on `pool`, and hand each cell's outcome to `on_cell`
+    /// in `indices` order as soon as the cell's task outputs have
+    /// arrived. Returns every `(global index, cell, outcome)` plus the
+    /// cache statistics.
+    ///
     /// `make_scenario` builds the base scenario; the engine then
     /// overrides the scenario's machine with `cell.mcfg` **and** the
     /// kernel configuration's protection with `cell.tp`, so both halves
     /// of the sweep always apply — a callback that ignores the cell
     /// cannot hollow out the ablations.
     ///
-    /// The whole sweep is flattened into one (cell × model × secret)
-    /// task list and submitted in a single batch, so work stealing
-    /// balances across cell boundaries and a single-cell matrix still
-    /// saturates the pool.
-    pub fn run<F>(&self, make_scenario: F) -> MatrixReport
-    where
-        F: Fn(&MatrixCell) -> NiScenario,
-    {
-        self.run_on(tp_sched::global(), make_scenario)
-    }
-
-    /// [`ScenarioMatrix::run`] on an explicit pool.
-    pub fn run_on<F>(&self, pool: &WorkerPool, make_scenario: F) -> MatrixReport
-    where
-        F: Fn(&MatrixCell) -> NiScenario,
-    {
-        self.run_streamed(pool, make_scenario, |_, _, _| {})
-    }
-
-    /// [`ScenarioMatrix::run`], streaming each cell's finished report
-    /// to `on_cell` **in deterministic cell order** as soon as the cell
-    /// completes — cell 0 can be rendered while cell 40 is still
-    /// running. The returned [`MatrixReport`] is identical to
-    /// [`ScenarioMatrix::run`]'s.
-    pub fn run_streamed<F, C>(
-        &self,
-        pool: &WorkerPool,
-        make_scenario: F,
-        mut on_cell: C,
-    ) -> MatrixReport
-    where
-        F: Fn(&MatrixCell) -> NiScenario,
-        C: FnMut(usize, &MatrixCell, &ProofReport),
-    {
-        let all: Vec<usize> = (0..self.cells().len()).collect();
-        let proved = self.run_subset_streamed(pool, &all, make_scenario, &mut on_cell);
-        MatrixReport {
-            cells: proved.into_iter().map(|(_, c, r)| (c, r)).collect(),
-        }
-    }
-
-    /// Prove only the cells at `indices` (positions in
-    /// [`ScenarioMatrix::cells`] order), flattened into one task-list
-    /// submission, streaming each finished cell to `on_cell` in
-    /// `indices` order. Returns `(global index, cell, report)` triples.
+    /// * `cache`: each cell's content key ([`crate::cache::cell_key`])
+    ///   is looked up first, and a **validated** hit replays the stored
+    ///   report without running anything; freshly proved cacheable cells
+    ///   are inserted back. A hit's report equals the live one whenever
+    ///   the key matches, and a hit that fails validation degrades to a
+    ///   live re-prove — a bad cache can cost time, never change output.
+    ///   `None` proves every cell live and counts no cache telemetry.
+    /// * `on_proved`: fires once per **freshly proved cacheable** cell
+    ///   (with or without a cache), right before the cache insert, with
+    ///   the exact [`CachedMeta`] a [`crate::journal::JournalWriter`]
+    ///   appends. Hits, uncacheable
+    ///   and failed cells never reach it, so a resumed run journals only
+    ///   what it re-proved.
     ///
-    /// This is the multi-process sharding primitive: a `sched-worker`
-    /// process proves its slice of the matrix with this and serialises
-    /// the triples ([`crate::wire`]); the merge step reassembles the
-    /// full report, identical to a single-process run.
+    /// A cell whose tasks or merge panic yields `Err(panic message)` in
+    /// its slot instead of unwinding into the caller; the remaining
+    /// cells still complete, stream and populate the cache, and the
+    /// failed cell is neither cached nor journaled.
     ///
-    /// Out-of-range indices panic — shards are derived from the same
-    /// matrix constructor on every host, so a mismatch is a driver bug.
-    pub fn run_subset_streamed<F, C>(
+    /// This is also the multi-process sharding primitive: a `matrix
+    /// --worker` process proves its slice and serialises the outcomes
+    /// ([`crate::wire`]); the merge step reassembles the full report,
+    /// identical to a single-process run. Out-of-range indices panic —
+    /// shards derive from the same matrix constructor on every host, so
+    /// a mismatch is a driver bug.
+    pub fn sweep<F, C>(
         &self,
         pool: &WorkerPool,
         indices: &[usize],
-        make_scenario: F,
-        mut on_cell: C,
-    ) -> Vec<(usize, MatrixCell, ProofReport)>
-    where
-        F: Fn(&MatrixCell) -> NiScenario,
-        C: FnMut(usize, &MatrixCell, &ProofReport),
-    {
-        let all = self.cells();
-        let mode = self.mode;
-        // Flatten every selected cell into the one task list; remember
-        // each cell's shard inputs and conformance for the ordered
-        // merge (and for digest-divergence re-runs).
-        let mut tasks = Vec::new();
-        let mut meta = Vec::with_capacity(indices.len());
-        for &ci in indices {
-            let cell = &all[ci];
-            let scenario = apply_cell(make_scenario(cell), cell);
-            check_proof_inputs(&scenario, &self.models);
-            let batch = proof_tasks(&scenario, &self.models, mode, ci);
-            debug_assert_eq!(
-                batch.tasks.len(),
-                proof_task_count(self.models.len(), scenario.secrets.len(), mode)
-            );
-            meta.push((
-                ci,
-                check_conformance(&cell.mcfg),
-                scenario.secrets.clone(),
-                batch.runs,
-            ));
-            tasks.extend(batch.tasks);
-        }
-
-        let queued = tp_telemetry::span_start();
-        let mut stream = pool.map_streamed(tasks, move |_, t| {
-            if let Some(q) = queued {
-                tp_telemetry::span(SpanKind::QueueWait, t.cell(), tp_sched::current_worker(), q);
-            }
-            run_engine_task(t, mode)
-        });
-        let mut out = Vec::with_capacity(indices.len());
-        for (ci, aisa, secrets, runs) in meta {
-            let span = tp_telemetry::span_start();
-            let (report, _) =
-                merge_proof_stream(aisa, &self.models, &secrets, mode, &runs, &mut stream);
-            if let Some(start) = span {
-                tp_telemetry::span(SpanKind::Verify, ci, tp_sched::current_worker(), start);
-            }
-            on_cell(ci, &all[ci], &report);
-            out.push((ci, all[ci].clone(), report));
-        }
-        out
-    }
-
-    /// [`ScenarioMatrix::run_subset_streamed`] backed by a
-    /// [`ProofCache`]: each selected cell's content key
-    /// ([`crate::cache::cell_key`]) is looked up first, and a
-    /// **validated** hit replays the stored report without running
-    /// anything; only misses (absent, rejected, or uncacheable cells)
-    /// are flattened into the live task batch. Freshly proved
-    /// cacheable cells are inserted back into `cache` with their
-    /// observation fingerprints, so a cold sweep populates the cache a
-    /// warm sweep then hits.
-    ///
-    /// Reports, streaming order, and therefore any serialised output
-    /// are byte-identical to the uncached
-    /// [`ScenarioMatrix::run_subset_streamed`]: a hit's stored report
-    /// equals the live report whenever the content key matches (the
-    /// determinism harness pins this), and a hit that fails validation
-    /// silently degrades to a live re-prove — a bad cache can cost
-    /// time, never change output.
-    pub fn run_subset_cached<F, C>(
-        &self,
-        pool: &WorkerPool,
-        indices: &[usize],
-        cache: &mut ProofCache,
-        make_scenario: F,
-        on_cell: C,
-    ) -> (Vec<(usize, MatrixCell, ProofReport)>, CacheStats)
-    where
-        F: Fn(&MatrixCell) -> NiScenario,
-        C: FnMut(usize, &MatrixCell, &ProofReport),
-    {
-        self.run_subset_journaled(pool, indices, cache, make_scenario, on_cell, None)
-    }
-
-    /// [`ScenarioMatrix::run_subset_cached`] with a checkpoint hook:
-    /// when `on_proved` is given it is invoked once per **freshly
-    /// proved cacheable** cell — after the merge, right before the
-    /// cache insert — with the exact [`CachedMeta`] the cache stores,
-    /// which is what a [`crate::journal::JournalWriter`] appends. Hits
-    /// and uncacheable cells never reach the hook, so a resumed run
-    /// journals only what it actually re-proved.
-    pub fn run_subset_journaled<F, C>(
-        &self,
-        pool: &WorkerPool,
-        indices: &[usize],
-        cache: &mut ProofCache,
-        make_scenario: F,
-        mut on_cell: C,
+        mut cache: Option<&mut ProofCache>,
         mut on_proved: Option<OnProved<'_>>,
-    ) -> (Vec<(usize, MatrixCell, ProofReport)>, CacheStats)
+        make_scenario: F,
+        mut on_cell: C,
+    ) -> (CellOutcomes, CacheStats)
     where
         F: Fn(&MatrixCell) -> NiScenario,
-        C: FnMut(usize, &MatrixCell, &ProofReport),
+        C: FnMut(usize, &MatrixCell, &Result<ProofReport, String>),
     {
         enum Plan {
             Hit(Box<ProofReport>),
-            Miss {
-                key: Option<u64>,
-                aisa: tp_hw::aisa::ConformanceReport,
-                secrets: Vec<u64>,
-                runs: Vec<ProofTask>,
-            },
+            Miss(Option<u64>, PlannedProof),
         }
         let all = self.cells();
         let mode = self.mode;
@@ -1215,457 +978,127 @@ impl ScenarioMatrix {
         for &ci in indices {
             let cell = &all[ci];
             let scenario = apply_cell(make_scenario(cell), cell);
-            check_proof_inputs(&scenario, &self.models);
-            let key = crate::cache::cell_key(cell, &self.models, &scenario, mode);
-            match key {
-                Some(k) => match cache.lookup(k, cell, &self.models, &scenario.secrets) {
-                    Ok(entry) => {
+            // Keys are derived only when a cache or a checkpoint uses them.
+            let key = (cache.is_some() || on_proved.is_some())
+                .then(|| cell_key(cell, &self.models, &scenario, mode))
+                .flatten();
+            if let Some(c) = cache.as_deref_mut() {
+                match key.map(|k| c.lookup(k, cell, &self.models, &scenario.secrets)) {
+                    Some(Ok(entry)) => {
                         stats.hits += 1;
                         tp_telemetry::count(Counter::CacheHits);
                         plans.push((ci, Plan::Hit(Box::new(entry.report.clone()))));
                         continue;
                     }
-                    Err(CacheMiss::Absent) => {
+                    Some(Err(CacheMiss::Absent)) => {
                         stats.misses += 1;
                         tp_telemetry::count(Counter::CacheMisses);
                     }
-                    Err(CacheMiss::Rejected(r)) => {
+                    Some(Err(CacheMiss::Rejected(r))) => {
                         stats.rejected += 1;
                         tp_telemetry::count(reject_counter(r));
                     }
-                },
-                None => {
-                    stats.uncacheable += 1;
-                    tp_telemetry::count(Counter::CacheUncacheable);
+                    None => {
+                        stats.uncacheable += 1;
+                        tp_telemetry::count(Counter::CacheUncacheable);
+                    }
                 }
             }
-            let batch = proof_tasks(&scenario, &self.models, mode, ci);
-            plans.push((
-                ci,
-                Plan::Miss {
-                    key,
-                    aisa: check_conformance(&cell.mcfg),
-                    secrets: scenario.secrets.clone(),
-                    runs: batch.runs,
-                },
-            ));
-            tasks.extend(batch.tasks);
+            let proof = plan_proof(&scenario, &self.models, mode, ci, &mut tasks);
+            plans.push((ci, Plan::Miss(key, proof)));
         }
 
-        let queued = tp_telemetry::span_start();
-        let mut stream = pool.map_streamed(tasks, move |_, t| {
-            if let Some(q) = queued {
-                tp_telemetry::span(SpanKind::QueueWait, t.cell(), tp_sched::current_worker(), q);
-            }
-            run_engine_task(t, mode)
-        });
-        let mut out = Vec::with_capacity(indices.len());
+        let mut stream = submit(pool, tasks, mode);
+        let mut out = Vec::with_capacity(plans.len());
         for (ci, plan) in plans {
-            let report = match plan {
-                Plan::Hit(report) => *report,
-                Plan::Miss {
-                    key,
-                    aisa,
-                    secrets,
-                    runs,
-                } => {
-                    let span = tp_telemetry::span_start();
-                    let (report, fps) =
-                        merge_proof_stream(aisa, &self.models, &secrets, mode, &runs, &mut stream);
-                    if let Some(start) = span {
-                        tp_telemetry::span(SpanKind::Verify, ci, tp_sched::current_worker(), start);
-                    }
-                    if let Some(k) = key {
-                        if let Some(j) = on_proved.as_mut() {
-                            let meta = CachedMeta {
-                                key: k,
-                                salt: CACHE_SALT,
-                                check: entry_check(k, CACHE_SALT, &fps, &all[ci], &report),
-                                fps: fps.clone(),
-                            };
-                            j(ci, &all[ci], &report, &meta);
-                        }
-                        cache.insert(k, all[ci].clone(), report.clone(), fps);
-                    }
-                    report
-                }
-            };
-            on_cell(ci, &all[ci], &report);
-            out.push((ci, all[ci].clone(), report));
-        }
-        (out, stats)
-    }
-
-    /// The fault-contained sweep driver a **long-lived** service runs:
-    /// [`ScenarioMatrix::run_subset_cached`] semantics (optional cache
-    /// front, streaming in `indices` order, byte-identical reports),
-    /// but a cell whose tasks panic yields `Err(panic message)` in its
-    /// slot instead of unwinding into the caller — the remaining cells
-    /// still complete, stream, and populate the cache.
-    ///
-    /// `cache: None` runs the sweep uncached (every cell is proved
-    /// live, [`CacheStats`] stays zero and no cache telemetry is
-    /// counted); `Some` behaves exactly like
-    /// [`ScenarioMatrix::run_subset_cached`]. Failed cells are never
-    /// inserted into the cache, so a fault stays a miss and a
-    /// resubmission re-proves it.
-    ///
-    /// Containment covers both places a proof can panic: the sharded
-    /// engine tasks (contained by the pool and delivered through
-    /// [`OrderedResults::next_outcome`]; the stream stays aligned
-    /// because every submitted task reports exactly one outcome) and
-    /// the consumer-side merge (digest-divergence lockstep re-runs
-    /// execute here, so the merge is wrapped in its own `catch_unwind`).
-    pub fn run_subset_streamed_cached<F, C>(
-        &self,
-        pool: &WorkerPool,
-        indices: &[usize],
-        cache: Option<&mut ProofCache>,
-        make_scenario: F,
-        on_cell: C,
-    ) -> (CellOutcomes, CacheStats)
-    where
-        F: Fn(&MatrixCell) -> NiScenario,
-        C: FnMut(usize, &MatrixCell, &Result<ProofReport, String>),
-    {
-        self.run_subset_streamed_journaled(pool, indices, cache, make_scenario, on_cell, None)
-    }
-
-    /// [`ScenarioMatrix::run_subset_streamed_cached`] with the same
-    /// checkpoint hook as [`ScenarioMatrix::run_subset_journaled`]:
-    /// `on_proved` fires once per freshly proved cacheable cell with
-    /// the metadata its journal record stores. Failed (panicked) cells
-    /// are neither cached nor journaled.
-    pub fn run_subset_streamed_journaled<F, C>(
-        &self,
-        pool: &WorkerPool,
-        indices: &[usize],
-        mut cache: Option<&mut ProofCache>,
-        make_scenario: F,
-        mut on_cell: C,
-        mut on_proved: Option<OnProved<'_>>,
-    ) -> (CellOutcomes, CacheStats)
-    where
-        F: Fn(&MatrixCell) -> NiScenario,
-        C: FnMut(usize, &MatrixCell, &Result<ProofReport, String>),
-    {
-        enum Plan {
-            Hit(Box<ProofReport>),
-            Miss {
-                key: Option<u64>,
-                aisa: tp_hw::aisa::ConformanceReport,
-                secrets: Vec<u64>,
-                runs: Vec<ProofTask>,
-                tasks: usize,
-            },
-        }
-        let all = self.cells();
-        let mode = self.mode;
-        let mut stats = CacheStats::default();
-        let mut tasks = Vec::new();
-        let mut plans = Vec::with_capacity(indices.len());
-        for &ci in indices {
             let cell = &all[ci];
-            let scenario = apply_cell(make_scenario(cell), cell);
-            check_proof_inputs(&scenario, &self.models);
-            let key = match cache.as_deref_mut() {
-                None => None,
-                Some(c) => {
-                    let key = crate::cache::cell_key(cell, &self.models, &scenario, mode);
-                    match key {
-                        Some(k) => match c.lookup(k, cell, &self.models, &scenario.secrets) {
-                            Ok(entry) => {
-                                stats.hits += 1;
-                                tp_telemetry::count(Counter::CacheHits);
-                                plans.push((ci, Plan::Hit(Box::new(entry.report.clone()))));
-                                continue;
-                            }
-                            Err(CacheMiss::Absent) => {
-                                stats.misses += 1;
-                                tp_telemetry::count(Counter::CacheMisses);
-                            }
-                            Err(CacheMiss::Rejected(r)) => {
-                                stats.rejected += 1;
-                                tp_telemetry::count(reject_counter(r));
-                            }
-                        },
-                        None => {
-                            stats.uncacheable += 1;
-                            tp_telemetry::count(Counter::CacheUncacheable);
-                        }
-                    }
-                    key
-                }
-            };
-            let batch = proof_tasks(&scenario, &self.models, mode, ci);
-            plans.push((
-                ci,
-                Plan::Miss {
-                    key,
-                    aisa: check_conformance(&cell.mcfg),
-                    secrets: scenario.secrets.clone(),
-                    runs: batch.runs,
-                    tasks: batch.tasks.len(),
-                },
-            ));
-            tasks.extend(batch.tasks);
-        }
-
-        let queued = tp_telemetry::span_start();
-        let mut stream = pool.map_streamed(tasks, move |_, t| {
-            if let Some(q) = queued {
-                tp_telemetry::span(SpanKind::QueueWait, t.cell(), tp_sched::current_worker(), q);
-            }
-            run_engine_task(t, mode)
-        });
-        let mut out = Vec::with_capacity(indices.len());
-        for (ci, plan) in plans {
             let result = match plan {
                 Plan::Hit(report) => Ok(*report),
-                Plan::Miss {
-                    key,
-                    aisa,
-                    secrets,
-                    runs,
-                    tasks: n,
-                } => {
-                    // Drain this cell's full task quota even after a
-                    // panic, so the next cell's outcomes line up.
-                    let mut outputs = Vec::with_capacity(n);
-                    let mut panic_msg: Option<String> = None;
-                    for _ in 0..n {
-                        match stream
-                            .next_outcome()
-                            .expect("one outcome per submitted engine task")
-                        {
-                            Ok(o) => outputs.push(o),
-                            Err(payload) => {
-                                if panic_msg.is_none() {
-                                    panic_msg =
-                                        Some(tp_sched::panic_message(payload.as_ref()).to_string());
+                Plan::Miss(key, proof) => {
+                    proof
+                        .collect(&self.models, mode, &mut stream)
+                        .map(|(report, fps)| {
+                            if let Some(k) = key {
+                                if let Some(j) = on_proved.as_mut() {
+                                    let meta = CachedMeta {
+                                        key: k,
+                                        salt: CACHE_SALT,
+                                        check: entry_check(k, CACHE_SALT, &fps, cell, &report),
+                                        fps: fps.clone(),
+                                    };
+                                    j(ci, cell, &report, &meta);
+                                }
+                                if let Some(c) = cache.as_deref_mut() {
+                                    c.insert(k, cell.clone(), report.clone(), fps);
                                 }
                             }
-                        }
-                    }
-                    match panic_msg {
-                        Some(msg) => Err(msg),
-                        None => {
-                            let span = tp_telemetry::span_start();
-                            let models = &self.models;
-                            let merged = catch_unwind(AssertUnwindSafe(move || {
-                                merge_proof_stream(
-                                    aisa,
-                                    models,
-                                    &secrets,
-                                    mode,
-                                    &runs,
-                                    &mut outputs.into_iter(),
-                                )
-                            }));
-                            if let Some(start) = span {
-                                tp_telemetry::span(
-                                    SpanKind::Verify,
-                                    ci,
-                                    tp_sched::current_worker(),
-                                    start,
-                                );
-                            }
-                            match merged {
-                                Ok((report, fps)) => {
-                                    if let (Some(k), Some(c)) = (key, cache.as_deref_mut()) {
-                                        if let Some(j) = on_proved.as_mut() {
-                                            let meta = CachedMeta {
-                                                key: k,
-                                                salt: CACHE_SALT,
-                                                check: entry_check(
-                                                    k, CACHE_SALT, &fps, &all[ci], &report,
-                                                ),
-                                                fps: fps.clone(),
-                                            };
-                                            j(ci, &all[ci], &report, &meta);
-                                        }
-                                        c.insert(k, all[ci].clone(), report.clone(), fps);
-                                    }
-                                    Ok(report)
-                                }
-                                Err(payload) => {
-                                    tp_telemetry::count(Counter::TasksPanicked);
-                                    Err(tp_sched::panic_message(payload.as_ref()).to_string())
-                                }
-                            }
-                        }
-                    }
+                            report
+                        })
                 }
             };
-            on_cell(ci, &all[ci], &result);
-            out.push((ci, all[ci].clone(), result));
+            on_cell(ci, cell, &result);
+            out.push((ci, cell.clone(), result));
         }
         (out, stats)
     }
 
-    /// [`ScenarioMatrix::run`] on a scoped spawn-per-call pool,
-    /// splitting `threads` between cells (outer) and each cell's
-    /// (model × secret) product (inner) — the pre-`tp-sched` execution
-    /// path, kept as a comparison baseline.
-    pub fn run_scoped<F>(&self, threads: usize, make_scenario: F) -> MatrixReport
-    where
-        F: Fn(&MatrixCell) -> NiScenario + Sync,
-    {
-        let cells = self.cells();
-        let threads = threads.max(1);
-        let outer = threads.clamp(1, cells.len().max(1));
-        let inner = (threads / outer).max(1);
-        let reports = parallel_map(&cells, outer, |_, cell| {
-            let scenario = apply_cell(make_scenario(cell), cell);
-            prove_parallel_scoped_mode(&scenario, &self.models, inner, self.mode)
-        });
-        MatrixReport {
-            cells: cells.into_iter().zip(reports).collect(),
-        }
-    }
-
-    /// NI-only matrix run on the process-wide pool: shard every cell's
-    /// per-secret run and compare Lo observations, without the
+    /// NI-only matrix run on the process-wide pool: one digest-only run
+    /// per (cell, secret) compares Lo observations, without the
     /// monitored P/F/T runs a full [`ScenarioMatrix::run`] performs.
-    /// Digest-first like [`crate::check_noninterference`]: every run is
-    /// trace-free, and only a fingerprint mismatch re-runs the
-    /// offending pair for the witness — each cell's verdict is
-    /// identical to `check_noninterference` on that cell's scenario
-    /// under the cell machine's own time model. This is the cheap
-    /// driver for sweeps that only need leak/no-leak answers, like the
-    /// E11 ablation table.
+    /// Like [`crate::check_noninterference`], only a fingerprint
+    /// mismatch re-runs the offending pair (in lockstep) for the
+    /// witness, so each cell's verdict is identical to
+    /// `check_noninterference` on that cell's scenario under the cell
+    /// machine's own time model. This is the cheap driver for sweeps
+    /// that only need leak/no-leak answers, like the E11 ablation table.
     pub fn run_ni<F>(&self, make_scenario: F) -> Vec<(MatrixCell, NiVerdict)>
     where
         F: Fn(&MatrixCell) -> NiScenario,
     {
-        self.run_ni_on(tp_sched::global(), make_scenario)
-    }
-
-    /// [`ScenarioMatrix::run_ni`] on an explicit pool.
-    pub fn run_ni_on<F>(&self, pool: &WorkerPool, make_scenario: F) -> Vec<(MatrixCell, NiVerdict)>
-    where
-        F: Fn(&MatrixCell) -> NiScenario,
-    {
-        let (cells, counts, tasks) = self.ni_tasks(make_scenario);
-        let tasks = Arc::new(tasks);
-        let worker_tasks = Arc::clone(&tasks);
-        // Stream the fingerprints so cells merge — and any divergence
-        // re-runs execute — while the sweep's tail is still running on
-        // the pool.
-        let mut stream = pool.map_streamed((0..tasks.len()).collect(), move |_, i| {
-            worker_tasks[i].fingerprint()
-        });
-        let mut out = Vec::with_capacity(cells.len());
-        let mut offset = 0;
-        for (cell, n) in cells.into_iter().zip(counts) {
-            let runs: Vec<(u64, usize, u64)> = (0..n)
-                .map(|_| {
-                    stream
-                        .next_result()
-                        .expect("one fingerprint per (cell, secret)")
-                })
-                .collect();
-            out.push((cell, ni_verdict(&runs, &tasks[offset..offset + n])));
-            offset += n;
-        }
-        out
-    }
-
-    /// [`ScenarioMatrix::run_ni`] on a scoped spawn-per-call pool — the
-    /// pre-`tp-sched` execution path, kept as a comparison baseline for
-    /// the scheduler. Digest-first like the pool path, so the two
-    /// differ only in scheduling.
-    pub fn run_ni_scoped<F>(&self, threads: usize, make_scenario: F) -> Vec<(MatrixCell, NiVerdict)>
-    where
-        F: Fn(&MatrixCell) -> NiScenario + Sync,
-    {
-        let (cells, counts, tasks) = self.ni_tasks(make_scenario);
-        let fingerprints = parallel_map(&tasks, threads, |_, t| t.fingerprint());
-        let mut out = Vec::with_capacity(cells.len());
-        let mut it = fingerprints.into_iter();
-        let mut offset = 0;
-        for (cell, n) in cells.into_iter().zip(counts) {
-            let runs: Vec<(u64, usize, u64)> = (0..n)
-                .map(|_| it.next().expect("one fingerprint per (cell, secret)"))
-                .collect();
-            out.push((cell, ni_verdict(&runs, &tasks[offset..offset + n])));
-            offset += n;
-        }
-        out
-    }
-
-    /// Flatten the matrix into NI-only run tasks: per cell, one task
-    /// per secret, configs `Arc`-shared. Returns (cells, per-cell
-    /// secret counts, tasks).
-    fn ni_tasks<F>(&self, make_scenario: F) -> (Vec<MatrixCell>, Vec<usize>, Vec<NiTask>)
-    where
-        F: Fn(&MatrixCell) -> NiScenario,
-    {
         let cells = self.cells();
-        let mut tasks = Vec::new();
-        let mut counts = Vec::with_capacity(cells.len());
-        for cell in &cells {
+        let mut runs = Vec::new();
+        let mut secrets = Vec::with_capacity(cells.len());
+        for (ci, cell) in cells.iter().enumerate() {
             let sc = apply_cell(make_scenario(cell), cell);
-            counts.push(sc.secrets.len());
             let mcfg = Arc::new(sc.mcfg.clone());
             for &s in &sc.secrets {
-                tasks.push(NiTask {
+                runs.push(ProofTask {
                     mcfg: Arc::clone(&mcfg),
                     kcfg: Arc::new((sc.make_kcfg)(s)),
-                    secret: s,
                     lo: sc.lo,
                     budget: sc.budget,
                     max_steps: sc.max_steps,
+                    cell: ci,
                 });
             }
+            secrets.push(sc.secrets);
         }
-        (cells, counts, tasks)
+        // Stream the fingerprints so cells merge — and any divergence
+        // re-runs execute — while the sweep's tail is still running.
+        let mut stream = tp_sched::global().map_streamed(runs.clone(), |_, t| t.fingerprint());
+        let mut offset = 0;
+        cells
+            .into_iter()
+            .zip(secrets)
+            .map(|(cell, secrets)| {
+                let fps: Vec<(u64, usize, u64)> = secrets
+                    .iter()
+                    .map(|&s| {
+                        let (len, digest) = stream
+                            .next_result()
+                            .expect("one fingerprint per (cell, secret)");
+                        (s, len, digest)
+                    })
+                    .collect();
+                let cell_runs = &runs[offset..offset + fps.len()];
+                offset += fps.len();
+                let verdict = compare_secret_digests(&fps).unwrap_or_else(|b| {
+                    cell_runs[0].lockstep_leak(&cell_runs[b], fps[0].0, fps[b].0)
+                });
+                (cell, verdict)
+            })
+            .collect()
     }
-}
-
-/// One NI-only run: a (cell, secret) system to fingerprint.
-struct NiTask {
-    mcfg: Arc<MachineConfig>,
-    kcfg: Arc<KernelConfig>,
-    secret: u64,
-    lo: DomainId,
-    budget: Cycles,
-    max_steps: usize,
-}
-
-impl NiTask {
-    /// The digest-first unit of work.
-    fn fingerprint(&self) -> (u64, usize, u64) {
-        let (len, digest) =
-            lo_digest_len(&self.mcfg, &self.kcfg, self.lo, self.budget, self.max_steps);
-        (self.secret, len, digest)
-    }
-
-    /// A fresh recording system for this task's configuration.
-    fn build(&self) -> System {
-        System::from_parts(&self.mcfg, &self.kcfg)
-            .expect("scenario construction must succeed for every secret")
-    }
-}
-
-/// One cell's NI verdict from its secrets' fingerprints. When
-/// fingerprints diverge, the offending pair is re-run in lockstep
-/// (recording sinks, stopped at the first diverging event) — identical
-/// to `check_noninterference` on the cell's scenario.
-fn ni_verdict(runs: &[(u64, usize, u64)], tasks: &[NiTask]) -> NiVerdict {
-    compare_secret_digests(runs).unwrap_or_else(|b| {
-        let t = &tasks[0];
-        let (divergence, event_a, event_b) =
-            lockstep_divergence(t.build(), tasks[b].build(), t.lo, t.budget, t.max_steps)
-                .expect("a fingerprint mismatch implies a trace divergence");
-        NiVerdict::Leak {
-            secret_a: runs[0].0,
-            secret_b: runs[b].0,
-            divergence,
-            event_a,
-            event_b,
-        }
-    })
 }
 
 /// Specialise a base scenario to one matrix cell: the cell's machine
@@ -1683,17 +1116,36 @@ fn apply_cell(mut scenario: NiScenario, cell: &MatrixCell) -> NiScenario {
     scenario
 }
 
-/// The per-cell results of a fault-contained sweep
-/// ([`ScenarioMatrix::run_subset_streamed_cached`]): each selected
+/// The per-cell results of a [`ScenarioMatrix::sweep`]: each selected
 /// cell's global index and either its proved report or the panic
 /// message of the task that took it down.
 pub type CellOutcomes = Vec<(usize, MatrixCell, Result<ProofReport, String>)>;
 
-/// The checkpoint callback of the journaled sweep drivers
-/// ([`ScenarioMatrix::run_subset_journaled`] and its streamed twin):
-/// invoked once per freshly proved cacheable cell with the cell's
-/// global index, its coordinates, the merged report, and the exact
-/// cache metadata a journal record (or cache entry) stores.
+/// One proved sweep cell: its global index, coordinates and report.
+pub type ProvedCell = (usize, MatrixCell, ProofReport);
+
+/// Split a sweep's outcomes: every cell's report in sweep order, or —
+/// if any cell failed — each failed cell's `(index, panic message)`.
+pub fn proved_cells(outcomes: CellOutcomes) -> Result<Vec<ProvedCell>, Vec<(usize, String)>> {
+    let mut proved = Vec::with_capacity(outcomes.len());
+    let mut failed = Vec::new();
+    for (i, cell, outcome) in outcomes {
+        match outcome {
+            Ok(report) => proved.push((i, cell, report)),
+            Err(msg) => failed.push((i, msg)),
+        }
+    }
+    if failed.is_empty() {
+        Ok(proved)
+    } else {
+        Err(failed)
+    }
+}
+
+/// The checkpoint callback of [`ScenarioMatrix::sweep`]: invoked once
+/// per freshly proved cacheable cell with the cell's global index, its
+/// coordinates, the merged report, and the exact cache metadata a
+/// journal record (or cache entry) stores.
 pub type OnProved<'a> = &'a mut dyn FnMut(usize, &MatrixCell, &ProofReport, &CachedMeta);
 
 /// The outcome of a [`ScenarioMatrix::run`]: one [`ProofReport`] per
@@ -1702,6 +1154,14 @@ pub type OnProved<'a> = &'a mut dyn FnMut(usize, &MatrixCell, &ProofReport, &Cac
 pub struct MatrixReport {
     /// Every cell with its proof report.
     pub cells: Vec<(MatrixCell, ProofReport)>,
+}
+
+impl From<Vec<ProvedCell>> for MatrixReport {
+    fn from(cells: Vec<ProvedCell>) -> Self {
+        MatrixReport {
+            cells: cells.into_iter().map(|(_, c, r)| (c, r)).collect(),
+        }
+    }
 }
 
 impl MatrixReport {
@@ -1761,24 +1221,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parallel_map_is_position_stable() {
-        let items: Vec<usize> = (0..97).collect();
-        for threads in [1, 2, 5] {
-            let out = parallel_map(&items, threads, |i, &x| {
-                assert_eq!(i, x);
-                x * 3
-            });
-            assert_eq!(out, items.iter().map(|x| x * 3).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn parallel_map_handles_empty_input() {
-        let out: Vec<u32> = parallel_map(&[], 4, |_, x: &u32| *x);
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn matrix_cells_cross_product() {
         let m = ScenarioMatrix::new("base", MachineConfig::tiny())
             .sweep_llc(&[(256, 1), (512, 2)])
@@ -1796,8 +1238,7 @@ mod tests {
 
     /// The engine must force `cell.tp` into the kernel configuration:
     /// even a callback that hardcodes full protection and ignores the
-    /// cell gets leaking ablation cells. Checked on both the pool and
-    /// the scoped execution paths.
+    /// cell gets leaking ablation cells.
     #[test]
     fn run_ni_applies_cell_protection_despite_oblivious_callback() {
         use crate::noninterference::check_noninterference;
@@ -1854,9 +1295,6 @@ mod tests {
                 cell.label()
             );
         }
-
-        // The scoped baseline agrees with the pool path.
-        assert_eq!(verdicts, matrix.run_ni_scoped(2, |_| make()));
 
         // And each cell's verdict equals the sequential checker run on
         // the equivalently-ablated scenario.

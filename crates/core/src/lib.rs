@@ -103,8 +103,8 @@ pub mod wire;
 
 pub use cache::{CacheMiss, CacheStats, ProofCache, RejectReason};
 pub use engine::{
-    available_threads, check_exhaustive_parallel, prove_parallel, CellOutcomes, MatrixCell,
-    MatrixReport, ProofMode, ScenarioMatrix,
+    available_threads, check_exhaustive_parallel, prove_parallel, proved_cells, CellOutcomes,
+    MatrixCell, MatrixReport, ProofMode, ProvedCell, ScenarioMatrix,
 };
 pub use exhaustive::{
     check_exhaustive, check_exhaustive_mode, ExhaustiveConfig, ExhaustiveMode, ExhaustiveVerdict,

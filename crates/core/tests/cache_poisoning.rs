@@ -13,7 +13,7 @@
 use std::sync::OnceLock;
 
 use tp_core::cache::{cell_key, CacheMiss, CacheStats, ProofCache, RejectReason};
-use tp_core::engine::{MatrixCell, ProofMode, ScenarioMatrix};
+use tp_core::engine::{proved_cells, MatrixCell, ProofMode, ScenarioMatrix};
 use tp_core::noninterference::{NiScenario, NiVerdict};
 use tp_core::proof::{default_time_models, ProofReport};
 use tp_hw::machine::MachineConfig;
@@ -83,8 +83,15 @@ fn fixture() -> &'static (Triples, String) {
         let pool = WorkerPool::new(2);
         let all: Vec<usize> = (0..m.cells().len()).collect();
         let mut cache = ProofCache::new();
-        let (triples, stats) =
-            m.run_subset_cached(&pool, &all, &mut cache, scenario_for, |_, _, _| {});
+        let (outcomes, stats) = m.sweep(
+            &pool,
+            &all,
+            Some(&mut cache),
+            None,
+            scenario_for,
+            |_, _, _| {},
+        );
+        let triples = proved_cells(outcomes).expect("every fixture cell proves");
         assert_eq!(stats.reproved(), all.len(), "fixture must start cold");
         assert_eq!(cache.len(), all.len(), "every fixture cell is cacheable");
         (triples, cache.save())
@@ -97,7 +104,15 @@ fn warm_run(cache_text: &str) -> (Triples, CacheStats) {
     let pool = WorkerPool::new(2);
     let all: Vec<usize> = (0..m.cells().len()).collect();
     let mut cache = ProofCache::load(cache_text).expect("tampered text must still parse here");
-    m.run_subset_cached(&pool, &all, &mut cache, scenario_for, |_, _, _| {})
+    let (outcomes, stats) = m.sweep(
+        &pool,
+        &all,
+        Some(&mut cache),
+        None,
+        scenario_for,
+        |_, _, _| {},
+    );
+    (proved_cells(outcomes).expect("every cell proves"), stats)
 }
 
 /// Replace the first line for which `f` returns a replacement; panics

@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 
 use tp_core::engine::{
-    check_exhaustive_parallel_mode, prove_parallel_mode, ProofMode, ScenarioMatrix,
+    check_exhaustive_parallel_on, prove_parallel_on, proved_cells, ProofMode, ScenarioMatrix,
 };
 use tp_core::exhaustive::{check_exhaustive_mode, ExhaustiveConfig, ExhaustiveMode};
 use tp_core::noninterference::{
@@ -100,10 +100,10 @@ proptest! {
         };
         let models = default_time_models()[..2].to_vec();
         let pool = WorkerPool::new(2);
-        let digest = prove_parallel_mode(
+        let digest = prove_parallel_on(
             &pool, &seeded_scenario(seed, tp), &models, ProofMode::Certified,
         );
-        let recording = prove_parallel_mode(
+        let recording = prove_parallel_on(
             &pool, &seeded_scenario(seed, tp), &models, ProofMode::CertifiedRecording,
         );
         prop_assert_eq!(&digest, &recording, "seed {}", seed);
@@ -175,8 +175,8 @@ fn exhaustive_digest_and_recording_agree_on_every_path() {
         let digest_seq = check_exhaustive_mode(&cfg, ExhaustiveMode::DigestFirst);
         let rec_seq = check_exhaustive_mode(&cfg, ExhaustiveMode::Recording);
         assert_eq!(digest_seq, rec_seq, "{tp:?}: sequential modes disagree");
-        let digest_pool = check_exhaustive_parallel_mode(&pool, &cfg, ExhaustiveMode::DigestFirst);
-        let rec_pool = check_exhaustive_parallel_mode(&pool, &cfg, ExhaustiveMode::Recording);
+        let digest_pool = check_exhaustive_parallel_on(&pool, &cfg, ExhaustiveMode::DigestFirst);
+        let rec_pool = check_exhaustive_parallel_on(&pool, &cfg, ExhaustiveMode::Recording);
         assert_eq!(digest_pool, rec_pool, "{tp:?}: pooled modes disagree");
         assert_eq!(digest_seq, digest_pool, "{tp:?}: sequential vs pooled");
     }
@@ -195,10 +195,21 @@ fn ablation_matrix_reports_are_bit_identical_across_modes() {
             .with_models(models.clone())
             .with_mode(mode)
     };
-    let scenario = || seeded_scenario(3, TimeProtConfig::full());
     let pool = WorkerPool::new(2);
-    let digest = matrix(ProofMode::Certified).run_on(&pool, |_| scenario());
-    let recording = matrix(ProofMode::CertifiedRecording).run_on(&pool, |_| scenario());
+    let sweep = |matrix: ScenarioMatrix| {
+        let all: Vec<usize> = (0..matrix.cells().len()).collect();
+        let (outcomes, _) = matrix.sweep(
+            &pool,
+            &all,
+            None,
+            None,
+            |_| seeded_scenario(3, TimeProtConfig::full()),
+            |_, _, _| {},
+        );
+        tp_core::MatrixReport::from(proved_cells(outcomes).expect("every cell proves"))
+    };
+    let digest = sweep(matrix(ProofMode::Certified));
+    let recording = sweep(matrix(ProofMode::CertifiedRecording));
     assert_eq!(digest, recording);
     assert_eq!(digest.to_string(), recording.to_string());
     assert!(

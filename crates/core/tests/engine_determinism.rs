@@ -1,16 +1,15 @@
 //! Determinism harness for the parallel proof engine: sharding the
 //! (time-model × secret) product or the Hi-program enumeration across
-//! worker threads must not change a single bit of the result — on
-//! **either** execution path, in **either** [`ProofMode`]. Each
-//! scenario is checked several ways:
+//! worker threads must not change a single bit of the result, in
+//! **any** [`ProofMode`]. Each scenario is checked several ways:
 //!
 //! * sequential (`prove` / `check_exhaustive`) — the reference, and
 //!   since the transparency work also the paranoid *double-run*: one
 //!   monitored run plus one plain replay per (model, secret);
-//! * scoped spawn-per-call pools (`*_scoped`) — the legacy engine path,
-//!   now certified single-run;
 //! * persistent `tp-sched` pools (`*_on`) — the production certified
 //!   single-run path, exercised at 1, 2 and 8 workers;
+//! * [`ProofMode::CertifiedRecording`] on the pool — the forced
+//!   recording single-run path;
 //! * [`ProofMode::ReplayCheck`] on the pool — the `--replay-check`
 //!   audit path that re-enables the double-run.
 //!
@@ -22,10 +21,10 @@
 //! therefore the same rendered reports.
 
 use tp_core::engine::{
-    check_exhaustive_parallel_on, check_exhaustive_parallel_scoped, prove_parallel_mode,
-    prove_parallel_on, prove_parallel_scoped, ProofMode, ScenarioMatrix,
+    check_exhaustive_parallel_on, prove_parallel_on, proved_cells, ProofMode, ProvedCell,
+    ScenarioMatrix,
 };
-use tp_core::exhaustive::{check_exhaustive, ExhaustiveConfig};
+use tp_core::exhaustive::{check_exhaustive, ExhaustiveConfig, ExhaustiveMode};
 use tp_core::noninterference::NiScenario;
 use tp_core::proof::{default_time_models, prove, ProofReport};
 use tp_hw::machine::MachineConfig;
@@ -78,6 +77,18 @@ fn seeded_scenario(seed: u64, tp: TimeProtConfig) -> NiScenario {
     }
 }
 
+/// Every cell of `matrix` proved on `pool` through the sweep driver,
+/// uncached; the healthy scenarios here never fail a cell.
+fn sweep_all(
+    matrix: &ScenarioMatrix,
+    pool: &WorkerPool,
+    make_scenario: impl Fn(&tp_core::MatrixCell) -> NiScenario,
+) -> Vec<ProvedCell> {
+    let all: Vec<usize> = (0..matrix.cells().len()).collect();
+    let (outcomes, _) = matrix.sweep(pool, &all, None, None, make_scenario, |_, _, _| {});
+    proved_cells(outcomes).expect("every cell proves")
+}
+
 /// Field-by-field comparison of two proof reports, with a labelled
 /// panic message per field so a divergence names its shard.
 fn assert_reports_identical(reference: &ProofReport, other: &ProofReport, label: &str) {
@@ -108,8 +119,8 @@ fn assert_reports_identical(reference: &ProofReport, other: &ProofReport, label:
     );
 }
 
-/// Sequential, scoped-spawn and persistent-pool proofs must agree on
-/// everything the report exposes, at every worker count.
+/// Sequential and persistent-pool proofs must agree on everything the
+/// report exposes, in every mode, at every worker count.
 #[test]
 fn prove_is_bit_identical_across_all_execution_paths() {
     let models = default_time_models();
@@ -121,17 +132,14 @@ fn prove_is_bit_identical_across_all_execution_paths() {
             TimeProtConfig::full_without(Mechanism::Padding),
         ] {
             let sequential = prove(&seeded_scenario(seed, tp), &models);
-            for threads in [2, 5] {
-                let scoped = prove_parallel_scoped(&seeded_scenario(seed, tp), &models, threads);
-                assert_reports_identical(
-                    &sequential,
-                    &scoped,
-                    &format!("seed {seed} scoped×{threads}"),
-                );
-            }
             for workers in POOL_SIZES {
                 let pool = WorkerPool::new(workers);
-                let pooled = prove_parallel_on(&pool, &seeded_scenario(seed, tp), &models);
+                let pooled = prove_parallel_on(
+                    &pool,
+                    &seeded_scenario(seed, tp),
+                    &models,
+                    ProofMode::Certified,
+                );
                 assert_reports_identical(
                     &sequential,
                     &pooled,
@@ -139,7 +147,7 @@ fn prove_is_bit_identical_across_all_execution_paths() {
                 );
                 // The forced-recording single-run path (the
                 // pre-digest-first engine) must agree bit for bit.
-                let recorded = prove_parallel_mode(
+                let recorded = prove_parallel_on(
                     &pool,
                     &seeded_scenario(seed, tp),
                     &models,
@@ -152,7 +160,7 @@ fn prove_is_bit_identical_across_all_execution_paths() {
                 );
                 // The --replay-check audit path (paranoid double-run on
                 // the pool) must agree bit for bit too.
-                let audited = prove_parallel_mode(
+                let audited = prove_parallel_on(
                     &pool,
                     &seeded_scenario(seed, tp),
                     &models,
@@ -171,45 +179,53 @@ fn prove_is_bit_identical_across_all_execution_paths() {
 /// The certified-vs-audited pin at the matrix level: a sweep run in
 /// certified single-run mode must produce the identical
 /// [`tp_core::MatrixReport`] (cells, verdicts, certificates, rendered
-/// text) as the same sweep with `--replay-check`'s double-run — on
-/// pooled, scoped and 1/2/8-worker execution alike.
+/// text) as the same sweep with `--replay-check`'s double-run — and
+/// both must equal the sequential prover cell by cell, at 1/2/8 workers.
 #[test]
 fn certified_and_replay_check_sweeps_are_bit_identical() {
     let models = default_time_models()[..2].to_vec();
-    let matrix = |replay_check: bool| {
+    let matrix = |mode: ProofMode| {
         ScenarioMatrix::new("det", MachineConfig::single_core())
             .with_ablations(vec![None, Some(Mechanism::Padding)])
             .with_models(models.clone())
-            .with_replay_check(replay_check)
+            .with_mode(mode)
     };
-    let scenario = || seeded_scenario(2, TimeProtConfig::full());
+    let scenario = |_: &tp_core::MatrixCell| seeded_scenario(2, TimeProtConfig::full());
+    // The sequential reference, proved on each cell's specialised
+    // scenario exactly as the engine specialises it.
+    let reference: Vec<ProofReport> = matrix(ProofMode::Certified)
+        .cells()
+        .iter()
+        .map(|cell| {
+            let mut sc = seeded_scenario(2, cell.tp);
+            sc.mcfg = cell.mcfg.clone();
+            prove(&sc, &models)
+        })
+        .collect();
 
-    let reference = matrix(true).run_scoped(2, |_| scenario());
     for workers in POOL_SIZES {
         let pool = WorkerPool::new(workers);
-        let certified = matrix(false).run_on(&pool, |_| scenario());
-        let audited = matrix(true).run_on(&pool, |_| scenario());
+        let certified = sweep_all(&matrix(ProofMode::Certified), &pool, scenario);
+        let audited = sweep_all(&matrix(ProofMode::ReplayCheck), &pool, scenario);
         assert_eq!(
             certified, audited,
             "certified and replay-check sweeps must agree (pool×{workers})"
         );
-        assert_eq!(
-            certified, reference,
-            "pooled certified sweep must equal the scoped double-run (pool×{workers})"
-        );
-        assert_eq!(certified.to_string(), reference.to_string());
-        for (cell, report) in &certified.cells {
-            let cert = report
+        let report = tp_core::MatrixReport::from(certified);
+        let audited = tp_core::MatrixReport::from(audited);
+        assert_eq!(report.to_string(), audited.to_string());
+        for ((cell, got), want) in report.cells.iter().zip(&reference) {
+            assert_reports_identical(
+                want,
+                got,
+                &format!("{} sequential vs pool×{workers}", cell.label()),
+            );
+            let cert = got
                 .transparency
                 .expect("every proved cell carries a certificate");
             assert!(cert.transparent(), "{}: {cert}", cell.label());
         }
     }
-    let scoped_certified = matrix(false).run_scoped(3, |_| scenario());
-    assert_eq!(
-        scoped_certified, reference,
-        "scoped certified vs double-run"
-    );
 }
 
 /// The cache-backed sweep pin: a cold run (cache empty), a warm run
@@ -230,23 +246,33 @@ fn cold_warm_and_mixed_cache_runs_are_bit_identical() {
     let scenario =
         |seed| move |_: &tp_core::MatrixCell| seeded_scenario(seed, TimeProtConfig::full());
     let all: Vec<usize> = (0..matrix.cells().len()).collect();
-    let wire_of = |triples: &[(usize, tp_core::MatrixCell, ProofReport)]| {
+    let wire_of = |triples: &[ProvedCell]| {
         let mut out = String::new();
         for (i, cell, report) in triples {
             tp_core::wire::write_cell(&mut out, *i, cell, report);
         }
         out
     };
+    let cached = |pool: &WorkerPool, cache: &mut ProofCache, indices: &[usize], seed| {
+        let (outcomes, stats) = matrix.sweep(
+            pool,
+            indices,
+            Some(cache),
+            None,
+            scenario(seed),
+            |_, _, _| {},
+        );
+        (proved_cells(outcomes).expect("every cell proves"), stats)
+    };
 
     for workers in POOL_SIZES {
         let pool = WorkerPool::new(workers);
-        let reference = matrix.run_subset_streamed(&pool, &all, scenario(2), |_, _, _| {});
+        let reference = sweep_all(&matrix, &pool, scenario(2));
         let wire_reference = wire_of(&reference);
 
         // Cold: empty cache, everything proves live, cache fills.
         let mut cache = ProofCache::new();
-        let (cold, stats) =
-            matrix.run_subset_cached(&pool, &all, &mut cache, scenario(2), |_, _, _| {});
+        let (cold, stats) = cached(&pool, &mut cache, &all, 2);
         assert_eq!(stats.hits, 0, "cold run must not hit (pool×{workers})");
         assert_eq!(stats.reproved(), all.len());
         assert_eq!(cache.len(), all.len(), "every cell is cacheable here");
@@ -257,8 +283,7 @@ fn cold_warm_and_mixed_cache_runs_are_bit_identical() {
         // then every cell must hit and nothing must run.
         let mut warmed = ProofCache::load(&cache.save()).expect("cache round-trips");
         assert_eq!(warmed.len(), cache.len());
-        let (warm, stats) =
-            matrix.run_subset_cached(&pool, &all, &mut warmed, scenario(2), |_, _, _| {});
+        let (warm, stats) = cached(&pool, &mut warmed, &all, 2);
         assert_eq!(
             stats.hits,
             all.len(),
@@ -271,9 +296,8 @@ fn cold_warm_and_mixed_cache_runs_are_bit_identical() {
         // Mixed: cache knows only a prefix of the cells; the rest
         // proves live around the hits without disturbing order.
         let mut partial = ProofCache::new();
-        matrix.run_subset_cached(&pool, &all[..2], &mut partial, scenario(2), |_, _, _| {});
-        let (mixed, stats) =
-            matrix.run_subset_cached(&pool, &all, &mut partial, scenario(2), |_, _, _| {});
+        cached(&pool, &mut partial, &all[..2], 2);
+        let (mixed, stats) = cached(&pool, &mut partial, &all, 2);
         assert_eq!(stats.hits, 2, "prefix cells hit (pool×{workers})");
         assert_eq!(stats.misses, all.len() - 2);
         assert_eq!(mixed, reference, "mixed run output (pool×{workers})");
@@ -281,8 +305,7 @@ fn cold_warm_and_mixed_cache_runs_are_bit_identical() {
 
         // Changed inputs re-prove: the same matrix driven by a
         // different scenario seed shares no key with the warm cache.
-        let (_, stats) =
-            matrix.run_subset_cached(&pool, &all, &mut warmed, scenario(3), |_, _, _| {});
+        let (_, stats) = cached(&pool, &mut warmed, &all, 3);
         assert_eq!(
             stats.hits, 0,
             "a changed scenario must invalidate every cell (pool×{workers})"
@@ -305,9 +328,8 @@ fn telemetry_sinks_never_change_reports_or_wire_records() {
     let matrix = ScenarioMatrix::new("det", MachineConfig::single_core())
         .with_ablations(vec![None, Some(Mechanism::Padding)])
         .with_models(models);
-    let all: Vec<usize> = (0..matrix.cells().len()).collect();
     let scenario = || |_: &tp_core::MatrixCell| seeded_scenario(2, TimeProtConfig::full());
-    let wire_of = |triples: &[(usize, tp_core::MatrixCell, ProofReport)]| {
+    let wire_of = |triples: &[ProvedCell]| {
         let mut out = String::new();
         for (i, cell, report) in triples {
             tp_core::wire::write_cell(&mut out, *i, cell, report);
@@ -319,10 +341,10 @@ fn telemetry_sinks_never_change_reports_or_wire_records() {
         let pool = WorkerPool::new(workers);
 
         tp_telemetry::install(TelemetrySink::Null);
-        let silent = matrix.run_subset_streamed(&pool, &all, scenario(), |_, _, _| {});
+        let silent = sweep_all(&matrix, &pool, scenario());
 
         tp_telemetry::install(TelemetrySink::json_lines());
-        let traced = matrix.run_subset_streamed(&pool, &all, scenario(), |_, _, _| {});
+        let traced = sweep_all(&matrix, &pool, scenario());
         let snap = tp_telemetry::snapshot().expect("tracing sink snapshots");
         let trace = tp_telemetry::take_trace().expect("tracing sink buffers");
         tp_telemetry::install(TelemetrySink::Null);
@@ -367,7 +389,7 @@ fn telemetry_sinks_never_change_reports_or_wire_records() {
 
 /// The sharded enumeration returns the sequential first witness: the
 /// lowest-index distinguishing program, with identical divergence data
-/// — on the scoped path and on persistent pools of every size.
+/// — on persistent pools of every size.
 #[test]
 fn exhaustive_matches_sequential_witness_across_all_execution_paths() {
     for tp in [
@@ -381,16 +403,9 @@ fn exhaustive_matches_sequential_witness_across_all_execution_paths() {
             ..ExhaustiveConfig::small(tp)
         };
         let sequential = check_exhaustive(&cfg);
-        for threads in [2, 5] {
-            let scoped = check_exhaustive_parallel_scoped(&cfg, threads);
-            assert_eq!(
-                sequential, scoped,
-                "exhaustive verdict must be thread-count independent ({tp:?}, scoped×{threads})"
-            );
-        }
         for workers in POOL_SIZES {
             let pool = WorkerPool::new(workers);
-            let pooled = check_exhaustive_parallel_on(&pool, &cfg);
+            let pooled = check_exhaustive_parallel_on(&pool, &cfg, ExhaustiveMode::DigestFirst);
             assert_eq!(
                 sequential, pooled,
                 "exhaustive verdict must be pool-size independent ({tp:?}, pool×{workers})"
@@ -416,6 +431,7 @@ fn pool_reuse_across_submissions_stays_deterministic() {
                 &pool,
                 &seeded_scenario(seed, TimeProtConfig::full()),
                 &models,
+                ProofMode::Certified,
             );
             assert_reports_identical(
                 &reference[i],

@@ -1,16 +1,16 @@
-//! Fault containment in the service-grade sweep driver
-//! ([`ScenarioMatrix::run_subset_streamed_cached`]): a cell whose
+//! Fault containment in the one sweep driver
+//! ([`ScenarioMatrix::sweep`]): a cell whose
 //! program panics mid-proof must become `Err(message)` in that cell's
 //! slot — not a poisoned pool, not an unwound consumer — while every
 //! other cell proves, streams, and caches exactly as it would have
-//! without the fault. This is the engine-side half of the `tp-serve`
-//! daemon's failure model; the pool-side half lives in
+//! without the fault. This is the engine-side half of the failure model
+//! `tp-serve` and the `matrix` CLI share; the pool-side half lives in
 //! `crates/sched/tests/panic_containment.rs`.
 
 use tp_core::cache::ProofCache;
 use tp_core::engine::ScenarioMatrix;
 use tp_core::noninterference::NiScenario;
-use tp_core::proof::default_time_models;
+use tp_core::proof::{default_time_models, prove, ProofReport};
 use tp_core::MatrixCell;
 use tp_hw::machine::MachineConfig;
 use tp_hw::types::Cycles;
@@ -78,6 +78,28 @@ fn matrix() -> ScenarioMatrix {
         .with_models(default_time_models()[..2].to_vec())
 }
 
+/// The sequential prover's report for every cell of `matrix`, on the
+/// cell's specialised scenario — the reference the pooled driver must
+/// reproduce bit for bit.
+fn sequential_reference(matrix: &ScenarioMatrix) -> Vec<ProofReport> {
+    matrix
+        .cells()
+        .iter()
+        .map(|cell| {
+            let mut sc = small_scenario();
+            sc.mcfg = cell.mcfg.clone();
+            let tp = cell.tp;
+            let base = sc.make_kcfg;
+            sc.make_kcfg = Box::new(move |secret| {
+                let mut k = base(secret);
+                k.tp = tp;
+                k
+            });
+            prove(&sc, matrix.models())
+        })
+        .collect()
+}
+
 /// `small_scenario`, but the `disable=Padding` cell's Hi domain runs
 /// [`PanickingProgram`] — one poisoned cell in an otherwise healthy
 /// sweep.
@@ -94,53 +116,49 @@ fn faulty_scenario(cell: &MatrixCell) -> NiScenario {
     s
 }
 
-/// Without faults, the fault-contained driver is byte-for-byte the
-/// plain streamed / cached drivers: same reports uncached (`None`),
-/// same reports and same [`tp_core::cache::CacheStats`] cold and warm.
+/// Without faults, the contained driver is byte-for-byte the
+/// sequential prover: same reports uncached (`None`), same reports and
+/// the expected [`tp_core::cache::CacheStats`] cold and warm.
 #[test]
 fn healthy_sweeps_match_the_plain_drivers_bit_for_bit() {
     let matrix = matrix();
     let all: Vec<usize> = (0..matrix.cells().len()).collect();
+    let reference = sequential_reference(&matrix);
     for workers in POOL_SIZES {
         let pool = WorkerPool::new(workers);
-        let reference = matrix.run_subset_streamed(&pool, &all, |_| small_scenario(), |_, _, _| {});
-
-        let (uncached, stats) = matrix.run_subset_streamed_cached(
-            &pool,
-            &all,
-            None,
-            |_| small_scenario(),
-            |_, _, _| {},
-        );
+        let (uncached, stats) =
+            matrix.sweep(&pool, &all, None, None, |_| small_scenario(), |_, _, _| {});
         assert_eq!(
             stats.hits + stats.misses + stats.rejected + stats.uncacheable,
             0
         );
-        for ((i, cell, report), (ui, ucell, outcome)) in reference.iter().zip(&uncached) {
-            assert_eq!((i, cell), (ui, ucell), "pool×{workers}");
+        for (i, ((ui, ucell, outcome), report)) in uncached.iter().zip(&reference).enumerate() {
+            assert_eq!((i, &matrix.cells()[i]), (*ui, ucell), "pool×{workers}");
             assert_eq!(outcome.as_ref().expect("healthy cell proves"), report);
         }
 
         let mut cache = ProofCache::new();
-        let (cold, stats) = matrix.run_subset_streamed_cached(
+        let (cold, stats) = matrix.sweep(
             &pool,
             &all,
             Some(&mut cache),
+            None,
             |_| small_scenario(),
             |_, _, _| {},
         );
         assert_eq!(stats.hits, 0, "cold run must not hit (pool×{workers})");
         assert_eq!(stats.misses, all.len());
         assert_eq!(cache.len(), all.len(), "every healthy cell is cacheable");
-        let (warm, stats) = matrix.run_subset_streamed_cached(
+        let (warm, stats) = matrix.sweep(
             &pool,
             &all,
             Some(&mut cache),
+            None,
             |_| small_scenario(),
             |_, _, _| {},
         );
         assert_eq!(stats.hits, all.len(), "warm run hits every cell");
-        for ((_, _, report), (c, w)) in reference.iter().zip(cold.iter().zip(&warm)) {
+        for (report, (c, w)) in reference.iter().zip(cold.iter().zip(&warm)) {
             assert_eq!(c.2.as_ref().unwrap(), report, "cold (pool×{workers})");
             assert_eq!(w.2.as_ref().unwrap(), report, "warm (pool×{workers})");
         }
@@ -156,22 +174,24 @@ fn healthy_sweeps_match_the_plain_drivers_bit_for_bit() {
 fn a_panicking_cell_yields_an_error_slot_and_spares_its_siblings() {
     let matrix = matrix();
     let all: Vec<usize> = (0..matrix.cells().len()).collect();
+    let reference = sequential_reference(&matrix);
     for workers in POOL_SIZES {
         let pool = WorkerPool::new(workers);
-        let reference = matrix.run_subset_streamed(&pool, &all, |_| small_scenario(), |_, _, _| {});
-
         let mut cache = ProofCache::new();
         let mut streamed = Vec::new();
-        let (outcomes, stats) = matrix.run_subset_streamed_cached(
+        let mut journaled = Vec::new();
+        let mut on_proved = |i: usize, _: &MatrixCell, _: &ProofReport, _: &_| journaled.push(i);
+        let (outcomes, stats) = matrix.sweep(
             &pool,
             &all,
             Some(&mut cache),
+            Some(&mut on_proved),
             faulty_scenario,
             |i, _, outcome| streamed.push((i, outcome.is_ok())),
         );
         assert_eq!(outcomes.len(), all.len());
         let mut failed = 0;
-        for ((i, cell, outcome), (_, _, report)) in outcomes.iter().zip(&reference) {
+        for ((i, cell, outcome), report) in outcomes.iter().zip(&reference) {
             if cell.disable == Some(Mechanism::Padding) {
                 failed += 1;
                 let msg = outcome.as_ref().expect_err("faulted cell must fail");
@@ -198,12 +218,14 @@ fn a_panicking_cell_yields_an_error_slot_and_spares_its_siblings() {
         );
         assert_eq!(stats.uncacheable, 1, "the faulted cell has no content key");
         assert_eq!(cache.len(), all.len() - 1, "only healthy cells cached");
+        assert_eq!(journaled, [0, 2], "only healthy cells checkpoint");
 
         // Resubmission: healthy cells hit, the faulted one fails again.
-        let (again, stats) = matrix.run_subset_streamed_cached(
+        let (again, stats) = matrix.sweep(
             &pool,
             &all,
             Some(&mut cache),
+            None,
             faulty_scenario,
             |_, _, _| {},
         );
@@ -213,7 +235,8 @@ fn a_panicking_cell_yields_an_error_slot_and_spares_its_siblings() {
 
         // The daemon's pool keeps serving: a fresh healthy sweep on the
         // same pool still matches the reference.
-        let after = matrix.run_subset_streamed(&pool, &all, |_| small_scenario(), |_, _, _| {});
+        let (after, _) = matrix.sweep(&pool, &all, None, None, |_| small_scenario(), |_, _, _| {});
+        let after: Vec<ProofReport> = after.into_iter().map(|(_, _, o)| o.unwrap()).collect();
         assert_eq!(
             after, reference,
             "pool must survive the fault (pool×{workers})"

@@ -12,7 +12,7 @@
 use std::sync::OnceLock;
 
 use tp_core::cache::{CacheStats, ProofCache};
-use tp_core::engine::{MatrixCell, ScenarioMatrix};
+use tp_core::engine::{proved_cells, MatrixCell, ScenarioMatrix};
 use tp_core::journal::{parse_journal, render_journal, JournalStats};
 use tp_core::noninterference::NiScenario;
 use tp_core::proof::{default_time_models, ProofReport};
@@ -93,14 +93,15 @@ fn fixture() -> &'static (Triples, Vec<JournalRecord>, String) {
                     meta: meta.clone(),
                 });
             };
-        let (triples, stats) = m.run_subset_journaled(
+        let (outcomes, stats) = m.sweep(
             &pool,
             &all,
-            &mut cache,
+            Some(&mut cache),
+            Some(&mut on_proved),
             scenario_for,
             |_, _, _| {},
-            Some(&mut on_proved),
         );
+        let triples = proved_cells(outcomes).expect("every fixture cell proves");
         assert_eq!(stats.reproved(), all.len(), "fixture must start cold");
         assert_eq!(records.len(), all.len(), "every fixture cell journals");
         let text = render_journal(&records);
@@ -120,8 +121,19 @@ fn resume_run(journal_text: &str) -> (Triples, CacheStats, JournalStats) {
     let m = matrix();
     let pool = WorkerPool::new(2);
     let all: Vec<usize> = (0..m.cells().len()).collect();
-    let (t, s) = m.run_subset_cached(&pool, &all, &mut cache, scenario_for, |_, _, _| {});
-    (t, s, jstats)
+    let (outcomes, s) = m.sweep(
+        &pool,
+        &all,
+        Some(&mut cache),
+        None,
+        scenario_for,
+        |_, _, _| {},
+    );
+    (
+        proved_cells(outcomes).expect("every cell proves"),
+        s,
+        jstats,
+    )
 }
 
 #[test]

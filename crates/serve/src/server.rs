@@ -726,9 +726,10 @@ fn run_job(
     };
 
     let ((outcomes, stats), entries) = if nocache {
-        let r = matrix.run_subset_streamed_cached(
+        let r = matrix.sweep(
             tp_sched::global(),
             indices,
+            None,
             None,
             &make_scenario,
             emit,
@@ -762,13 +763,13 @@ fn run_job(
             };
         let mut cache = lock(&shared.cache);
         let before = cache.len();
-        let r = matrix.run_subset_streamed_journaled(
+        let r = matrix.sweep(
             tp_sched::global(),
             indices,
             Some(&mut cache),
+            Some(&mut on_proved),
             &make_scenario,
             emit,
-            Some(&mut on_proved),
         );
         // Persist atomically, and only when the job actually changed
         // the entry set — an all-hit warm job skips the no-op rewrite.

@@ -125,9 +125,9 @@ fn wait_for_job(client: &mut Client, job: u64, pred: impl Fn(&str) -> bool) -> S
 /// in-process through the same helpers that binary uses.
 fn reference_records(models: Option<usize>, indices: &[usize]) -> String {
     let matrix = tp_bench::shaped_matrix(models);
-    let proved = tp_bench::run_matrix_cells(&matrix, indices, |_, _, _: &str| {});
+    let (outcomes, _, _) = tp_bench::run_matrix_cells(&matrix, indices, None, None, |_, _, _| {});
     let mut out = String::new();
-    for (i, cell, report) in &proved {
+    for (i, cell, report) in &tp_core::proved_cells(outcomes).expect("every cell proves") {
         tp_core::wire::write_cell(&mut out, *i, cell, report);
     }
     out
@@ -521,13 +521,13 @@ fn leftover_job_journals_are_absorbed_at_startup() {
     let mut on_proved = |i: usize, cell: &MatrixCell, report: &ProofReport, meta: &CachedMeta| {
         writer.append(i, cell, report, meta).expect("append");
     };
-    matrix.run_subset_journaled(
+    matrix.sweep(
         tp_sched::global(),
         &indices,
-        &mut seed_cache,
+        Some(&mut seed_cache),
+        Some(&mut on_proved),
         |cell| tp_bench::canonical_scenario(cell.disable),
         |_, _, _| {},
-        Some(&mut on_proved),
     );
     drop(writer);
 
