@@ -1008,7 +1008,14 @@ mod tests {
         assert!(counters.get("pool_submitted").unwrap().as_f64().unwrap() >= 1.0);
         assert!(counters.get("pool_peak_queue").is_some());
         let spans = v.get("spans").unwrap();
-        for kind in ["queue-wait", "prove", "lockstep", "replay", "verify"] {
+        for kind in [
+            "queue-wait",
+            "prove",
+            "lockstep",
+            "replay",
+            "verify",
+            "cache-lock",
+        ] {
             assert!(spans.get(kind).unwrap().get("n").is_some(), "{kind}");
         }
     }

@@ -1,30 +1,49 @@
 //! Acceptance test for digest-first execution: on the E11 ablation
 //! sweep, the trace-free default ([`ProofMode::Certified`]) must be
 //! functionally bit-identical to the forced-recording single-run mode
-//! ([`ProofMode::CertifiedRecording`]) — and no slower in wall-clock.
+//! ([`ProofMode::CertifiedRecording`]) — and do exactly the work it
+//! claims.
 //!
-//! The timing assertion self-calibrates instead of hardcoding budgets: both modes run the
-//! identical sweep on a multi-worker pool (so the merge thread's
-//! divergence re-runs overlap the sweep tail, the shape digest-first is
-//! designed for), best-of-N per attempt, with a noise margin and
-//! retries. Hosts that cannot demonstrate parallel overlap (< 4
-//! threads) skip the timing assertion with a note — the functional
-//! equivalence gate always runs.
+//! Digest-first drops the per-step trace but performs the same
+//! monitored runs and the same certification replays. Without a trace
+//! it cannot read a leak witness off the recorded runs, so it adds one
+//! lockstep witness extraction per leaking (cell, time model) verdict,
+//! where recording mode adds none. The work is counted from telemetry
+//! spans, so the assertions are exact at any worker count and never
+//! depend on wall-clock timing.
+//!
+//! The telemetry sink is process-global, so the test holds
+//! [`TELEMETRY`] while it counts: a sibling test running concurrently
+//! would otherwise add to the counts.
 
-use tp_bench::{canonical_machine, canonical_scenario, time_iters};
+use std::sync::{Mutex, MutexGuard};
+
+use tp_bench::{canonical_machine, canonical_scenario};
 use tp_core::engine::{available_threads, proved_cells, ProofMode, ScenarioMatrix};
 use tp_core::proof::default_time_models;
 use tp_core::MatrixReport;
 use tp_sched::WorkerPool;
+use tp_telemetry::{SpanKind, TelemetrySink};
 
-/// The E11 sweep in `mode`, proved on `pool`.
-fn e11(pool: &WorkerPool, mode: ProofMode) -> MatrixReport {
+/// Serialises the tests that install a counting sink.
+static TELEMETRY: Mutex<()> = Mutex::new(());
+
+fn telemetry_lock() -> MutexGuard<'static, ()> {
+    TELEMETRY.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The `prove`, `replay` and `lockstep` span counts of one sweep.
+type Work = (u64, u64, u64);
+
+/// The E11 sweep in `mode`, proved on `pool`, with the work it did.
+fn e11(pool: &WorkerPool, mode: ProofMode) -> (MatrixReport, Work) {
     // Two time models keep the double sweep test-profile friendly.
     let matrix = ScenarioMatrix::new("canonical", canonical_machine())
         .sweep_ablations()
         .with_models(default_time_models()[..2].to_vec())
         .with_mode(mode);
     let all: Vec<usize> = (0..matrix.cells().len()).collect();
+    tp_telemetry::install(TelemetrySink::counters());
     let (outcomes, _) = matrix.sweep(
         pool,
         &all,
@@ -33,19 +52,27 @@ fn e11(pool: &WorkerPool, mode: ProofMode) -> MatrixReport {
         |c| canonical_scenario(c.disable),
         |_, _, _| {},
     );
-    MatrixReport::from(proved_cells(outcomes).expect("every E11 cell proves"))
+    let snap = tp_telemetry::snapshot().expect("the counting sink snapshots");
+    tp_telemetry::install(TelemetrySink::Null);
+    let work = (
+        snap.span(SpanKind::Prove).0,
+        snap.span(SpanKind::Replay).0,
+        snap.span(SpanKind::Lockstep).0,
+    );
+    let report = MatrixReport::from(proved_cells(outcomes).expect("every E11 cell proves"));
+    (report, work)
 }
 
 #[test]
-fn digest_first_is_no_slower_than_recording_on_the_e11_sweep() {
-    let threads = available_threads();
-    let pool = WorkerPool::new(threads.clamp(1, 4));
+fn digest_first_work_counts_are_exact_on_the_e11_sweep() {
+    let _guard = telemetry_lock();
+    let pool = WorkerPool::new(available_threads().clamp(1, 4));
 
-    // Functional gate first: the digest-first sweep must reproduce the
+    // Functional gate: the digest-first sweep must reproduce the
     // recording sweep bit for bit — verdicts, witnesses, certificates,
-    // rendered text — or timing it is meaningless.
-    let digest = e11(&pool, ProofMode::Certified);
-    let recording = e11(&pool, ProofMode::CertifiedRecording);
+    // rendered text.
+    let (digest, digest_work) = e11(&pool, ProofMode::Certified);
+    let (recording, recording_work) = e11(&pool, ProofMode::CertifiedRecording);
     assert_eq!(
         digest, recording,
         "digest-first and recording E11 sweeps must agree bit for bit"
@@ -56,37 +83,25 @@ fn digest_first_is_no_slower_than_recording_on_the_e11_sweep() {
         assert!(cert.transparent(), "{}: {cert}", cell.label());
     }
 
-    if threads < 4 {
-        eprintln!(
-            "(host has {threads} thread(s); skipping the digest <= recording \
-             wall-clock assertion)"
-        );
-        return;
-    }
-
-    // Digest-first does the same number of hot-path runs and strictly
-    // less allocation; its divergence re-runs execute on the merge
-    // thread while workers drive the sweep tail, so wall-clock must not
-    // regress. The margin absorbs scheduler noise on shared runners; a
-    // sustained overshoot across attempts is a real regression.
-    let margin = 1.25;
-    let mut ratios = Vec::new();
-    for attempt in 0..3 {
-        let t_digest = time_iters(3, || e11(&pool, ProofMode::Certified)).1;
-        let t_recording = time_iters(3, || e11(&pool, ProofMode::CertifiedRecording)).1;
-        let ratio = t_digest.as_secs_f64() / t_recording.as_secs_f64();
-        eprintln!(
-            "attempt {attempt}: digest-first {t_digest:?}, recording {t_recording:?} \
-             (digest/recording = {ratio:.3})"
-        );
-        ratios.push(ratio);
-        if ratio <= margin {
-            return;
-        }
-    }
-    panic!(
-        "digest-first mode was slower than recording mode in every attempt \
-         (digest/recording ratios {ratios:?}, allowed margin {margin}); \
-         the trace-free hot path has regressed"
+    // Work gate: the same monitored runs and certification replays;
+    // lockstep runs exactly once per leaking verdict, and only without
+    // a trace to read the witness from.
+    let leaking = digest
+        .cells
+        .iter()
+        .flat_map(|(_, report)| &report.ni)
+        .filter(|v| !v.verdict.passed())
+        .count() as u64;
+    assert!(leaking > 0, "every E11 ablation leaks");
+    let (prove, replay, lockstep) = digest_work;
+    assert_eq!(
+        (prove, replay),
+        (recording_work.0, recording_work.1),
+        "(prove, replay) spans: digest-first vs recording"
+    );
+    assert_eq!(
+        (lockstep, recording_work.2),
+        (leaking, 0),
+        "lockstep spans (digest-first, recording): one per leaking verdict vs none"
     );
 }

@@ -22,8 +22,10 @@
 //! duration of its sweep, so concurrent cached jobs serialise (the pool
 //! underneath is already saturated by one sweep; interleaving two would
 //! only shuffle latency around). `nocache` jobs skip the lock and run
-//! concurrently. `STATUS`, `CANCEL` and `METRICS` never wait on a
-//! sweep — they touch only the job registry and telemetry.
+//! concurrently. `STATUS` and `CANCEL` never wait on a sweep — they
+//! touch only the job registry. `METRICS` reads the cache size under
+//! the cache lock, so it waits behind a cached sweep. The wait for the
+//! lock is timed as the `cache-lock` span, once per cached job.
 //!
 //! # Cancellation and deadlines
 //!
@@ -49,9 +51,28 @@
 //! the next startup (through the full cache validation gauntlet on
 //! first use). `SHUTDOWN` refuses new jobs, drains the in-flight ones,
 //! persists the cache, and only then answers and exits.
+//!
+//! # Transport
+//!
+//! Latency is set by the proofs, not by the TCP stack, because of
+//! three rules:
+//!
+//! * Every accepted stream has `TCP_NODELAY` set. Without it, a record
+//!   group sent while the `OK job=` line is still unacknowledged waits
+//!   for the client's delayed ACK (~40 ms).
+//! * Each connection writes through one buffered writer, and the buffer
+//!   goes to the socket once per unit: once per `.`-terminated block,
+//!   once after `OK job=`, and once per cell's `REC` group. Records
+//!   still stream as each cell completes; nothing is held back until
+//!   `DONE`.
+//! * The accept loop blocks in `accept()`. `SHUTDOWN` sets the shutdown
+//!   flag and then connects once to the daemon's own address, so the
+//!   blocked `accept()` returns and the loop sees the flag. Transient
+//!   accept errors (an aborted handshake, a signal, descriptor
+//!   exhaustion) are retried; only a dead listener ends the loop.
 
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
@@ -61,11 +82,13 @@ use tp_core::engine::MatrixCell;
 use tp_core::noninterference::NiScenario;
 use tp_core::{wire, CacheStats, JournalWriter, ProofCache, ProofReport};
 use tp_kernel::program::{Instr, Program, StepFeedback};
+use tp_telemetry::SpanKind;
 
 use crate::protocol::{parse_request, Request, SubmitSpec};
 
-/// How often the accept loop polls the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
+/// How long the accept loop backs off when the process (or system)
+/// is out of file descriptors, before accepting again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 /// Finished jobs kept in the registry for `STATUS` history.
 const JOB_HISTORY: usize = 64;
 /// Fault point fired once per streamed record on the connection side;
@@ -133,6 +156,8 @@ struct Shared {
     draining: AtomicBool,
     /// Set last, after drain + persist: stops the accept loop.
     shutdown: AtomicBool,
+    /// Where `SHUTDOWN` connects to wake the blocked accept loop.
+    wake: SocketAddr,
 }
 
 impl Shared {
@@ -228,6 +253,7 @@ impl Server {
             absorb_job_journals(dir, &mut cache, cache_path.as_deref());
         }
         let listener = TcpListener::bind(addr)?;
+        let wake = wake_addr(listener.local_addr()?);
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
@@ -239,6 +265,7 @@ impl Server {
                 active_jobs: AtomicUsize::new(0),
                 draining: AtomicBool::new(false),
                 shutdown: AtomicBool::new(false),
+                wake,
             }),
         })
     }
@@ -253,27 +280,66 @@ impl Server {
     /// connection. Returns once the shutdown flag is observed — and
     /// because the `SHUTDOWN` handler sets it only *after* draining
     /// in-flight jobs and persisting the cache, returning here is
-    /// already safe to exit on.
+    /// already safe to exit on. `Err` means the listener itself is
+    /// dead; transient accept errors are retried.
     pub fn serve(&self) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
         loop {
+            let accepted = self.listener.accept();
             if self.shared.shutdown.load(Ordering::SeqCst) {
                 return Ok(());
             }
-            match self.listener.accept() {
+            match accepted {
                 Ok((stream, _peer)) => {
-                    // Handlers block on reads; only the accept loop polls.
-                    stream.set_nonblocking(false)?;
                     let shared = Arc::clone(&self.shared);
-                    std::thread::spawn(move || handle_conn(stream, &shared));
+                    let spawned = std::thread::Builder::new()
+                        .name("tp-serve-conn".into())
+                        .spawn(move || handle_conn(stream, &shared));
+                    if let Err(e) = spawned {
+                        // The stream dropped with the closure: only
+                        // this client is refused.
+                        eprintln!("tp-serve: cannot spawn connection thread: {e}");
+                    }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) => return Err(e),
+                Err(e) => match accept_retry_delay(&e) {
+                    Some(delay) => std::thread::sleep(delay),
+                    None => return Err(e),
+                },
             }
         }
     }
+}
+
+/// POSIX `ENFILE` / `EMFILE` (the same numbers on Linux and the BSDs):
+/// the system or the process is out of file descriptors.
+const ENFILE: i32 = 23;
+const EMFILE: i32 = 24;
+
+/// Whether an `accept()` error is transient, and if so how long to
+/// wait before accepting again; `None` means the listener is dead. A
+/// client that aborted its handshake or a signal costs nothing;
+/// descriptor exhaustion backs off, because in-flight jobs will free
+/// descriptors as they finish.
+fn accept_retry_delay(e: &io::Error) -> Option<Duration> {
+    match e.kind() {
+        io::ErrorKind::ConnectionAborted
+        | io::ErrorKind::ConnectionReset
+        | io::ErrorKind::Interrupted => Some(Duration::ZERO),
+        _ if matches!(e.raw_os_error(), Some(ENFILE | EMFILE)) => Some(ACCEPT_BACKOFF),
+        _ => None,
+    }
+}
+
+/// The address `SHUTDOWN` connects to in order to wake the accept
+/// loop: the bound address, with an unspecified IP (`0.0.0.0`, `::`)
+/// mapped to loopback, which such a listener also accepts on.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    addr
 }
 
 /// Absorb `*.journal` files crashed jobs left in `dir` into `cache` —
@@ -340,14 +406,23 @@ fn absorb_job_journals(dir: &Path, cache: &mut ProofCache, cache_path: Option<&P
     );
 }
 
-/// Serve one connection: one request per line until EOF, shutdown, or
-/// an I/O failure (a vanished client just ends its own handler).
+/// Serve one accepted connection (see the module's transport rules).
 fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
+    // Best effort: a socket that refuses the option still works, only
+    // slower.
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let reader = BufReader::new(read_half);
-    let mut out = stream;
+    serve_lines(BufReader::new(read_half), stream, shared);
+}
+
+/// One request per line until EOF, shutdown, or an I/O failure (a
+/// vanished client just ends its own handler). Every response goes
+/// through one [`BufWriter`] that is flushed only at the end of a block
+/// or record group, so each reaches `out` in one write.
+fn serve_lines(reader: impl BufRead, out: impl Write, shared: &Arc<Shared>) {
+    let mut out = BufWriter::new(out);
     for line in reader.lines() {
         let Ok(line) = line else { return };
         match dispatch(&line, shared, &mut out) {
@@ -357,21 +432,21 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
     }
 }
 
-/// Terminate a response block.
-fn end_block(out: &mut TcpStream) -> io::Result<()> {
+/// Terminate a response block and send it.
+fn end_block<W: Write>(out: &mut W) -> io::Result<()> {
     writeln!(out, ".")?;
     out.flush()
 }
 
 /// Emit an `ERR` block.
-fn err_block(out: &mut TcpStream, code: &str, msg: &str) -> io::Result<()> {
+fn err_block<W: Write>(out: &mut W, code: &str, msg: &str) -> io::Result<()> {
     writeln!(out, "ERR code={code} msg={msg}")?;
     end_block(out)
 }
 
 /// Handle one request line. `Ok(false)` ends the connection (after
 /// `SHUTDOWN`); `Err` means the client is gone.
-fn dispatch(line: &str, shared: &Arc<Shared>, out: &mut TcpStream) -> io::Result<bool> {
+fn dispatch<W: Write>(line: &str, shared: &Arc<Shared>, out: &mut W) -> io::Result<bool> {
     let req = match parse_request(line) {
         Ok(r) => r,
         Err(msg) => {
@@ -482,6 +557,11 @@ fn dispatch(line: &str, shared: &Arc<Shared>, out: &mut TcpStream) -> io::Result
             writeln!(out, "OK shutting-down")?;
             end_block(out)?;
             shared.shutdown.store(true, Ordering::SeqCst);
+            // Wake the accept loop blocked in `accept()`: it sees the
+            // flag as soon as this connection lands.
+            if let Err(e) = TcpStream::connect(shared.wake) {
+                eprintln!("tp-serve: cannot wake the accept loop: {e}");
+            }
             return Ok(false);
         }
     }
@@ -514,8 +594,8 @@ fn detonate_hi(scenario: NiScenario) -> NiScenario {
     }
 }
 
-/// Write one cell's record group as `REC `-prefixed lines.
-fn write_rec_lines(out: &mut TcpStream, rec: &str) -> io::Result<()> {
+/// Write one cell's record group as `REC `-prefixed lines and send it.
+fn write_rec_lines<W: Write>(out: &mut W, rec: &str) -> io::Result<()> {
     rec.lines().try_for_each(|l| writeln!(out, "REC {l}"))?;
     out.flush()
 }
@@ -526,7 +606,7 @@ fn write_rec_lines(out: &mut TcpStream, rec: &str) -> io::Result<()> {
 /// exactly — same [`tp_bench::shaped_matrix`], same
 /// [`tp_bench::canonical_scenario`] — so the stripped `REC` payload is
 /// byte-identical to that binary's stdout for the same subset.
-fn run_submit(shared: &Arc<Shared>, spec: SubmitSpec, out: &mut TcpStream) -> io::Result<()> {
+fn run_submit<W: Write>(shared: &Arc<Shared>, spec: SubmitSpec, out: &mut W) -> io::Result<()> {
     let matrix = tp_bench::shaped_matrix(spec.models);
     let total = matrix.cells().len();
     let indices: Vec<usize> = match spec.cells {
@@ -761,7 +841,12 @@ fn run_job(
                     }
                 }
             };
+        // A cached job waits here for any other cached job's sweep.
+        let wait = tp_telemetry::span_start();
         let mut cache = lock(&shared.cache);
+        if let Some(start) = wait {
+            tp_telemetry::span(SpanKind::CacheLock, job_id as usize, None, start);
+        }
         let before = cache.len();
         let r = matrix.sweep(
             tp_sched::global(),
@@ -805,4 +890,129 @@ fn run_job(
         stats,
         entries,
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A writer that keeps every `write` call it receives as one chunk,
+    /// so a test can count socket writes exactly, with no clock.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A daemon's shared state; its listener is never accepted on.
+    fn shared() -> Arc<Shared> {
+        let server =
+            Server::bind("127.0.0.1:0", ProofCache::new(), None, None).expect("loopback binds");
+        server.shared
+    }
+
+    /// Serve `requests` (one per line) on a connection's write path and
+    /// return each write the transport received.
+    fn writes(shared: &Arc<Shared>, requests: &str) -> Vec<String> {
+        let mut w = Writes::default();
+        serve_lines(requests.as_bytes(), &mut w, shared);
+        w.0.into_iter()
+            .map(|chunk| String::from_utf8(chunk).expect("responses are text"))
+            .collect()
+    }
+
+    #[test]
+    fn every_response_block_is_one_write() {
+        tp_telemetry::install(tp_telemetry::TelemetrySink::counters());
+        let shared = shared();
+        assert_eq!(writes(&shared, "PING\n"), ["OK pong\n.\n"]);
+        assert_eq!(writes(&shared, "STATUS\n"), ["OK jobs=0\n.\n"]);
+        assert_eq!(
+            writes(&shared, "FROB\n"),
+            ["ERR code=malformed msg=unknown command \"FROB\"\n.\n"]
+        );
+        let metrics = writes(&shared, "METRICS\n");
+        assert_eq!(metrics.len(), 1, "{metrics:?}");
+        assert!(metrics[0].starts_with("OK metrics\n"), "{metrics:?}");
+        assert!(metrics[0].contains("\nSPAN cache-lock n="), "{metrics:?}");
+        assert!(metrics[0].ends_with("\n.\n"), "{metrics:?}");
+        // Several requests on one connection: still one write per
+        // block, neither merged nor split.
+        assert_eq!(
+            writes(&shared, "PING\nSTATUS\nPING\n"),
+            ["OK pong\n.\n", "OK jobs=0\n.\n", "OK pong\n.\n"]
+        );
+    }
+
+    #[test]
+    fn a_cached_submit_is_one_write_per_record_group_between_ok_and_done() {
+        let shared = shared();
+        let indices = [0, 1, 2];
+        let matrix = tp_bench::shaped_matrix(Some(1));
+        let (outcomes, _, _) =
+            tp_bench::run_matrix_cells(&matrix, &indices, None, None, |_, _, _| {});
+        let groups: Vec<String> = tp_core::proved_cells(outcomes)
+            .expect("every cell proves")
+            .iter()
+            .map(|(i, cell, report)| {
+                let mut rec = String::new();
+                wire::write_cell(&mut rec, *i, cell, report);
+                rec.lines().map(|l| format!("REC {l}\n")).collect()
+            })
+            .collect();
+
+        // Cold (every cell proved live), then warm (every cell a hit):
+        // 1 (`OK job=`) + n (one per record group) + 1 (`DONE` + `.`).
+        for (job, done) in [
+            (1, "hits=0 missed=3 rejected=0 uncacheable=0 entries=3"),
+            (2, "hits=3 missed=0 rejected=0 uncacheable=0 entries=3"),
+        ] {
+            let mut expected = vec![format!("OK job={job} cells=3\n")];
+            expected.extend(groups.iter().cloned());
+            expected.push(format!("DONE job={job} proved=3 failed=0 {done}\n.\n"));
+            assert_eq!(writes(&shared, "SUBMIT models=1 cells=0..3\n"), expected);
+        }
+    }
+
+    #[test]
+    fn transient_accept_errors_are_retried_and_a_dead_listener_is_not() {
+        use io::ErrorKind::*;
+        for kind in [ConnectionAborted, ConnectionReset, Interrupted] {
+            assert_eq!(
+                accept_retry_delay(&io::Error::from(kind)),
+                Some(Duration::ZERO),
+                "{kind:?}"
+            );
+        }
+        for errno in [ENFILE, EMFILE] {
+            assert_eq!(
+                accept_retry_delay(&io::Error::from_raw_os_error(errno)),
+                Some(ACCEPT_BACKOFF),
+                "errno {errno}"
+            );
+        }
+        assert_eq!(accept_retry_delay(&io::Error::from(InvalidInput)), None);
+        assert_eq!(accept_retry_delay(&io::Error::from(PermissionDenied)), None);
+    }
+
+    #[test]
+    fn shutdown_wakes_the_listener_over_loopback_when_bound_unspecified() {
+        for (bound, wake) in [
+            ("0.0.0.0:7477", "127.0.0.1:7477"),
+            ("[::]:7477", "[::1]:7477"),
+            ("127.0.0.1:7477", "127.0.0.1:7477"),
+            ("192.0.2.5:9", "192.0.2.5:9"),
+        ] {
+            let bound: SocketAddr = bound.parse().unwrap();
+            assert_eq!(wake_addr(bound), wake.parse::<SocketAddr>().unwrap());
+        }
+    }
 }

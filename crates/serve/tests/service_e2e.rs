@@ -7,11 +7,17 @@
 //! `deadline_ms=` expiry yields `err` records instead of a wedged
 //! daemon, a vanished client cancels only its stream, and journals
 //! left by killed daemons are absorbed at the next startup.
+//!
+//! The telemetry sink is process-global, so the tests that assert on
+//! `METRICS` values hold [`TELEMETRY`] exclusively, and every test that
+//! runs a job in this process holds it shared: no sibling's job can add
+//! to the counts being asserted.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 use tp_core::ProofCache;
@@ -19,6 +25,18 @@ use tp_serve::Server;
 
 /// Sequence numbers for per-test scratch paths.
 static SCRATCH: AtomicUsize = AtomicUsize::new(0);
+
+/// Shared by tests that run in-process jobs, exclusive for tests that
+/// install a sink and assert on what it counted.
+static TELEMETRY: RwLock<()> = RwLock::new(());
+
+fn runs_jobs() -> RwLockReadGuard<'static, ()> {
+    TELEMETRY.read().unwrap_or_else(|e| e.into_inner())
+}
+
+fn counts_telemetry() -> RwLockWriteGuard<'static, ()> {
+    TELEMETRY.write().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A line-oriented test client.
 struct Client {
@@ -165,6 +183,7 @@ fn field(line: &str, key: &str) -> u64 {
 
 #[test]
 fn submits_stream_matrix_worker_bytes_and_warm_resubmits_hit_the_cache() {
+    let _jobs = runs_jobs();
     let (_addr, mut client) = start_service(ProofCache::new());
     let reference = reference_records(Some(1), &[0, 1, 2, 3, 4, 5, 6]);
 
@@ -217,6 +236,7 @@ fn submits_stream_matrix_worker_bytes_and_warm_resubmits_hit_the_cache() {
 
 #[test]
 fn a_detonating_cell_is_one_err_record_not_a_dead_daemon() {
+    let _jobs = runs_jobs();
     let (addr, mut client) = start_service(ProofCache::new());
     let healthy = [0usize, 1, 3, 4];
     let reference = reference_records(Some(1), &healthy);
@@ -269,6 +289,7 @@ fn a_detonating_cell_is_one_err_record_not_a_dead_daemon() {
 
 #[test]
 fn protocol_edges_ping_status_cancel_metrics_and_malformed_lines() {
+    let _counting = counts_telemetry();
     // METRICS needs a live sink; install the counting one for this
     // process (install is process-wide and idempotent to re-run).
     tp_telemetry::install(tp_telemetry::TelemetrySink::counters());
@@ -307,6 +328,7 @@ fn protocol_edges_ping_status_cancel_metrics_and_malformed_lines() {
     // interrupt — the stream is already over).
     let block = client.round_trip("SUBMIT models=1 cells=0..2");
     let job = field(&block[0], "job=");
+    let cached_jobs = 1;
     let status = client.round_trip("STATUS");
     assert!(status[0].starts_with("OK jobs="), "{status:?}");
     let line = status
@@ -350,6 +372,40 @@ fn protocol_edges_ping_status_cancel_metrics_and_malformed_lines() {
     assert!(
         block.iter().any(|l| l.starts_with("METRIC cache_entries ")),
         "{block:?}"
+    );
+    // Every cached job waited for the cache lock exactly once; the
+    // malformed and out-of-range SUBMITs never reached it.
+    let span = block
+        .iter()
+        .find(|l| l.starts_with("SPAN cache-lock "))
+        .expect("cache-lock span reported");
+    assert_eq!(field(span, "n="), cached_jobs, "{span}");
+}
+
+#[test]
+fn shutdown_wakes_the_blocking_accept_loop() {
+    let server = Server::bind("127.0.0.1:0", ProofCache::new(), None, None).expect("service binds");
+    let addr = server.local_addr().expect("bound address resolves");
+    let accept_loop = std::thread::spawn(move || server.serve());
+
+    let mut client = Client::connect(addr);
+    assert_eq!(client.round_trip("PING"), vec!["OK pong"]);
+    assert_eq!(client.round_trip("SHUTDOWN"), vec!["OK shutting-down"]);
+
+    // No other client connects: SHUTDOWN itself must wake the accept
+    // loop blocked in `accept()`, and `serve` returns cleanly.
+    let give_up = Instant::now() + Duration::from_secs(10);
+    while !accept_loop.is_finished() {
+        assert!(
+            Instant::now() < give_up,
+            "serve() still blocked in accept() after SHUTDOWN"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let served = accept_loop.join().expect("accept loop does not panic");
+    assert!(
+        served.is_ok(),
+        "serve() returns Ok after SHUTDOWN: {served:?}"
     );
 }
 
@@ -395,6 +451,7 @@ fn the_daemon_binary_boots_persists_its_cache_and_shuts_down() {
 
 #[test]
 fn shutdown_drains_the_in_flight_job_persists_and_only_then_answers() {
+    let _jobs = runs_jobs();
     let cache_path = scratch_path("drain.cache");
     let jdir = scratch_path("drain.journal.d");
     let (addr, mut submitter) = start_service_at(
@@ -439,6 +496,7 @@ fn shutdown_drains_the_in_flight_job_persists_and_only_then_answers() {
 
 #[test]
 fn a_deadline_expiry_yields_err_records_and_an_expired_line_not_a_wedged_daemon() {
+    let _counting = counts_telemetry();
     // The expiry counter needs a live sink (process-wide, idempotent).
     tp_telemetry::install(tp_telemetry::TelemetrySink::counters());
     let (_addr, mut client) = start_service(ProofCache::new());
@@ -482,6 +540,7 @@ fn a_deadline_expiry_yields_err_records_and_an_expired_line_not_a_wedged_daemon(
 
 #[test]
 fn a_vanished_client_cancels_its_stream_but_the_sweep_still_warms_the_cache() {
+    let _jobs = runs_jobs();
     let (addr, mut doomed) = start_service(ProofCache::new());
     doomed.send("SUBMIT models=1 cells=0..7");
     let first = doomed.read_line();
@@ -504,6 +563,7 @@ fn a_vanished_client_cancels_its_stream_but_the_sweep_still_warms_the_cache() {
 
 #[test]
 fn leftover_job_journals_are_absorbed_at_startup() {
+    let _jobs = runs_jobs();
     use tp_core::engine::MatrixCell;
     use tp_core::wire::CachedMeta;
     use tp_core::ProofReport;

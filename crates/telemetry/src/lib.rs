@@ -171,11 +171,15 @@ pub enum SpanKind {
     Replay,
     /// The ordered per-cell merge + verdict derivation on the consumer.
     Verify,
+    /// A cached tp-serve job waiting for the proof-cache lock, which
+    /// another cached job holds for its whole sweep. `cell` carries the
+    /// job id.
+    CacheLock,
 }
 
 impl SpanKind {
     /// Number of distinct span kinds.
-    pub const COUNT: usize = 5;
+    pub const COUNT: usize = 6;
 
     /// Every span kind, in array-index order.
     pub const ALL: [SpanKind; Self::COUNT] = [
@@ -184,6 +188,7 @@ impl SpanKind {
         SpanKind::Lockstep,
         SpanKind::Replay,
         SpanKind::Verify,
+        SpanKind::CacheLock,
     ];
 
     /// The stable wire name of this span kind (`"kind"` in trace lines).
@@ -194,6 +199,7 @@ impl SpanKind {
             SpanKind::Lockstep => "lockstep",
             SpanKind::Replay => "replay",
             SpanKind::Verify => "verify",
+            SpanKind::CacheLock => "cache-lock",
         }
     }
 }
@@ -644,5 +650,18 @@ mod tests {
         let names: std::collections::BTreeSet<&str> =
             Counter::ALL.iter().map(|c| c.name()).collect();
         assert_eq!(names.len(), Counter::COUNT, "counter names are unique");
+        let spans: Vec<&str> = SpanKind::ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(
+            spans,
+            [
+                "queue-wait",
+                "prove",
+                "lockstep",
+                "replay",
+                "verify",
+                "cache-lock"
+            ],
+            "span names are the wire schema"
+        );
     }
 }
