@@ -1,10 +1,13 @@
 //! Std-only microbenches for the simulator substrate itself: cache
-//! access, TLB lookup, flush, kernel step and the digesting used by the
-//! invariant checkers. These put numbers on the cost of "proof by
-//! exhaustive checking" — the reproduction's analogue of proof effort.
+//! access, TLB lookup, flush, kernel step, the digesting used by the
+//! invariant checkers and the content fingerprints behind cache keys.
+//! These put numbers on the cost of "proof by exhaustive checking" —
+//! the reproduction's analogue of proof effort.
 
 use std::hint::black_box;
 
+use tp_core::cache::cell_key;
+use tp_core::ProofMode;
 use tp_hw::cache::{Cache, CacheConfig};
 use tp_hw::machine::{Machine, MachineConfig};
 use tp_hw::tlb::{Tlb, TlbEntry};
@@ -90,5 +93,21 @@ fn main() {
             ]),
         )
         .unwrap()
+    });
+
+    // The canonical matrix's first cell (full protection), specialised
+    // the way the sweep does it: the cell's machine replaces the
+    // scenario's, and its protection is already the scenario's own.
+    let matrix = tp_bench::canonical_matrix();
+    let cell = matrix.cells().swap_remove(0);
+    let mut sc = tp_bench::canonical_scenario(cell.disable);
+    sc.mcfg = cell.mcfg.clone();
+    bench("core/cell_key_canonical", 10_000, || {
+        cell_key(&cell, matrix.models(), &sc, ProofMode::Certified)
+    });
+    let kcfg = (sc.make_kcfg)(sc.secrets[0]);
+    let lo = &kcfg.domains[sc.lo.0].program;
+    bench("kernel/trace_program_fingerprint", 10_000, || {
+        lo.content_fingerprint()
     });
 }

@@ -69,16 +69,19 @@ fn rejected_entries_reprove_with_exit_zero() {
     assert!(stderr.contains("0 hits"), "{stderr}");
 
     // Corrupt one entry's checksum *without* breaking the wire syntax:
-    // the file still parses, but validation rejects the entry.
+    // the file still parses, but validation rejects the entry. Bumping
+    // the *last* digit (9 wraps to 0) keeps the value inside u64, where
+    // bumping the first could overflow it into a parse error.
     let text = std::fs::read_to_string(&path).unwrap();
-    let pos = text.find("check=").expect("cache carries checksums") + "check=".len();
+    let start = text.find("check=").expect("cache carries checksums") + "check=".len();
+    let pos = start
+        + text[start..]
+            .find(' ')
+            .expect("check= is not the last field")
+        - 1;
     let digit = text.as_bytes()[pos];
     assert!(digit.is_ascii_digit());
-    let flipped = if digit == b'9' {
-        '1'
-    } else {
-        (digit + 1) as char
-    };
+    let flipped = ((digit - b'0' + 1) % 10 + b'0') as char;
     let mut corrupted = text.clone();
     corrupted.replace_range(pos..pos + 1, &flipped.to_string());
     assert_ne!(text, corrupted);

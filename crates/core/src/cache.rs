@@ -3,7 +3,7 @@
 //! Re-proving a thousand-cell [`crate::engine::ScenarioMatrix`] after a
 //! one-line config tweak repeats work for every cell whose inputs did
 //! not change. This module makes sweeps incremental: each proved cell
-//! is stored under an FNV content hash of its **full input
+//! is stored under a 64-bit content key over its **full input
 //! fingerprint** — machine configuration × kernel configuration (per
 //! secret, down to each domain's instruction sequence) × time-model
 //! family × secret set × engine/proof-mode version salt — together
@@ -44,22 +44,31 @@
 //!
 //! ## Key derivation and invalidation
 //!
-//! [`cell_key`] folds, in order: the version salt ([`CACHE_SALT`]),
-//! the cell's machine configuration (serialised via the wire format's
-//! canonical field list), the cell label and ablation tag, the
-//! protection setting, every time model, the observer domain, cycle
-//! budget and step cap, and — per secret — the secret value and the
-//! kernel configuration's [`content_fingerprint`], which recursively
-//! covers every domain's instruction sequence, scheduling and padding
-//! parameters, endpoints and colour counts. A program that cannot
-//! prove its identity ([`Program::content_fingerprint`] returns
-//! `None`) makes the cell **uncacheable** rather than wrongly
-//! cacheable: `cell_key` returns `None` and the cell is always proved
-//! live. Changing *any* folded field changes the key (pinned by the
-//! property tests in `crates/core/tests/cache_invalidation.rs`), so
-//! stale entries are never looked up — they simply stop being
-//! addressed, and [`CACHE_SALT`] retires every entry at once whenever
-//! the engine's observable behaviour changes.
+//! [`cell_key`] seeds a [`WordFold`] — four xxh64-style lanes that
+//! take one 64-bit word each in turn — with the version salt
+//! ([`CACHE_SALT`]) and folds, in order: the cell's machine
+//! configuration (serialised via the wire format's canonical field
+//! list), the cell label and ablation tag, the protection setting,
+//! every time model, the observer domain, cycle budget and step cap,
+//! and — per secret — the secret value and the kernel configuration's
+//! [`content_fingerprint`], which recursively covers every domain's
+//! instruction sequence (two words per instruction), scheduling and
+//! padding parameters, endpoints and colour counts. Strings go in
+//! length-delimited, as their byte length followed by their bytes
+//! packed eight to a little-endian word, so no byte can move from one
+//! field into the next without changing the words. The entry checksum
+//! ([`entry_check`]) and the journal's framing checksum use the same
+//! fold; observation digests keep their own byte-wise FNV fold.
+//!
+//! A program that cannot prove its identity
+//! ([`Program::content_fingerprint`] returns `None`) makes the cell
+//! **uncacheable** rather than wrongly cacheable: `cell_key` returns
+//! `None` and the cell is always proved live. Changing *any* folded
+//! field changes the key (pinned by the property tests in
+//! `crates/core/tests/cache_invalidation.rs`), so stale entries are
+//! never looked up — they simply stop being addressed, and
+//! [`CACHE_SALT`] retires every entry at once whenever the engine's
+//! observable behaviour or the key function changes.
 //!
 //! ## Shipping and merging
 //!
@@ -87,7 +96,7 @@ use crate::wire::{
     WireError,
 };
 use tp_hw::clock::TimeModel;
-use tp_hw::obs::{mix_digest, OBS_DIGEST_SEED};
+use tp_hw::obs::WordFold;
 
 /// Engine/proof-mode version salt folded into every content key and
 /// stored verbatim in every entry.
@@ -96,20 +105,26 @@ use tp_hw::obs::{mix_digest, OBS_DIGEST_SEED};
 /// observation semantics, proof obligations, wire canonicalisation —
 /// so every entry produced by the previous version stops being
 /// addressed *and* fails the salt check if addressed anyway.
-pub const CACHE_SALT: u64 = 0x7470_cace_0000_0001;
+pub const CACHE_SALT: u64 = 0x7470_cace_0000_0002;
 
-/// FNV-1a prime for the byte-wise folds (the u64 folds go through
-/// [`mix_digest`], which uses the same constant internally).
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Fold a byte string into a rolling FNV-1a digest. Shared with the
+/// Fold a byte string into `f`, length-delimited: its byte length,
+/// then its bytes packed eight to a little-endian word, the last word
+/// zero-padded. The length says how many words follow, so strings and
+/// words folded in a fixed order cannot shift bytes from one string
+/// into the next, and trailing zero bytes still count. Shared with the
 /// journal's record framing checksum (`crate::journal`).
-pub(crate) fn fold_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
+pub(crate) fn fold_bytes(f: &mut WordFold, bytes: &[u8]) {
+    f.push(bytes.len() as u64);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        f.push(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
     }
-    h
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        f.push(u64::from_le_bytes(last));
+    }
 }
 
 /// The content key addressing one proof cell, or `None` when any
@@ -127,35 +142,35 @@ pub fn cell_key(
     scenario: &NiScenario,
     mode: ProofMode,
 ) -> Option<u64> {
-    let mut h = mix_digest(OBS_DIGEST_SEED, CACHE_SALT);
-    h = fold_bytes(h, enc_machine(&scenario.mcfg).as_bytes());
-    h = fold_bytes(h, cell.machine.as_bytes());
-    h = fold_bytes(h, cell.disable.map(enc_mechanism).unwrap_or("-").as_bytes());
-    h = cell.tp.fold_digest(h);
-    h = mix_digest(h, models.len() as u64);
-    for m in models {
-        h = fold_bytes(h, enc_time_model(m).as_bytes());
-    }
-    h = mix_digest(h, scenario.lo.0 as u64);
-    h = mix_digest(h, scenario.budget.0);
-    h = mix_digest(h, scenario.max_steps as u64);
-    h = mix_digest(h, scenario.secrets.len() as u64);
-    for &s in &scenario.secrets {
-        h = mix_digest(h, s);
-        h = mix_digest(h, (scenario.make_kcfg)(s).content_fingerprint()?);
-    }
-    h = mix_digest(
-        h,
-        match mode {
-            ProofMode::Certified => 0,
-            ProofMode::CertifiedRecording => 1,
-            ProofMode::ReplayCheck => 2,
-        },
+    let mut f = WordFold::new(CACHE_SALT);
+    fold_bytes(&mut f, enc_machine(&scenario.mcfg).as_bytes());
+    fold_bytes(&mut f, cell.machine.as_bytes());
+    fold_bytes(
+        &mut f,
+        cell.disable.map(enc_mechanism).unwrap_or("-").as_bytes(),
     );
-    Some(h)
+    f.push(cell.tp.bits());
+    f.push(models.len() as u64);
+    for m in models {
+        fold_bytes(&mut f, enc_time_model(m).as_bytes());
+    }
+    f.push(scenario.lo.0 as u64);
+    f.push(scenario.budget.0);
+    f.push(scenario.max_steps as u64);
+    f.push(scenario.secrets.len() as u64);
+    for &s in &scenario.secrets {
+        f.push(s);
+        f.push((scenario.make_kcfg)(s).content_fingerprint()?);
+    }
+    f.push(match mode {
+        ProofMode::Certified => 0,
+        ProofMode::CertifiedRecording => 1,
+        ProofMode::ReplayCheck => 2,
+    });
+    Some(f.finish())
 }
 
-/// The entry checksum: an FNV fold over the entry's canonical wire
+/// The entry checksum: a [`WordFold`] over the entry's canonical wire
 /// bytes ([`write_cell_body`] with the index pinned to 0, so checksums
 /// are position-independent) plus its key, salt and fingerprint table.
 ///
@@ -171,15 +186,16 @@ pub fn entry_check(
 ) -> u64 {
     let mut body = String::new();
     write_cell_body(&mut body, 0, cell, report);
-    let mut h = fold_bytes(mix_digest(OBS_DIGEST_SEED, salt), body.as_bytes());
-    h = mix_digest(h, key);
-    h = mix_digest(h, fps.len() as u64);
+    let mut f = WordFold::new(salt);
+    fold_bytes(&mut f, body.as_bytes());
+    f.push(key);
+    f.push(fps.len() as u64);
     for &(s, len, d) in fps {
-        h = mix_digest(h, s);
-        h = mix_digest(h, len as u64);
-        h = mix_digest(h, d);
+        f.push(s);
+        f.push(len as u64);
+        f.push(d);
     }
-    h
+    f.finish()
 }
 
 /// One stored proof cell: the cell and report exactly as a live run
@@ -445,13 +461,36 @@ pub fn validate_entry(
 mod tests {
     use super::*;
 
+    /// Fold `parts` in order, as `cell_key` folds its string fields.
+    fn fold_parts(parts: &[&[u8]]) -> u64 {
+        let mut f = WordFold::new(CACHE_SALT);
+        for p in parts {
+            fold_bytes(&mut f, p);
+        }
+        f.finish()
+    }
+
+    /// Moving bytes across a string boundary, padding with zeros or
+    /// splitting one string in two all change the fold.
     #[test]
-    fn fold_bytes_separates_prefixes() {
-        let a = fold_bytes(OBS_DIGEST_SEED, b"abc");
-        let b = fold_bytes(OBS_DIGEST_SEED, b"abd");
-        let c = fold_bytes(OBS_DIGEST_SEED, b"ab");
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a, fold_bytes(fold_bytes(OBS_DIGEST_SEED, b"ab"), b"c"));
+    fn fold_bytes_is_length_delimited() {
+        let folds = [
+            fold_parts(&[b"ab", b"c"]),
+            fold_parts(&[b"a", b"bc"]),
+            fold_parts(&[b"abc"]),
+            fold_parts(&[b"abc\0"]),
+            fold_parts(&[b"abc", b""]),
+            fold_parts(&[b"abd"]),
+            fold_parts(&[b"abcdefgh"]),
+            fold_parts(&[b"abcdefgh", b""]),
+            fold_parts(&[b"abcdefghi"]),
+            fold_parts(&[]),
+        ];
+        for (i, a) in folds.iter().enumerate() {
+            for (j, b) in folds.iter().enumerate().skip(i + 1) {
+                assert_ne!(a, b, "parts {i} and {j} collide");
+            }
+        }
+        assert_eq!(fold_parts(&[b"abc"]), fold_parts(&[b"abc"]));
     }
 }

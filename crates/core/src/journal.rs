@@ -10,7 +10,7 @@
 //! ## Record framing
 //!
 //! ```text
-//! jrec i=<cell index> len=<payload bytes> check=<fnv64 of payload>
+//! jrec i=<cell index> len=<payload bytes> check=<word fold of payload>
 //! <payload: one wire record group, `write_cell_cached` output>
 //! ```
 //!
@@ -46,7 +46,7 @@ use crate::engine::MatrixCell;
 use crate::faultpoint::{self, Fault};
 use crate::proof::ProofReport;
 use crate::wire::{parse_cells_meta, write_cell_cached, CachedMeta, WireError};
-use tp_hw::obs::{mix_digest, OBS_DIGEST_SEED};
+use tp_hw::obs::WordFold;
 
 /// The fault point fired once per [`JournalWriter::append`], before
 /// any bytes reach the file: `ioerr` surfaces as the returned error,
@@ -56,14 +56,13 @@ pub const APPEND_POINT: &str = "journal.append";
 
 /// Version tag folded into every record's framing checksum, so a
 /// journal from an incompatible framing simply reads as corrupt.
-const JOURNAL_SALT: u64 = 0x7470_6a72_0000_0001;
+const JOURNAL_SALT: u64 = 0x7470_6a72_0000_0002;
 
 /// Framing checksum over a record's payload bytes.
 fn rec_check(payload: &str) -> u64 {
-    fold_bytes(
-        mix_digest(OBS_DIGEST_SEED, JOURNAL_SALT),
-        payload.as_bytes(),
-    )
+    let mut f = WordFold::new(JOURNAL_SALT);
+    fold_bytes(&mut f, payload.as_bytes());
+    f.finish()
 }
 
 /// One validated journal record: a proved cell plus the cache metadata

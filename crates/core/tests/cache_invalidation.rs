@@ -243,6 +243,18 @@ fn identical_inputs_share_a_key() {
     assert_eq!(a, b);
 }
 
+/// Keys are persisted in cache files and journals, so the key function
+/// is pinned: if this fails, every stored key just changed meaning, and
+/// `CACHE_SALT` (with the journal's `JOURNAL_SALT`) must be bumped
+/// before the value is re-pinned.
+#[test]
+fn baseline_key_is_pinned() {
+    assert_eq!(
+        (tp_core::cache::CACHE_SALT, Spec::baseline().key()),
+        (0x7470_cace_0000_0002, Some(0xa3ec_a10f_1ca9_dadb))
+    );
+}
+
 /// Every single-field perturbation of the baseline flips the key, and
 /// no two perturbations collide with each other either.
 #[test]

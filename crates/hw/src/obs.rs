@@ -31,6 +31,13 @@
 //! to the run itself. That is what makes digest-first verdicts
 //! bit-identical to recording-mode verdicts (the equivalence suites in
 //! `tp-core` pin this).
+//!
+//! ## Content fingerprints
+//!
+//! [`WordFold`] is the other hash here: a four-lane fold taking one
+//! whole word at a time, behind program and kernel-configuration
+//! fingerprints, proof-cache keys and the cache and journal integrity
+//! checks. Observation digests do not use it.
 
 use crate::types::Cycles;
 
@@ -119,6 +126,103 @@ pub fn fold_obs_event(h: u64, e: &ObsEvent) -> u64 {
 /// [`DigestSink`] converges to, recomputable from any recorded trace.
 pub fn obs_digest(events: &[ObsEvent]) -> u64 {
     events.iter().fold(OBS_DIGEST_SEED, fold_obs_event)
+}
+
+// ---------------------------------------------------------------------
+// Content fingerprints
+// ---------------------------------------------------------------------
+
+/// xxh64's multipliers, shared by the lanes and the merge.
+const P1: u64 = 0x9e37_79b1_85eb_ca87;
+const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+
+/// One xxh64 lane round.
+#[inline(always)]
+fn lane_round(acc: u64, w: u64) -> u64 {
+    acc.wrapping_add(w.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+/// Fold one word into the merged accumulator.
+#[inline(always)]
+fn merge_word(h: u64, w: u64) -> u64 {
+    (h ^ lane_round(0, w))
+        .rotate_left(27)
+        .wrapping_mul(P1)
+        .wrapping_add(P4)
+}
+
+/// A streaming 64-bit fold over whole words: the content hash behind
+/// program and kernel-configuration fingerprints, proof-cache keys and
+/// the cache and journal integrity checks.
+///
+/// Four independent xxh64-style lanes each take every fourth word, so
+/// the four multiply chains overlap instead of queueing behind one
+/// another as [`mix_digest`]'s eight dependent multiplies per word do.
+/// [`WordFold::finish`] merges the lanes, folds the 0–3 words left
+/// over from the last full stripe and then the word count, and ends in
+/// a splitmix64 finaliser. Observation digests do not use it: they
+/// stay on [`mix_digest`].
+#[derive(Debug)]
+pub struct WordFold {
+    lanes: [u64; 4],
+    /// The words of the stripe in progress (the fourth completes it).
+    stripe: [u64; 3],
+    words: u64,
+}
+
+impl WordFold {
+    /// An empty fold seeded with `seed` (a version salt or domain tag).
+    pub fn new(seed: u64) -> Self {
+        WordFold {
+            lanes: [
+                seed.wrapping_add(P1).wrapping_add(P2),
+                seed.wrapping_add(P2),
+                seed,
+                seed.wrapping_sub(P1),
+            ],
+            stripe: [0; 3],
+            words: 0,
+        }
+    }
+
+    /// Fold one word; every fourth advances all four lanes.
+    #[inline]
+    pub fn push(&mut self, w: u64) {
+        let k = (self.words & 3) as usize;
+        self.words += 1;
+        if k < 3 {
+            self.stripe[k] = w;
+            return;
+        }
+        let [a, b, c, d] = &mut self.lanes;
+        *a = lane_round(*a, self.stripe[0]);
+        *b = lane_round(*b, self.stripe[1]);
+        *c = lane_round(*c, self.stripe[2]);
+        *d = lane_round(*d, w);
+    }
+
+    /// The fingerprint of every word pushed so far.
+    pub fn finish(&self) -> u64 {
+        let [a, b, c, d] = self.lanes;
+        let mut h = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18));
+        for lane in self.lanes {
+            h = merge_word(h, lane);
+        }
+        for &w in &self.stripe[..(self.words & 3) as usize] {
+            h = merge_word(h, w);
+        }
+        h = merge_word(h, self.words);
+        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        h ^ (h >> 31)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -665,6 +769,118 @@ mod tests {
             ],
         ] {
             assert_ne!(obs_digest(&base), obs_digest(&other), "{other:?}");
+        }
+    }
+
+    /// The four-lane fold written out naively over a whole slice: each
+    /// full stripe advances the four lanes one word at a time, with no
+    /// stripe buffer and no shared helpers.
+    fn reference_fold(seed: u64, words: &[u64]) -> u64 {
+        const P1: u64 = 0x9e37_79b1_85eb_ca87;
+        const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+        const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+        let round = |acc: u64, w: u64| {
+            acc.wrapping_add(w.wrapping_mul(P2))
+                .rotate_left(31)
+                .wrapping_mul(P1)
+        };
+        let merge = |h: u64, w: u64| {
+            (h ^ round(0, w))
+                .rotate_left(27)
+                .wrapping_mul(P1)
+                .wrapping_add(P4)
+        };
+        let mut v1 = seed.wrapping_add(P1).wrapping_add(P2);
+        let mut v2 = seed.wrapping_add(P2);
+        let mut v3 = seed;
+        let mut v4 = seed.wrapping_sub(P1);
+        let full = words.len() / 4 * 4;
+        let mut i = 0;
+        while i < full {
+            v1 = round(v1, words[i]);
+            v2 = round(v2, words[i + 1]);
+            v3 = round(v3, words[i + 2]);
+            v4 = round(v4, words[i + 3]);
+            i += 4;
+        }
+        let mut h = v1
+            .rotate_left(1)
+            .wrapping_add(v2.rotate_left(7))
+            .wrapping_add(v3.rotate_left(12))
+            .wrapping_add(v4.rotate_left(18));
+        h = merge(h, v1);
+        h = merge(h, v2);
+        h = merge(h, v3);
+        h = merge(h, v4);
+        for &w in &words[full..] {
+            h = merge(h, w);
+        }
+        h = merge(h, words.len() as u64);
+        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        h ^ (h >> 31)
+    }
+
+    fn word_fold(seed: u64, words: &[u64]) -> u64 {
+        let mut f = WordFold::new(seed);
+        for &w in words {
+            f.push(w);
+        }
+        f.finish()
+    }
+
+    #[test]
+    fn word_fold_matches_the_reference_at_every_stripe_offset() {
+        let words: Vec<u64> = (0..67u64)
+            .map(|i| i.wrapping_mul(0x0123_4567_89ab_cdef) ^ i << 60)
+            .collect();
+        for n in 0..=words.len() {
+            for seed in [0, OBS_DIGEST_SEED, u64::MAX] {
+                assert_eq!(
+                    word_fold(seed, &words[..n]),
+                    reference_fold(seed, &words[..n]),
+                    "{n} words, seed {seed:#x}"
+                );
+            }
+        }
+    }
+
+    /// A fingerprint is a function of the whole sequence: finishing
+    /// part-way leaves the fold usable, and every prefix differs.
+    #[test]
+    fn word_fold_separates_prefixes_and_trailing_zeros() {
+        let mut f = WordFold::new(7);
+        let mut seen = vec![f.finish()];
+        for _ in 0..9 {
+            f.push(0);
+            seen.push(f.finish());
+        }
+        let mut dedup = seen.clone();
+        dedup.sort_unstable();
+        dedup.dedup();
+        assert_eq!(dedup.len(), seen.len(), "{seen:x?}");
+        assert_ne!(word_fold(1, &[1, 2]), word_fold(1, &[2, 1]));
+        assert_ne!(word_fold(1, &[5]), word_fold(2, &[5]));
+    }
+
+    /// Cache keys and checksums are persisted: a change to this value
+    /// means every cache and journal on disk is keyed differently, so
+    /// it must come with a `CACHE_SALT` and `JOURNAL_SALT` bump.
+    #[test]
+    fn word_fold_is_pinned() {
+        let words: Vec<u64> = (1..=10).collect();
+        assert_eq!(word_fold(OBS_DIGEST_SEED, &words), 0xa534_45fc_2454_3eb8);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn word_fold_matches_the_reference_on_random_words(
+            seed in proptest::any::<u64>(),
+            words in proptest::collection::vec(proptest::any::<u64>(), 0..80),
+        ) {
+            proptest::prop_assert_eq!(word_fold(seed, &words), reference_fold(seed, &words));
         }
     }
 }

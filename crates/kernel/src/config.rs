@@ -7,8 +7,12 @@
 
 use crate::ipc::EndpointSpec;
 use crate::program::Program;
-use tp_hw::obs::{mix_digest, OBS_DIGEST_SEED};
+use tp_hw::obs::WordFold;
 use tp_hw::types::Cycles;
+
+/// Fingerprint seeds, one per configuration type.
+const DOMAIN_SPEC_TAG: u64 = 0x646f_6d61_696e;
+const KERNEL_CONFIG_TAG: u64 = 0x6b65_726e_656c;
 
 /// Which time-protection mechanisms are active (§4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,11 +67,10 @@ impl TimeProtConfig {
         }
     }
 
-    /// Fold the seven mechanism switches into a rolling FNV state, one
-    /// bit per flag in declaration order — a leaf of the proof cache's
-    /// content hash.
-    pub fn fold_digest(&self, h: u64) -> u64 {
-        let bits = [
+    /// The seven mechanism switches as one word, one bit per flag in
+    /// declaration order — a leaf of the proof cache's content hash.
+    pub fn bits(&self) -> u64 {
+        [
             self.colouring,
             self.flush_on_switch,
             self.flush_llc_on_switch,
@@ -77,8 +80,7 @@ impl TimeProtConfig {
             self.deterministic_ipc,
         ]
         .iter()
-        .fold(0u64, |acc, &b| acc << 1 | b as u64);
-        mix_digest(h, bits)
+        .fold(0u64, |acc, &b| acc << 1 | b as u64)
     }
 
     /// Full protection with one named mechanism disabled (ablation, E11).
@@ -203,24 +205,31 @@ impl DomainSpec {
 
     /// Content hash of everything that shapes this domain's behaviour,
     /// or `None` when its program (or pad filler) cannot fingerprint
-    /// itself ([`Program::content_fingerprint`]). Every field of the
-    /// spec is folded with a leading tag, so e.g. swapping `slice` and
-    /// `pad` values cannot collide.
+    /// itself ([`Program::content_fingerprint`]). The fields go into one
+    /// [`WordFold`] in a fixed order, the IRQ-line list after its length
+    /// and the optional filler after a presence word, so the word
+    /// sequence determines the spec (swapping `slice` and `pad` values,
+    /// say, changes it).
     pub fn content_fingerprint(&self) -> Option<u64> {
-        let mut h = mix_digest(mix_digest(OBS_DIGEST_SEED, 1), self.slice.0);
-        h = mix_digest(mix_digest(h, 2), self.pad.0);
-        h = mix_digest(mix_digest(h, 3), self.irq_lines.len() as u64);
+        let mut f = WordFold::new(DOMAIN_SPEC_TAG);
+        f.push(self.slice.0);
+        f.push(self.pad.0);
+        f.push(self.irq_lines.len() as u64);
         for &line in &self.irq_lines {
-            h = mix_digest(h, line as u64);
+            f.push(line as u64);
         }
-        h = mix_digest(mix_digest(h, 4), self.code_pages);
-        h = mix_digest(mix_digest(h, 5), self.data_pages);
-        h = mix_digest(mix_digest(h, 6), self.program.content_fingerprint()?);
-        h = match &self.pad_filler {
-            None => mix_digest(h, 7),
-            Some(p) => mix_digest(mix_digest(h, 8), p.content_fingerprint()?),
-        };
-        Some(mix_digest(mix_digest(h, 9), self.filler_margin.0))
+        f.push(self.code_pages);
+        f.push(self.data_pages);
+        f.push(self.program.content_fingerprint()?);
+        match &self.pad_filler {
+            None => f.push(0),
+            Some(p) => {
+                f.push(1);
+                f.push(p.content_fingerprint()?);
+            }
+        }
+        f.push(self.filler_margin.0);
+        Some(f.finish())
     }
 }
 
@@ -279,20 +288,25 @@ impl KernelConfig {
     /// build behaviourally identical systems, which is the invariant
     /// the proof cache's content addressing rests on.
     pub fn content_fingerprint(&self) -> Option<u64> {
-        let mut h = mix_digest(OBS_DIGEST_SEED, self.domains.len() as u64);
+        let mut f = WordFold::new(KERNEL_CONFIG_TAG);
+        f.push(self.domains.len() as u64);
         for d in &self.domains {
-            h = mix_digest(h, d.content_fingerprint()?);
+            f.push(d.content_fingerprint()?);
         }
-        h = mix_digest(h, self.endpoints.len() as u64);
+        f.push(self.endpoints.len() as u64);
         for ep in &self.endpoints {
-            h = match ep.min_delivery {
-                None => mix_digest(h, 1),
-                Some(c) => mix_digest(mix_digest(h, 2), c.0),
-            };
+            match ep.min_delivery {
+                None => f.push(0),
+                Some(c) => {
+                    f.push(1);
+                    f.push(c.0);
+                }
+            }
         }
-        h = self.tp.fold_digest(h);
-        h = mix_digest(h, self.ipc_switch as u64);
-        Some(mix_digest(h, self.kernel_colours as u64))
+        f.push(self.tp.bits());
+        f.push(self.ipc_switch as u64);
+        f.push(self.kernel_colours as u64);
+        Some(f.finish())
     }
 }
 

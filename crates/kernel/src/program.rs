@@ -12,7 +12,7 @@
 //! state machines; this module provides the trait, a script-style
 //! [`TraceProgram`] for tests, and the spinning [`IdleProgram`].
 
-use tp_hw::obs::{mix_digest, OBS_DIGEST_SEED};
+use tp_hw::obs::WordFold;
 use tp_hw::types::{Cycles, Fault, VAddr};
 
 /// A system-call request issued by a program.
@@ -85,39 +85,43 @@ pub enum Instr {
     Halt,
 }
 
-/// Fold one instruction into a rolling FNV-1a state. Each [`Instr`] arm
-/// (and each [`SyscallReq`] arm below it) starts with a distinct tag
-/// byte, so structurally different instructions carrying the same
-/// payload words cannot collide — the same discipline
-/// [`tp_hw::obs::fold_obs_event`] applies to observation events. This
-/// is the leaf of the proof cache's content hash: two programs with
-/// equal folds replay identically.
-pub fn fold_instr(h: u64, i: &Instr) -> u64 {
-    match i {
-        Instr::Load(a) => mix_digest(mix_digest(h, 1), a.0),
-        Instr::Store(a) => mix_digest(mix_digest(h, 2), a.0),
-        Instr::Branch { taken, target } => {
-            mix_digest(mix_digest(mix_digest(h, 3), *taken as u64), target.0)
-        }
-        Instr::Compute(u) => mix_digest(mix_digest(h, 4), *u),
-        Instr::ReadClock => mix_digest(h, 5),
-        Instr::Syscall(req) => {
-            let h = mix_digest(h, 6);
-            match req {
-                SyscallReq::Send { ep, msg } => {
-                    mix_digest(mix_digest(mix_digest(h, 1), *ep as u64), *msg)
-                }
-                SyscallReq::Recv { ep } => mix_digest(mix_digest(h, 2), *ep as u64),
-                SyscallReq::IoSubmit { line, delay } => {
-                    mix_digest(mix_digest(mix_digest(h, 3), *line as u64), *delay)
-                }
-                SyscallReq::Yield => mix_digest(h, 4),
-                SyscallReq::Null => mix_digest(h, 5),
-                SyscallReq::MapPage { vpn } => mix_digest(mix_digest(h, 6), *vpn),
-                SyscallReq::UnmapPage { vpn } => mix_digest(mix_digest(h, 7), *vpn),
-            }
-        }
-        Instr::Halt => mix_digest(h, 7),
+/// Largest operand a tag word carries: the bits above its 16 tag bits.
+const TAG_FIELD_MAX: u64 = (1 << 48) - 1;
+
+/// Fingerprint seeds, one per program type, so different types with
+/// equal state words cannot collide.
+const TRACE_PROGRAM_TAG: u64 = 0x7472_6163;
+const IDLE_PROGRAM_TAG: u64 = 0x1d1e;
+
+/// The two words an instruction contributes to a program's
+/// [`Program::content_fingerprint`]: a tag word, then an operand word.
+///
+/// The tag word's low byte names the [`Instr`] arm, its second byte the
+/// [`SyscallReq`] arm, and its upper 48 bits a second, small field (a
+/// branch's direction, an I/O line, a send's endpoint); the operand
+/// word carries the remaining field, or 0. Distinct instructions
+/// therefore give distinct word pairs, with one deliberate exception: a
+/// send endpoint past 2⁴⁸ − 2 saturates, which is sound because no
+/// endpoint table is that long and the kernel ignores every
+/// out-of-range send alike.
+pub fn instr_words(i: &Instr) -> [u64; 2] {
+    let tag = |arm: u64, sub: u64, field: u64| arm | sub << 8 | field.min(TAG_FIELD_MAX) << 16;
+    match *i {
+        Instr::Load(a) => [tag(1, 0, 0), a.0],
+        Instr::Store(a) => [tag(2, 0, 0), a.0],
+        Instr::Branch { taken, target } => [tag(3, 0, taken as u64), target.0],
+        Instr::Compute(u) => [tag(4, 0, 0), u],
+        Instr::ReadClock => [tag(5, 0, 0), 0],
+        Instr::Syscall(req) => match req {
+            SyscallReq::Send { ep, msg } => [tag(6, 1, ep as u64), msg],
+            SyscallReq::Recv { ep } => [tag(6, 2, 0), ep as u64],
+            SyscallReq::IoSubmit { line, delay } => [tag(6, 3, line as u64), delay],
+            SyscallReq::Yield => [tag(6, 4, 0), 0],
+            SyscallReq::Null => [tag(6, 5, 0), 0],
+            SyscallReq::MapPage { vpn } => [tag(6, 6, 0), vpn],
+            SyscallReq::UnmapPage { vpn } => [tag(6, 7, 0), vpn],
+        },
+        Instr::Halt => [tag(7, 0, 0), 0],
     }
 }
 
@@ -239,11 +243,15 @@ impl Program for TraceProgram {
     /// write-only bookkeeping), so the fold over (pos, len, instrs) is a
     /// complete fingerprint.
     fn content_fingerprint(&self) -> Option<u64> {
-        let h = mix_digest(
-            mix_digest(OBS_DIGEST_SEED, self.pos as u64),
-            self.instrs.len() as u64,
-        );
-        Some(self.instrs.iter().fold(h, fold_instr))
+        let mut f = WordFold::new(TRACE_PROGRAM_TAG);
+        f.push(self.pos as u64);
+        f.push(self.instrs.len() as u64);
+        for i in &self.instrs {
+            let [tag, operand] = instr_words(i);
+            f.push(tag);
+            f.push(operand);
+        }
+        Some(f.finish())
     }
 }
 
@@ -259,7 +267,7 @@ impl Program for IdleProgram {
 
     /// Stateless: every idle program behaves identically.
     fn content_fingerprint(&self) -> Option<u64> {
-        Some(mix_digest(OBS_DIGEST_SEED, 0x1d1e))
+        Some(WordFold::new(IDLE_PROGRAM_TAG).finish())
     }
 }
 
@@ -342,5 +350,50 @@ mod tests {
         });
         assert_eq!(r.content_fingerprint(), s.content_fingerprint());
         assert!(IdleProgram.content_fingerprint().is_some());
+    }
+
+    /// Instructions close in every field still give distinct word
+    /// pairs; only send endpoints past the tag word's field saturate.
+    #[test]
+    fn instr_words_separate_instructions() {
+        use SyscallReq::*;
+        let big = TAG_FIELD_MAX;
+        let instrs = [
+            Instr::Load(VAddr(3)),
+            Instr::Store(VAddr(3)),
+            Instr::Branch {
+                taken: false,
+                target: VAddr(3),
+            },
+            Instr::Branch {
+                taken: true,
+                target: VAddr(3),
+            },
+            Instr::Compute(3),
+            Instr::ReadClock,
+            Instr::Halt,
+            Instr::Syscall(Send { ep: 3, msg: 3 }),
+            Instr::Syscall(Send { ep: 0, msg: 3 }),
+            Instr::Syscall(Send {
+                ep: big as usize - 1,
+                msg: 3,
+            }),
+            Instr::Syscall(Recv { ep: 3 }),
+            Instr::Syscall(Recv { ep: 0 }),
+            Instr::Syscall(IoSubmit { line: 3, delay: 3 }),
+            Instr::Syscall(IoSubmit { line: 0, delay: 3 }),
+            Instr::Syscall(Yield),
+            Instr::Syscall(Null),
+            Instr::Syscall(MapPage { vpn: 3 }),
+            Instr::Syscall(UnmapPage { vpn: 3 }),
+        ];
+        let words: std::collections::BTreeSet<[u64; 2]> = instrs.iter().map(instr_words).collect();
+        assert_eq!(words.len(), instrs.len());
+        let send = |ep: usize| instr_words(&Instr::Syscall(Send { ep, msg: 1 }));
+        assert_eq!(send(big as usize), send(usize::MAX));
+        assert_ne!(send(big as usize - 1), send(big as usize));
+        // Saturating, not wrapping: a huge endpoint never aliases a
+        // small, valid one.
+        assert_ne!(send(0), send(1 << 48));
     }
 }

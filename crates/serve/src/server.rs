@@ -22,10 +22,11 @@
 //! duration of its sweep, so concurrent cached jobs serialise (the pool
 //! underneath is already saturated by one sweep; interleaving two would
 //! only shuffle latency around). `nocache` jobs skip the lock and run
-//! concurrently. `STATUS` and `CANCEL` never wait on a sweep — they
-//! touch only the job registry. `METRICS` reads the cache size under
-//! the cache lock, so it waits behind a cached sweep. The wait for the
-//! lock is timed as the `cache-lock` span, once per cached job.
+//! concurrently. `STATUS`, `CANCEL` and `METRICS` never wait on a
+//! sweep: the first two touch only the job registry, and `METRICS`
+//! reads an atomic copy of the cache's entry count, which each cached
+//! job updates before it releases the lock. The wait for the lock is timed as the
+//! `cache-lock` span, once per cached job.
 //!
 //! # Cancellation and deadlines
 //!
@@ -146,6 +147,9 @@ struct JobEntry {
 /// State shared by every connection handler.
 struct Shared {
     cache: Mutex<ProofCache>,
+    /// `cache.len()` as of the last cached sweep, stored under the
+    /// cache lock, so readers that only need the count never take it.
+    cache_entries: AtomicUsize,
     cache_path: Option<PathBuf>,
     journal_dir: Option<PathBuf>,
     jobs: Mutex<Vec<JobEntry>>,
@@ -257,6 +261,7 @@ impl Server {
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
+                cache_entries: AtomicUsize::new(cache.len()),
                 cache: Mutex::new(cache),
                 cache_path,
                 journal_dir,
@@ -509,7 +514,8 @@ fn dispatch<W: Write>(line: &str, shared: &Arc<Shared>, out: &mut W) -> io::Resu
                     writeln!(out, "METRIC {} {}", c.name(), snap.counter(c))?;
                 }
                 writeln!(out, "METRIC pool_peak_queue {}", snap.peak_queue)?;
-                writeln!(out, "METRIC cache_entries {}", lock(&shared.cache).len())?;
+                let entries = shared.cache_entries.load(Ordering::SeqCst);
+                writeln!(out, "METRIC cache_entries {entries}")?;
                 for k in tp_telemetry::SpanKind::ALL {
                     let (n, total_us) = snap.span(k);
                     writeln!(out, "SPAN {} n={n} total_us={total_us}", k.name())?;
@@ -814,8 +820,7 @@ fn run_job(
             &make_scenario,
             emit,
         );
-        let n = lock(&shared.cache).len();
-        (r, n)
+        (r, shared.cache_entries.load(Ordering::SeqCst))
     } else {
         let jpath = shared
             .journal_dir
@@ -871,6 +876,7 @@ fn run_job(
             }
         }
         let n = cache.len();
+        shared.cache_entries.store(n, Ordering::SeqCst);
         drop(cache);
         // The job's journal is superseded by the in-memory cache (and
         // the persisted file, when configured) — delete it, unless the
@@ -979,7 +985,34 @@ mod tests {
             expected.extend(groups.iter().cloned());
             expected.push(format!("DONE job={job} proved=3 failed=0 {done}\n.\n"));
             assert_eq!(writes(&shared, "SUBMIT models=1 cells=0..3\n"), expected);
+            assert_eq!(shared.cache_entries.load(Ordering::SeqCst), 3);
         }
+    }
+
+    /// `METRICS` reads the mirrored entry count, so a sweep holding the
+    /// cache lock cannot stall it. The timeout only separates "returned"
+    /// from "deadlocked"; it bounds no latency.
+    #[test]
+    fn metrics_answers_while_the_cache_is_locked() {
+        tp_telemetry::install(tp_telemetry::TelemetrySink::counters());
+        let shared = shared();
+        let held = lock(&shared.cache);
+        let (tx, rx) = mpsc::channel();
+        let conn = Arc::clone(&shared);
+        let conn_thread = std::thread::spawn(move || tx.send(writes(&conn, "METRICS\n")));
+        let metrics = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("METRICS must not wait for the cache lock");
+        drop(held);
+        conn_thread
+            .join()
+            .expect("connection thread")
+            .expect("receiver alive");
+        assert_eq!(metrics.len(), 1, "{metrics:?}");
+        assert!(
+            metrics[0].contains("\nMETRIC cache_entries 0\n"),
+            "{metrics:?}"
+        );
     }
 
     #[test]
