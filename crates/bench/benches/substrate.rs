@@ -1,14 +1,18 @@
 //! Std-only microbenches for the simulator substrate itself: cache
-//! access, TLB lookup, flush, kernel step, the digesting used by the
-//! invariant checkers and the content fingerprints behind cache keys.
+//! access, TLB lookup, flush, DRAM misses through the interconnect,
+//! kernel step, one monitored run under a hashed time model, the
+//! digesting used by the invariant checkers and the content
+//! fingerprints behind cache keys.
 //! These put numbers on the cost of "proof by exhaustive checking" —
 //! the reproduction's analogue of proof effort.
 
 use std::hint::black_box;
 
 use tp_core::cache::cell_key;
+use tp_core::noninterference::run_monitored;
 use tp_core::ProofMode;
 use tp_hw::cache::{Cache, CacheConfig};
+use tp_hw::clock::TimeModel;
 use tp_hw::machine::{Machine, MachineConfig};
 use tp_hw::tlb::{Tlb, TlbEntry};
 use tp_hw::types::{Asid, CoreId, DomainTag, PAddr, VAddr};
@@ -40,6 +44,18 @@ fn main() {
     });
     bench("cache/state_digest_llc", 10_000, || {
         black_box(cache.state_digest())
+    });
+
+    // The per-set digest the hashed time models consult on every L1
+    // access, over a full, partly dirty L1.
+    let mut l1 = Cache::new(CacheConfig::l1());
+    for k in 0..1024u64 {
+        l1.access(PAddr(k * 64), k % 3 == 0, DomainTag(0));
+    }
+    let mut set = 0usize;
+    bench("cache/set_digest_l1", 100_000, || {
+        set = (set + 1) % 64;
+        black_box(l1.set_digest(black_box(set)))
     });
 
     let mut tlb = Tlb::new(64);
@@ -75,6 +91,24 @@ fn main() {
         black_box(m.flush_core_local(CoreId(0)))
     });
 
+    // Cold lines on a fresh machine, prefetcher off: every access goes
+    // to DRAM at round 0, the round a single-system run never leaves.
+    // The per-op cost must not grow with the traffic already issued.
+    for (name, n) in [
+        ("machine/dram_misses_1k", 1_000u64),
+        ("machine/dram_misses_10k", 10_000),
+    ] {
+        let mut m = Machine::new(MachineConfig {
+            prefetcher_enabled: false,
+            ..MachineConfig::single_core()
+        });
+        let mut line = 0u64;
+        bench(name, n as u32, || {
+            line += 1;
+            m.access_phys(CoreId(0), PAddr(line * 64), false, false, DomainTag(0))
+        });
+    }
+
     let mut sys = System::new(
         MachineConfig::single_core(),
         KernelConfig::new(vec![
@@ -109,5 +143,15 @@ fn main() {
     let lo = &kcfg.domains[sc.lo.0].program;
     bench("kernel/trace_program_fingerprint", 10_000, || {
         lo.content_fingerprint()
+    });
+
+    // One monitored run of that cell under a hashed time model, built
+    // and run digest-first as the sweep runs it.
+    let mut hashed = sc.mcfg.clone();
+    hashed.time_model = TimeModel::hashed(0xdead_beef);
+    bench("system/canonical_run_hashed", 50, || {
+        let mut sys = System::new(hashed.clone(), (sc.make_kcfg)(sc.secrets[0])).unwrap();
+        sys.use_digest_sinks();
+        run_monitored(sys, sc.lo, sc.budget, sc.max_steps).steps
     });
 }

@@ -327,7 +327,7 @@ fn dec_cache(s: &str) -> Result<CacheConfig, String> {
     if parts.len() != 4 {
         return Err(format!("cache config needs 4 fields, got {s:?}"));
     }
-    Ok(CacheConfig {
+    let cfg = CacheConfig {
         sets: dec_usize(parts[0])?,
         ways: dec_usize(parts[1])?,
         write_back: match parts[2] {
@@ -336,7 +336,12 @@ fn dec_cache(s: &str) -> Result<CacheConfig, String> {
             other => return Err(format!("unknown write mode {other:?}")),
         },
         policy: dec_policy(parts[3])?,
-    })
+    };
+    // A geometry the model cannot represent is malformed input, not a
+    // panic at the first `Cache::new`.
+    cfg.validate()
+        .map_err(|e| format!("cache config {s:?}: {e}"))?;
+    Ok(cfg)
 }
 
 fn dec_cost_table(s: &str) -> Result<CostTable, String> {

@@ -466,3 +466,34 @@ fn hostile_cached_records_are_rejected() {
         })
     );
 }
+
+#[test]
+fn unrepresentable_cache_geometries_are_rejected() {
+    let (cell, report) = synth_cell(0x0c0f_fee5);
+    let mut text = String::new();
+    wire::write_cell(&mut text, 0, &cell, &report);
+    let good = "l1d=64:8:wb:plru";
+    assert!(text.contains(good), "{text}");
+    wire::parse_cells(&text).expect("the canonical geometry parses");
+
+    for bad in [
+        "l1d=64:48:wb:plru", // PLRU tree wider than its 32-bit word
+        "l1d=64:64:wb:plru",
+        "l1d=64:300:wb:lru", // recency ranks past a byte
+        "l1d=64:257:wb:rand",
+        "l1d=48:8:wb:plru", // sets not a power of two
+        "l1d=64:0:wb:lru",
+    ] {
+        let hostile = text.replace(good, bad);
+        match wire::parse_cells(&hostile) {
+            Err(wire::WireError::Parse { msg, .. }) => {
+                assert!(msg.contains("cache config"), "{bad}: {msg}")
+            }
+            other => panic!("{bad} must fail parsing, got {other:?}"),
+        }
+    }
+    // The limits themselves are representable.
+    for ok in ["l1d=64:32:wb:plru", "l1d=64:256:wb:lru"] {
+        wire::parse_cells(&text.replace(good, ok)).expect(ok);
+    }
+}

@@ -38,7 +38,10 @@ pub enum ReplacementPolicy {
 pub struct CacheConfig {
     /// Number of sets; must be a power of two.
     pub sets: usize,
-    /// Associativity (ways per set); must be at least 1.
+    /// Associativity (ways per set): at least 1 and at most
+    /// [`CacheConfig::MAX_WAYS`] (the per-line recency ranks are bytes),
+    /// and at most [`CacheConfig::MAX_PLRU_WAYS`] under `TreePlru` (the
+    /// per-set tree is one 32-bit word).
     pub ways: usize,
     /// Whether stores allocate and mark lines dirty (write-back) or are
     /// propagated immediately (write-through, never dirty).
@@ -47,7 +50,51 @@ pub struct CacheConfig {
     pub policy: ReplacementPolicy,
 }
 
+/// Why a [`CacheConfig`] cannot be modelled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CacheConfigError {
+    /// `sets` is zero or not a power of two.
+    SetsNotPowerOfTwo(usize),
+    /// `ways` is zero.
+    NoWays,
+    /// More ways than the byte-wide recency ranks can order.
+    TooManyWays(usize),
+    /// More ways than a 32-bit PLRU tree word can hold.
+    TooManyPlruWays(usize),
+}
+
+impl core::fmt::Display for CacheConfigError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            CacheConfigError::SetsNotPowerOfTwo(n) => {
+                write!(f, "sets must be a power of two, got {n}")
+            }
+            CacheConfigError::NoWays => write!(f, "need at least one way"),
+            CacheConfigError::TooManyWays(n) => write!(
+                f,
+                "at most {} ways are modelled, got {n}",
+                CacheConfig::MAX_WAYS
+            ),
+            CacheConfigError::TooManyPlruWays(n) => write!(
+                f,
+                "TreePlru models at most {} ways, got {n}",
+                CacheConfig::MAX_PLRU_WAYS
+            ),
+        }
+    }
+}
+
+impl std::error::Error for CacheConfigError {}
+
 impl CacheConfig {
+    /// Most ways any policy models: recency ranks `0..ways` are stored
+    /// in a byte.
+    pub const MAX_WAYS: usize = 256;
+
+    /// Most ways `TreePlru` models: its `ways - 1` tree nodes are bits
+    /// `1..32` of one 32-bit word.
+    pub const MAX_PLRU_WAYS: usize = 32;
+
     /// A 32 KiB, 64-set, 8-way L1-like configuration.
     pub fn l1() -> Self {
         CacheConfig {
@@ -92,9 +139,21 @@ impl CacheConfig {
         (self.sets / sets_per_page).max(1)
     }
 
-    fn validate(&self) {
-        assert!(self.sets.is_power_of_two(), "sets must be a power of two");
-        assert!(self.ways >= 1, "need at least one way");
+    /// Check that the model can represent this geometry.
+    pub fn validate(&self) -> Result<(), CacheConfigError> {
+        if !self.sets.is_power_of_two() {
+            return Err(CacheConfigError::SetsNotPowerOfTwo(self.sets));
+        }
+        if self.ways == 0 {
+            return Err(CacheConfigError::NoWays);
+        }
+        if self.ways > Self::MAX_WAYS {
+            return Err(CacheConfigError::TooManyWays(self.ways));
+        }
+        if self.policy == ReplacementPolicy::TreePlru && self.ways > Self::MAX_PLRU_WAYS {
+            return Err(CacheConfigError::TooManyPlruWays(self.ways));
+        }
+        Ok(())
     }
 }
 
@@ -150,7 +209,9 @@ pub struct FlushOutcome {
 }
 
 /// A physically indexed set-associative cache.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Equality compares the modelled state and ignores the digest memo.
+#[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
     /// `sets * ways` lines, row-major by set.
@@ -161,15 +222,36 @@ pub struct Cache {
     plru: Vec<u32>,
     /// Global LFSR for `GlobalRandom`.
     lfsr: u32,
+    /// Memoised [`Cache::set_digest`] per set; entry `s` is meaningful
+    /// only while bit `s` of `memo_valid` is set. Both stay empty until
+    /// the first [`Cache::set_digest_memo`] call, so caches nobody asks
+    /// for set digests (the LLC, L2) never allocate them.
+    memo: Vec<u64>,
+    /// One validity bit per set for `memo`, 64 sets a word.
+    memo_valid: Vec<u64>,
 }
+
+impl PartialEq for Cache {
+    fn eq(&self, other: &Self) -> bool {
+        self.cfg == other.cfg
+            && self.lines == other.lines
+            && self.lru == other.lru
+            && self.plru == other.plru
+            && self.lfsr == other.lfsr
+    }
+}
+
+impl Eq for Cache {}
 
 impl Cache {
     /// Create an empty cache with the given geometry.
     ///
     /// # Panics
-    /// Panics if `cfg.sets` is not a power of two or `cfg.ways == 0`.
+    /// Panics if [`CacheConfig::validate`] rejects `cfg`.
     pub fn new(cfg: CacheConfig) -> Self {
-        cfg.validate();
+        if let Err(e) = cfg.validate() {
+            panic!("invalid cache config: {e}");
+        }
         let n = cfg.sets * cfg.ways;
         Cache {
             cfg,
@@ -177,6 +259,8 @@ impl Cache {
             lru: vec![0; n],
             plru: vec![0; cfg.sets],
             lfsr: 0xace1,
+            memo: Vec::new(),
+            memo_valid: Vec::new(),
         }
     }
 
@@ -215,8 +299,9 @@ impl Cache {
         for way in 0..self.cfg.ways {
             let l = &mut self.lines[base + way];
             if l.valid && l.tag == tag {
-                if write && self.cfg.write_back {
+                if write && self.cfg.write_back && !l.dirty {
                     l.dirty = true;
+                    self.forget_digest(set);
                 }
                 self.touch(set, way);
                 return AccessOutcome {
@@ -242,6 +327,7 @@ impl Cache {
             owner: Some(owner),
         };
         self.fill_touch(set, way);
+        self.forget_digest(set);
 
         AccessOutcome {
             hit: false,
@@ -291,6 +377,7 @@ impl Cache {
             *p = 0;
         }
         self.lfsr = 0xace1;
+        self.memo_valid.fill(0);
         out
     }
 
@@ -310,6 +397,7 @@ impl Cache {
             self.lru[base + way] = 0;
         }
         self.plru[set] = 0;
+        self.forget_digest(set);
         out
     }
 
@@ -324,6 +412,7 @@ impl Cache {
             if l.valid && l.tag == tag {
                 let wb = l.dirty;
                 *l = LineState::INVALID;
+                self.forget_digest(set);
                 return FlushOutcome {
                     invalidated: 1,
                     writebacks: wb as usize,
@@ -375,6 +464,14 @@ impl Cache {
     /// Digest of a single set's state (lines + replacement metadata).
     /// Case 1 of §5.2 reasons about exactly this: the cost of an access
     /// may depend only on the state of the set it indexes.
+    ///
+    /// This is the only set-digest function; [`Cache::set_digest_memo`]
+    /// caches its result per set. The memo's invariant: a set's validity
+    /// bit is cleared by every change to that set's lines or replacement
+    /// state — a fill (prefetch fills included), a hit that dirties a
+    /// line or moves its LRU rank or PLRU bits, and `flush_line`,
+    /// `flush_set` and `flush_all` — so a valid memo entry always equals
+    /// `set_digest` of the current state.
     pub fn set_digest(&self, set: usize) -> u64 {
         let base = set * self.cfg.ways;
         let mut h = 0u64;
@@ -386,6 +483,29 @@ impl Cache {
             h = mix2(h, self.lru[base + way] as u64);
         }
         mix2(h, self.plru[set] as u64)
+    }
+
+    /// [`Cache::set_digest`], memoised per set: recomputed only when the
+    /// set changed since the last call.
+    pub fn set_digest_memo(&mut self, set: usize) -> u64 {
+        if self.memo.is_empty() {
+            self.memo = vec![0; self.cfg.sets];
+            self.memo_valid = vec![0; self.cfg.sets.div_ceil(64)];
+        }
+        let (word, bit) = (set / 64, 1u64 << (set % 64));
+        if self.memo_valid[word] & bit == 0 {
+            self.memo[set] = self.set_digest(set);
+            self.memo_valid[word] |= bit;
+        }
+        self.memo[set]
+    }
+
+    /// Invalidate `set`'s memoised digest after a change to the set.
+    #[inline]
+    fn forget_digest(&mut self, set: usize) {
+        if let Some(w) = self.memo_valid.get_mut(set / 64) {
+            *w &= !(1u64 << (set % 64));
+        }
     }
 
     // ---- replacement ---------------------------------------------------
@@ -414,8 +534,13 @@ impl Cache {
         match self.cfg.policy {
             ReplacementPolicy::Lru | ReplacementPolicy::GlobalRandom => {
                 // GlobalRandom still keeps recency for hits; only victim
-                // selection is randomised.
+                // selection is randomised. The most recent line's touch
+                // changes nothing.
                 let old = self.lru[base + way];
+                if old == 0 {
+                    return;
+                }
+                self.forget_digest(set);
                 for w in 0..self.cfg.ways {
                     if self.lru[base + w] < old {
                         self.lru[base + w] += 1;
@@ -442,7 +567,10 @@ impl Cache {
                         node = node * 2 + 1;
                     }
                 }
-                self.plru[set] = bits;
+                if bits != self.plru[set] {
+                    self.plru[set] = bits;
+                    self.forget_digest(set);
+                }
             }
         }
     }
@@ -690,6 +818,144 @@ mod tests {
         );
         c.access(addr_for(2, 0), false, DomainTag(0));
         assert_ne!(c.set_digest(2), before);
+    }
+
+    /// Every set's memo, where valid, equals a fresh `set_digest`; a
+    /// memo-free clone compares equal.
+    fn assert_memo_sound(c: &mut Cache, ctx: &str) {
+        for set in 0..c.cfg.sets {
+            assert_eq!(
+                c.set_digest_memo(set),
+                c.set_digest(set),
+                "{ctx}: set {set}"
+            );
+        }
+        let mut fresh = c.clone();
+        fresh.memo.clear();
+        fresh.memo_valid.clear();
+        assert_eq!(fresh, *c, "{ctx}: equality ignores the memo");
+    }
+
+    #[test]
+    fn memoised_set_digest_tracks_every_change() {
+        let mut rng = proptest::TestRng::new(0x5e7d);
+        let policies = [
+            ReplacementPolicy::Lru,
+            ReplacementPolicy::TreePlru,
+            ReplacementPolicy::GlobalRandom,
+        ];
+        for policy in policies {
+            for write_back in [true, false] {
+                for ways in [1, 2, 3, 4, 8] {
+                    let mut c = Cache::new(CacheConfig {
+                        sets: 8,
+                        ways,
+                        write_back,
+                        policy,
+                    });
+                    for step in 0..600 {
+                        // Few tags per set, so hits, re-hits and evictions
+                        // all come up often.
+                        let a = PAddr(rng.below(8 * (ways as u64 + 2)) << LINE_BITS);
+                        let op = rng.below(20);
+                        match op {
+                            0..=7 => {
+                                c.access(a, false, DomainTag(0));
+                            }
+                            8..=13 => {
+                                c.access(a, true, DomainTag(1));
+                            }
+                            14..=15 => {
+                                c.prefetch_fill(a, DomainTag(2));
+                            }
+                            16..=17 => {
+                                c.flush_line(a);
+                            }
+                            18 => {
+                                c.flush_set(rng.below(8) as usize);
+                            }
+                            _ => {
+                                if rng.below(4) == 0 {
+                                    c.flush_all();
+                                }
+                            }
+                        }
+                        let ctx =
+                            format!("{policy:?} wb={write_back} ways={ways} step {step} op {op}");
+                        // Check every set only now and then, so memo
+                        // entries also survive many ops unread.
+                        if step % 7 == 0 {
+                            assert_memo_sound(&mut c, &ctx);
+                        } else {
+                            let set = c.set_of(a);
+                            assert_eq!(c.set_digest_memo(set), c.set_digest(set), "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn validate_rejects_unrepresentable_geometries() {
+        let cfg = |sets, ways, policy| CacheConfig {
+            sets,
+            ways,
+            write_back: true,
+            policy,
+        };
+        use ReplacementPolicy::*;
+        assert_eq!(cfg(64, 32, TreePlru).validate(), Ok(()));
+        assert_eq!(cfg(64, 256, Lru).validate(), Ok(()));
+        assert_eq!(cfg(64, 256, GlobalRandom).validate(), Ok(()));
+        for ways in [33, 48, 64] {
+            assert_eq!(
+                cfg(64, ways, TreePlru).validate(),
+                Err(CacheConfigError::TooManyPlruWays(ways))
+            );
+        }
+        for policy in [Lru, TreePlru, GlobalRandom] {
+            assert_eq!(
+                cfg(64, 300, policy).validate(),
+                Err(CacheConfigError::TooManyWays(300))
+            );
+        }
+        assert_eq!(
+            cfg(48, 8, Lru).validate(),
+            Err(CacheConfigError::SetsNotPowerOfTwo(48))
+        );
+        assert_eq!(cfg(64, 0, Lru).validate(), Err(CacheConfigError::NoWays));
+        let msg = CacheConfigError::TooManyPlruWays(48).to_string();
+        assert!(msg.contains("32") && msg.contains("48"), "{msg}");
+    }
+
+    #[test]
+    #[should_panic(expected = "TreePlru models at most 32 ways")]
+    fn new_refuses_a_plru_tree_wider_than_its_word() {
+        Cache::new(CacheConfig {
+            sets: 1,
+            ways: 48,
+            write_back: false,
+            policy: ReplacementPolicy::TreePlru,
+        });
+    }
+
+    #[test]
+    fn lru_at_the_way_limit_still_evicts_the_oldest() {
+        let ways = CacheConfig::MAX_WAYS;
+        let mut c = Cache::new(CacheConfig {
+            sets: 1,
+            ways,
+            write_back: false,
+            policy: ReplacementPolicy::Lru,
+        });
+        for t in 0..ways as u64 {
+            c.access(PAddr(t << LINE_BITS), false, DomainTag(0));
+        }
+        c.access(PAddr(0), false, DomainTag(0)); // line 0 most recent
+        c.access(PAddr((ways as u64) << LINE_BITS), false, DomainTag(0));
+        assert!(c.peek(PAddr(0)));
+        assert!(!c.peek(PAddr(1 << LINE_BITS)), "line 1 was least recent");
     }
 
     #[test]

@@ -290,7 +290,10 @@ pub struct Machine {
     pub mem: PhysMem,
     /// Interrupt controller.
     pub irq: IrqController,
-    /// Lockstep round counter used by the interconnect window.
+    /// Lockstep round counter used by the interconnect window. Only the
+    /// lockstep multicore driver advances it ([`Machine::advance_round`]);
+    /// a single-system run stays at round 0 throughout, so its DRAM
+    /// traffic never leaves the window.
     round: u64,
     /// Scratch for prefetch fill candidates, kept empty between calls
     /// so derived equality ignores it in practice.
@@ -540,9 +543,11 @@ impl Machine {
 
         // Record the local state the time model may consult (Case 1).
         // Pure table models never read it, so don't digest the set on
-        // their behalf — this is the hottest path in the simulator.
+        // their behalf — this is the hottest path in the simulator. The
+        // hashed models read it on every access; the memo rehashes only
+        // sets that changed since their last digest.
         let local_state = if wants_local_state {
-            l1.set_digest(l1.set_of(paddr))
+            l1.set_digest_memo(l1.set_of(paddr))
         } else {
             0
         };
