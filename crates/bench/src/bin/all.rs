@@ -1,6 +1,6 @@
-//! Regenerate every experiment report (the full EXPERIMENTS.md body),
-//! then run the whole proof surface once more as a scenario matrix.
-//! Every parallel phase shares the one persistent worker pool.
+//! Regenerate every experiment report, each under its `=== EN ===`
+//! header, then run the whole proof surface once more as a scenario
+//! matrix. Every parallel phase shares the one persistent worker pool.
 //!
 //! ```sh
 //! all [--threads N] [--cells SPEC] [--models N] [--replay-check]
@@ -11,23 +11,36 @@
 //! phase (the E1–E14 reports are fixed-size); `--threads` sizes the
 //! pool for everything. `--metrics` / `--trace-out` observe the whole
 //! run — report phases included — since the sink is process-global.
+//! The other sweep flags (`--worker`, `--merge`, `--cache`,
+//! `--journal`, `--resume`, `--progress`) belong to `bin/matrix`; `all`
+//! rejects them with a usage error rather than ignore them.
 
-use tp_bench::cli::SweepArgs;
+use tp_bench::cli::{SweepArgs, EXIT_USAGE};
 
 fn main() {
     let args = match SweepArgs::parse(std::env::args().skip(1)) {
-        Ok(a) if !a.worker && a.merge.is_empty() => a,
-        Ok(_) => {
-            eprintln!("all: --worker/--merge are matrix-only modes (use bin/matrix)");
-            std::process::exit(2);
+        Ok(a)
+            if a.worker
+                || !a.merge.is_empty()
+                || a.cache.is_some()
+                || a.journal.is_some()
+                || a.resume.is_some()
+                || a.progress =>
+        {
+            eprintln!(
+                "all: --worker/--merge/--cache/--journal/--resume/--progress are \
+                 matrix-only flags (use bin/matrix)"
+            );
+            std::process::exit(EXIT_USAGE);
         }
+        Ok(a) => a,
         Err(e) => {
             eprintln!("all: {e}");
             eprintln!(
                 "usage: all [--threads N] [--cells SPEC] [--models N] [--replay-check] \
                  [--metrics] [--trace-out FILE]"
             );
-            std::process::exit(2);
+            std::process::exit(EXIT_USAGE);
         }
     };
     if let Some(n) = args.threads {
@@ -42,7 +55,7 @@ fn main() {
         Ok(v) => v,
         Err(e) => {
             eprintln!("all: {e}");
-            std::process::exit(2);
+            std::process::exit(EXIT_USAGE);
         }
     };
 
@@ -60,9 +73,9 @@ fn main() {
         tp_bench::report_e9(),
         tp_bench::report_e10(),
         tp_bench::report_e11(),
-        tp_bench::report_e12(4),
-        tp_bench::report_e13(&[3, 20, 47]),
-        tp_bench::report_e14(3),
+        tp_bench::report_e12(6),
+        tp_bench::report_e13(&[3, 9, 20, 33, 47, 58]),
+        tp_bench::report_e14(4),
     ]
     .iter()
     .enumerate()

@@ -1,7 +1,8 @@
 //! Plain `std::env::args` flag parsing for the sweep binaries.
 //!
-//! `bin/matrix` and `bin/all` accept the same sweep-shaping flags
-//! instead of hardcoding their fan-out:
+//! `bin/matrix` accepts every flag below. `bin/all` accepts
+//! `--threads`, `--cells`, `--models`, `--replay-check`, `--metrics`
+//! and `--trace-out`, and exits with [`EXIT_USAGE`] on any other:
 //!
 //! * `--threads N` — size of the process-wide worker pool (must come
 //!   before the first sweep runs; applied via
@@ -35,8 +36,8 @@
 //!   exits with [`EXIT_MALFORMED`]. Mutually exclusive with `--cache`
 //!   (the journal already carries the same evidence).
 //!
-//! Telemetry flags (PR 8), all off by default so the proof hot path
-//! keeps its null-sink fast path:
+//! Telemetry flags, all off by default so the proof hot path keeps its
+//! null-sink fast path:
 //!
 //! * `--metrics` — install a counting telemetry sink and print the
 //!   human summary table (pool/cache/exhaustive counters, span

@@ -1,16 +1,16 @@
 //! # tp-bench — the experiment harness
 //!
-//! One report generator per experiment (E1–E11, see DESIGN.md §4). Each
-//! `report_*` function regenerates the experiment's table/series from
-//! the runners in `tp-attacks`/`tp-core` and formats it exactly as
-//! EXPERIMENTS.md records it. The binaries (`src/bin/e*.rs`) print the
-//! reports; the Criterion benches (`benches/`) time the same runners.
+//! One report generator per experiment (E1–E14). Each `report_*`
+//! function regenerates the experiment's table/series from the runners
+//! in `tp-attacks`/`tp-core`; `bin/all` prints every report under its
+//! `=== EN ===` header, and `bin/matrix` runs the scenario-matrix sweep
+//! alone. The std-only benches in `benches/` time the same runners.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cli;
-pub mod trajectory;
+pub mod json;
 
 use std::fmt::Write as _;
 
@@ -47,10 +47,9 @@ pub fn time_iters<R>(
     (total, min)
 }
 
-/// Host metadata shared by the bench trajectory and telemetry
-/// manifests: `(cpus, git_rev, unix_time)` — hardware parallelism,
-/// `git rev-parse --short HEAD` (or `"unknown"`), and seconds since the
-/// Unix epoch.
+/// Host metadata for the telemetry manifest: `(cpus, git_rev,
+/// unix_time)` — hardware parallelism, `git rev-parse --short HEAD`
+/// (or `"unknown"`), and seconds since the Unix epoch.
 pub fn host_info() -> (usize, String, u64) {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let git_rev = std::process::Command::new("git")
@@ -97,11 +96,11 @@ pub fn eta_line(done: usize, total: usize, elapsed: std::time::Duration) -> Stri
     format!("progress: {done}/{total} cells ({pct}%), elapsed {secs:.1}s, eta {eta:.1}s")
 }
 
-/// A telemetry snapshot as a [`trajectory::Json`] object: every counter
+/// A telemetry snapshot as a [`json::Json`] object: every counter
 /// by its wire name (plus `pool_peak_queue`), and per-span-kind
 /// `{"n", "total_us"}` aggregates.
-pub fn telemetry_json(snap: &tp_telemetry::Snapshot) -> trajectory::Json {
-    use trajectory::Json;
+pub fn telemetry_json(snap: &tp_telemetry::Snapshot) -> json::Json {
+    use json::Json;
     let mut counters: Vec<(String, Json)> = tp_telemetry::Counter::ALL
         .iter()
         .map(|&c| (c.name().to_string(), Json::Num(snap.counter(c) as f64)))
@@ -131,7 +130,7 @@ pub fn telemetry_json(snap: &tp_telemetry::Snapshot) -> trajectory::Json {
 /// wall time, and the full counter/span totals — rendered as one
 /// compact JSON line (schema `tp-telemetry/v1`).
 pub fn telemetry_manifest(flags: &str, cells: usize, snap: &tp_telemetry::Snapshot) -> String {
-    use trajectory::Json;
+    use json::Json;
     let (cpus, git_rev, unix_time) = host_info();
     let threads = tp_sched::global().threads();
     let mut members = vec![
@@ -168,11 +167,10 @@ pub fn install_sink(metrics: bool, tracing: bool) {
     }
 }
 
-/// Post-run telemetry surfacing, shared by `bin/matrix`, `bin/bench`
-/// and `bin/all`: print the `--metrics` summary table to stderr, and
-/// write the drained span trace plus the run manifest to `--trace-out`.
-/// `cells` is the number of proof cells the run covered (manifest
-/// bookkeeping only).
+/// Post-run telemetry surfacing, shared by `bin/matrix` and `bin/all`:
+/// print the `--metrics` summary table to stderr, and write the drained
+/// span trace plus the run manifest to `--trace-out`. `cells` is the
+/// number of proof cells the run covered (manifest bookkeeping only).
 pub fn finish_telemetry(metrics: bool, trace_out: Option<&str>, cells: usize) {
     let Some(snap) = tp_telemetry::snapshot() else {
         return;
@@ -999,7 +997,7 @@ mod tests {
         tp_telemetry::install(tp_telemetry::TelemetrySink::Null);
 
         assert!(!line.contains('\n'), "one line: {line}");
-        let v = trajectory::Json::parse(&line).expect("manifest parses");
+        let v = json::Json::parse(&line).expect("manifest parses");
         assert_eq!(v.get("t").unwrap().as_str(), Some("manifest"));
         assert_eq!(v.get("schema").unwrap().as_str(), Some("tp-telemetry/v1"));
         assert_eq!(v.get("cells").unwrap().as_f64(), Some(4.0));

@@ -1,10 +1,10 @@
 //! Hostile-input wall for the hand-rolled JSON parser in
-//! `tp_bench::trajectory` — the code that reads `BENCH_*.json`
-//! histories and `--trace-out` files, both of which arrive from disk
-//! and must be treated as untrusted. Every case here must fail loudly
-//! (an `Err`, never a panic) or parse to the documented value.
+//! `tp_bench::json` — the code that reads `--trace-out` files, which
+//! arrive from disk and must be treated as untrusted. Every case here
+//! must fail loudly (an `Err`, never a panic) or parse to the
+//! documented value.
 
-use tp_bench::trajectory::{parse_json_lines, Json, RunRecord, Trajectory};
+use tp_bench::json::{parse_json_lines, Json};
 
 #[test]
 fn truncated_documents_error_instead_of_panicking() {
@@ -31,7 +31,7 @@ fn truncated_documents_error_instead_of_panicking() {
 #[test]
 fn duplicate_keys_resolve_to_the_first_and_survive_round_trips() {
     // The parser keeps insertion order and `get` returns the FIRST
-    // match — a malicious trajectory cannot shadow an already-checked
+    // match — a malicious file cannot shadow an already-checked
     // field by appending a second copy.
     let v = Json::parse(r#"{"ns": 1, "ns": 999}"#).unwrap();
     assert_eq!(v.get("ns").unwrap().as_f64(), Some(1.0));
@@ -50,8 +50,7 @@ fn duplicate_keys_resolve_to_the_first_and_survive_round_trips() {
 fn non_finite_and_overflowing_numbers_are_rejected() {
     // JSON has no NaN/Infinity; an overflowing literal like 1e999
     // parses to `inf` at the f64 layer and must not leak through —
-    // a NaN ns_per_step would sail through every `>` comparison in
-    // the trend gate.
+    // a NaN would sail through every `>` comparison a reader makes.
     for bad in [
         "1e999",
         "-1e999",
@@ -117,31 +116,6 @@ fn crlf_and_blank_lines_parse_as_json_lines() {
     // An error names the 1-based physical line, blank lines included.
     let err = parse_json_lines("{\"ok\":1}\r\n\r\n{oops\r\n").unwrap_err();
     assert!(err.starts_with("line 3:"), "{err}");
-}
-
-#[test]
-fn hostile_run_records_error_cleanly() {
-    // Shapes that parse as JSON but cannot be runs: every one must be a
-    // clean Err out of RunRecord/Trajectory, never a panic or a
-    // default-filled record.
-    for bad in [
-        r#"{"smoke": "yes"}"#,
-        r#"{"smoke": true}"#,
-        r#"{"smoke": true, "e11": {"ns_per_step": "fast"}, "exhaustive": {"programs_per_sec": 1}}"#,
-        r#"{"smoke": true, "e11": 7, "exhaustive": {"programs_per_sec": 1}}"#,
-        r#"[1, 2, 3]"#,
-        "null",
-    ] {
-        let v = Json::parse(bad).unwrap();
-        assert!(RunRecord::from_json(v).is_err(), "{bad:?} must be rejected");
-    }
-    for bad in [
-        r#"{"schema": "tp-bench/matrix-v3"}"#,
-        r#"{"schema": "tp-bench/matrix-v2", "runs": 1}"#,
-        r#"{"runs": []}"#,
-    ] {
-        assert!(Trajectory::parse(bad).is_err(), "{bad:?} must be rejected");
-    }
 }
 
 #[test]

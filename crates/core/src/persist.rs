@@ -1,15 +1,15 @@
 //! Atomic file persistence: write-to-temp, fsync, rename.
 //!
 //! Every durable artifact in the stack — the proof cache, checkpoint
-//! journals, `BENCH_matrix.json`, trace captures — goes through
-//! [`write_atomic`] so that a crash at *any* instant leaves either the
-//! previous file intact or the new file complete, never a torn hybrid
-//! that parses as valid-but-wrong or bricks a later run with
-//! `EXIT_MALFORMED`. The recipe is the classic one: write the full
-//! payload to a uniquely-named temporary file *in the same directory*
-//! (so the rename cannot cross filesystems), `fsync` it, then
-//! `rename(2)` over the destination and best-effort `fsync` the
-//! directory to make the rename itself durable.
+//! journals, trace captures — goes through [`write_atomic`] so that a
+//! crash at *any* instant leaves either the previous file intact or
+//! the new file complete, never a torn hybrid that parses as
+//! valid-but-wrong or bricks a later run with `EXIT_MALFORMED`. The
+//! recipe is the classic one: write the full payload to a
+//! uniquely-named temporary file *in the same directory* (so the
+//! rename cannot cross filesystems), `fsync` it, then `rename(2)` over
+//! the destination and best-effort `fsync` the directory to make the
+//! rename itself durable.
 //!
 //! The body of the temp-file write carries the [`WRITE_POINT`] fault
 //! point, so the chaos harness can tear or kill a persist mid-flight

@@ -18,8 +18,8 @@
 //!   interconnect channels, algorithmic crypto timing), with
 //!   channel-capacity analysis after Cock et al. (2014).
 //!
-//! See `examples/quickstart.rs` for a three-minute tour, and DESIGN.md /
-//! EXPERIMENTS.md for the experiment index.
+//! See `examples/quickstart.rs` for a three-minute tour, and
+//! `cargo run --release --bin all` for every experiment report.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
