@@ -1013,6 +1013,7 @@ mod tests {
             "replay",
             "verify",
             "cache-lock",
+            "persist",
         ] {
             assert!(spans.get(kind).unwrap().get("n").is_some(), "{kind}");
         }

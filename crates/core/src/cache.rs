@@ -31,6 +31,14 @@
 //! Any failure rejects the entry and forces a live re-prove — a bad
 //! cache can cost time, never a forged verdict.
 //!
+//! The checksum is re-derived on every hit, over the entry's canonical
+//! bytes as they were rendered when the entry entered the cache
+//! ([`ProofCache::insert`], [`ProofCache::insert_entry`] or
+//! [`ProofCache::load`]). Entries are never changed after insertion, so
+//! those bytes are exactly what [`entry_check`] would render from the
+//! stored cell and report now; [`validate_entry`] is the reference that
+//! renders them afresh.
+//!
 //! What validation *cannot* catch: an adversary who fabricates a fully
 //! self-consistent entry (fingerprints, verdicts, cert and checksum
 //! all recomputed to agree) for inputs that genuinely hash to the
@@ -92,8 +100,8 @@ use crate::engine::{MatrixCell, ProofMode};
 use crate::noninterference::{compare_secret_digests, NiScenario, NiVerdict};
 use crate::proof::ProofReport;
 use crate::wire::{
-    enc_machine, enc_mechanism, enc_time_model, write_cell_body, write_cell_cached, CachedMeta,
-    WireError,
+    enc_machine, enc_mechanism, enc_time_model, write_cached_tail, write_cell_body,
+    write_reindexed_body, WireError,
 };
 use tp_hw::clock::TimeModel;
 use tp_hw::obs::WordFold;
@@ -184,8 +192,18 @@ pub fn entry_check(
     cell: &MatrixCell,
     report: &ProofReport,
 ) -> u64 {
+    check_over_body(key, salt, fps, &canonical_body(cell, report))
+}
+
+/// A cell's canonical bytes: [`write_cell_body`] at index 0.
+fn canonical_body(cell: &MatrixCell, report: &ProofReport) -> String {
     let mut body = String::new();
     write_cell_body(&mut body, 0, cell, report);
+    body
+}
+
+/// [`entry_check`] over already-rendered canonical bytes.
+fn check_over_body(key: u64, salt: u64, fps: &[(u64, usize, u64)], body: &str) -> u64 {
     let mut f = WordFold::new(salt);
     fold_bytes(&mut f, body.as_bytes());
     f.push(key);
@@ -284,10 +302,27 @@ impl core::fmt::Display for CacheStats {
     }
 }
 
+/// A stored entry with its canonical bytes, rendered once when it
+/// entered the cache. Entries are never changed after insertion, so the
+/// body cannot go stale.
+#[derive(Debug)]
+struct Stored {
+    entry: CacheEntry,
+    /// [`canonical_body`] of the entry's cell and report.
+    body: Box<str>,
+}
+
+impl Stored {
+    fn new(entry: CacheEntry) -> Self {
+        let body = canonical_body(&entry.cell, &entry.report).into_boxed_str();
+        Stored { entry, body }
+    }
+}
+
 /// The persistent content-addressed store. See the module docs.
 #[derive(Debug, Default)]
 pub struct ProofCache {
-    entries: BTreeMap<u64, CacheEntry>,
+    entries: BTreeMap<u64, Stored>,
 }
 
 impl ProofCache {
@@ -313,37 +348,33 @@ impl ProofCache {
     /// without fingerprints there is nothing to validate a hit
     /// against. Malformed input is an error, never a partial load.
     pub fn load(text: &str) -> Result<Self, WireError> {
-        let mut entries = BTreeMap::new();
+        let mut cache = ProofCache::new();
         for (_, cell, report, meta) in crate::wire::parse_cells_meta(text)? {
             if let Some(m) = meta {
-                entries.insert(
-                    m.key,
-                    CacheEntry {
-                        key: m.key,
-                        salt: m.salt,
-                        check: m.check,
-                        fps: m.fps,
-                        cell,
-                        report,
-                    },
-                );
+                cache.insert_entry(CacheEntry {
+                    key: m.key,
+                    salt: m.salt,
+                    check: m.check,
+                    fps: m.fps,
+                    cell,
+                    report,
+                });
             }
         }
-        Ok(ProofCache { entries })
+        Ok(cache)
     }
 
     /// Serialise every entry in key order with dense indices, ready to
-    /// ship. Byte-deterministic for a given entry set.
+    /// ship. Byte-deterministic for a given entry set: each group is the
+    /// entry's stored canonical bytes re-indexed, then its `cached` and
+    /// `end` records — what [`crate::wire::write_cell_cached`] renders
+    /// from the entry, without rendering it again.
     pub fn save(&self) -> String {
         let mut out = String::new();
-        for (i, e) in self.entries.values().enumerate() {
-            let meta = CachedMeta {
-                key: e.key,
-                salt: e.salt,
-                check: e.check,
-                fps: e.fps.clone(),
-            };
-            write_cell_cached(&mut out, i, &e.cell, &e.report, &meta);
+        for (i, s) in self.entries.values().enumerate() {
+            let e = &s.entry;
+            write_reindexed_body(&mut out, i, &s.body);
+            write_cached_tail(&mut out, i, e.key, e.salt, e.check, &e.fps);
         }
         out
     }
@@ -357,18 +388,17 @@ impl ProofCache {
         report: ProofReport,
         fps: Vec<(u64, usize, u64)>,
     ) {
-        let check = entry_check(key, CACHE_SALT, &fps, &cell, &report);
-        self.entries.insert(
+        let body = canonical_body(&cell, &report).into_boxed_str();
+        let check = check_over_body(key, CACHE_SALT, &fps, &body);
+        let entry = CacheEntry {
             key,
-            CacheEntry {
-                key,
-                salt: CACHE_SALT,
-                check,
-                fps,
-                cell,
-                report,
-            },
-        );
+            salt: CACHE_SALT,
+            check,
+            fps,
+            cell,
+            report,
+        };
+        self.entries.insert(key, Stored { entry, body });
     }
 
     /// Absorb an already-serialised entry (journal replay, daemon
@@ -377,13 +407,15 @@ impl ProofCache {
     /// gauntlet later judges exactly what was on disk. Last write wins
     /// per key, the same rule as [`ProofCache::load`].
     pub fn insert_entry(&mut self, entry: CacheEntry) {
-        self.entries.insert(entry.key, entry);
+        self.entries.insert(entry.key, Stored::new(entry));
     }
 
     /// Look up and **validate** the entry for `key` against the live
     /// cell and (model × secret) product. Returns the entry only when
     /// every check in the module-level list holds; any failure is a
-    /// [`CacheMiss`] and the caller must prove the cell live.
+    /// [`CacheMiss`] and the caller must prove the cell live. The
+    /// checksum is folded over the entry's stored canonical bytes;
+    /// every other step is [`validate_entry`]'s.
     pub fn lookup(
         &self,
         key: u64,
@@ -391,20 +423,40 @@ impl ProofCache {
         models: &[TimeModel],
         secrets: &[u64],
     ) -> Result<&CacheEntry, CacheMiss> {
-        let e = self.entries.get(&key).ok_or(CacheMiss::Absent)?;
-        validate_entry(e, key, cell, models, secrets)
-            .map_err(CacheMiss::Rejected)
-            .map(|()| e)
+        let s = self.entries.get(&key).ok_or(CacheMiss::Absent)?;
+        let e = &s.entry;
+        gauntlet(e, key, cell, models, secrets, || {
+            check_over_body(e.key, e.salt, &e.fps, &s.body)
+        })
+        .map_err(CacheMiss::Rejected)
+        .map(|()| e)
     }
 }
 
-/// The hit-validation gauntlet (see [`ProofCache::lookup`]).
+/// The hit-validation gauntlet (see [`ProofCache::lookup`]), rendering
+/// the entry's canonical bytes afresh for the checksum — the reference
+/// that `lookup`'s render-once checksum must agree with.
 pub fn validate_entry(
     e: &CacheEntry,
     key: u64,
     cell: &MatrixCell,
     models: &[TimeModel],
     secrets: &[u64],
+) -> Result<(), RejectReason> {
+    gauntlet(e, key, cell, models, secrets, || {
+        entry_check(e.key, e.salt, &e.fps, &e.cell, &e.report)
+    })
+}
+
+/// Every validation step, in order; `check` re-derives the entry's
+/// checksum and runs only once salt, key and cell have matched.
+fn gauntlet(
+    e: &CacheEntry,
+    key: u64,
+    cell: &MatrixCell,
+    models: &[TimeModel],
+    secrets: &[u64],
+    check: impl FnOnce() -> u64,
 ) -> Result<(), RejectReason> {
     if e.salt != CACHE_SALT {
         return Err(RejectReason::SaltMismatch);
@@ -415,7 +467,7 @@ pub fn validate_entry(
     if e.cell != *cell {
         return Err(RejectReason::CellMismatch);
     }
-    if e.check != entry_check(e.key, e.salt, &e.fps, &e.cell, &e.report) {
+    if e.check != check() {
         return Err(RejectReason::ChecksumMismatch);
     }
     if secrets.len() < 2 || e.fps.len() != models.len() * secrets.len() {

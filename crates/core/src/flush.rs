@@ -45,32 +45,44 @@ impl FlushReference {
         FlushReference { core, digest }
     }
 
+    /// Whether the scheduled core's state equals the pristine core: the
+    /// one structural comparison a domain switch needs. Its answer is
+    /// the `pristine` argument of [`FlushReference::digest_of`] and
+    /// [`check_flush_at_switch_ref`] for the same unchanged `sys`.
+    pub fn is_pristine(&self, sys: &System) -> bool {
+        sys.hw.cores[sys.kernel.core.0].microarch_eq(&self.core)
+    }
+
     /// The scheduled core's current microarch digest, reusing the
     /// precomputed canonical value when the state matches the reference
+    /// (`pristine`, from [`FlushReference::is_pristine`] on this `sys`)
     /// — bit-identical to calling [`tp_hw::machine::Core::microarch_digest`]
     /// directly, because equal states hash equally.
-    pub fn digest_of(&self, sys: &System) -> u64 {
-        let core = &sys.hw.cores[sys.kernel.core.0];
-        if core.microarch_eq(&self.core) {
+    pub fn digest_of(&self, sys: &System, pristine: bool) -> u64 {
+        if pristine {
             self.digest
         } else {
-            core.microarch_digest()
+            sys.hw.cores[sys.kernel.core.0].microarch_digest()
         }
     }
 }
 
 /// [`check_flush_at_switch`] against a prebuilt [`FlushReference`]: the
-/// hot-loop variant. On the expected path (flush held) this is one
-/// structural comparison; the digest is only computed to report a
-/// violation.
-pub fn check_flush_at_switch_ref(sys: &System, reference: &FlushReference) -> ObligationResult {
+/// hot-loop variant. `pristine` is [`FlushReference::is_pristine`] on
+/// this `sys`. On the expected path (flush held) the check costs
+/// nothing more; the digest is only computed to report a violation.
+pub fn check_flush_at_switch_ref(
+    sys: &System,
+    reference: &FlushReference,
+    pristine: bool,
+) -> ObligationResult {
     let mut r = ObligationResult::new("F");
     if !sys.kernel.tp.flush_on_switch {
         return r; // not claimed; NI will expose the residue channel
     }
     r.checked_points += 1;
     let core = &sys.hw.cores[sys.kernel.core.0];
-    if core.microarch_eq(&reference.core) {
+    if pristine {
         // Equal state means equal digest and zero residue lines: both
         // violation conditions below are impossible by construction.
         return r;

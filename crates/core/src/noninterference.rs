@@ -273,9 +273,13 @@ pub fn run_monitored_with(
         steps += 1;
         if let StepEvent::Switched { .. } = ev {
             monitor(&mut sys);
-            f.merge(crate::flush::check_flush_at_switch_ref(&sys, &reference));
+            // The checks below take `&System`, so one compare serves both.
+            let pristine = reference.is_pristine(&sys);
+            f.merge(crate::flush::check_flush_at_switch_ref(
+                &sys, &reference, pristine,
+            ));
             p.merge(check_partition(&sys));
-            switch_digest = mix_digest(switch_digest, reference.digest_of(&sys));
+            switch_digest = mix_digest(switch_digest, reference.digest_of(&sys, pristine));
         } else if steps % P_CHECK_INTERVAL == 0 {
             p.merge(check_partition(&sys));
         }

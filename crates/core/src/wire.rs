@@ -484,13 +484,24 @@ pub fn write_cell_cached(
     meta: &CachedMeta,
 ) {
     write_cell_body(out, index, cell, report);
+    write_cached_tail(out, index, meta.key, meta.salt, meta.check, &meta.fps);
+}
+
+/// The `cached` and `end` records that close a cached cell's group.
+/// Shared by [`write_cell_cached`] and the proof cache's `save`, which
+/// writes the body from bytes it rendered earlier.
+pub(crate) fn write_cached_tail(
+    out: &mut String,
+    index: usize,
+    key: u64,
+    salt: u64,
+    check: u64,
+    fps: &[(u64, usize, u64)],
+) {
     writeln!(
         out,
-        "cached i={index} key={} salt={} check={} fps={}",
-        meta.key,
-        meta.salt,
-        meta.check,
-        enc_fingerprints(&meta.fps),
+        "cached i={index} key={key} salt={salt} check={check} fps={}",
+        enc_fingerprints(fps),
     )
     .expect("writing to a String cannot fail");
     writeln!(out, "end i={index}").expect("writing to a String cannot fail");
@@ -577,6 +588,19 @@ pub(crate) fn write_cell_body(
             cert.monitored_digest, cert.replay_digest, cert.switch_digest
         )
         .expect("writing to a String cannot fail");
+    }
+}
+
+/// Append `body` — [`write_cell_body`] output at index 0 — as the body
+/// of cell `index`: the same bytes `write_cell_body` renders at `index`,
+/// since every record starts `<tag> i=<index> `.
+pub(crate) fn write_reindexed_body(out: &mut String, index: usize, body: &str) {
+    for line in body.split_inclusive('\n') {
+        let (tag, rest) = line
+            .split_once(" i=0 ")
+            .expect("every body record starts `<tag> i=0 `");
+        write!(out, "{tag} i={index} ").expect("writing to a String cannot fail");
+        out.push_str(rest);
     }
 }
 

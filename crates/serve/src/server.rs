@@ -18,15 +18,20 @@
 //! (the records the client never saw become `err` records in its
 //! stream, never a wedged daemon).
 //!
-//! The proof cache is one [`Mutex`]: a cached job holds it for the
-//! duration of its sweep, so concurrent cached jobs serialise (the pool
-//! underneath is already saturated by one sweep; interleaving two would
-//! only shuffle latency around). `nocache` jobs skip the lock and run
-//! concurrently. `STATUS`, `CANCEL` and `METRICS` never wait on a
-//! sweep: the first two touch only the job registry, and `METRICS`
-//! reads an atomic copy of the cache's entry count, which each cached
-//! job updates before it releases the lock. The wait for the lock is timed as the
-//! `cache-lock` span, once per cached job.
+//! The proof cache is one [`Mutex`]: a cached job holds it for its
+//! sweep and for taking a snapshot of the cache file's contents, so
+//! concurrent cached jobs prove one at a time (the pool underneath is
+//! already saturated by one sweep; interleaving two would only shuffle
+//! latency around). The job writes that snapshot to disk after it
+//! releases the lock, so the next cached job — typically a warm one,
+//! all hits — sweeps while the write's fsyncs run. `nocache` jobs skip
+//! the lock and run concurrently. `STATUS`, `CANCEL` and `METRICS`
+//! never wait on a sweep: the first two touch only the job registry,
+//! and `METRICS` reads an atomic copy of the cache's entry count, which
+//! each cached job updates before it releases the lock. The wait for
+//! the lock is timed as the `cache-lock` span and the snapshot's write
+//! as the `persist` span, once per cached job (`persist` only for jobs
+//! that write).
 //!
 //! # Cancellation and deadlines
 //!
@@ -46,12 +51,21 @@
 //! All cache persistence goes through [`tp_core::persist`] (atomic
 //! temp-file + fsync + rename) and is skipped when a job changed
 //! nothing — an all-hit warm job does not rewrite an identical file.
-//! With a journal directory configured, every cached job additionally
-//! checkpoints its freshly proved cells to `job-<id>.journal` as they
-//! complete; a daemon killed mid-job absorbs the surviving records at
-//! the next startup (through the full cache validation gauntlet on
-//! first use). `SHUTDOWN` refuses new jobs, drains the in-flight ones,
-//! persists the cache, and only then answers and exits.
+//! Snapshots are numbered in the order they are taken under the cache
+//! lock, and a writer gate writes them one at a time, skipping any
+//! snapshot older than the last one written: the newer file already
+//! holds all its entries. So a cached job's `DONE` still means its
+//! cells are on disk, written by the job itself or by a newer snapshot.
+//! (An all-hit job takes no snapshot and does not wait for another
+//! job's write in flight; the cells it replayed are on disk once that
+//! job's `DONE` is sent.) With a journal directory configured, every
+//! cached job additionally checkpoints its freshly proved cells to
+//! `job-<id>.journal` as they complete, and deletes the journal only
+//! after its snapshot's write succeeded; a daemon killed mid-job
+//! absorbs the surviving records at the next startup (through the full
+//! cache validation gauntlet on first use). `SHUTDOWN` refuses new
+//! jobs, drains the in-flight ones (their writes included), persists
+//! the cache through the same gate, and only then answers and exits.
 //!
 //! # Transport
 //!
@@ -144,13 +158,86 @@ struct JobEntry {
     state: Arc<JobState>,
 }
 
+/// One numbered copy of the cache's file contents.
+struct Snapshot {
+    /// Position in the order snapshots were taken, from 1.
+    seq: u64,
+    text: String,
+}
+
+/// The persisted cache file and its writer gate. Snapshots are taken
+/// under the cache lock and written outside it, one write at a time. A
+/// snapshot older than the last one written is skipped: entries are
+/// only ever added or replaced, so the newer snapshot already holds
+/// every entry of the older one.
+struct CacheFile {
+    path: PathBuf,
+    /// Snapshots taken so far.
+    taken: AtomicU64,
+    /// `seq` of the newest snapshot on disk (0: none yet). Held for the
+    /// whole write, which is what serialises writers.
+    written: Mutex<u64>,
+}
+
+impl CacheFile {
+    fn new(path: PathBuf) -> Self {
+        CacheFile {
+            path,
+            taken: AtomicU64::new(0),
+            written: Mutex::new(0),
+        }
+    }
+
+    /// Render `cache` as the next snapshot. Call it under the cache
+    /// lock, so snapshot order is the order of the cache's contents.
+    fn snapshot(&self, cache: &ProofCache) -> Snapshot {
+        Snapshot {
+            seq: self.taken.fetch_add(1, Ordering::SeqCst) + 1,
+            text: cache.save(),
+        }
+    }
+
+    /// Make `snap`'s entries durable: write it atomically, unless a
+    /// newer snapshot is already on disk. `Ok` means the file holds
+    /// every entry of `snap`, written by this call or by a newer one.
+    fn write(&self, snap: &Snapshot) -> io::Result<()> {
+        let mut written = lock(&self.written);
+        if snap.seq <= *written {
+            return Ok(());
+        }
+        tp_core::persist::write_atomic(&self.path, snap.text.as_bytes())?;
+        *written = snap.seq;
+        Ok(())
+    }
+}
+
+/// Write a cached job's snapshot through the gate (timed as the
+/// `persist` span), then delete the job's journal. A journal stays if
+/// the write failed: until some snapshot holding its entries is on
+/// disk, it is their only durable copy.
+fn persist_job(file: &CacheFile, snap: &Snapshot, job_id: u64, journal: Option<&Path>) {
+    let start = tp_telemetry::span_start();
+    let written = file.write(snap);
+    if let Some(start) = start {
+        tp_telemetry::span(SpanKind::Persist, job_id as usize, None, start);
+    }
+    match written {
+        Ok(()) => {
+            if let Some(p) = journal {
+                let _ = std::fs::remove_file(p);
+            }
+        }
+        Err(e) => eprintln!("tp-serve: cannot write cache {}: {e}", file.path.display()),
+    }
+}
+
 /// State shared by every connection handler.
 struct Shared {
     cache: Mutex<ProofCache>,
     /// `cache.len()` as of the last cached sweep, stored under the
     /// cache lock, so readers that only need the count never take it.
     cache_entries: AtomicUsize,
-    cache_path: Option<PathBuf>,
+    cache_file: Option<CacheFile>,
     journal_dir: Option<PathBuf>,
     jobs: Mutex<Vec<JobEntry>>,
     next_job: AtomicU64,
@@ -263,7 +350,7 @@ impl Server {
             shared: Arc::new(Shared {
                 cache_entries: AtomicUsize::new(cache.len()),
                 cache: Mutex::new(cache),
-                cache_path,
+                cache_file: cache_path.map(CacheFile::new),
                 journal_dir,
                 jobs: Mutex::new(Vec::new()),
                 next_job: AtomicU64::new(1),
@@ -541,23 +628,22 @@ fn dispatch<W: Write>(line: &str, shared: &Arc<Shared>, out: &mut W) -> io::Resu
             // Persist after the drain so the final cache includes every
             // drained job. A wedged sweep still holding the lock must
             // not wedge shutdown too: bounded try-lock, then give up on
-            // persistence (the per-job persists already ran).
-            if let Some(path) = &shared.cache_path {
+            // persistence (the per-job persists already ran). The write
+            // goes through the same gate as the jobs' writes.
+            if let Some(file) = &shared.cache_file {
                 let lock_deadline = Instant::now() + Duration::from_secs(2);
-                loop {
+                let snap = loop {
                     if let Ok(cache) = shared.cache.try_lock() {
-                        if let Err(e) =
-                            tp_core::persist::write_atomic(path, cache.save().as_bytes())
-                        {
-                            eprintln!("tp-serve: cannot write cache {}: {e}", path.display());
-                        }
-                        break;
+                        break Some(file.snapshot(&cache));
                     }
                     if Instant::now() >= lock_deadline {
                         eprintln!("tp-serve: cache busy at shutdown; keeping last persisted state");
-                        break;
+                        break None;
                     }
                     std::thread::sleep(Duration::from_millis(5));
+                };
+                if let Some(Err(e)) = snap.map(|snap| file.write(&snap)) {
+                    eprintln!("tp-serve: cannot write cache {}: {e}", file.path.display());
                 }
             }
             writeln!(out, "OK shutting-down")?;
@@ -861,29 +947,27 @@ fn run_job(
             &make_scenario,
             emit,
         );
-        // Persist atomically, and only when the job actually changed
-        // the entry set — an all-hit warm job skips the no-op rewrite.
-        // (`rejected > 0` means an entry was replaced in place, which
-        // `len()` alone cannot see.)
+        // Snapshot under the lock, and only when the job actually
+        // changed the entry set — an all-hit warm job skips the no-op
+        // rewrite. (`rejected > 0` means an entry was replaced in
+        // place, which `len()` alone cannot see.)
         let changed = cache.len() != before || r.1.rejected > 0;
-        let mut persist_failed = false;
-        if let Some(path) = &shared.cache_path {
-            if changed {
-                if let Err(e) = tp_core::persist::write_atomic(path, cache.save().as_bytes()) {
-                    eprintln!("tp-serve: cannot write cache {}: {e}", path.display());
-                    persist_failed = true;
-                }
-            }
-        }
+        let snap = match &shared.cache_file {
+            Some(file) if changed => Some((file, file.snapshot(&cache))),
+            _ => None,
+        };
         let n = cache.len();
         shared.cache_entries.store(n, Ordering::SeqCst);
         drop(cache);
-        // The job's journal is superseded by the in-memory cache (and
-        // the persisted file, when configured) — delete it, unless the
-        // persist failed and the journal is the only durable copy.
-        if let Some(p) = &jpath {
-            if !persist_failed {
-                let _ = std::fs::remove_file(p);
+        // Write outside the lock, so the next cached job sweeps
+        // meanwhile. Without a cache file the journal is superseded by
+        // the in-memory cache as soon as the sweep ends.
+        match snap {
+            Some((file, snap)) => persist_job(file, &snap, job_id, jpath.as_deref()),
+            None => {
+                if let Some(p) = &jpath {
+                    let _ = std::fs::remove_file(p);
+                }
             }
         }
         (r, n)
@@ -1013,6 +1097,79 @@ mod tests {
             metrics[0].contains("\nMETRIC cache_entries 0\n"),
             "{metrics:?}"
         );
+    }
+
+    /// An empty scratch directory unique to this test.
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("tp_serve_unit_{}_{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        dir
+    }
+
+    fn snap(seq: u64, text: &str) -> Snapshot {
+        Snapshot {
+            seq,
+            text: text.into(),
+        }
+    }
+
+    /// Empty `job-1.journal` and `job-2.journal` files in `dir`.
+    fn journals(dir: &Path) -> [PathBuf; 2] {
+        let js = [dir.join("job-1.journal"), dir.join("job-2.journal")];
+        for j in &js {
+            std::fs::write(j, "").expect("journal file");
+        }
+        js
+    }
+
+    #[test]
+    fn snapshots_are_numbered_in_the_order_they_are_taken() {
+        let file = CacheFile::new(PathBuf::from("unused.cache"));
+        let cache = ProofCache::new();
+        let seqs: Vec<u64> = (0..3).map(|_| file.snapshot(&cache).seq).collect();
+        assert_eq!(seqs, [1, 2, 3]);
+    }
+
+    /// Job 2's write overtakes job 1's: job 1's older snapshot is
+    /// skipped, and its entries count as durable because snapshot 2
+    /// holds them — so job 1's journal goes too.
+    #[test]
+    fn an_older_snapshot_behind_a_newer_write_is_skipped_and_durable() {
+        let dir = scratch_dir("gate_skip");
+        let file = CacheFile::new(dir.join("proofs.cache"));
+        let [j1, j2] = journals(&dir);
+        persist_job(&file, &snap(2, "two\n"), 2, Some(&j2));
+        persist_job(&file, &snap(1, "one\n"), 1, Some(&j1));
+        assert_eq!(std::fs::read_to_string(&file.path).unwrap(), "two\n");
+        assert!(!j1.exists(), "job 1's entries are on disk in snapshot 2");
+        assert!(!j2.exists(), "job 2's entries are on disk");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A failed write does not count as written: the older snapshot
+    /// behind it is still written, and the failed job keeps its journal.
+    #[test]
+    fn a_failed_newer_write_still_lets_the_older_snapshot_through() {
+        let dir = scratch_dir("gate_fail");
+        // Writing into a directory that does not exist yet fails.
+        let later = dir.join("later");
+        let file = CacheFile::new(later.join("proofs.cache"));
+        let [j1, j2] = journals(&dir);
+        persist_job(&file, &snap(2, "two\n"), 2, Some(&j2));
+        assert!(!file.path.exists());
+        assert!(j2.exists(), "job 2's journal is its only durable copy");
+
+        std::fs::create_dir_all(&later).expect("cache dir");
+        persist_job(&file, &snap(1, "one\n"), 1, Some(&j1));
+        assert_eq!(std::fs::read_to_string(&file.path).unwrap(), "one\n");
+        assert!(!j1.exists(), "job 1's entries are on disk");
+        assert!(j2.exists(), "job 2's entries are still not on disk");
+
+        // Snapshot 2 can still be written later, e.g. at shutdown.
+        file.write(&snap(2, "two\n")).expect("write succeeds now");
+        assert_eq!(std::fs::read_to_string(&file.path).unwrap(), "two\n");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

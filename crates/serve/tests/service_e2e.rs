@@ -494,6 +494,61 @@ fn shutdown_drains_the_in_flight_job_persists_and_only_then_answers() {
     std::fs::remove_dir_all(&jdir).ok();
 }
 
+/// Two cold jobs on two connections race through the cache lock and
+/// the writer gate in either order; whichever snapshot lands last, the
+/// file `SHUTDOWN` leaves is the final cache's `save()` and holds both
+/// jobs' entries.
+#[test]
+fn concurrent_cold_jobs_leave_the_final_cache_on_disk() {
+    let _jobs = runs_jobs();
+    let cache_path = scratch_path("two_cold.cache");
+    let jdir = scratch_path("two_cold.journal.d");
+    let (addr, mut first) = start_service_at(
+        ProofCache::new(),
+        Some(cache_path.clone()),
+        Some(jdir.clone()),
+    );
+    let mut second = Client::connect(addr);
+    let matrix = tp_bench::shaped_matrix(Some(1));
+    first.send("SUBMIT models=1 cells=0..1");
+    second.send("SUBMIT models=1 cells=1..2");
+    for (client, cell) in [(&mut first, 0), (&mut second, 1)] {
+        let block = client.read_block();
+        assert_eq!(
+            stripped_records(&block),
+            reference_records(Some(1), &[cell]),
+            "cell {cell}'s stream"
+        );
+        let done = done_line(&block);
+        assert_eq!(field(done, "missed="), 1, "{done}");
+        // DONE means this job's entry is on disk already.
+        let text = std::fs::read_to_string(&cache_path).expect("cache persisted");
+        let on_disk = tp_core::wire::parse_cells_meta(&text).expect("cache parses");
+        assert!(
+            on_disk
+                .iter()
+                .any(|(_, c, _, _)| *c == matrix.cells()[cell]),
+            "cell {cell} on disk after {done}"
+        );
+    }
+    assert_eq!(first.round_trip("SHUTDOWN"), vec!["OK shutting-down"]);
+
+    let mut reference = ProofCache::new();
+    tp_bench::run_matrix_cells(&matrix, &[0, 1], Some(&mut reference), None, |_, _, _| {});
+    let text = std::fs::read_to_string(&cache_path).expect("cache persisted");
+    assert_eq!(text, reference.save(), "the file is the final cache");
+    assert_eq!(ProofCache::load(&text).expect("cache parses").len(), 2);
+    let leftovers: Vec<_> = std::fs::read_dir(&jdir)
+        .expect("journal dir exists")
+        .flatten()
+        .map(|e| e.path())
+        .collect();
+    assert!(leftovers.is_empty(), "journals cleaned up: {leftovers:?}");
+
+    std::fs::remove_file(&cache_path).ok();
+    std::fs::remove_dir_all(&jdir).ok();
+}
+
 #[test]
 fn a_deadline_expiry_yields_err_records_and_an_expired_line_not_a_wedged_daemon() {
     let _counting = counts_telemetry();

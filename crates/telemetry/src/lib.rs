@@ -172,14 +172,18 @@ pub enum SpanKind {
     /// The ordered per-cell merge + verdict derivation on the consumer.
     Verify,
     /// A cached tp-serve job waiting for the proof-cache lock, which
-    /// another cached job holds for its whole sweep. `cell` carries the
-    /// job id.
+    /// another cached job holds for its sweep and its cache snapshot.
+    /// `cell` carries the job id.
     CacheLock,
+    /// A cached tp-serve job writing its cache snapshot to disk, outside
+    /// the cache lock: the wait for an earlier job's write plus its own
+    /// write. `cell` carries the job id.
+    Persist,
 }
 
 impl SpanKind {
     /// Number of distinct span kinds.
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 7;
 
     /// Every span kind, in array-index order.
     pub const ALL: [SpanKind; Self::COUNT] = [
@@ -189,6 +193,7 @@ impl SpanKind {
         SpanKind::Replay,
         SpanKind::Verify,
         SpanKind::CacheLock,
+        SpanKind::Persist,
     ];
 
     /// The stable wire name of this span kind (`"kind"` in trace lines).
@@ -200,6 +205,7 @@ impl SpanKind {
             SpanKind::Replay => "replay",
             SpanKind::Verify => "verify",
             SpanKind::CacheLock => "cache-lock",
+            SpanKind::Persist => "persist",
         }
     }
 }
@@ -659,7 +665,8 @@ mod tests {
                 "lockstep",
                 "replay",
                 "verify",
-                "cache-lock"
+                "cache-lock",
+                "persist"
             ],
             "span names are the wire schema"
         );
