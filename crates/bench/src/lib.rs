@@ -1014,6 +1014,7 @@ mod tests {
             "verify",
             "cache-lock",
             "persist",
+            "job",
         ] {
             assert!(spans.get(kind).unwrap().get("n").is_some(), "{kind}");
         }

@@ -95,6 +95,7 @@
 //! [`TransparencyCert`]: crate::noninterference::TransparencyCert
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::engine::{MatrixCell, ProofMode};
 use crate::noninterference::{compare_secret_digests, NiScenario, NiVerdict};
@@ -304,19 +305,32 @@ impl core::fmt::Display for CacheStats {
 
 /// A stored entry with its canonical bytes, rendered once when it
 /// entered the cache. Entries are never changed after insertion, so the
-/// body cannot go stale.
+/// body cannot go stale. The body is shared, so a sweep can hand a
+/// hit's bytes on without copying them.
 #[derive(Debug)]
 struct Stored {
     entry: CacheEntry,
     /// [`canonical_body`] of the entry's cell and report.
-    body: Box<str>,
+    body: Arc<str>,
 }
 
 impl Stored {
     fn new(entry: CacheEntry) -> Self {
-        let body = canonical_body(&entry.cell, &entry.report).into_boxed_str();
+        let body = canonical_body(&entry.cell, &entry.report).into();
         Stored { entry, body }
     }
+}
+
+/// A validated cache hit ([`ProofCache::lookup_hit`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Hit<'a> {
+    /// The entry, every validation step passed.
+    pub entry: &'a CacheEntry,
+    /// Its canonical bytes — [`crate::wire::write_cell`]'s body at
+    /// index 0, rendered when the entry entered the cache — which
+    /// [`crate::wire::write_stored_cell`] re-indexes into the cell's
+    /// record group.
+    pub body: &'a Arc<str>,
 }
 
 /// The persistent content-addressed store. See the module docs.
@@ -373,7 +387,7 @@ impl ProofCache {
         let mut out = String::new();
         for (i, s) in self.entries.values().enumerate() {
             let e = &s.entry;
-            write_reindexed_body(&mut out, i, &s.body);
+            write_reindexed_body(&mut out, "", i, &s.body);
             write_cached_tail(&mut out, i, e.key, e.salt, e.check, &e.fps);
         }
         out
@@ -388,7 +402,7 @@ impl ProofCache {
         report: ProofReport,
         fps: Vec<(u64, usize, u64)>,
     ) {
-        let body = canonical_body(&cell, &report).into_boxed_str();
+        let body: Arc<str> = canonical_body(&cell, &report).into();
         let check = check_over_body(key, CACHE_SALT, &fps, &body);
         let entry = CacheEntry {
             key,
@@ -423,13 +437,29 @@ impl ProofCache {
         models: &[TimeModel],
         secrets: &[u64],
     ) -> Result<&CacheEntry, CacheMiss> {
+        self.lookup_hit(key, cell, models, secrets)
+            .map(|hit| hit.entry)
+    }
+
+    /// [`ProofCache::lookup`], handing back the entry's stored canonical
+    /// bytes with it: the same gauntlet, the same verdicts.
+    pub fn lookup_hit(
+        &self,
+        key: u64,
+        cell: &MatrixCell,
+        models: &[TimeModel],
+        secrets: &[u64],
+    ) -> Result<Hit<'_>, CacheMiss> {
         let s = self.entries.get(&key).ok_or(CacheMiss::Absent)?;
         let e = &s.entry;
         gauntlet(e, key, cell, models, secrets, || {
             check_over_body(e.key, e.salt, &e.fps, &s.body)
         })
         .map_err(CacheMiss::Rejected)
-        .map(|()| e)
+        .map(|()| Hit {
+            entry: e,
+            body: &s.body,
+        })
     }
 }
 

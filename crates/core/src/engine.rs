@@ -11,7 +11,9 @@
 //! pool while keeping results **bit-identical** to the sequential
 //! checkers:
 //!
-//! * [`ScenarioMatrix::sweep`] — the one sweep driver. It builds the
+//! * [`ScenarioMatrix::sweep`] (and [`ScenarioMatrix::sweep_keyed`],
+//!   for callers that already hold content keys) — the one sweep
+//!   driver. It builds the
 //!   cross product of machine configurations, mechanism ablations and
 //!   time models, flattens the selected cells into **one**
 //!   (cell × model × secret) task list, and hands each cell's outcome
@@ -23,7 +25,8 @@
 //!   follows the exact lexicographic order the sequential `prove`
 //!   accumulates in, re-running only fingerprint-diverging pairs with
 //!   recording sinks for their witnesses. An optional [`ProofCache`]
-//!   answers validated hits without running anything, an optional
+//!   answers validated hits without running anything (handing the
+//!   caller each hit's stored wire bytes), an optional
 //!   [`OnProved`] hook checkpoints every freshly proved cell, and a
 //!   panic anywhere in a cell's proof becomes that cell's `Err` outcome.
 //!   `matrix`, `all`, `bench` and `tp-serve` jobs all run through it;
@@ -50,9 +53,11 @@ use crate::exhaustive::{
     recorded_leak, space_size, word_for_index_into, ExhaustiveConfig, ExhaustiveMode,
     ExhaustiveRunner, ExhaustiveVerdict,
 };
+use crate::flush::FlushReference;
 use crate::noninterference::{
     compare_secret_digests, compare_secret_runs, first_divergence, lo_digest_len, lo_trace,
-    lockstep_divergence, run_monitored, MonitoredRun, NiScenario, NiVerdict, TransparencyCert,
+    lockstep_divergence, run_monitored_against, MonitoredRun, NiScenario, NiVerdict,
+    TransparencyCert,
 };
 use crate::obligation::ObligationResult;
 use crate::proof::{ModelVerdict, ProofReport};
@@ -60,8 +65,8 @@ use crate::wire::CachedMeta;
 use tp_hw::aisa::{check_conformance, ConformanceReport};
 use tp_hw::cache::CacheConfig;
 use tp_hw::clock::TimeModel;
-use tp_hw::machine::MachineConfig;
-use tp_hw::types::Cycles;
+use tp_hw::machine::{Core, MachineConfig};
+use tp_hw::types::{CoreId, Cycles};
 use tp_kernel::config::{KernelConfig, Mechanism, TimeProtConfig};
 use tp_kernel::domain::{DomainId, ObsEvent};
 use tp_kernel::kernel::System;
@@ -132,14 +137,15 @@ struct ProofTask {
 }
 
 impl ProofTask {
-    /// The monitored run for this shard, trace-free or recording.
-    fn monitored(&self, digest_first: bool) -> MonitoredRun {
+    /// The monitored run for this shard, trace-free or recording,
+    /// checked against the cell's shared flush reference.
+    fn monitored(&self, digest_first: bool, flush: &FlushReference) -> MonitoredRun {
         let mut sys = System::from_parts(&self.mcfg, &self.kcfg)
             .expect("scenario construction must succeed for every secret");
         if digest_first {
             sys.use_digest_sinks();
         }
-        run_monitored(sys, self.lo, self.budget, self.max_steps)
+        run_monitored_against(sys, flush, self.lo, self.budget, self.max_steps)
     }
 
     /// A fresh recording system for this shard's configuration.
@@ -189,8 +195,9 @@ impl ProofTask {
 #[derive(Clone)]
 enum EngineTask {
     /// Monitored run for one (model, secret) pair (both runs in
-    /// [`ProofMode::ReplayCheck`]).
-    Run(ProofTask),
+    /// [`ProofMode::ReplayCheck`]), with the flush reference every run
+    /// of its cell shares.
+    Run(ProofTask, Arc<FlushReference>),
     /// The plain replay of the first (model, secret) pair whose digest
     /// grounds the [`TransparencyCert`] (certified mode only).
     CertReplay(ProofTask),
@@ -200,7 +207,7 @@ impl EngineTask {
     /// The matrix cell this task proves (telemetry attribution).
     fn cell(&self) -> usize {
         match self {
-            EngineTask::Run(t) | EngineTask::CertReplay(t) => t.cell,
+            EngineTask::Run(t, _) | EngineTask::CertReplay(t) => t.cell,
         }
     }
 }
@@ -252,13 +259,16 @@ struct PlannedProof {
 /// consumes them in. In certified modes the certification replay leads
 /// so it overlaps the monitored runs on the pool. Kernel configurations
 /// are built once per secret and `Arc`-shared across models; machines
-/// once per model, shared across secrets. `cell` is the matrix cell
-/// index the shards report telemetry under.
+/// once per model, shared across secrets; the flush reference comes
+/// from `flush_refs`, shared by every monitored run of the submission
+/// whose core is the same (see [`flush_reference`]). `cell` is the
+/// matrix cell index the shards report telemetry under.
 fn plan_proof(
     scenario: &NiScenario,
     models: &[TimeModel],
     mode: ProofMode,
     cell: usize,
+    flush_refs: &mut Vec<Arc<FlushReference>>,
     tasks: &mut Vec<EngineTask>,
 ) -> PlannedProof {
     assert!(!models.is_empty(), "need at least one time model");
@@ -287,17 +297,41 @@ fn plan_proof(
             });
         }
     }
+    let flush = flush_reference(flush_refs, &scenario.mcfg);
     let before = tasks.len();
     if mode != ProofMode::ReplayCheck {
         tasks.push(EngineTask::CertReplay(runs[0].clone()));
     }
-    tasks.extend(runs.iter().cloned().map(EngineTask::Run));
+    tasks.extend(
+        runs.iter()
+            .map(|t| EngineTask::Run(t.clone(), Arc::clone(&flush))),
+    );
     PlannedProof {
         aisa: check_conformance(&scenario.mcfg),
         secrets: scenario.secrets.clone(),
         runs,
         tasks: tasks.len() - before,
     }
+}
+
+/// The flush reference for the scheduled core of systems built on
+/// `mcfg`, reusing an equal one from `known` (and adding a new one
+/// there). A reference depends only on the core's geometry, not on the
+/// time model, the LLC or the kernel, so a submission holds one per
+/// distinct core rather than one per cell or per run.
+fn flush_reference(
+    known: &mut Vec<Arc<FlushReference>>,
+    mcfg: &MachineConfig,
+) -> Arc<FlushReference> {
+    // Every system built from parts schedules core 0;
+    // `run_monitored_against` checks that on each run.
+    let core = Core::new(CoreId(0), mcfg);
+    if let Some(r) = known.iter().find(|r| r.core.microarch_eq(&core)) {
+        return Arc::clone(r);
+    }
+    let r = Arc::new(FlushReference::from_core(core));
+    known.push(Arc::clone(&r));
+    r
 }
 
 /// Submit engine tasks to `pool` — the one place proof tasks reach a
@@ -339,9 +373,9 @@ fn run_engine_task(task: EngineTask, mode: ProofMode) -> TaskOutput {
             }
             TaskOutput::Cert(digest)
         }
-        EngineTask::Run(t) => {
+        EngineTask::Run(t, flush) => {
             let span = tp_telemetry::span_start();
-            let run = t.monitored(mode.digest_first());
+            let run = t.monitored(mode.digest_first(), &flush);
             if let Some(start) = span {
                 tp_telemetry::span(SpanKind::Prove, t.cell, worker, start);
             }
@@ -561,7 +595,7 @@ pub fn prove_parallel_on(
     mode: ProofMode,
 ) -> ProofReport {
     let mut tasks = Vec::new();
-    let proof = plan_proof(scenario, models, mode, 0, &mut tasks);
+    let proof = plan_proof(scenario, models, mode, 0, &mut Vec::new(), &mut tasks);
     let mut stream = submit(pool, tasks, mode);
     match proof.collect(models, mode, &mut stream) {
         Ok((report, _)) => report,
@@ -920,7 +954,45 @@ impl ScenarioMatrix {
     /// submission on `pool`, and hand each cell's outcome to `on_cell`
     /// in `indices` order as soon as the cell's task outputs have
     /// arrived. Returns every `(global index, cell, outcome)` plus the
-    /// cache statistics.
+    /// cache statistics. [`ScenarioMatrix::sweep_keyed`] with no known
+    /// keys; see it for the parameters.
+    pub fn sweep<F, C>(
+        &self,
+        pool: &WorkerPool,
+        indices: &[usize],
+        cache: Option<&mut ProofCache>,
+        on_proved: Option<OnProved<'_>>,
+        make_scenario: F,
+        mut on_cell: C,
+    ) -> (CellOutcomes, CacheStats)
+    where
+        F: Fn(&MatrixCell) -> NiScenario,
+        C: FnMut(usize, &MatrixCell, &Result<ProofReport, String>),
+    {
+        self.sweep_keyed(
+            pool,
+            indices,
+            &[],
+            cache,
+            on_proved,
+            make_scenario,
+            |ci, cell, outcome, _| on_cell(ci, cell, outcome),
+        )
+    }
+
+    /// The content key ([`crate::cache::cell_key`]) a sweep of this
+    /// matrix derives for `cell` when `make_scenario` builds its base
+    /// scenario, or `None` when the cell is uncacheable.
+    pub fn cell_key<F>(&self, cell: &MatrixCell, make_scenario: F) -> Option<u64>
+    where
+        F: Fn(&MatrixCell) -> NiScenario,
+    {
+        let scenario = apply_cell(make_scenario(cell), cell);
+        cell_key(cell, &self.models, &scenario, self.mode)
+    }
+
+    /// The sweep driver behind [`ScenarioMatrix::sweep`], for callers
+    /// that already hold some cells' content keys.
     ///
     /// `make_scenario` builds the base scenario; the engine then
     /// overrides the scenario's machine with `cell.mcfg` **and** the
@@ -928,19 +1000,29 @@ impl ScenarioMatrix {
     /// of the sweep always apply — a callback that ignores the cell
     /// cannot hollow out the ablations.
     ///
-    /// * `cache`: each cell's content key ([`crate::cache::cell_key`])
-    ///   is looked up first, and a **validated** hit replays the stored
-    ///   report without running anything; freshly proved cacheable cells
-    ///   are inserted back. A hit's report equals the live one whenever
-    ///   the key matches, and a hit that fails validation degrades to a
-    ///   live re-prove — a bad cache can cost time, never change output.
-    ///   `None` proves every cell live and counts no cache telemetry.
+    /// * `keys`: empty, or one slot per entry of `indices`. `Some(k)`
+    ///   must be exactly what [`ScenarioMatrix::cell_key`] returns for
+    ///   that cell under this `make_scenario` — a caller that memoises
+    ///   keys may only do so for inputs fixed for the memo's lifetime.
+    ///   `None` (and every cell when `keys` is empty) derives the key
+    ///   here, as an uncacheable cell always does.
+    /// * `cache`: each cell's content key is looked up first, and a
+    ///   **validated** hit replays the stored report without running
+    ///   anything; freshly proved cacheable cells are inserted back. A
+    ///   hit's report equals the live one whenever the key matches, and
+    ///   a hit that fails validation degrades to a live re-prove — a bad
+    ///   cache can cost time, never change output. `None` proves every
+    ///   cell live and counts no cache telemetry.
     /// * `on_proved`: fires once per **freshly proved cacheable** cell
     ///   (with or without a cache), right before the cache insert, with
     ///   the exact [`CachedMeta`] a [`crate::journal::JournalWriter`]
     ///   appends. Hits, uncacheable
     ///   and failed cells never reach it, so a resumed run journals only
     ///   what it re-proved.
+    /// * `on_cell`: also told where the outcome came from
+    ///   ([`CellSource`]): a hit brings the entry's stored canonical
+    ///   bytes, so a caller can splice them instead of rendering the
+    ///   report again.
     ///
     /// A cell whose tasks or merge panic yields `Err(panic message)` in
     /// its slot instead of unwinding into the caller; the remaining
@@ -953,10 +1035,12 @@ impl ScenarioMatrix {
     /// identical to a single-process run. Out-of-range indices panic —
     /// shards derive from the same matrix constructor on every host, so
     /// a mismatch is a driver bug.
-    pub fn sweep<F, C>(
+    #[allow(clippy::too_many_arguments)]
+    pub fn sweep_keyed<F, C>(
         &self,
         pool: &WorkerPool,
         indices: &[usize],
+        keys: &[Option<u64>],
         mut cache: Option<&mut ProofCache>,
         mut on_proved: Option<OnProved<'_>>,
         make_scenario: F,
@@ -964,30 +1048,40 @@ impl ScenarioMatrix {
     ) -> (CellOutcomes, CacheStats)
     where
         F: Fn(&MatrixCell) -> NiScenario,
-        C: FnMut(usize, &MatrixCell, &Result<ProofReport, String>),
+        C: FnMut(usize, &MatrixCell, &Result<ProofReport, String>, CellSource<'_>),
     {
         enum Plan {
-            Hit(Box<ProofReport>),
+            Hit(Box<ProofReport>, Arc<str>),
             Miss(Option<u64>, PlannedProof),
         }
+        assert!(
+            keys.is_empty() || keys.len() == indices.len(),
+            "one known-key slot per swept cell"
+        );
         let all = self.cells();
         let mode = self.mode;
         let mut stats = CacheStats::default();
         let mut tasks = Vec::new();
+        let mut flush_refs = Vec::new();
         let mut plans = Vec::with_capacity(indices.len());
-        for &ci in indices {
+        for (pos, &ci) in indices.iter().enumerate() {
             let cell = &all[ci];
             let scenario = apply_cell(make_scenario(cell), cell);
-            // Keys are derived only when a cache or a checkpoint uses them.
+            // Keys are derived only when a cache or a checkpoint uses
+            // them, and only when the caller does not already hold one.
             let key = (cache.is_some() || on_proved.is_some())
-                .then(|| cell_key(cell, &self.models, &scenario, mode))
+                .then(|| match keys.get(pos).copied().flatten() {
+                    Some(k) => Some(k),
+                    None => cell_key(cell, &self.models, &scenario, mode),
+                })
                 .flatten();
             if let Some(c) = cache.as_deref_mut() {
-                match key.map(|k| c.lookup(k, cell, &self.models, &scenario.secrets)) {
-                    Some(Ok(entry)) => {
+                match key.map(|k| c.lookup_hit(k, cell, &self.models, &scenario.secrets)) {
+                    Some(Ok(hit)) => {
                         stats.hits += 1;
                         tp_telemetry::count(Counter::CacheHits);
-                        plans.push((ci, Plan::Hit(Box::new(entry.report.clone()))));
+                        let report = Box::new(hit.entry.report.clone());
+                        plans.push((ci, Plan::Hit(report, Arc::clone(hit.body))));
                         continue;
                     }
                     Some(Err(CacheMiss::Absent)) => {
@@ -1004,16 +1098,29 @@ impl ScenarioMatrix {
                     }
                 }
             }
-            let proof = plan_proof(&scenario, &self.models, mode, ci, &mut tasks);
+            let proof = plan_proof(
+                &scenario,
+                &self.models,
+                mode,
+                ci,
+                &mut flush_refs,
+                &mut tasks,
+            );
             plans.push((ci, Plan::Miss(key, proof)));
         }
 
         let mut stream = submit(pool, tasks, mode);
         let mut out = Vec::with_capacity(plans.len());
-        for (ci, plan) in plans {
+        let mut plans = plans.into_iter().peekable();
+        while let Some((ci, plan)) = plans.next() {
             let cell = &all[ci];
+            let next_is_hit = matches!(plans.peek(), Some((_, Plan::Hit(..))));
+            let mut body = None;
             let result = match plan {
-                Plan::Hit(report) => Ok(*report),
+                Plan::Hit(report, stored) => {
+                    body = Some(stored);
+                    Ok(*report)
+                }
                 Plan::Miss(key, proof) => {
                     proof
                         .collect(&self.models, mode, &mut stream)
@@ -1036,7 +1143,11 @@ impl ScenarioMatrix {
                         })
                 }
             };
-            on_cell(ci, cell, &result);
+            let source = match &body {
+                Some(body) => CellSource::Hit { body, next_is_hit },
+                None => CellSource::Live,
+            };
+            on_cell(ci, cell, &result, source);
             out.push((ci, cell.clone(), result));
         }
         (out, stats)
@@ -1114,6 +1225,23 @@ fn apply_cell(mut scenario: NiScenario, cell: &MatrixCell) -> NiScenario {
         kcfg
     });
     scenario
+}
+
+/// Where a cell's outcome, as [`ScenarioMatrix::sweep_keyed`] hands it
+/// to `on_cell`, came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CellSource<'a> {
+    /// Proved (or failed) live in this sweep.
+    Live,
+    /// A validated cache hit.
+    Hit {
+        /// The entry's stored canonical bytes ([`crate::cache::Hit::body`]).
+        body: &'a str,
+        /// Whether the next cell `on_cell` sees is a hit too, so it
+        /// follows with no proof to wait for: a caller can gather a
+        /// run of hits and send it when this is `false`.
+        next_is_hit: bool,
+    },
 }
 
 /// The per-cell results of a [`ScenarioMatrix::sweep`]: each selected
@@ -1229,6 +1357,34 @@ mod tests {
         let labels: Vec<String> = m.cells().iter().map(|c| c.label()).collect();
         assert!(labels.contains(&"llc-512x2 / -Padding".to_string()));
         assert!(labels.contains(&"base / full".to_string()));
+    }
+
+    /// One reference per distinct core: machines that differ only in
+    /// time model, LLC or core count share it; another L1 does not.
+    #[test]
+    fn a_submission_builds_one_flush_reference_per_distinct_core() {
+        let m = ScenarioMatrix::new("base", MachineConfig::single_core())
+            .sweep_llc(&[(256, 1), (512, 2)])
+            .sweep_cores(&[2]);
+        let mut known = Vec::new();
+        let refs: Vec<Arc<FlushReference>> = m
+            .cells()
+            .iter()
+            .map(|c| {
+                let mut mcfg = c.mcfg.clone();
+                mcfg.time_model = crate::proof::default_time_models()[1];
+                flush_reference(&mut known, &mcfg)
+            })
+            .collect();
+        assert_eq!(known.len(), 1);
+        assert!(refs.iter().all(|r| Arc::ptr_eq(r, &known[0])));
+
+        let mut other = MachineConfig::single_core();
+        other.l1d.ways *= 2;
+        let r = flush_reference(&mut known, &other);
+        assert_eq!(known.len(), 2);
+        assert!(!Arc::ptr_eq(&r, &known[0]));
+        assert_eq!(r.digest, Core::new(CoreId(0), &other).microarch_digest());
     }
 
     #[test]

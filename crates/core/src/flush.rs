@@ -13,7 +13,7 @@
 //!    history-independent state".
 
 use crate::obligation::{ObligationResult, ViolationKind};
-use tp_hw::machine::Machine;
+use tp_hw::machine::{Core, Machine, MachineConfig};
 use tp_hw::types::CoreId;
 use tp_kernel::kernel::System;
 
@@ -29,9 +29,13 @@ pub fn canonical_core_digest(sys: &System) -> u64 {
 /// full state hash. The digest is the hash of exactly that state, so
 /// `state == reference.core` implies the core's digest *is*
 /// `reference.digest` — no hashing needed on the match path.
+///
+/// A reference depends only on the core's geometry (caches, TLB,
+/// predictors), not on the time model or on anything the kernel runs,
+/// so runs on equal cores can share one.
 pub struct FlushReference {
     /// A pristine core of the monitored machine's configuration.
-    pub core: tp_hw::machine::Core,
+    pub core: Core,
     /// Its microarchitectural digest ([`canonical_core_digest`]).
     pub digest: u64,
 }
@@ -39,8 +43,12 @@ pub struct FlushReference {
 impl FlushReference {
     /// Build the reference for `sys`'s scheduled core.
     pub fn of(sys: &System) -> Self {
-        let fresh = Machine::new(sys.hw.config().clone());
-        let core = fresh.cores[sys.kernel.core.0].clone();
+        Self::from_core(Core::new(sys.kernel.core, sys.hw.config()))
+    }
+
+    /// The reference whose pristine state is `core` — a fresh
+    /// [`Core::new`].
+    pub fn from_core(core: Core) -> Self {
         let digest = core.microarch_digest();
         FlushReference { core, digest }
     }
@@ -152,7 +160,7 @@ pub fn check_flush_at_switch(sys: &System, canonical: u64) -> ObligationResult {
 /// fresh machines through `history_a`/`history_b` (arbitrary physical
 /// access sequences), flush both, and compare digests.
 pub fn flush_is_history_independent(
-    cfg: &tp_hw::machine::MachineConfig,
+    cfg: &MachineConfig,
     history_a: &[(u64, bool)],
     history_b: &[(u64, bool)],
 ) -> bool {
@@ -171,7 +179,6 @@ pub fn flush_is_history_independent(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tp_hw::machine::MachineConfig;
     use tp_kernel::config::{DomainSpec, KernelConfig, TimeProtConfig};
     use tp_kernel::kernel::StepEvent;
     use tp_kernel::layout::data_addr;
@@ -229,6 +236,35 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.kind == ViolationKind::FlushResidue));
+    }
+
+    /// One reference serves every run of a cell: the time model does
+    /// not change the pristine core, and neither does building it
+    /// without the rest of the machine.
+    #[test]
+    fn references_from_every_time_models_machine_are_equal() {
+        let sys = dirty_system(TimeProtConfig::full());
+        let of_sys = FlushReference::of(&sys);
+        for base in [MachineConfig::single_core(), MachineConfig::dual_core()] {
+            let fresh = Machine::new(base.clone());
+            let refs: Vec<FlushReference> = crate::proof::default_time_models()
+                .into_iter()
+                .map(|model| {
+                    let mut mcfg = base.clone();
+                    mcfg.time_model = model;
+                    FlushReference::from_core(Core::new(CoreId(0), &mcfg))
+                })
+                .collect();
+            for r in &refs {
+                assert!(r.core.microarch_eq(&fresh.cores[0]));
+                assert_eq!(r.digest, fresh.cores[0].microarch_digest());
+                assert!(r.core.microarch_eq(&refs[0].core));
+                assert_eq!(r.digest, refs[0].digest);
+            }
+        }
+        let single = FlushReference::from_core(Core::new(CoreId(0), &MachineConfig::single_core()));
+        assert!(of_sys.core.microarch_eq(&single.core));
+        assert_eq!(of_sys.digest, single.digest);
     }
 
     #[test]

@@ -104,7 +104,7 @@ pub mod wire;
 pub use cache::{CacheMiss, CacheStats, ProofCache, RejectReason};
 pub use engine::{
     available_threads, check_exhaustive_parallel, prove_parallel, proved_cells, CellOutcomes,
-    MatrixCell, MatrixReport, ProofMode, ProvedCell, ScenarioMatrix,
+    CellSource, MatrixCell, MatrixReport, ProofMode, ProvedCell, ScenarioMatrix,
 };
 pub use exhaustive::{
     check_exhaustive, check_exhaustive_mode, ExhaustiveConfig, ExhaustiveMode, ExhaustiveVerdict,

@@ -249,7 +249,40 @@ pub fn run_monitored(sys: System, lo: DomainId, budget: Cycles, max_steps: usize
 /// *perturbing* monitors, proving the transparency certification would
 /// reject a monitor that touches what Lo can observe.
 pub fn run_monitored_with(
+    sys: System,
+    lo: DomainId,
+    budget: Cycles,
+    max_steps: usize,
+    monitor: impl FnMut(&mut System),
+) -> MonitoredRun {
+    let reference = FlushReference::of(&sys);
+    monitored_loop(sys, &reference, lo, budget, max_steps, monitor)
+}
+
+/// [`run_monitored`] against a prebuilt [`FlushReference`] for `sys`'s
+/// scheduled core — what the engine runs, sharing one reference across
+/// every run of a submission on the same core. `reference` must come from
+/// a machine with `sys`'s core geometry; one from any other geometry
+/// never matches, so the F check fails closed.
+pub fn run_monitored_against(
+    sys: System,
+    reference: &FlushReference,
+    lo: DomainId,
+    budget: Cycles,
+    max_steps: usize,
+) -> MonitoredRun {
+    assert_eq!(
+        reference.core.id, sys.kernel.core,
+        "flush reference built for another core"
+    );
+    monitored_loop(sys, reference, lo, budget, max_steps, |_| {})
+}
+
+/// The monitored step loop behind [`run_monitored_with`] and
+/// [`run_monitored_against`].
+fn monitored_loop(
     mut sys: System,
+    reference: &FlushReference,
     lo: DomainId,
     budget: Cycles,
     max_steps: usize,
@@ -261,7 +294,6 @@ pub fn run_monitored_with(
     // a flushed core *equals* the pristine core, whose digest is
     // precomputed — hashing the full core state per switch is the cold
     // path, taken only when a flush left residue.
-    let reference = FlushReference::of(&sys);
     let mut p = ObligationResult::new("P");
     let mut f = ObligationResult::new("F");
     let mut steps = 0;
@@ -276,7 +308,7 @@ pub fn run_monitored_with(
             // The checks below take `&System`, so one compare serves both.
             let pristine = reference.is_pristine(&sys);
             f.merge(crate::flush::check_flush_at_switch_ref(
-                &sys, &reference, pristine,
+                &sys, reference, pristine,
             ));
             p.merge(check_partition(&sys));
             switch_digest = mix_digest(switch_digest, reference.digest_of(&sys, pristine));

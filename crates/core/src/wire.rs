@@ -592,16 +592,33 @@ pub(crate) fn write_cell_body(
 }
 
 /// Append `body` — [`write_cell_body`] output at index 0 — as the body
-/// of cell `index`: the same bytes `write_cell_body` renders at `index`,
-/// since every record starts `<tag> i=<index> `.
-pub(crate) fn write_reindexed_body(out: &mut String, index: usize, body: &str) {
+/// of cell `index`, each line led by `prefix`: with an empty prefix, the
+/// same bytes `write_cell_body` renders at `index`, since every record
+/// starts `<tag> i=<index> `.
+pub(crate) fn write_reindexed_body(out: &mut String, prefix: &str, index: usize, body: &str) {
+    // Formatted once, then copied: a hit's splice stays a few copies per
+    // line. Tags hold no space, so the first one opens ` i=0 `.
+    let at = format!(" i={index} ");
     for line in body.split_inclusive('\n') {
         let (tag, rest) = line
-            .split_once(" i=0 ")
+            .find(' ')
+            .and_then(|sp| Some((&line[..sp], line[sp..].strip_prefix(" i=0 ")?)))
             .expect("every body record starts `<tag> i=0 `");
-        write!(out, "{tag} i={index} ").expect("writing to a String cannot fail");
+        out.push_str(prefix);
+        out.push_str(tag);
+        out.push_str(&at);
         out.push_str(rest);
     }
+}
+
+/// A cached cell's record group, spliced from its stored canonical
+/// bytes ([`crate::cache::Hit::body`]) instead of rendered from the
+/// report: with an empty `prefix`, byte-identical to [`write_cell`] of
+/// the entry's cell and report at `index`. Every line is led by
+/// `prefix` (tp-serve passes `"REC "`).
+pub fn write_stored_cell(out: &mut String, prefix: &str, index: usize, body: &str) {
+    write_reindexed_body(out, prefix, index, body);
+    writeln!(out, "{prefix}end i={index}").expect("writing to a String cannot fail");
 }
 
 /// Encode the per-(model, secret) fingerprint list:

@@ -5,15 +5,20 @@
 //! `save()` must equal `write_cell_cached` per entry in key order with
 //! dense indices, however the entries arrived (`insert`, `insert_entry`
 //! or `load`), and `lookup` must reject exactly what `validate_entry`
-//! rejects, with the same reason, on a corpus of tampered entries.
+//! rejects, with the same reason, on a corpus of tampered entries. A
+//! hit's record group spliced from the stored bytes (what a sweep hands
+//! `on_cell`, and what tp-serve sends) must equal `write_cell` of the
+//! entry's cell and report.
 
 use std::sync::OnceLock;
 
 use tp_core::cache::{cell_key, validate_entry, CacheEntry, CacheMiss, ProofCache, RejectReason};
-use tp_core::engine::{MatrixCell, ProofMode, ScenarioMatrix};
+use tp_core::engine::{CellSource, MatrixCell, ProofMode, ScenarioMatrix};
 use tp_core::noninterference::{NiScenario, NiVerdict};
 use tp_core::proof::default_time_models;
-use tp_core::wire::{parse_cells_meta, write_cell_cached, CachedMeta};
+use tp_core::wire::{
+    parse_cells_meta, write_cell, write_cell_cached, write_stored_cell, CachedMeta,
+};
 use tp_hw::machine::MachineConfig;
 use tp_hw::types::Cycles;
 use tp_kernel::config::{DomainSpec, KernelConfig, Mechanism};
@@ -201,6 +206,92 @@ fn save_of_loaded_entries_matches_the_reference_rendering() {
     assert_eq!(ProofCache::load(&reversed).unwrap().save(), text);
     let doubled = format!("{text}{reversed}");
     assert_eq!(ProofCache::load(&doubled).unwrap().save(), text);
+}
+
+/// `write_stored_cell` of `body` at `index`, unprefixed and with the
+/// `REC ` prefix stripped again: both must be the reference rendering.
+fn spliced(body: &str, index: usize) -> [String; 2] {
+    let mut plain = String::new();
+    write_stored_cell(&mut plain, "", index, body);
+    let mut prefixed = String::new();
+    write_stored_cell(&mut prefixed, "REC ", index, body);
+    let stripped = prefixed
+        .lines()
+        .map(|l| {
+            format!(
+                "{}\n",
+                l.strip_prefix("REC ").expect("every line is prefixed")
+            )
+        })
+        .collect();
+    [plain, stripped]
+}
+
+#[test]
+fn a_hit_spliced_from_the_stored_body_matches_write_cell() {
+    let m = matrix();
+    let (entries, saved) = fixture();
+    let mut inserted = ProofCache::new();
+    let mut absorbed = ProofCache::new();
+    for e in entries {
+        inserted.insert(e.key, e.cell.clone(), e.report.clone(), e.fps.clone());
+        absorbed.insert_entry(e.clone());
+    }
+    let loaded = ProofCache::load(saved).expect("saved cache loads");
+    for (how, cache) in [
+        ("insert", &inserted),
+        ("insert_entry", &absorbed),
+        ("load", &loaded),
+    ] {
+        for (cell, key) in m.cells().iter().zip(keys()) {
+            let hit = cache
+                .lookup_hit(key, cell, m.models(), &scenario_for(cell).secrets)
+                .expect("stored entries validate");
+            for index in [0, 7, 20] {
+                let mut rendered = String::new();
+                write_cell(&mut rendered, index, &hit.entry.cell, &hit.entry.report);
+                for got in spliced(hit.body, index) {
+                    assert_eq!(got, rendered, "{how}: {} at {index}", cell.label());
+                }
+            }
+        }
+    }
+}
+
+/// A warm sweep hands `on_cell` each hit's stored bytes, and says which
+/// hit ends the run, whether it derives the keys or is given them.
+#[test]
+fn a_warm_sweep_hands_each_hit_its_stored_body() {
+    let m = matrix();
+    let (_, saved) = fixture();
+    let all: Vec<usize> = (0..m.cells().len()).collect();
+    let known: Vec<Option<u64>> = keys().into_iter().map(Some).collect();
+    for keys in [&[][..], &known[..]] {
+        let mut cache = ProofCache::load(saved).expect("saved cache loads");
+        let mut runs = Vec::new();
+        let (_, stats) = m.sweep_keyed(
+            &WorkerPool::new(2),
+            &all,
+            keys,
+            Some(&mut cache),
+            None,
+            scenario_for,
+            |ci, cell, outcome, source| {
+                let report = outcome.as_ref().expect("a hit is a proved cell");
+                let CellSource::Hit { body, next_is_hit } = source else {
+                    panic!("{} was not a hit", cell.label());
+                };
+                let mut rendered = String::new();
+                write_cell(&mut rendered, ci, cell, report);
+                for got in spliced(body, ci) {
+                    assert_eq!(got, rendered, "{}", cell.label());
+                }
+                runs.push(next_is_hit);
+            },
+        );
+        assert_eq!(stats.hits, all.len());
+        assert_eq!(runs, [true, false], "the last hit ends the run");
+    }
 }
 
 /// Replace the first line `f` rewrites; panics if nothing matched.

@@ -118,7 +118,9 @@ pub struct Core {
 }
 
 impl Core {
-    fn new(id: CoreId, cfg: &MachineConfig) -> Self {
+    /// A pristine core `id` of a machine built from `cfg`: exactly the
+    /// core [`Machine::new`] starts with.
+    pub fn new(id: CoreId, cfg: &MachineConfig) -> Self {
         Core {
             id,
             l1i: Cache::new(cfg.l1i),

@@ -138,6 +138,9 @@ impl WorkerPool {
         q.extend(tasks);
         let after = q.len();
         drop(q);
+        if after == before {
+            return; // an empty batch has nothing to wake a worker for
+        }
         if tp_telemetry::enabled() {
             tp_telemetry::count_n(
                 tp_telemetry::Counter::PoolSubmitted,

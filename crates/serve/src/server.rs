@@ -22,16 +22,24 @@
 //! sweep and for taking a snapshot of the cache file's contents, so
 //! concurrent cached jobs prove one at a time (the pool underneath is
 //! already saturated by one sweep; interleaving two would only shuffle
-//! latency around). The job writes that snapshot to disk after it
-//! releases the lock, so the next cached job — typically a warm one,
-//! all hits — sweeps while the write's fsyncs run. `nocache` jobs skip
-//! the lock and run concurrently. `STATUS`, `CANCEL` and `METRICS`
-//! never wait on a sweep: the first two touch only the job registry,
-//! and `METRICS` reads an atomic copy of the cache's entry count, which
-//! each cached job updates before it releases the lock. The wait for
+//! latency around). What a job does under the lock is kept small. Its
+//! cells' content keys come from a memo *before* it takes the lock: a
+//! fault-free cell's key is fixed by the job's model count and the
+//! cell's index for the daemon's lifetime, so each is derived once, on
+//! first use, and a `fault=` cell's key is always derived afresh. A
+//! hit is then a validated lookup plus a splice of the entry's stored
+//! wire bytes — no key derivation, no rendering. The job writes its
+//! snapshot to disk after it releases the lock, so the next cached job
+//! — typically a warm one, all hits — sweeps while the write's fsyncs
+//! run. `nocache` jobs skip the lock and run concurrently. `STATUS`,
+//! `CANCEL` and `METRICS` never wait on a sweep: the first two touch
+//! only the job registry, and `METRICS` reads an atomic copy of the
+//! cache's entry count, which each cached job updates before it
+//! releases the lock. The wait for
 //! the lock is timed as the `cache-lock` span and the snapshot's write
 //! as the `persist` span, once per cached job (`persist` only for jobs
-//! that write).
+//! that write). The `job` span times every job from its `SUBMIT` line
+//! to the flush of its terminal line.
 //!
 //! # Cancellation and deadlines
 //!
@@ -77,16 +85,23 @@
 //!   for the client's delayed ACK (~40 ms).
 //! * Each connection writes through one buffered writer, and the buffer
 //!   goes to the socket once per unit: once per `.`-terminated block,
-//!   once after `OK job=`, and once per cell's `REC` group. Records
-//!   still stream as each cell completes; nothing is held back until
-//!   `DONE`.
+//!   once after `OK job=`, once per run of consecutive cache hits, and
+//!   once per proved cell's `REC` group. A run of hits is rendered by
+//!   the job thread into one buffer and sent as one message; a proved
+//!   cell still streams the moment it completes. Nothing is held back
+//!   until `DONE`.
 //! * The accept loop blocks in `accept()`. `SHUTDOWN` sets the shutdown
 //!   flag and then connects once to the daemon's own address, so the
 //!   blocked `accept()` returns and the loop sees the flag. Transient
 //!   accept errors (an aborted handshake, a signal, descriptor
 //!   exhaustion) are retried; only a dead listener ends the loop.
+//!
+//! A request line longer than [`MAX_LINE`] bytes is answered with
+//! `ERR code=too-long` and the connection is closed, so no client can
+//! make the daemon buffer an unbounded line.
 
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::collections::HashMap;
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -95,7 +110,9 @@ use std::time::{Duration, Instant};
 
 use tp_core::engine::MatrixCell;
 use tp_core::noninterference::NiScenario;
-use tp_core::{wire, CacheStats, JournalWriter, ProofCache, ProofReport};
+use tp_core::{
+    wire, CacheStats, CellSource, JournalWriter, ProofCache, ProofReport, ScenarioMatrix,
+};
 use tp_kernel::program::{Instr, Program, StepFeedback};
 use tp_telemetry::SpanKind;
 
@@ -106,9 +123,13 @@ use crate::protocol::{parse_request, Request, SubmitSpec};
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 /// Finished jobs kept in the registry for `STATUS` history.
 const JOB_HISTORY: usize = 64;
-/// Fault point fired once per streamed record on the connection side;
-/// `ioerr` simulates the client dropping mid-stream.
+/// Fault point fired once per streamed record message (one proved
+/// cell's group, or a run of hits) on the connection side; `ioerr`
+/// simulates the client dropping mid-stream.
 const STREAM_POINT: &str = "serve.stream";
+/// The longest request line read, in bytes before its newline. Valid
+/// requests are under 200 bytes.
+const MAX_LINE: usize = 4096;
 
 /// How long `SHUTDOWN` waits for in-flight jobs before giving up on
 /// them (`TP_SERVE_DRAIN_MS` overrides; tests shrink it).
@@ -249,6 +270,9 @@ struct Shared {
     shutdown: AtomicBool,
     /// Where `SHUTDOWN` connects to wake the blocked accept loop.
     wake: SocketAddr,
+    /// Fault-free cells' content keys under (model count, cell index):
+    /// at most 5 × 21 entries, filled on first use.
+    keys: Mutex<HashMap<(usize, usize), Option<u64>>>,
 }
 
 impl Shared {
@@ -290,6 +314,26 @@ impl Shared {
         self.active_jobs.fetch_add(1, Ordering::SeqCst);
         Some((id, state))
     }
+
+    /// The content key of cell `ci` of `matrix` under the canonical
+    /// scenario, from the memo or derived and memoised. Every input the
+    /// key folds — machine, protection, models, scenario, proof mode —
+    /// is fixed by the model count and the index, so the entry stays
+    /// right for the daemon's lifetime. A faulted cell's scenario
+    /// differs; never call this for one.
+    fn cell_key(&self, matrix: &ScenarioMatrix, ci: usize) -> Option<u64> {
+        let slot = (matrix.models().len(), ci);
+        if let Some(&key) = lock(&self.keys).get(&slot) {
+            return key;
+        }
+        // Derived outside the memo lock; two jobs racing here derive
+        // the same key.
+        let key = matrix.cell_key(&matrix.cells()[ci], |c| {
+            tp_bench::canonical_scenario(c.disable)
+        });
+        lock(&self.keys).insert(slot, key);
+        key
+    }
 }
 
 /// Decrements the active-job count when the job thread ends, however
@@ -305,8 +349,13 @@ impl Drop for ActiveGuard {
 
 /// One message from a job thread to its submitting connection.
 enum Msg {
-    /// One finished cell's rendered record group (multi-line).
-    Rec(String),
+    /// `REC` lines ready for the socket: one proved or failed cell's
+    /// record group, or a run of consecutive hits' groups.
+    Rec {
+        text: String,
+        /// How many cells' groups `text` holds.
+        groups: usize,
+    },
     /// The sweep finished; everything the terminal line needs.
     Done {
         proved: usize,
@@ -358,6 +407,7 @@ impl Server {
                 draining: AtomicBool::new(false),
                 shutdown: AtomicBool::new(false),
                 wake,
+                keys: Mutex::new(HashMap::new()),
             }),
         })
     }
@@ -509,15 +559,39 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
     serve_lines(BufReader::new(read_half), stream, shared);
 }
 
-/// One request per line until EOF, shutdown, or an I/O failure (a
-/// vanished client just ends its own handler). Every response goes
-/// through one [`BufWriter`] that is flushed only at the end of a block
-/// or record group, so each reaches `out` in one write.
-fn serve_lines(reader: impl BufRead, out: impl Write, shared: &Arc<Shared>) {
+/// One request per line until EOF, shutdown, an over-long line, or an
+/// I/O failure (a vanished client just ends its own handler). Every
+/// response goes through one [`BufWriter`] that is flushed only at the
+/// end of a block or record message, so each reaches `out` in one
+/// write.
+fn serve_lines(mut reader: impl BufRead, out: impl Write, shared: &Arc<Shared>) {
     let mut out = BufWriter::new(out);
-    for line in reader.lines() {
-        let Ok(line) = line else { return };
-        match dispatch(&line, shared, &mut out) {
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the cap tells a full-length line from a longer one.
+        let limit = MAX_LINE as u64 + 1;
+        match reader.by_ref().take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        } else if buf.len() > MAX_LINE {
+            let _ = err_block(
+                &mut out,
+                "too-long",
+                &format!("request line exceeds {MAX_LINE} bytes"),
+            );
+            return;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            return;
+        };
+        match dispatch(line, shared, &mut out) {
             Ok(true) => {}
             Ok(false) | Err(_) => return,
         }
@@ -686,9 +760,21 @@ fn detonate_hi(scenario: NiScenario) -> NiScenario {
     }
 }
 
-/// Write one cell's record group as `REC `-prefixed lines and send it.
-fn write_rec_lines<W: Write>(out: &mut W, rec: &str) -> io::Result<()> {
-    rec.lines().try_for_each(|l| writeln!(out, "REC {l}"))?;
+/// `rec`'s lines, each led by `REC `: one cell's group as it goes on
+/// the wire.
+fn rec_group(rec: &str) -> String {
+    let mut out = String::with_capacity(rec.len() + 4 * rec.lines().count());
+    for l in rec.lines() {
+        out.push_str("REC ");
+        out.push_str(l);
+        out.push('\n');
+    }
+    out
+}
+
+/// Send ready `REC` lines in one write.
+fn send_recs<W: Write>(out: &mut W, text: &str) -> io::Result<()> {
+    out.write_all(text.as_bytes())?;
     out.flush()
 }
 
@@ -697,8 +783,10 @@ fn write_rec_lines<W: Write>(out: &mut W, rec: &str) -> io::Result<()> {
 /// terminal line. The sweep construction mirrors `matrix --worker`
 /// exactly — same [`tp_bench::shaped_matrix`], same
 /// [`tp_bench::canonical_scenario`] — so the stripped `REC` payload is
-/// byte-identical to that binary's stdout for the same subset.
+/// byte-identical to that binary's stdout for the same subset. A job
+/// that reaches its terminal line is timed as the `job` span.
 fn run_submit<W: Write>(shared: &Arc<Shared>, spec: SubmitSpec, out: &mut W) -> io::Result<()> {
+    let submitted = tp_telemetry::span_start();
     let matrix = tp_bench::shaped_matrix(spec.models);
     let total = matrix.cells().len();
     let indices: Vec<usize> = match spec.cells {
@@ -730,15 +818,6 @@ fn run_submit<W: Write>(shared: &Arc<Shared>, spec: SubmitSpec, out: &mut W) -> 
     writeln!(out, "OK job={job_id} cells={}", indices.len())?;
     out.flush()?;
 
-    let make_scenario = move |cell: &MatrixCell| -> NiScenario {
-        let scenario = tp_bench::canonical_scenario(cell.disable);
-        if fault_cell.as_ref() == Some(cell) {
-            detonate_hi(scenario)
-        } else {
-            scenario
-        }
-    };
-
     let deadline = spec
         .deadline_ms
         .map(|ms| Instant::now() + Duration::from_millis(ms));
@@ -757,7 +836,7 @@ fn run_submit<W: Write>(shared: &Arc<Shared>, spec: SubmitSpec, out: &mut W) -> 
                 &matrix,
                 &job_indices,
                 nocache,
-                make_scenario,
+                fault_cell,
                 &tx,
             )
         });
@@ -767,9 +846,25 @@ fn run_submit<W: Write>(shared: &Arc<Shared>, spec: SubmitSpec, out: &mut W) -> 
         eprintln!("tp-serve: cannot spawn job thread: {e}");
         return err_block(out, "internal", "cannot spawn job thread");
     }
+    let forwarded = forward_job(out, &rx, job_id, &job, &indices, deadline);
+    if let (Ok(()), Some(start)) = (&forwarded, submitted) {
+        tp_telemetry::span(SpanKind::Job, job_id as usize, None, start);
+    }
+    forwarded
+}
 
-    // The connection side: forward records, watch the deadline, and
-    // turn a vanished client into a cancellation instead of an abort.
+/// The connection side of a job: forward its records, watch the
+/// deadline, and turn a vanished client into a cancellation instead of
+/// an abort. `Ok` means the terminal line was sent.
+fn forward_job<W: Write>(
+    out: &mut W,
+    rx: &mpsc::Receiver<Msg>,
+    job_id: u64,
+    job: &JobState,
+    indices: &[usize],
+    deadline: Option<Instant>,
+) -> io::Result<()> {
+    // Cells whose groups have arrived, in `indices` order.
     let mut streamed = 0usize;
     let mut io_err: Option<io::Error> = None;
     loop {
@@ -791,12 +886,11 @@ fn run_submit<W: Write>(shared: &Arc<Shared>, spec: SubmitSpec, out: &mut W) -> 
                         job.cancelled.store(true, Ordering::SeqCst);
                         job.expired.store(true, Ordering::SeqCst);
                         tp_telemetry::count(tp_telemetry::Counter::JobsDeadlineExpired);
-                        drop(rx);
                         if io_err.is_none() {
                             for &ci in &indices[streamed..] {
                                 let mut rec = String::new();
                                 wire::write_cell_error(&mut rec, ci, "deadline expired");
-                                write_rec_lines(out, &rec)?;
+                                send_recs(out, &rec_group(&rec))?;
                             }
                             writeln!(
                                 out,
@@ -812,8 +906,8 @@ fn run_submit<W: Write>(shared: &Arc<Shared>, spec: SubmitSpec, out: &mut W) -> 
             }
         };
         match msg {
-            Msg::Rec(rec) => {
-                streamed += 1;
+            Msg::Rec { text, groups } => {
+                streamed += groups;
                 if io_err.is_some() || job.cancelled.load(Ordering::SeqCst) {
                     continue;
                 }
@@ -824,7 +918,7 @@ fn run_submit<W: Write>(shared: &Arc<Shared>, spec: SubmitSpec, out: &mut W) -> 
                 let sent = if injected {
                     Err(tp_core::faultpoint::injected_io_error(STREAM_POINT))
                 } else {
-                    write_rec_lines(out, &rec)
+                    send_recs(out, &text)
                 };
                 if let Err(e) = sent {
                     // Client gone mid-stream: cancel the job so the
@@ -864,22 +958,38 @@ fn run_submit<W: Write>(shared: &Arc<Shared>, spec: SubmitSpec, out: &mut W) -> 
 }
 
 /// The job-thread body: run the sweep (cached or not), stream each
-/// cell over `tx`, persist what changed, and finish with a
-/// [`Msg::Done`]. Runs to completion even when nobody is listening —
-/// a cancelled or expired job still warms the cache.
+/// proved cell, and each run of consecutive hits, over `tx` as one
+/// message, persist what changed, and finish with a [`Msg::Done`].
+/// Runs to completion even when nobody is listening — a cancelled or
+/// expired job still warms the cache. `fault` is the cell whose Hi
+/// program detonates, if any.
 #[allow(clippy::too_many_arguments)]
 fn run_job(
     shared: &Arc<Shared>,
     job_id: u64,
     job: &Arc<JobState>,
-    matrix: &tp_core::ScenarioMatrix,
+    matrix: &ScenarioMatrix,
     indices: &[usize],
     nocache: bool,
-    make_scenario: impl Fn(&MatrixCell) -> NiScenario,
+    fault: Option<MatrixCell>,
     tx: &mpsc::Sender<Msg>,
 ) {
     let _active = ActiveGuard(Arc::clone(shared));
-    let emit = |i: usize, cell: &MatrixCell, outcome: &Result<ProofReport, String>| {
+    let make_scenario = |cell: &MatrixCell| -> NiScenario {
+        let scenario = tp_bench::canonical_scenario(cell.disable);
+        if fault.as_ref() == Some(cell) {
+            detonate_hi(scenario)
+        } else {
+            scenario
+        }
+    };
+    // The run of hits gathered so far, as ready `REC` lines.
+    let mut hits = String::new();
+    let mut hit_groups = 0usize;
+    let emit = |i: usize,
+                cell: &MatrixCell,
+                outcome: &Result<ProofReport, String>,
+                source: CellSource<'_>| {
         job.done.fetch_add(1, Ordering::SeqCst);
         if outcome.is_err() {
             job.failed.fetch_add(1, Ordering::SeqCst);
@@ -887,23 +997,46 @@ fn run_job(
         if job.cancelled.load(Ordering::SeqCst) {
             return; // nobody is listening: skip the rendering work
         }
-        let mut rec = String::new();
-        match outcome {
-            Ok(report) => wire::write_cell(&mut rec, i, cell, report),
-            Err(msg) => wire::write_cell_error(&mut rec, i, msg),
-        }
         // A send failure means the receiver gave up (deadline); the
         // sweep still runs to completion for the cache's sake.
-        let _ = tx.send(Msg::Rec(rec));
+        match (outcome, source) {
+            (Ok(_), CellSource::Hit { body, next_is_hit }) => {
+                wire::write_stored_cell(&mut hits, "REC ", i, body);
+                hit_groups += 1;
+                if !next_is_hit {
+                    let _ = tx.send(Msg::Rec {
+                        text: std::mem::take(&mut hits),
+                        groups: std::mem::take(&mut hit_groups),
+                    });
+                }
+            }
+            (Ok(report), CellSource::Live) => {
+                let mut rec = String::new();
+                wire::write_cell(&mut rec, i, cell, report);
+                let _ = tx.send(Msg::Rec {
+                    text: rec_group(&rec),
+                    groups: 1,
+                });
+            }
+            (Err(msg), _) => {
+                let mut rec = String::new();
+                wire::write_cell_error(&mut rec, i, msg);
+                let _ = tx.send(Msg::Rec {
+                    text: rec_group(&rec),
+                    groups: 1,
+                });
+            }
+        }
     };
 
     let ((outcomes, stats), entries) = if nocache {
-        let r = matrix.sweep(
+        let r = matrix.sweep_keyed(
             tp_sched::global(),
             indices,
+            &[],
             None,
             None,
-            &make_scenario,
+            make_scenario,
             emit,
         );
         (r, shared.cache_entries.load(Ordering::SeqCst))
@@ -932,6 +1065,16 @@ fn run_job(
                     }
                 }
             };
+        // Keys before the lock: memoised for fault-free cells, derived
+        // by the sweep for a faulted one.
+        let cells = fault.as_ref().map(|_| matrix.cells());
+        let keys: Vec<Option<u64>> = indices
+            .iter()
+            .map(|&ci| match (&cells, &fault) {
+                (Some(cells), Some(f)) if cells[ci] == *f => None,
+                _ => shared.cell_key(matrix, ci),
+            })
+            .collect();
         // A cached job waits here for any other cached job's sweep.
         let wait = tp_telemetry::span_start();
         let mut cache = lock(&shared.cache);
@@ -939,12 +1082,13 @@ fn run_job(
             tp_telemetry::span(SpanKind::CacheLock, job_id as usize, None, start);
         }
         let before = cache.len();
-        let r = matrix.sweep(
+        let r = matrix.sweep_keyed(
             tp_sched::global(),
             indices,
+            &keys,
             Some(&mut cache),
             Some(&mut on_proved),
-            &make_scenario,
+            make_scenario,
             emit,
         );
         // Snapshot under the lock, and only when the job actually
@@ -1042,35 +1186,105 @@ mod tests {
         );
     }
 
-    #[test]
-    fn a_cached_submit_is_one_write_per_record_group_between_ok_and_done() {
-        let shared = shared();
-        let indices = [0, 1, 2];
+    /// The wire group of each of `indices`, proved live, as `REC` lines.
+    fn rec_groups(indices: &[usize]) -> Vec<String> {
         let matrix = tp_bench::shaped_matrix(Some(1));
         let (outcomes, _, _) =
-            tp_bench::run_matrix_cells(&matrix, &indices, None, None, |_, _, _| {});
-        let groups: Vec<String> = tp_core::proved_cells(outcomes)
+            tp_bench::run_matrix_cells(&matrix, indices, None, None, |_, _, _| {});
+        tp_core::proved_cells(outcomes)
             .expect("every cell proves")
             .iter()
             .map(|(i, cell, report)| {
                 let mut rec = String::new();
                 wire::write_cell(&mut rec, *i, cell, report);
-                rec.lines().map(|l| format!("REC {l}\n")).collect()
+                rec_group(&rec)
             })
-            .collect();
+            .collect()
+    }
 
-        // Cold (every cell proved live), then warm (every cell a hit):
-        // 1 (`OK job=`) + n (one per record group) + 1 (`DONE` + `.`).
-        for (job, done) in [
-            (1, "hits=0 missed=3 rejected=0 uncacheable=0 entries=3"),
-            (2, "hits=3 missed=0 rejected=0 uncacheable=0 entries=3"),
-        ] {
-            let mut expected = vec![format!("OK job={job} cells=3\n")];
-            expected.extend(groups.iter().cloned());
-            expected.push(format!("DONE job={job} proved=3 failed=0 {done}\n.\n"));
-            assert_eq!(writes(&shared, "SUBMIT models=1 cells=0..3\n"), expected);
-            assert_eq!(shared.cache_entries.load(Ordering::SeqCst), 3);
+    /// Between `OK job=` and `DONE` + `.`, each proved cell's group is
+    /// one write and each run of consecutive hits is one write.
+    #[test]
+    fn a_cached_submit_is_one_write_per_proved_group_or_run_of_hits() {
+        let shared = shared();
+        let [g0, g1, g2]: [String; 3] = rec_groups(&[0, 1, 2]).try_into().expect("three groups");
+        let ok = |job: u64, cells: usize| format!("OK job={job} cells={cells}\n");
+        let done = |job: u64, cells: usize, counts: &str| {
+            format!("DONE job={job} proved={cells} failed=0 {counts}\n.\n")
+        };
+
+        // Cold: one write per proved group.
+        assert_eq!(
+            writes(&shared, "SUBMIT models=1 cells=0,2\n"),
+            [
+                ok(1, 2),
+                g0.clone(),
+                g2.clone(),
+                done(1, 2, "hits=0 missed=2 rejected=0 uncacheable=0 entries=2"),
+            ]
+        );
+        // Warm: the whole run of hits is one write.
+        assert_eq!(
+            writes(&shared, "SUBMIT models=1 cells=0,2\n"),
+            [
+                ok(2, 2),
+                format!("{g0}{g2}"),
+                done(2, 2, "hits=2 missed=0 rejected=0 uncacheable=0 entries=2"),
+            ]
+        );
+        // Hit, miss, hit: the proved cell splits the hits into two runs.
+        assert_eq!(
+            writes(&shared, "SUBMIT models=1 cells=0..3\n"),
+            [
+                ok(3, 3),
+                g0,
+                g1,
+                g2,
+                done(3, 3, "hits=2 missed=1 rejected=0 uncacheable=0 entries=3"),
+            ]
+        );
+        assert_eq!(shared.cache_entries.load(Ordering::SeqCst), 3);
+    }
+
+    /// The key memo starts empty, fills on first use, holds one entry per
+    /// (effective model count, cell), and agrees with the sweep's own
+    /// derivation.
+    #[test]
+    fn the_key_memo_fills_lazily_and_holds_at_most_one_key_per_model_count_and_cell() {
+        let shared = shared();
+        assert!(lock(&shared.keys).is_empty(), "nothing is derived at bind");
+        for models in [Some(1), Some(2), Some(3), Some(4), Some(5), Some(99), None] {
+            let matrix = tp_bench::shaped_matrix(models);
+            for (ci, cell) in matrix.cells().iter().enumerate() {
+                let key = shared.cell_key(&matrix, ci);
+                let derived = matrix.cell_key(cell, |c| tp_bench::canonical_scenario(c.disable));
+                assert_eq!(key, derived, "models {models:?} cell {ci}");
+                assert!(key.is_some(), "canonical cells are cacheable");
+            }
         }
+        let memo = lock(&shared.keys);
+        assert_eq!(
+            memo.len(),
+            5 * 21,
+            "models=99 and the default share models=5's keys"
+        );
+        assert!(memo.keys().all(|&(m, ci)| (1..=5).contains(&m) && ci < 21));
+    }
+
+    /// A request line past [`MAX_LINE`] bytes gets `ERR code=too-long`
+    /// and ends the connection; a line of exactly the cap is read.
+    #[test]
+    fn an_over_long_request_line_is_refused_and_closes_the_connection() {
+        let shared = shared();
+        let long = format!("{}\nPING\n", "x".repeat(MAX_LINE + 1));
+        assert_eq!(
+            writes(&shared, &long),
+            [format!(
+                "ERR code=too-long msg=request line exceeds {MAX_LINE} bytes\n.\n"
+            )]
+        );
+        let at_cap = format!("PING{}\r\nPING\n", " ".repeat(MAX_LINE - 5));
+        assert_eq!(writes(&shared, &at_cap), ["OK pong\n.\n", "OK pong\n.\n"]);
     }
 
     /// `METRICS` reads the mirrored entry count, so a sweep holding the

@@ -6,7 +6,9 @@
 //! lifecycle: SHUTDOWN drains in-flight jobs before persisting, a
 //! `deadline_ms=` expiry yields `err` records instead of a wedged
 //! daemon, a vanished client cancels only its stream, and journals
-//! left by killed daemons are absorbed at the next startup.
+//! left by killed daemons are absorbed at the next startup. The key
+//! memo never serves a `fault=` cell, and an over-long request line is
+//! refused without harming other connections.
 //!
 //! The telemetry sink is process-global, so the tests that assert on
 //! `METRICS` values hold [`TELEMETRY`] exclusively, and every test that
@@ -287,6 +289,65 @@ fn a_detonating_cell_is_one_err_record_not_a_dead_daemon() {
     assert_eq!(second.round_trip("PING"), vec!["OK pong"]);
 }
 
+/// The key memo holds fault-free cells' keys only: a `fault=` cell's
+/// key is derived afresh, so a memoised key can neither turn the
+/// detonating cell into a hit nor store it under the healthy cell's key.
+#[test]
+fn the_key_memo_never_serves_a_fault_cell() {
+    let _jobs = runs_jobs();
+
+    // Healthy first: the fault job must not hit the healthy entry.
+    let (_addr, mut client) = start_service(ProofCache::new());
+    let cold = client.round_trip("SUBMIT models=1 cells=2");
+    assert_eq!(field(done_line(&cold), "missed="), 1);
+    let faulted = client.round_trip("SUBMIT models=1 cells=2 fault=2");
+    let done = done_line(&faulted);
+    assert_eq!(field(done, "hits="), 0, "{done}");
+    assert_eq!(field(done, "failed="), 1, "{done}");
+    let errs: Vec<&String> = faulted.iter().filter(|l| l.starts_with("REC ")).collect();
+    assert_eq!(errs.len(), 1, "{faulted:?}");
+    assert!(errs[0].starts_with("REC err i=2 "), "{faulted:?}");
+    let warm = client.round_trip("SUBMIT models=1 cells=2");
+    assert_eq!(field(done_line(&warm), "hits="), 1);
+    assert_eq!(stripped_records(&warm), stripped_records(&cold));
+
+    // Fault first: nothing is cached, so the healthy job proves live.
+    let (_addr, mut client) = start_service(ProofCache::new());
+    let faulted = client.round_trip("SUBMIT models=1 cells=2 fault=2");
+    assert_eq!(field(done_line(&faulted), "failed="), 1);
+    assert_eq!(field(done_line(&faulted), "entries="), 0);
+    let healthy = client.round_trip("SUBMIT models=1 cells=2");
+    let done = done_line(&healthy);
+    assert_eq!(field(done, "hits="), 0, "{done}");
+    assert_eq!(field(done, "missed="), 1, "{done}");
+    assert_eq!(field(done, "proved="), 1, "{done}");
+    assert_eq!(stripped_records(&healthy), stripped_records(&cold));
+}
+
+/// A request line past the daemon's 4 KiB cap is answered with
+/// `ERR code=too-long` and its connection is closed; other connections
+/// are served as before.
+#[test]
+fn an_over_long_request_line_is_refused_and_the_daemon_keeps_serving() {
+    let (addr, mut client) = start_service(ProofCache::new());
+    client.send(&format!("PING {}", "x".repeat(8192)));
+    let mut line = String::new();
+    client
+        .reader
+        .read_line(&mut line)
+        .expect("the refusal arrives");
+    assert!(line.starts_with("ERR code=too-long "), "{line:?}");
+    assert_eq!(client.read_line(), ".");
+    // Closed: end of stream, or a reset for the unread rest of the line.
+    let mut rest = String::new();
+    assert!(
+        matches!(client.reader.read_line(&mut rest), Ok(0) | Err(_)),
+        "connection stays open: {rest:?}"
+    );
+    let mut fresh = Client::connect(addr);
+    assert_eq!(fresh.round_trip("PING"), vec!["OK pong"]);
+}
+
 #[test]
 fn protocol_edges_ping_status_cancel_metrics_and_malformed_lines() {
     let _counting = counts_telemetry();
@@ -374,12 +435,18 @@ fn protocol_edges_ping_status_cancel_metrics_and_malformed_lines() {
         "{block:?}"
     );
     // Every cached job waited for the cache lock exactly once; the
-    // malformed and out-of-range SUBMITs never reached it.
+    // malformed and out-of-range SUBMITs never reached it, nor became
+    // jobs.
     let span = block
         .iter()
         .find(|l| l.starts_with("SPAN cache-lock "))
         .expect("cache-lock span reported");
     assert_eq!(field(span, "n="), cached_jobs, "{span}");
+    let span = block
+        .iter()
+        .find(|l| l.starts_with("SPAN job "))
+        .expect("job span reported");
+    assert_eq!(field(span, "n="), 1, "{span}");
 }
 
 #[test]

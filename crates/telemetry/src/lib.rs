@@ -179,11 +179,15 @@ pub enum SpanKind {
     /// the cache lock: the wait for an earlier job's write plus its own
     /// write. `cell` carries the job id.
     Persist,
+    /// One tp-serve job, from its `SUBMIT` line to the flush of its
+    /// terminal line (`DONE`, `CANCELLED`, `EXPIRED`), cached or not.
+    /// `cell` carries the job id.
+    Job,
 }
 
 impl SpanKind {
     /// Number of distinct span kinds.
-    pub const COUNT: usize = 7;
+    pub const COUNT: usize = 8;
 
     /// Every span kind, in array-index order.
     pub const ALL: [SpanKind; Self::COUNT] = [
@@ -194,6 +198,7 @@ impl SpanKind {
         SpanKind::Verify,
         SpanKind::CacheLock,
         SpanKind::Persist,
+        SpanKind::Job,
     ];
 
     /// The stable wire name of this span kind (`"kind"` in trace lines).
@@ -206,6 +211,7 @@ impl SpanKind {
             SpanKind::Verify => "verify",
             SpanKind::CacheLock => "cache-lock",
             SpanKind::Persist => "persist",
+            SpanKind::Job => "job",
         }
     }
 }
@@ -666,7 +672,8 @@ mod tests {
                 "replay",
                 "verify",
                 "cache-lock",
-                "persist"
+                "persist",
+                "job"
             ],
             "span names are the wire schema"
         );
