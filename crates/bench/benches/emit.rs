@@ -1,21 +1,20 @@
 //! Microbench for the observation emit hot loop: the per-event cost of
-//! each sink shape the kernel can drive.
+//! the kernel's sink.
 //!
-//! Three variants, same event stream:
+//! Two variants, same event stream:
 //!
-//! * `boxed` — the pre-refactor shape: a `Box<dyn ObsSink>` virtual
-//!   call per event;
-//! * `static` — [`ObsSinkKind`] enum dispatch per event (the shape the
-//!   kernel's emit path now compiles to);
-//! * `batched` — [`ObsSinkKind::record_batch`] with step-sized batches:
-//!   one dispatch amortised over the whole batch.
+//! * `static` — [`ObsSinkKind`] enum dispatch per event;
+//! * `batched` — [`ObsSinkKind::record_batch`] with step-sized batches
+//!   (the shape the kernel's emit path compiles to): one dispatch
+//!   amortised over the whole batch.
 //!
-//! All three must (and do) produce the same rolling digest — the
-//! `hw/tests/properties.rs` proptest pins that; this bench prices it.
+//! Both must (and do) produce the same rolling digest as
+//! [`tp_hw::obs::obs_digest`] — the `hw/tests/properties.rs` proptest
+//! pins that; this bench prices it.
 
 use std::hint::black_box;
 
-use tp_hw::obs::{DigestSink, ObsEvent, ObsSink, ObsSinkKind};
+use tp_hw::obs::{obs_digest, DigestSink, ObsEvent, ObsSinkKind};
 use tp_hw::types::Cycles;
 
 /// Time `iters` iterations of `f` and print ns/op.
@@ -47,14 +46,6 @@ fn main() {
     const BATCH: usize = 2; // the fetch-fault step emits [Fault, Halted]
     let events = stream(EVENTS);
 
-    let mut boxed: Box<dyn ObsSink> = Box::new(DigestSink::default());
-    bench("emit/boxed_dyn_per_event", 2_000, || {
-        for e in &events {
-            boxed.record(*e);
-        }
-        black_box(boxed.digest())
-    });
-
     let mut sink = ObsSinkKind::from(DigestSink::default());
     bench("emit/static_per_event", 2_000, || {
         for e in &events {
@@ -71,17 +62,11 @@ fn main() {
         black_box(sink.digest())
     });
 
-    // The same three digests must agree: a bench that measured
-    // divergent sinks would be pricing different work.
-    let reference = {
-        let mut s = DigestSink::default();
-        for e in &events {
-            s.record(*e);
-        }
-        s.digest()
-    };
+    // Both shapes must agree with the reference fold: a bench that
+    // measured divergent sinks would be pricing different work.
+    let reference = obs_digest(&events);
     let mut a = ObsSinkKind::from(DigestSink::default());
-    let mut b: Box<dyn ObsSink> = Box::new(DigestSink::default());
+    let mut b = ObsSinkKind::from(DigestSink::default());
     for chunk in events.chunks(BATCH) {
         a.record_batch(chunk);
         for e in chunk {
@@ -89,6 +74,6 @@ fn main() {
         }
     }
     assert_eq!(a.digest(), reference, "batched static dispatch diverged");
-    assert_eq!(b.digest(), reference, "boxed dispatch diverged");
-    println!("digest agreement across all dispatch shapes: ok");
+    assert_eq!(b.digest(), reference, "per-event static dispatch diverged");
+    println!("digest agreement across both dispatch shapes: ok");
 }

@@ -698,7 +698,8 @@ pub fn canonical_scenario(disable: Option<Mechanism>) -> NiScenario {
 
 /// E11: the ablation — disable each mechanism in turn; the NI checker
 /// must find a leak, and with everything on it must pass. One
-/// [`tp_core::ScenarioMatrix`] run over all seven protection settings.
+/// [`tp_core::ScenarioMatrix`] run over all seven protection settings,
+/// under the canonical machine's own time model.
 pub fn report_e11() -> String {
     let mut out = String::new();
     writeln!(
@@ -707,14 +708,17 @@ pub fn report_e11() -> String {
     )
     .unwrap();
     writeln!(out, "  {:>20} | verdict", "disabled").unwrap();
-    let matrix = tp_core::ScenarioMatrix::new("canonical", canonical_machine()).sweep_ablations();
-    let verdicts = matrix.run_ni(|cell| canonical_scenario(cell.disable));
-    for (cell, verdict) in &verdicts {
+    let machine = canonical_machine();
+    let report = tp_core::ScenarioMatrix::new("canonical", machine.clone())
+        .sweep_ablations()
+        .with_models(vec![machine.time_model])
+        .run(|cell| canonical_scenario(cell.disable));
+    for (cell, r) in &report.cells {
         let label = match cell.disable {
             Some(m) => format!("{m:?}"),
             None => "(none)".to_string(),
         };
-        writeln!(out, "  {:>20} | {}", label, verdict).unwrap();
+        writeln!(out, "  {:>20} | {}", label, r.ni[0].verdict).unwrap();
     }
     out
 }

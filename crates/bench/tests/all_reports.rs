@@ -1,7 +1,8 @@
 //! `bin/all` is the one binary that prints the experiment reports: each
 //! under its `=== EN ===` header, in order, with the largest inputs any
 //! report has (E12 over 6 trials, E13 over six symbols, E14 up to
-//! length 4).
+//! length 4). E11's section is pinned byte for byte by
+//! `fixtures/e11.txt`.
 
 use std::process::Command;
 
@@ -33,6 +34,9 @@ fn all_prints_every_report_in_order() {
             .map_or(stdout.len(), |e| start + 1 + e);
         &stdout[start..end]
     };
+    // E11's whole section, byte for byte: the seven ablation verdicts
+    // and their witnesses must not move when the driver behind them does.
+    assert_eq!(section(11), include_str!("fixtures/e11.txt"));
     assert!(
         section(14).contains("all Hi programs, length <= 4)"),
         "{}",

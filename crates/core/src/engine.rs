@@ -1152,64 +1152,6 @@ impl ScenarioMatrix {
         }
         (out, stats)
     }
-
-    /// NI-only matrix run on the process-wide pool: one digest-only run
-    /// per (cell, secret) compares Lo observations, without the
-    /// monitored P/F/T runs a full [`ScenarioMatrix::run`] performs.
-    /// Like [`crate::check_noninterference`], only a fingerprint
-    /// mismatch re-runs the offending pair (in lockstep) for the
-    /// witness, so each cell's verdict is identical to
-    /// `check_noninterference` on that cell's scenario under the cell
-    /// machine's own time model. This is the cheap driver for sweeps
-    /// that only need leak/no-leak answers, like the E11 ablation table.
-    pub fn run_ni<F>(&self, make_scenario: F) -> Vec<(MatrixCell, NiVerdict)>
-    where
-        F: Fn(&MatrixCell) -> NiScenario,
-    {
-        let cells = self.cells();
-        let mut runs = Vec::new();
-        let mut secrets = Vec::with_capacity(cells.len());
-        for (ci, cell) in cells.iter().enumerate() {
-            let sc = apply_cell(make_scenario(cell), cell);
-            let mcfg = Arc::new(sc.mcfg.clone());
-            for &s in &sc.secrets {
-                runs.push(ProofTask {
-                    mcfg: Arc::clone(&mcfg),
-                    kcfg: Arc::new((sc.make_kcfg)(s)),
-                    lo: sc.lo,
-                    budget: sc.budget,
-                    max_steps: sc.max_steps,
-                    cell: ci,
-                });
-            }
-            secrets.push(sc.secrets);
-        }
-        // Stream the fingerprints so cells merge — and any divergence
-        // re-runs execute — while the sweep's tail is still running.
-        let mut stream = tp_sched::global().map_streamed(runs.clone(), |_, t| t.fingerprint());
-        let mut offset = 0;
-        cells
-            .into_iter()
-            .zip(secrets)
-            .map(|(cell, secrets)| {
-                let fps: Vec<(u64, usize, u64)> = secrets
-                    .iter()
-                    .map(|&s| {
-                        let (len, digest) = stream
-                            .next_result()
-                            .expect("one fingerprint per (cell, secret)");
-                        (s, len, digest)
-                    })
-                    .collect();
-                let cell_runs = &runs[offset..offset + fps.len()];
-                offset += fps.len();
-                let verdict = compare_secret_digests(&fps).unwrap_or_else(|b| {
-                    cell_runs[0].lockstep_leak(&cell_runs[b], fps[0].0, fps[b].0)
-                });
-                (cell, verdict)
-            })
-            .collect()
-    }
 }
 
 /// Specialise a base scenario to one matrix cell: the cell's machine
@@ -1396,7 +1338,7 @@ mod tests {
     /// even a callback that hardcodes full protection and ignores the
     /// cell gets leaking ablation cells.
     #[test]
-    fn run_ni_applies_cell_protection_despite_oblivious_callback() {
+    fn run_applies_cell_protection_despite_oblivious_callback() {
         use crate::noninterference::check_noninterference;
         use tp_kernel::config::{DomainSpec, KernelConfig};
         use tp_kernel::layout::data_addr;
@@ -1436,15 +1378,21 @@ mod tests {
         };
 
         let matrix = ScenarioMatrix::new("base", MachineConfig::single_core())
-            .with_ablations(vec![None, Some(Mechanism::Padding)]);
-        let verdicts = matrix.run_ni(|_| make());
+            .with_ablations(vec![None, Some(Mechanism::Padding)])
+            .with_models(vec![MachineConfig::single_core().time_model]);
+        let report = matrix.run(|_| make());
+        let verdicts: Vec<_> = report
+            .cells
+            .iter()
+            .map(|(cell, r)| (cell, &r.ni[0].verdict))
+            .collect();
         assert_eq!(verdicts.len(), 2);
         assert!(
             verdicts[0].1.passed(),
             "full-protection cell must pass: {}",
             verdicts[0].1
         );
-        for (cell, v) in &verdicts[1..] {
+        for &(cell, v) in &verdicts[1..] {
             assert!(
                 !v.passed(),
                 "{}: ablation must leak even though the callback ignored the cell",
@@ -1454,7 +1402,7 @@ mod tests {
 
         // And each cell's verdict equals the sequential checker run on
         // the equivalently-ablated scenario.
-        for (cell, v) in &verdicts {
+        for &(cell, v) in &verdicts {
             let mut sc = make();
             sc.make_kcfg = {
                 let tp = cell.tp;

@@ -228,37 +228,24 @@ impl ExhaustiveRunner {
     }
 }
 
-/// Run one Hi program (plus the fixed Lo observer) under `cfg` and
-/// return Lo's observation log. One-shot convenience over
-/// [`ExhaustiveRunner`] — build a runner once when running many
-/// programs under the same configuration.
-pub fn run_with_hi(cfg: &ExhaustiveConfig, hi: &[Instr]) -> Vec<ObsEvent> {
-    ExhaustiveRunner::new(cfg).run(hi)
-}
-
 /// Number of non-empty Hi programs with length in `1..=max_len` over an
 /// alphabet of `a` symbols: `sum_{1<=k<=max_len} a^k`.
 pub fn space_size(a: usize, max_len: usize) -> usize {
     (1..=max_len).map(|len| a.pow(len as u32)).sum()
 }
 
-/// The `index`-th Hi program in enumeration order (1-based; shorter
-/// programs first, base-`a` counting within a length, least-significant
-/// symbol first), or `None` when `index` is 0 or past the space.
+/// Write the `index`-th Hi program in enumeration order (1-based;
+/// shorter programs first, base-`a` counting within a length,
+/// least-significant symbol first) into `word` (cleared first), and
+/// return whether `index` names one: `false` when `index` is 0 or past
+/// the space. The caller's buffer is the per-worker scratch path of the
+/// sweep engine, which enumerates tens of thousands of words per sweep
+/// without an allocation per word.
 ///
 /// This is the single source of truth for the enumeration order: the
 /// sequential checker walks it in order, and the parallel engine shards
 /// it by index ranges — so a `Leak { program_index }` means the same
 /// program under either driver.
-pub fn word_for_index(alphabet: &[Instr], max_len: usize, index: usize) -> Option<Vec<Instr>> {
-    let mut word = Vec::new();
-    word_for_index_into(alphabet, max_len, index, &mut word).then_some(word)
-}
-
-/// [`word_for_index`] written into a caller-supplied buffer (cleared
-/// first) — the per-worker scratch path of the sweep engine, which
-/// enumerates tens of thousands of words per sweep without an
-/// allocation per word. Returns whether `index` names a word.
 pub fn word_for_index_into(
     alphabet: &[Instr],
     max_len: usize,

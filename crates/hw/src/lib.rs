@@ -67,7 +67,7 @@ pub use cache::{Cache, CacheConfig, ReplacementPolicy};
 pub use clock::{CostTable, HwClock, MemEvent, MemLevel, TimeModel};
 pub use machine::{AddressSpace, Machine, MachineConfig, Translation, WalkFootprint};
 pub use obs::{
-    fold_obs_event, obs_digest, DigestSink, NullSink, ObsEvent, ObsSink, ObsSinkKind, Observation,
+    fold_obs_event, obs_digest, DigestSink, NullSink, ObsEvent, ObsSinkKind, Observation,
     RecordingSink,
 };
 pub use types::{Asid, Colour, CoreId, Cycles, DomainTag, Fault, PAddr, VAddr};

@@ -10,9 +10,9 @@
 //!
 //! ## Sinks
 //!
-//! How observations are *consumed* is pluggable. The kernel emits each
-//! event exactly once, into an [`ObsSink`]; the sink decides what to
-//! keep:
+//! How observations are *consumed* is chosen per run. The kernel emits
+//! each event exactly once, into an [`ObsSinkKind`], whose variant
+//! decides what to keep:
 //!
 //! * [`RecordingSink`] keeps the full `Vec<ObsEvent>` log (and the
 //!   rolling digest alongside it) — the mode every witness extractor,
@@ -25,6 +25,7 @@
 //!   already stands on), so the checkers compare fingerprints in the
 //!   hot loop and re-run with a [`RecordingSink`] only when a
 //!   divergence needs a concrete, replayable witness.
+//! * [`NullSink`] keeps nothing, for domains nobody observes.
 //!
 //! Sinks cannot influence execution — the kernel hands them events and
 //! never reads them back — so which sink a system carries is invisible
@@ -229,63 +230,6 @@ impl WordFold {
 // Sinks
 // ---------------------------------------------------------------------
 
-/// Where a domain's observations go as the kernel emits them.
-///
-/// The kernel calls [`ObsSink::record`] exactly once per event, in
-/// program order, and never reads events back during a run — a sink is
-/// write-only from the machine's point of view, which is why the choice
-/// of sink cannot perturb execution.
-pub trait ObsSink: core::fmt::Debug + Send + Sync {
-    /// Consume one event.
-    fn record(&mut self, e: ObsEvent);
-
-    /// Consume a batch of events, in order — semantically identical to
-    /// calling [`ObsSink::record`] once per event (the batched-folding
-    /// proptests pin this), but one sink call per *step* instead of per
-    /// event on the kernel's emit path.
-    fn record_batch(&mut self, events: &[ObsEvent]) {
-        for e in events {
-            self.record(*e);
-        }
-    }
-
-    /// Number of events recorded so far.
-    fn len(&self) -> usize;
-
-    /// Whether no event has been recorded yet.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Rolling digest of everything recorded so far (equals
-    /// [`obs_digest`] of the event sequence).
-    fn digest(&self) -> u64;
-
-    /// The retained log, if this sink keeps one (`None` for
-    /// digest-only sinks).
-    fn observation(&self) -> Option<&Observation>;
-
-    /// Mutable access to the retained log, if any. This is the seam the
-    /// adversarial transparency suites use to mount log-tampering mock
-    /// monitors; real monitors never touch it.
-    fn observation_mut(&mut self) -> Option<&mut Observation>;
-
-    /// Take the retained event buffer out of the sink (leaving it
-    /// empty), if it keeps one — the allocation-reuse path for drivers
-    /// that stamp thousands of recording runs.
-    fn take_events(&mut self) -> Option<Vec<ObsEvent>>;
-
-    /// Clone into a fresh boxed sink (`Box<dyn ObsSink>` is `Clone`
-    /// through this).
-    fn clone_box(&self) -> Box<dyn ObsSink>;
-}
-
-impl Clone for Box<dyn ObsSink> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
-
 /// A sink that folds every event into the rolling FNV digest as it is
 /// emitted and keeps nothing else: the trace-free hot path.
 #[derive(Debug, Clone)]
@@ -303,34 +247,11 @@ impl Default for DigestSink {
     }
 }
 
-impl ObsSink for DigestSink {
+impl DigestSink {
+    #[inline]
     fn record(&mut self, e: ObsEvent) {
         self.digest = fold_obs_event(self.digest, &e);
         self.len += 1;
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn digest(&self) -> u64 {
-        self.digest
-    }
-
-    fn observation(&self) -> Option<&Observation> {
-        None
-    }
-
-    fn observation_mut(&mut self) -> Option<&mut Observation> {
-        None
-    }
-
-    fn take_events(&mut self) -> Option<Vec<ObsEvent>> {
-        None
-    }
-
-    fn clone_box(&self) -> Box<dyn ObsSink> {
-        Box::new(self.clone())
     }
 }
 
@@ -363,37 +284,11 @@ impl RecordingSink {
             digest: OBS_DIGEST_SEED,
         }
     }
-}
 
-impl ObsSink for RecordingSink {
+    #[inline]
     fn record(&mut self, e: ObsEvent) {
         self.digest = fold_obs_event(self.digest, &e);
         self.obs.events.push(e);
-    }
-
-    fn len(&self) -> usize {
-        self.obs.events.len()
-    }
-
-    fn digest(&self) -> u64 {
-        self.digest
-    }
-
-    fn observation(&self) -> Option<&Observation> {
-        Some(&self.obs)
-    }
-
-    fn observation_mut(&mut self) -> Option<&mut Observation> {
-        Some(&mut self.obs)
-    }
-
-    fn take_events(&mut self) -> Option<Vec<ObsEvent>> {
-        self.digest = OBS_DIGEST_SEED;
-        Some(core::mem::take(&mut self.obs.events))
-    }
-
-    fn clone_box(&self) -> Box<dyn ObsSink> {
-        Box::new(self.clone())
     }
 }
 
@@ -405,52 +300,22 @@ impl ObsSink for RecordingSink {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NullSink;
 
-impl ObsSink for NullSink {
-    fn record(&mut self, _e: ObsEvent) {}
-
-    fn record_batch(&mut self, _events: &[ObsEvent]) {}
-
-    fn len(&self) -> usize {
-        0
-    }
-
-    fn digest(&self) -> u64 {
-        OBS_DIGEST_SEED
-    }
-
-    fn observation(&self) -> Option<&Observation> {
-        None
-    }
-
-    fn observation_mut(&mut self) -> Option<&mut Observation> {
-        None
-    }
-
-    fn take_events(&mut self) -> Option<Vec<ObsEvent>> {
-        None
-    }
-
-    fn clone_box(&self) -> Box<dyn ObsSink> {
-        Box::new(*self)
-    }
-}
-
 // ---------------------------------------------------------------------
 // Static dispatch
 // ---------------------------------------------------------------------
 
-/// The closed set of sinks the kernel's emit path dispatches over —
-/// statically, by one enum match, instead of a `Box<dyn ObsSink>`
-/// virtual call per event.
+/// Where a domain's observations go as the kernel emits them: the
+/// closed set of sinks, dispatched by one enum match per call.
 ///
-/// Every domain carries an `ObsSinkKind`; the variant is chosen once
-/// per run (recording by default, [`DigestSink`] via
-/// `System::use_digest_sinks`, [`NullSink`] only by explicit opt-in)
-/// and never changes mid-run, so the match predicts perfectly in the
-/// hot loop and the sink methods inline into the kernel's step.
-/// Open-ended sink implementations remain possible through the
-/// [`ObsSink`] trait (which `ObsSinkKind` itself implements); the enum
-/// is the monomorphic fast path for the three shipped sinks.
+/// The kernel hands it each event exactly once, in program order, and
+/// never reads events back during a run — a sink is write-only from
+/// the machine's point of view, which is why the choice of sink cannot
+/// perturb execution. Every domain carries an `ObsSinkKind`; the
+/// variant is chosen once per run (recording by default,
+/// [`DigestSink`] via `System::use_digest_sinks`, [`NullSink`] only by
+/// explicit opt-in) and never changes mid-run, so the match predicts
+/// perfectly in the hot loop and the sink methods inline into the
+/// kernel's step.
 #[derive(Debug, Clone)]
 pub enum ObsSinkKind {
     /// Full log + rolling digest ([`RecordingSink`]).
@@ -486,7 +351,7 @@ impl From<NullSink> for ObsSinkKind {
 }
 
 impl ObsSinkKind {
-    /// Consume one event (statically dispatched [`ObsSink::record`]).
+    /// Consume one event.
     #[inline]
     pub fn record(&mut self, e: ObsEvent) {
         match self {
@@ -501,8 +366,8 @@ impl ObsSinkKind {
     #[inline]
     pub fn record_batch(&mut self, events: &[ObsEvent]) {
         match self {
-            ObsSinkKind::Recording(s) => s.record_batch(events),
-            ObsSinkKind::Digest(s) => s.record_batch(events),
+            ObsSinkKind::Recording(s) => events.iter().for_each(|&e| s.record(e)),
+            ObsSinkKind::Digest(s) => events.iter().for_each(|&e| s.record(e)),
             ObsSinkKind::Null(_) => {}
         }
     }
@@ -511,8 +376,8 @@ impl ObsSinkKind {
     #[inline]
     pub fn len(&self) -> usize {
         match self {
-            ObsSinkKind::Recording(s) => s.len(),
-            ObsSinkKind::Digest(s) => s.len(),
+            ObsSinkKind::Recording(s) => s.obs.events.len(),
+            ObsSinkKind::Digest(s) => s.len,
             ObsSinkKind::Null(_) => 0,
         }
     }
@@ -523,12 +388,13 @@ impl ObsSinkKind {
         self.len() == 0
     }
 
-    /// Rolling digest of everything recorded so far.
+    /// Rolling digest of everything recorded so far (equals
+    /// [`obs_digest`] of the event sequence).
     #[inline]
     pub fn digest(&self) -> u64 {
         match self {
-            ObsSinkKind::Recording(s) => s.digest(),
-            ObsSinkKind::Digest(s) => s.digest(),
+            ObsSinkKind::Recording(s) => s.digest,
+            ObsSinkKind::Digest(s) => s.digest,
             ObsSinkKind::Null(_) => OBS_DIGEST_SEED,
         }
     }
@@ -536,7 +402,7 @@ impl ObsSinkKind {
     /// The retained log, if this sink keeps one.
     pub fn observation(&self) -> Option<&Observation> {
         match self {
-            ObsSinkKind::Recording(s) => s.observation(),
+            ObsSinkKind::Recording(s) => Some(&s.obs),
             _ => None,
         }
     }
@@ -545,54 +411,22 @@ impl ObsSinkKind {
     /// adversarial transparency suites use; real monitors never touch it).
     pub fn observation_mut(&mut self) -> Option<&mut Observation> {
         match self {
-            ObsSinkKind::Recording(s) => s.observation_mut(),
+            ObsSinkKind::Recording(s) => Some(&mut s.obs),
             _ => None,
         }
     }
 
     /// Take the retained event buffer out (leaving the sink empty), if
-    /// this sink keeps one.
+    /// this sink keeps one — the allocation-reuse path for drivers that
+    /// stamp thousands of recording runs.
     pub fn take_events(&mut self) -> Option<Vec<ObsEvent>> {
         match self {
-            ObsSinkKind::Recording(s) => s.take_events(),
+            ObsSinkKind::Recording(s) => {
+                s.digest = OBS_DIGEST_SEED;
+                Some(core::mem::take(&mut s.obs.events))
+            }
             _ => None,
         }
-    }
-}
-
-/// `ObsSinkKind` is itself a sink, so code generic over [`ObsSink`]
-/// (and the adversarial suites' mock monitors) accepts it unchanged.
-impl ObsSink for ObsSinkKind {
-    fn record(&mut self, e: ObsEvent) {
-        ObsSinkKind::record(self, e)
-    }
-
-    fn record_batch(&mut self, events: &[ObsEvent]) {
-        ObsSinkKind::record_batch(self, events)
-    }
-
-    fn len(&self) -> usize {
-        ObsSinkKind::len(self)
-    }
-
-    fn digest(&self) -> u64 {
-        ObsSinkKind::digest(self)
-    }
-
-    fn observation(&self) -> Option<&Observation> {
-        ObsSinkKind::observation(self)
-    }
-
-    fn observation_mut(&mut self) -> Option<&mut Observation> {
-        ObsSinkKind::observation_mut(self)
-    }
-
-    fn take_events(&mut self) -> Option<Vec<ObsEvent>> {
-        ObsSinkKind::take_events(self)
-    }
-
-    fn clone_box(&self) -> Box<dyn ObsSink> {
-        Box::new(self.clone())
     }
 }
 
@@ -628,8 +462,8 @@ mod tests {
     #[test]
     fn sinks_agree_with_the_batch_digest() {
         let events = sample_events();
-        let mut d = DigestSink::default();
-        let mut r = RecordingSink::default();
+        let mut d = ObsSinkKind::from(DigestSink::default());
+        let mut r = ObsSinkKind::from(RecordingSink::default());
         for e in &events {
             d.record(*e);
             r.record(*e);
@@ -645,9 +479,10 @@ mod tests {
 
     #[test]
     fn empty_sinks_carry_the_seed_digest() {
-        assert_eq!(DigestSink::default().digest(), obs_digest(&[]));
-        assert_eq!(RecordingSink::default().digest(), obs_digest(&[]));
-        assert!(DigestSink::default().is_empty());
+        let digest = ObsSinkKind::from(DigestSink::default());
+        assert_eq!(digest.digest(), obs_digest(&[]));
+        assert_eq!(ObsSinkKind::default().digest(), obs_digest(&[]));
+        assert!(digest.is_empty());
     }
 
     /// `with_buffer` reuses the allocation and `take_events` hands it
@@ -657,7 +492,7 @@ mod tests {
         let mut buf = Vec::with_capacity(64);
         buf.push(ObsEvent::Fault); // stale content must be cleared
         let cap = buf.capacity();
-        let mut sink = RecordingSink::with_buffer(buf);
+        let mut sink = ObsSinkKind::from(RecordingSink::with_buffer(buf));
         assert!(sink.is_empty(), "with_buffer must clear stale events");
         sink.record(ObsEvent::Halted);
         assert_eq!(sink.digest(), obs_digest(&[ObsEvent::Halted]));
@@ -669,19 +504,8 @@ mod tests {
     }
 
     #[test]
-    fn boxed_sinks_clone() {
-        let mut b: Box<dyn ObsSink> = Box::new(RecordingSink::default());
-        b.record(ObsEvent::Fault);
-        let c = b.clone();
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.digest(), b.digest());
-        let d: Box<dyn ObsSink> = Box::new(DigestSink::default());
-        assert_eq!(d.clone().len(), 0);
-    }
-
-    #[test]
     fn null_sink_discards_everything() {
-        let mut n = NullSink;
+        let mut n = ObsSinkKind::from(NullSink);
         n.record(ObsEvent::Fault);
         n.record_batch(&sample_events());
         assert_eq!(n.len(), 0);
@@ -689,11 +513,10 @@ mod tests {
         assert_eq!(n.digest(), obs_digest(&[]));
         assert!(n.observation().is_none());
         assert!(n.take_events().is_none());
-        assert_eq!(n.clone_box().len(), 0);
     }
 
-    /// The static-dispatch enum behaves exactly like the sink it wraps —
-    /// per event and per batch — for every variant.
+    /// Every variant ends with the same length, digest and log whether
+    /// the events arrive one at a time or as one batch.
     #[test]
     fn sink_kind_matches_wrapped_sink() {
         let events = sample_events();
@@ -728,14 +551,13 @@ mod tests {
         assert!(dig.take_events().is_none());
     }
 
-    /// Batched recording through the trait's provided method equals
-    /// per-event recording — the invariant the kernel's step-granular
-    /// flush rests on.
+    /// Batched recording equals per-event recording — the invariant the
+    /// kernel's step-granular flush rests on.
     #[test]
     fn record_batch_equals_per_event_recording() {
         let events = sample_events();
-        let mut single = RecordingSink::default();
-        let mut batch = RecordingSink::default();
+        let mut single = ObsSinkKind::default();
+        let mut batch = ObsSinkKind::default();
         for e in &events {
             single.record(*e);
         }
@@ -743,7 +565,7 @@ mod tests {
         assert_eq!(single.digest(), batch.digest());
         assert_eq!(single.observation(), batch.observation());
         // Split batches chain: digest state carries across flushes.
-        let mut split = DigestSink::default();
+        let mut split = ObsSinkKind::from(DigestSink::default());
         split.record_batch(&events[..2]);
         split.record_batch(&events[2..]);
         assert_eq!(split.digest(), obs_digest(&events));

@@ -9,7 +9,7 @@
 //! cache state — and hence timing — as a function of *history*, which is
 //! exactly what makes it a channel if not reset.
 
-use crate::types::{mix2, DomainTag, PAddr, VAddr, LINE_SIZE};
+use crate::types::{mix2, DomainTag, PAddr, VAddr};
 
 /// One slot of the stride table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -143,11 +143,6 @@ impl Prefetcher {
             }
         }
         h
-    }
-
-    /// Helper: line-aligned successor used in tests.
-    pub fn next_line(paddr: PAddr) -> PAddr {
-        PAddr((paddr.0 & !(LINE_SIZE - 1)) + LINE_SIZE)
     }
 }
 

@@ -12,7 +12,7 @@
 //! halting. Noninterference (§5.2) is stated over these logs: a Lo
 //! domain's observation sequence must be identical across all Hi secrets.
 //!
-//! Each domain's observations flow into a pluggable [`ObsSink`]
+//! Each domain's observations flow into an [`ObsSinkKind`]
 //! (`tp_hw::obs`): a [`tp_hw::obs::RecordingSink`] keeps the full log
 //! (the default, and what every witness extractor needs), while a
 //! [`tp_hw::obs::DigestSink`] folds events into a rolling digest as
@@ -21,7 +21,7 @@
 use crate::program::{Program, StepFeedback};
 use crate::vspace::VSpace;
 use tp_hw::obs::RecordingSink;
-pub use tp_hw::obs::{NullSink, ObsEvent, ObsSink, ObsSinkKind, Observation};
+pub use tp_hw::obs::{NullSink, ObsEvent, ObsSinkKind, Observation};
 use tp_hw::types::{Asid, Colour, Cycles, DomainTag, VAddr, PAGE_SIZE};
 
 /// Index of a domain within the kernel.

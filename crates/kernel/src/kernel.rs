@@ -1055,12 +1055,6 @@ impl SystemTemplate {
         self
     }
 
-    /// A fresh system, identical to one built by [`System::new`] with
-    /// the template's configuration.
-    pub fn instantiate(&self) -> System {
-        self.pristine.clone()
-    }
-
     /// A fresh system with domain `d`'s program replaced — the per-run
     /// fast path of the exhaustive checker.
     pub fn instantiate_with_program(&self, d: DomainId, program: Box<dyn Program>) -> System {

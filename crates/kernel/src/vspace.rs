@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use tp_hw::machine::{AddressSpace, Translation, WalkFootprint};
-use tp_hw::types::{Asid, PAddr, VAddr};
+use tp_hw::types::{Asid, PAddr};
 
 /// Number of entries per page-table level (512, as for 4 KiB pages with
 /// 8-byte entries).
@@ -159,11 +159,6 @@ impl AddressSpace for VSpace {
         }
         fp
     }
-}
-
-/// Convenience for tests and examples: the first virtual address of `vpn`.
-pub fn vaddr_of_vpn(vpn: u64) -> VAddr {
-    VAddr(vpn << tp_hw::types::PAGE_BITS)
 }
 
 #[cfg(test)]

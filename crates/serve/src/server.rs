@@ -98,7 +98,10 @@
 //!
 //! A request line longer than [`MAX_LINE`] bytes is answered with
 //! `ERR code=too-long` and the connection is closed, so no client can
-//! make the daemon buffer an unbounded line.
+//! make the daemon buffer an unbounded line. Before closing, the rest
+//! of that line (up to [`MAX_DISCARD`] bytes) is read and dropped
+//! without being stored: closing a socket with unread input resets
+//! it, and the reset could reach the client ahead of the refusal.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
@@ -130,6 +133,9 @@ const STREAM_POINT: &str = "serve.stream";
 /// The longest request line read, in bytes before its newline. Valid
 /// requests are under 200 bytes.
 const MAX_LINE: usize = 4096;
+/// The most of an over-long line's remainder read and dropped before
+/// its connection is closed.
+const MAX_DISCARD: u64 = 1 << 20;
 
 /// How long `SHUTDOWN` waits for in-flight jobs before giving up on
 /// them (`TP_SERVE_DRAIN_MS` overrides; tests shrink it).
@@ -586,6 +592,7 @@ fn serve_lines(mut reader: impl BufRead, out: impl Write, shared: &Arc<Shared>) 
                 "too-long",
                 &format!("request line exceeds {MAX_LINE} bytes"),
             );
+            discard_line(reader);
             return;
         }
         let Ok(line) = std::str::from_utf8(&buf) else {
@@ -594,6 +601,26 @@ fn serve_lines(mut reader: impl BufRead, out: impl Write, shared: &Arc<Shared>) 
         match dispatch(line, shared, &mut out) {
             Ok(true) => {}
             Ok(false) | Err(_) => return,
+        }
+    }
+}
+
+/// Read and drop `reader`'s input through the next newline, at most
+/// [`MAX_DISCARD`] bytes, keeping none of it.
+fn discard_line(reader: impl BufRead) {
+    let mut rest = reader.take(MAX_DISCARD);
+    loop {
+        let Ok(chunk) = rest.fill_buf() else { return };
+        if chunk.is_empty() {
+            return;
+        }
+        let (n, found) = match chunk.iter().position(|&b| b == b'\n') {
+            Some(i) => (i + 1, true),
+            None => (chunk.len(), false),
+        };
+        rest.consume(n);
+        if found {
+            return;
         }
     }
 }
@@ -1272,7 +1299,9 @@ mod tests {
     }
 
     /// A request line past [`MAX_LINE`] bytes gets `ERR code=too-long`
-    /// and ends the connection; a line of exactly the cap is read.
+    /// and ends the connection once the rest of the line, and no more,
+    /// is read (at most [`MAX_DISCARD`] bytes of it); a line of exactly
+    /// the cap is read.
     #[test]
     fn an_over_long_request_line_is_refused_and_closes_the_connection() {
         let shared = shared();
@@ -1283,6 +1312,19 @@ mod tests {
                 "ERR code=too-long msg=request line exceeds {MAX_LINE} bytes\n.\n"
             )]
         );
+        for (len, left) in [
+            (MAX_LINE + 1, "PING\n".len()),
+            (25 * MAX_LINE, "PING\n".len()),
+            (
+                MAX_LINE + 1 + MAX_DISCARD as usize + 10,
+                10 + "\nPING\n".len(),
+            ),
+        ] {
+            let long = format!("{}\nPING\n", "x".repeat(len));
+            let mut input = long.as_bytes();
+            serve_lines(&mut input, io::sink(), &shared);
+            assert_eq!(input.len(), left, "a {len}-byte line");
+        }
         let at_cap = format!("PING{}\r\nPING\n", " ".repeat(MAX_LINE - 5));
         assert_eq!(writes(&shared, &at_cap), ["OK pong\n.\n", "OK pong\n.\n"]);
     }
