@@ -12,24 +12,16 @@
 //! pool for everything. `--metrics` / `--trace-out` observe the whole
 //! run — report phases included — since the sink is process-global.
 //! The other sweep flags (`--worker`, `--merge`, `--cache`,
-//! `--journal`, `--resume`, `--progress`) belong to `bin/matrix`; `all`
-//! rejects them with a usage error rather than ignore them.
+//! `--progress`) belong to `bin/matrix`; `all` rejects them with a
+//! usage error rather than ignore them.
 
 use tp_bench::cli::{SweepArgs, EXIT_USAGE};
 
 fn main() {
     let args = match SweepArgs::parse(std::env::args().skip(1)) {
-        Ok(a)
-            if a.worker
-                || !a.merge.is_empty()
-                || a.cache.is_some()
-                || a.journal.is_some()
-                || a.resume.is_some()
-                || a.progress =>
-        {
+        Ok(a) if a.worker || !a.merge.is_empty() || a.cache.is_some() || a.progress => {
             eprintln!(
-                "all: --worker/--merge/--cache/--journal/--resume/--progress are \
-                 matrix-only flags (use bin/matrix)"
+                "all: --worker/--merge/--cache/--progress are matrix-only flags (use bin/matrix)"
             );
             std::process::exit(EXIT_USAGE);
         }
@@ -85,10 +77,8 @@ fn main() {
     }
 
     println!("\n=== Scenario matrix (the suite as one engine run) ===");
-    let (outcomes, _, _) =
-        tp_bench::run_matrix_cells(&matrix, &indices, None, None, |_, _, line| {
-            eprintln!("{line}")
-        });
+    let (outcomes, _) =
+        tp_bench::run_matrix_cells(&matrix, &indices, None, |_, _, line| eprintln!("{line}"));
     tp_bench::finish_telemetry(args.metrics, args.trace_out.as_deref(), indices.len());
     let proved = tp_bench::proved_or_exit("all", outcomes);
     print!(

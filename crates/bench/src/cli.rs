@@ -19,22 +19,14 @@
 //!
 //! * `--cache PATH` — back the sweep with the content-addressed proof
 //!   cache (`tp_core::cache`): load `PATH` if it exists, replay
-//!   validated hits, prove only changed cells, and write the updated
-//!   cache back. Reports stay byte-identical to an uncached run; the
-//!   hit/re-prove statistics go to stderr. A cache file that fails
-//!   wire parsing exits with [`EXIT_MALFORMED`]; entries that parse
-//!   but fail validation are rejected and re-proved (exit 0).
-//! * `--journal PATH` — crash-safe checkpointing (`tp_core::journal`):
-//!   start a fresh journal at `PATH` and append every proved cell as
-//!   it completes, fsynced, so a killed sweep loses at most the cell
-//!   in flight.
-//! * `--resume PATH` — reload a journal a killed `--journal` run left
-//!   behind (applying the torn-tail rule), replay records that survive
-//!   the cache validation gauntlet, re-prove the rest, and keep
-//!   journaling to `PATH`. Output is byte-identical to an
-//!   uninterrupted run. A journal that is corrupt *before* its tail
-//!   exits with [`EXIT_MALFORMED`]. Mutually exclusive with `--cache`
-//!   (the journal already carries the same evidence).
+//!   validated hits, prove only changed cells, and append each proved
+//!   cell to `PATH` as it completes, fsynced. A killed sweep loses at
+//!   most the cell in flight: the next run drops a torn final group and
+//!   resumes from the rest. Reports stay byte-identical to an uncached
+//!   run; the hit/re-prove statistics go to stderr. A cache file that
+//!   fails wire parsing before its final group exits with
+//!   [`EXIT_MALFORMED`]; entries that parse but fail validation are
+//!   rejected and re-proved (exit 0).
 //!
 //! Telemetry flags, all off by default so the proof hot path keeps its
 //! null-sink fast path:
@@ -82,10 +74,6 @@ pub struct SweepArgs {
     pub replay_check: bool,
     /// `--cache PATH`.
     pub cache: Option<String>,
-    /// `--journal PATH` (fresh journal).
-    pub journal: Option<String>,
-    /// `--resume PATH` (reload a journal, then keep journaling).
-    pub resume: Option<String>,
     /// `--worker`.
     pub worker: bool,
     /// `--merge FILE...` (everything after the flag).
@@ -131,14 +119,6 @@ impl SweepArgs {
                     let v = args.next().ok_or("--cache needs a path")?;
                     out.cache = Some(v);
                 }
-                "--journal" => {
-                    let v = args.next().ok_or("--journal needs a path")?;
-                    out.journal = Some(v);
-                }
-                "--resume" => {
-                    let v = args.next().ok_or("--resume needs a path")?;
-                    out.resume = Some(v);
-                }
                 "--worker" => out.worker = true,
                 "--metrics" => out.metrics = true,
                 "--trace-out" => {
@@ -163,15 +143,6 @@ impl SweepArgs {
         }
         if out.trace_out.is_some() && !out.merge.is_empty() {
             return Err("--trace-out does not apply to --merge".into());
-        }
-        if out.journal.is_some() && out.resume.is_some() {
-            return Err("--journal starts fresh and --resume reloads; pick one".into());
-        }
-        if (out.journal.is_some() || out.resume.is_some()) && out.cache.is_some() {
-            return Err("--cache and --journal/--resume are mutually exclusive".into());
-        }
-        if (out.journal.is_some() || out.resume.is_some()) && !out.merge.is_empty() {
-            return Err("--journal/--resume do not apply to --merge".into());
         }
         Ok(out)
     }
@@ -289,22 +260,13 @@ mod tests {
 
     #[test]
     fn parses_journal_flags() {
-        let j = SweepArgs::parse(strs(&["--journal", "run.journal"])).unwrap();
-        assert_eq!(j.journal.as_deref(), Some("run.journal"));
-        assert_eq!(j.resume, None);
-        let r = SweepArgs::parse(strs(&["--resume", "run.journal"])).unwrap();
-        assert_eq!(r.resume.as_deref(), Some("run.journal"));
-        assert!(SweepArgs::parse(strs(&["--journal"])).is_err());
-        assert!(SweepArgs::parse(strs(&["--resume"])).is_err());
-        // A journaled worker shard is a valid shard.
-        let w = SweepArgs::parse(strs(&["--worker", "--journal", "j"])).unwrap();
-        assert!(w.worker && w.journal.is_some());
-        // Exclusivity: fresh-vs-resume, cache, merge.
-        assert!(SweepArgs::parse(strs(&["--journal", "a", "--resume", "a"])).is_err());
-        assert!(SweepArgs::parse(strs(&["--journal", "a", "--cache", "c"])).is_err());
-        assert!(SweepArgs::parse(strs(&["--resume", "a", "--cache", "c"])).is_err());
-        assert!(SweepArgs::parse(strs(&["--journal", "a", "--merge", "m"])).is_err());
-        assert!(SweepArgs::parse(strs(&["--resume", "a", "--merge", "m"])).is_err());
+        // The checkpoint journal is the `--cache` file now. The old flag
+        // is refused, so a script still passing it fails loudly instead
+        // of running without the checkpoint it asked for.
+        let err = SweepArgs::parse(strs(&["--journal", "run.journal"])).unwrap_err();
+        assert!(err.contains("unknown argument \"--journal\""), "{err}");
+        let c = SweepArgs::parse(strs(&["--worker", "--cache", "run.cache"])).unwrap();
+        assert!(c.worker && c.cache.is_some());
     }
 
     #[test]

@@ -773,43 +773,22 @@ pub fn report_matrix() -> String {
 /// records) on stdout; the counts also feed the `--progress` ETA
 /// heartbeat.
 ///
-/// `cache` answers validated hits and takes every freshly proved cell;
-/// `journal` checkpoints each freshly proved cacheable cell — fsynced —
-/// the moment it completes, so a killed process loses at most the cell
-/// in flight. Journal I/O failures do **not** abort the sweep (the
-/// journal is belt-and-braces; the proof output stays correct): the
-/// first error is returned for the caller to report, and further
-/// appends are skipped rather than spamming a sick disk. Reports,
-/// progress lines and anything serialised from the outcomes are
-/// byte-identical whether or not a cache or journal is given.
+/// `cache` answers validated hits and takes every freshly proved cell
+/// (appending it to the cache's file when it was opened on one).
+/// Reports, progress lines and anything serialised from the outcomes
+/// are byte-identical whether or not a cache is given.
 pub fn run_matrix_cells(
     matrix: &tp_core::ScenarioMatrix,
     indices: &[usize],
     cache: Option<&mut tp_core::ProofCache>,
-    mut journal: Option<&mut tp_core::JournalWriter>,
     mut progress: impl FnMut(usize, usize, &str),
-) -> (
-    tp_core::CellOutcomes,
-    tp_core::CacheStats,
-    Option<std::io::Error>,
-) {
+) -> (tp_core::CellOutcomes, tp_core::CacheStats) {
     let total = indices.len();
     let mut done = 0usize;
-    let journaled = journal.is_some();
-    let mut jerr: Option<std::io::Error> = None;
-    let mut append = |i: usize,
-                      cell: &tp_core::MatrixCell,
-                      report: &tp_core::ProofReport,
-                      meta: &tp_core::wire::CachedMeta| {
-        if let (None, Some(w)) = (&jerr, journal.as_deref_mut()) {
-            jerr = w.append(i, cell, report, meta).err();
-        }
-    };
-    let (outcomes, stats) = matrix.sweep(
+    matrix.sweep(
         tp_sched::global(),
         indices,
         cache,
-        journaled.then_some(&mut append as tp_core::engine::OnProved),
         |cell| canonical_scenario(cell.disable),
         |ci, cell, outcome| {
             done += 1;
@@ -821,8 +800,7 @@ pub fn run_matrix_cells(
             let line = format!("[{done}/{total}] cell {ci}: {:<28} {verdict}", cell.label());
             progress(done, total, &line);
         },
-    );
-    (outcomes, stats, jerr)
+    )
 }
 
 /// The proved cells of a CLI sweep — or, when any cell failed, one

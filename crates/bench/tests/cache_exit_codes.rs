@@ -6,7 +6,7 @@
 //! re-proved with exit 0. A daemon supervisor (or CI) keying restart
 //! policy off these codes must be able to tell "throw the file away"
 //! from "the run healed itself". `all`, which has no cache, must refuse
-//! `--cache` (and the journal flags) as a usage error.
+//! `--cache` as a usage error.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -112,22 +112,20 @@ fn usage_errors_keep_their_code() {
 
 #[test]
 fn all_rejects_the_matrix_only_file_flags() {
-    // `all` has no cache or journal: it must refuse the flags with a
-    // usage error before proving anything, not exit 0 and write nothing.
-    for flag in ["--cache", "--journal", "--resume"] {
-        let path = cache_path(&format!("all{flag}"));
-        std::fs::remove_file(&path).ok();
-        let out = Command::new(env!("CARGO_BIN_EXE_all"))
-            .args(["--models", "1", "--cells", "0..1", flag])
-            .arg(&path)
-            .output()
-            .expect("all binary runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(EXIT_USAGE), "all {flag}: {stderr}");
-        assert!(stderr.contains("matrix-only"), "all {flag}: {stderr}");
-        assert!(out.stdout.is_empty(), "all {flag} must print no report");
-        assert!(!path.exists(), "all {flag} must not create {path:?}");
-    }
+    // `all` has no cache: it must refuse the flag with a usage error
+    // before proving anything, not exit 0 and write nothing.
+    let path = cache_path("all--cache");
+    std::fs::remove_file(&path).ok();
+    let out = Command::new(env!("CARGO_BIN_EXE_all"))
+        .args(["--models", "1", "--cells", "0..1", "--cache"])
+        .arg(&path)
+        .output()
+        .expect("all binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(EXIT_USAGE), "all --cache: {stderr}");
+    assert!(stderr.contains("matrix-only"), "all --cache: {stderr}");
+    assert!(out.stdout.is_empty(), "all --cache must print no report");
+    assert!(!path.exists(), "all --cache must not create {path:?}");
     let out = Command::new(env!("CARGO_BIN_EXE_all"))
         .arg("--progress")
         .output()

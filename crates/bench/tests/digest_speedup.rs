@@ -48,7 +48,6 @@ fn e11(pool: &WorkerPool, mode: ProofMode) -> (MatrixReport, Work) {
         pool,
         &all,
         None,
-        None,
         |c| canonical_scenario(c.disable),
         |_, _, _| {},
     );

@@ -34,8 +34,8 @@ fn regenerate() -> (String, String) {
     let matrix = tp_bench::shaped_matrix(None);
     let indices: Vec<usize> = (0..matrix.cells().len()).collect();
     let mut cache = tp_core::ProofCache::new();
-    let (outcomes, stats, _) =
-        tp_bench::run_matrix_cells(&matrix, &indices, Some(&mut cache), None, |_, _, _| {});
+    let (outcomes, stats) =
+        tp_bench::run_matrix_cells(&matrix, &indices, Some(&mut cache), |_, _, _| {});
     assert_eq!(stats.hits, 0, "a fresh cache cannot hit");
 
     let mut worker = String::new();

@@ -33,8 +33,7 @@
 //!
 //! The checksum is re-derived on every hit, over the entry's canonical
 //! bytes as they were rendered when the entry entered the cache
-//! ([`ProofCache::insert`], [`ProofCache::insert_entry`] or
-//! [`ProofCache::load`]). Entries are never changed after insertion, so
+//! ([`ProofCache::insert`] or [`ProofCache::load`]). Entries are never changed after insertion, so
 //! those bytes are exactly what [`entry_check`] would render from the
 //! stored cell and report now; [`validate_entry`] is the reference that
 //! renders them afresh.
@@ -65,8 +64,8 @@
 //! length-delimited, as their byte length followed by their bytes
 //! packed eight to a little-endian word, so no byte can move from one
 //! field into the next without changing the words. The entry checksum
-//! ([`entry_check`]) and the journal's framing checksum use the same
-//! fold; observation digests keep their own byte-wise FNV fold.
+//! ([`entry_check`]) uses the same fold; observation digests keep their
+//! own byte-wise FNV fold.
 //!
 //! A program that cannot prove its identity
 //! ([`Program::content_fingerprint`] returns `None`) makes the cell
@@ -90,19 +89,49 @@
 //! merge freely in both directions. Loading is last-wins per key,
 //! which makes merging two caches a file concatenation.
 //!
+//! ## The cache file is an append-only log
+//!
+//! [`ProofCache::open`] backs the cache with its file: every
+//! [`ProofCache::insert`] appends the new entry's group — the same
+//! bytes `save` writes for it — and fsyncs it before the sweep moves
+//! on, so a killed process loses at most the cell in flight and the
+//! next `open` resumes from what is on disk. No framing is added: a
+//! group is committed once its closing `end i=N` line is complete, and
+//! a crash, including one that writes half a group, cannot complete
+//! that line.
+//!
+//! [`ProofCache::load`] therefore applies a **torn-tail rule**: the
+//! bytes after the file's last complete `end` line are a torn group —
+//! dropped and counted ([`tp_telemetry::Counter::CacheTornDropped`]) —
+//! when they are what a crash mid-append leaves: at most one `cell`
+//! record, and every line before the unfinished last one a well-formed
+//! record of a group still missing its `end`. Anything else malformed
+//! fails closed: damage in a complete group, a finished line that is no
+//! record, or a lost `end` that merges two groups. A group that parses
+//! but was tampered with is the lookup gauntlet's to reject.
+//!
+//! `open` rewrites the file through [`crate::persist::write_atomic`]
+//! (`save`'s bytes) when it dropped a torn tail — appends must follow
+//! committed bytes — or when groups that a later one superseded
+//! outnumber the live entries.
+//!
 //! [`Program::content_fingerprint`]: tp_kernel::program::Program::content_fingerprint
 //! [`content_fingerprint`]: tp_kernel::config::KernelConfig::content_fingerprint
 //! [`TransparencyCert`]: crate::noninterference::TransparencyCert
 
 use std::collections::BTreeMap;
+use std::fs::{File, OpenOptions};
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::engine::{MatrixCell, ProofMode};
+use crate::faultpoint::{self, Fault};
 use crate::noninterference::{compare_secret_digests, NiScenario, NiVerdict};
 use crate::proof::ProofReport;
 use crate::wire::{
-    enc_machine, enc_mechanism, enc_time_model, write_cached_tail, write_cell_body,
-    write_reindexed_body, WireError,
+    enc_machine, enc_mechanism, enc_time_model, parse_cells_meta, write_cached_tail,
+    write_cell_body, write_cell_cached, write_reindexed_body, CachedMeta, ParsedCell, WireError,
 };
 use tp_hw::clock::TimeModel;
 use tp_hw::obs::WordFold;
@@ -120,9 +149,8 @@ pub const CACHE_SALT: u64 = 0x7470_cace_0000_0002;
 /// then its bytes packed eight to a little-endian word, the last word
 /// zero-padded. The length says how many words follow, so strings and
 /// words folded in a fixed order cannot shift bytes from one string
-/// into the next, and trailing zero bytes still count. Shared with the
-/// journal's record framing checksum (`crate::journal`).
-pub(crate) fn fold_bytes(f: &mut WordFold, bytes: &[u8]) {
+/// into the next, and trailing zero bytes still count.
+fn fold_bytes(f: &mut WordFold, bytes: &[u8]) {
     f.push(bytes.len() as u64);
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
@@ -319,6 +347,14 @@ impl Stored {
         let body = canonical_body(&entry.cell, &entry.report).into();
         Stored { entry, body }
     }
+
+    /// The entry's group at `index`: its stored body re-indexed, then
+    /// its `cached` and `end` records.
+    fn write_group(&self, out: &mut String, index: usize) {
+        let e = &self.entry;
+        write_reindexed_body(out, "", index, &self.body);
+        write_cached_tail(out, index, e.key, e.salt, e.check, &e.fps);
+    }
 }
 
 /// A validated cache hit ([`ProofCache::lookup_hit`]).
@@ -337,6 +373,16 @@ pub struct Hit<'a> {
 #[derive(Debug, Default)]
 pub struct ProofCache {
     entries: BTreeMap<u64, Stored>,
+    /// Record groups in the backing file: those `load` parsed, plus
+    /// one per append since.
+    groups: usize,
+    /// Torn final groups `load` dropped (0 or 1).
+    torn: usize,
+    /// The backing file's appender, when [`ProofCache::open`] made one;
+    /// dropped at the first failed append, so later ones are skipped.
+    log: Option<JournalWriter>,
+    /// That failure, until the caller takes it.
+    log_error: Option<io::Error>,
 }
 
 impl ProofCache {
@@ -360,22 +406,80 @@ impl ProofCache {
     /// last-wins per key — so merging caches is file concatenation.
     /// Groups without one (live shard output mixed in) are skipped:
     /// without fingerprints there is nothing to validate a hit
-    /// against. Malformed input is an error, never a partial load.
+    /// against. A torn final group is dropped under the module's
+    /// torn-tail rule ([`ProofCache::torn_dropped`]); anything else
+    /// malformed is an error, never a partial load.
     pub fn load(text: &str) -> Result<Self, WireError> {
-        let mut cache = ProofCache::new();
-        for (_, cell, report, meta) in crate::wire::parse_cells_meta(text)? {
+        let (groups, torn) = parse_log(text)?;
+        if torn > 0 {
+            tp_telemetry::count_n(tp_telemetry::Counter::CacheTornDropped, torn as u64);
+        }
+        let mut cache = ProofCache {
+            groups: groups.len(),
+            torn,
+            ..ProofCache::default()
+        };
+        for (_, cell, report, meta) in groups {
             if let Some(m) = meta {
-                cache.insert_entry(CacheEntry {
+                let entry = CacheEntry {
                     key: m.key,
                     salt: m.salt,
                     check: m.check,
                     fps: m.fps,
                     cell,
                     report,
-                });
+                };
+                cache.entries.insert(entry.key, Stored::new(entry));
             }
         }
         Ok(cache)
+    }
+
+    /// Load the cache file at `path` and back the cache with it, so
+    /// every [`ProofCache::insert`] appends to it (see the module docs).
+    /// A missing file is a cold start. The file is first rewritten
+    /// atomically when `load` dropped a torn tail or when superseded
+    /// groups outnumber live entries. A file that fails to parse is an
+    /// [`io::ErrorKind::InvalidData`] error carrying the
+    /// [`WireError`], and is left as it was.
+    pub fn open(path: &Path) -> io::Result<Self> {
+        let (bytes, created) = match std::fs::read(path) {
+            Ok(b) => (b, false),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => (Vec::new(), true),
+            Err(e) => return Err(e),
+        };
+        // A crash can split a multi-byte character at the very end;
+        // that is part of the torn group, not a reason to refuse the file.
+        let (text, split_char) = match std::str::from_utf8(&bytes) {
+            Ok(t) => (t, false),
+            Err(e) if e.error_len().is_none() => (
+                std::str::from_utf8(&bytes[..e.valid_up_to()]).expect("valid prefix"),
+                true,
+            ),
+            Err(e) => return Err(io::Error::new(io::ErrorKind::InvalidData, e)),
+        };
+        let mut cache =
+            Self::load(text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        if split_char || cache.torn > 0 || cache.groups - cache.len() > cache.len() {
+            crate::persist::write_atomic(path, cache.save().as_bytes())?;
+            cache.groups = cache.len();
+        }
+        cache.log = Some(JournalWriter::open_append(path, created)?);
+        Ok(cache)
+    }
+
+    /// Torn final groups [`ProofCache::load`] dropped: 0, or 1 after a
+    /// crash mid-append.
+    pub fn torn_dropped(&self) -> usize {
+        self.torn
+    }
+
+    /// The failed append to the backing file, if any, handed to the
+    /// caller once. Appends stop for good at the first failure, so the
+    /// file never holds a group written after a torn one; the next
+    /// [`ProofCache::open`] drops the torn group.
+    pub fn take_log_error(&mut self) -> Option<io::Error> {
+        self.log_error.take()
     }
 
     /// Serialise every entry in key order with dense indices, ready to
@@ -386,15 +490,15 @@ impl ProofCache {
     pub fn save(&self) -> String {
         let mut out = String::new();
         for (i, s) in self.entries.values().enumerate() {
-            let e = &s.entry;
-            write_reindexed_body(&mut out, "", i, &s.body);
-            write_cached_tail(&mut out, i, e.key, e.salt, e.check, &e.fps);
+            s.write_group(&mut out, i);
         }
         out
     }
 
     /// Store a freshly proved cell under `key`, stamping the current
-    /// [`CACHE_SALT`] and a recomputed checksum.
+    /// [`CACHE_SALT`] and a recomputed checksum. With a backing file,
+    /// the entry's group is appended to it and fsynced (timed as the
+    /// `persist` span), indexed after the groups already there.
     pub fn insert(
         &mut self,
         key: u64,
@@ -412,16 +516,24 @@ impl ProofCache {
             cell,
             report,
         };
-        self.entries.insert(key, Stored { entry, body });
-    }
-
-    /// Absorb an already-serialised entry (journal replay, daemon
-    /// recovery) **preserving its stored salt and checksum** — unlike
-    /// [`ProofCache::insert`], nothing is re-stamped, so the lookup
-    /// gauntlet later judges exactly what was on disk. Last write wins
-    /// per key, the same rule as [`ProofCache::load`].
-    pub fn insert_entry(&mut self, entry: CacheEntry) {
-        self.entries.insert(entry.key, Stored::new(entry));
+        let stored = Stored { entry, body };
+        if let Some(log) = self.log.as_mut() {
+            let start = tp_telemetry::span_start();
+            let index = self.groups;
+            let mut group = String::new();
+            stored.write_group(&mut group, index);
+            match log.write_group(&group) {
+                Ok(()) => self.groups += 1,
+                Err(e) => {
+                    self.log = None;
+                    self.log_error = Some(e);
+                }
+            }
+            if let Some(start) = start {
+                tp_telemetry::span(tp_telemetry::SpanKind::Persist, index, None, start);
+            }
+        }
+        self.entries.insert(key, stored);
     }
 
     /// Look up and **validate** the entry for `key` against the live
@@ -460,6 +572,113 @@ impl ProofCache {
             entry: e,
             body: &s.body,
         })
+    }
+}
+
+/// Parse a cache file under the torn-tail rule (module docs): the
+/// committed groups, and how many torn final groups were dropped.
+fn parse_log(text: &str) -> Result<(Vec<ParsedCell>, usize), WireError> {
+    // The tail: everything after the last complete `end` line.
+    let mut start = text.len();
+    for line in text.split_inclusive('\n').rev() {
+        if line.ends_with('\n') && line.trim_start().starts_with("end ") {
+            break;
+        }
+        start -= line.len();
+    }
+    let tail = &text[start..];
+    // A torn group holds one `cell` record at most, and the lines the
+    // crash finished writing are well-formed records still missing
+    // their `end`.
+    let finished = &tail[..tail.rfind('\n').map_or(0, |n| n + 1)];
+    let torn = !tail.trim().is_empty()
+        && tail
+            .lines()
+            .filter(|l| l.trim_start().starts_with("cell "))
+            .count()
+            <= 1
+        && matches!(
+            parse_cells_meta(finished),
+            Ok(_) | Err(WireError::Incomplete { .. })
+        );
+    if torn {
+        Ok((parse_cells_meta(&text[..start])?, 1))
+    } else {
+        Ok((parse_cells_meta(text)?, 0))
+    }
+}
+
+/// The fault point fired once per append to a cache log, before any
+/// bytes reach the file: `ioerr` surfaces as the returned error,
+/// `truncate` writes the first half of the group and aborts, `kill`
+/// aborts with nothing written.
+const APPEND_POINT: &str = "journal.append";
+
+/// An open cache log being appended to, one fsynced record group at a
+/// time: the appender behind [`ProofCache::open`].
+#[derive(Debug)]
+pub struct JournalWriter {
+    file: File,
+    /// A file this writer created, whose directory entry the first
+    /// append makes durable (off the start-up path of a cold daemon).
+    created: Option<PathBuf>,
+}
+
+impl JournalWriter {
+    /// Start a fresh log at `path`, truncating any previous file.
+    pub fn create(path: &Path) -> io::Result<JournalWriter> {
+        Ok(JournalWriter {
+            file: File::create(path)?,
+            created: Some(path.to_path_buf()),
+        })
+    }
+
+    /// Open `path` for appending; `created` when it did not exist and is
+    /// created here.
+    fn open_append(path: &Path, created: bool) -> io::Result<JournalWriter> {
+        Ok(JournalWriter {
+            file: OpenOptions::new().create(true).append(true).open(path)?,
+            created: created.then(|| path.to_path_buf()),
+        })
+    }
+
+    /// Append one proved cell's group — [`write_cell_cached`] at
+    /// `index` — and fsync it.
+    pub fn append(
+        &mut self,
+        index: usize,
+        cell: &MatrixCell,
+        report: &ProofReport,
+        meta: &CachedMeta,
+    ) -> io::Result<()> {
+        let mut group = String::new();
+        write_cell_cached(&mut group, index, cell, report, meta);
+        self.write_group(&group)
+    }
+
+    /// Write `group` whole and fsync it, applying any planned fault
+    /// first.
+    fn write_group(&mut self, group: &str) -> io::Result<()> {
+        match faultpoint::fire(APPEND_POINT) {
+            Some(Fault::IoError) => return Err(faultpoint::injected_io_error(APPEND_POINT)),
+            Some(Fault::Truncate) => {
+                // A torn tail: half the group reaches the disk, then the
+                // process dies. The next load must drop it.
+                let _ = self.file.write_all(&group.as_bytes()[..group.len() / 2]);
+                let _ = self.file.sync_data();
+                faultpoint::abort_now(APPEND_POINT);
+            }
+            Some(Fault::Kill) => faultpoint::abort_now(APPEND_POINT),
+            Some(Fault::Panic) => panic!("injected fault: {APPEND_POINT} panicked"),
+            Some(Fault::Delay(ms)) => std::thread::sleep(std::time::Duration::from_millis(ms)),
+            None => {}
+        }
+        self.file.write_all(group.as_bytes())?;
+        self.file.sync_data()?;
+        if let Some(path) = self.created.take() {
+            crate::persist::sync_parent(&path);
+        }
+        Ok(())
     }
 }
 
@@ -542,6 +761,92 @@ fn gauntlet(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obligation::ObligationResult;
+    use crate::proof::ModelVerdict;
+    use tp_hw::aisa::check_conformance;
+    use tp_hw::machine::MachineConfig;
+    use tp_kernel::config::TimeProtConfig;
+
+    /// A two-entry cache file, as `save` writes it.
+    fn two_groups() -> String {
+        let mut cache = ProofCache::new();
+        for key in [1, 2] {
+            let cell = MatrixCell {
+                machine: format!("m{key}"),
+                mcfg: MachineConfig::tiny(),
+                disable: None,
+                tp: TimeProtConfig::full(),
+            };
+            let report = ProofReport {
+                aisa: check_conformance(&cell.mcfg),
+                p: ObligationResult::new("P"),
+                f: ObligationResult::new("F"),
+                t: ObligationResult::new("T"),
+                ni: vec![ModelVerdict {
+                    model: cell.mcfg.time_model,
+                    verdict: NiVerdict::Pass {
+                        secrets: 2,
+                        events_compared: 7,
+                    },
+                }],
+                steps: 40,
+                transparency: None,
+            };
+            cache.insert(key, cell, report, vec![(0, 3, 9), (1, 3, 9)]);
+        }
+        cache.save()
+    }
+
+    /// However a crash cuts the final group — at any byte, up to one
+    /// byte short — the committed group survives and the torn one is
+    /// dropped; a cut inside the first group leaves nothing committed.
+    #[test]
+    fn a_cut_at_every_byte_keeps_exactly_the_committed_groups() {
+        let text = two_groups();
+        let first = text.find("end i=0\n").unwrap() + "end i=0\n".len();
+        for cut in 1..text.len() {
+            let cache = ProofCache::load(&text[..cut]).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+            let committed = usize::from(cut >= first);
+            let torn = usize::from(cut != first);
+            assert_eq!(
+                (cache.len(), cache.torn_dropped()),
+                (committed, torn),
+                "cut {cut}"
+            );
+        }
+        let whole = ProofCache::load(&text).unwrap();
+        assert_eq!((whole.len(), whole.torn_dropped()), (2, 0));
+    }
+
+    /// What no crash leaves fails closed: a finished line that is no
+    /// record, damage inside a complete group, a lost `end` that merges
+    /// two groups.
+    #[test]
+    fn damage_a_crash_cannot_leave_fails_closed() {
+        let text = two_groups();
+        let first = text.find("end i=0\n").unwrap() + "end i=0\n".len();
+        for (label, bad) in [
+            ("finished junk line", format!("{text}xyzzy\n")),
+            (
+                "junk line before a torn group",
+                format!("{text}xyzzy\ncell i=9 "),
+            ),
+            (
+                "damaged complete group",
+                text.replacen("steps i=1 n=40", "steps i=1 n=4x", 1),
+            ),
+            (
+                "lost end",
+                format!("{}{}", &text[..first - "end i=0\n".len()], &text[first..]),
+            ),
+            (
+                "two unfinished groups",
+                format!("{text}cell i=8 machine=a disable=-\ncell i=9 machine=b"),
+            ),
+        ] {
+            assert!(ProofCache::load(&bad).is_err(), "{label} must fail closed");
+        }
+    }
 
     /// Fold `parts` in order, as `cell_key` folds its string fields.
     fn fold_parts(parts: &[&[u8]]) -> u64 {

@@ -26,9 +26,9 @@
 //!   accumulates in, re-running only fingerprint-diverging pairs with
 //!   recording sinks for their witnesses. An optional [`ProofCache`]
 //!   answers validated hits without running anything (handing the
-//!   caller each hit's stored wire bytes), an optional
-//!   [`OnProved`] hook checkpoints every freshly proved cell, and a
-//!   panic anywhere in a cell's proof becomes that cell's `Err` outcome.
+//!   caller each hit's stored wire bytes) and takes every freshly proved
+//!   cell — appending it to the cache's file when the cache has one — and
+//!   a panic anywhere in a cell's proof becomes that cell's `Err` outcome.
 //!   `matrix`, `all`, `bench` and `tp-serve` jobs all run through it;
 //!   [`ScenarioMatrix::run`] is its all-cells wrapper on the global pool.
 //! * [`prove_parallel`] — one scenario's proof, planned, submitted and
@@ -48,7 +48,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::cache::{cell_key, entry_check, CacheMiss, CacheStats, ProofCache, CACHE_SALT};
+use crate::cache::{cell_key, CacheMiss, CacheStats, ProofCache};
 use crate::exhaustive::{
     recorded_leak, space_size, word_for_index_into, ExhaustiveConfig, ExhaustiveMode,
     ExhaustiveRunner, ExhaustiveVerdict,
@@ -61,7 +61,6 @@ use crate::noninterference::{
 };
 use crate::obligation::ObligationResult;
 use crate::proof::{ModelVerdict, ProofReport};
-use crate::wire::CachedMeta;
 use tp_hw::aisa::{check_conformance, ConformanceReport};
 use tp_hw::cache::CacheConfig;
 use tp_hw::clock::TimeModel;
@@ -935,14 +934,7 @@ impl ScenarioMatrix {
         F: Fn(&MatrixCell) -> NiScenario,
     {
         let all: Vec<usize> = (0..self.cells().len()).collect();
-        let (outcomes, _) = self.sweep(
-            tp_sched::global(),
-            &all,
-            None,
-            None,
-            make_scenario,
-            |_, _, _| {},
-        );
+        let (outcomes, _) = self.sweep(tp_sched::global(), &all, None, make_scenario, |_, _, _| {});
         match proved_cells(outcomes) {
             Ok(cells) => MatrixReport::from(cells),
             Err(failed) => panic!("matrix cell {} failed: {}", failed[0].0, failed[0].1),
@@ -961,7 +953,6 @@ impl ScenarioMatrix {
         pool: &WorkerPool,
         indices: &[usize],
         cache: Option<&mut ProofCache>,
-        on_proved: Option<OnProved<'_>>,
         make_scenario: F,
         mut on_cell: C,
     ) -> (CellOutcomes, CacheStats)
@@ -974,7 +965,6 @@ impl ScenarioMatrix {
             indices,
             &[],
             cache,
-            on_proved,
             make_scenario,
             |ci, cell, outcome, _| on_cell(ci, cell, outcome),
         )
@@ -1011,14 +1001,11 @@ impl ScenarioMatrix {
     ///   anything; freshly proved cacheable cells are inserted back. A
     ///   hit's report equals the live one whenever the key matches, and
     ///   a hit that fails validation degrades to a live re-prove — a bad
-    ///   cache can cost time, never change output. `None` proves every
-    ///   cell live and counts no cache telemetry.
-    /// * `on_proved`: fires once per **freshly proved cacheable** cell
-    ///   (with or without a cache), right before the cache insert, with
-    ///   the exact [`CachedMeta`] a [`crate::journal::JournalWriter`]
-    ///   appends. Hits, uncacheable
-    ///   and failed cells never reach it, so a resumed run journals only
-    ///   what it re-proved.
+    ///   cache can cost time, never change output. A cache opened on its
+    ///   file ([`ProofCache::open`]) appends each insert there as the
+    ///   cell completes, in `indices` order, so a killed sweep resumes
+    ///   from what it had proved. `None` proves every cell live and
+    ///   counts no cache telemetry.
     /// * `on_cell`: also told where the outcome came from
     ///   ([`CellSource`]): a hit brings the entry's stored canonical
     ///   bytes, so a caller can splice them instead of rendering the
@@ -1027,7 +1014,7 @@ impl ScenarioMatrix {
     /// A cell whose tasks or merge panic yields `Err(panic message)` in
     /// its slot instead of unwinding into the caller; the remaining
     /// cells still complete, stream and populate the cache, and the
-    /// failed cell is neither cached nor journaled.
+    /// failed cell is not cached.
     ///
     /// This is also the multi-process sharding primitive: a `matrix
     /// --worker` process proves its slice and serialises the outcomes
@@ -1035,14 +1022,12 @@ impl ScenarioMatrix {
     /// identical to a single-process run. Out-of-range indices panic —
     /// shards derive from the same matrix constructor on every host, so
     /// a mismatch is a driver bug.
-    #[allow(clippy::too_many_arguments)]
     pub fn sweep_keyed<F, C>(
         &self,
         pool: &WorkerPool,
         indices: &[usize],
         keys: &[Option<u64>],
         mut cache: Option<&mut ProofCache>,
-        mut on_proved: Option<OnProved<'_>>,
         make_scenario: F,
         mut on_cell: C,
     ) -> (CellOutcomes, CacheStats)
@@ -1067,9 +1052,10 @@ impl ScenarioMatrix {
         for (pos, &ci) in indices.iter().enumerate() {
             let cell = &all[ci];
             let scenario = apply_cell(make_scenario(cell), cell);
-            // Keys are derived only when a cache or a checkpoint uses
-            // them, and only when the caller does not already hold one.
-            let key = (cache.is_some() || on_proved.is_some())
+            // Keys are derived only when a cache uses them, and only
+            // when the caller does not already hold one.
+            let key = cache
+                .is_some()
                 .then(|| match keys.get(pos).copied().flatten() {
                     Some(k) => Some(k),
                     None => cell_key(cell, &self.models, &scenario, mode),
@@ -1125,19 +1111,8 @@ impl ScenarioMatrix {
                     proof
                         .collect(&self.models, mode, &mut stream)
                         .map(|(report, fps)| {
-                            if let Some(k) = key {
-                                if let Some(j) = on_proved.as_mut() {
-                                    let meta = CachedMeta {
-                                        key: k,
-                                        salt: CACHE_SALT,
-                                        check: entry_check(k, CACHE_SALT, &fps, cell, &report),
-                                        fps: fps.clone(),
-                                    };
-                                    j(ci, cell, &report, &meta);
-                                }
-                                if let Some(c) = cache.as_deref_mut() {
-                                    c.insert(k, cell.clone(), report.clone(), fps);
-                                }
+                            if let (Some(k), Some(c)) = (key, cache.as_deref_mut()) {
+                                c.insert(k, cell.clone(), report.clone(), fps);
                             }
                             report
                         })
@@ -1211,12 +1186,6 @@ pub fn proved_cells(outcomes: CellOutcomes) -> Result<Vec<ProvedCell>, Vec<(usiz
         Err(failed)
     }
 }
-
-/// The checkpoint callback of [`ScenarioMatrix::sweep`]: invoked once
-/// per freshly proved cacheable cell with the cell's global index, its
-/// coordinates, the merged report, and the exact cache metadata a
-/// journal record (or cache entry) stores.
-pub type OnProved<'a> = &'a mut dyn FnMut(usize, &MatrixCell, &ProofReport, &CachedMeta);
 
 /// The outcome of a [`ScenarioMatrix::run`]: one [`ProofReport`] per
 /// cell, in cell order.

@@ -31,12 +31,14 @@
 //!   incremental sweeps re-prove only cells whose input fingerprint
 //!   changed and replay the rest, with every hit structurally
 //!   re-validated so a hostile or stale cache can never flip a verdict.
-//! * **[`journal`] / [`persist`] / [`faultpoint`]** — the crash-safety
-//!   layer: an append-only per-cell checkpoint journal with a torn-tail
-//!   rule, atomic write-temp-fsync-rename persistence for every durable
-//!   artifact, and a deterministic seeded fault-injection harness
-//!   (`TP_FAULTS`) that lets CI kill and resume sweeps at planned
-//!   points and demand byte-identical final output.
+//!   Its file is an append-only log: each proved cell is appended and
+//!   fsynced as it completes, and a torn final group is dropped on load,
+//!   so a killed sweep resumes from the same file.
+//! * **[`persist`] / [`faultpoint`]** — the rest of the crash-safety
+//!   layer: atomic write-temp-fsync-rename persistence (a cache log's
+//!   compaction, trace captures), and a deterministic seeded
+//!   fault-injection harness (`TP_FAULTS`) that lets CI kill and resume
+//!   sweeps at planned points and demand byte-identical final output.
 //!
 //! Where the paper envisions Isabelle/HOL proofs, this crate *checks*
 //! the same obligations mechanically over executions of the modelled
@@ -91,7 +93,6 @@ pub mod engine;
 pub mod exhaustive;
 pub mod faultpoint;
 pub mod flush;
-pub mod journal;
 pub mod noninterference;
 pub mod obligation;
 pub mod padding;
@@ -101,7 +102,7 @@ pub mod proof;
 pub mod wcet;
 pub mod wire;
 
-pub use cache::{CacheMiss, CacheStats, ProofCache, RejectReason};
+pub use cache::{CacheMiss, CacheStats, JournalWriter, ProofCache, RejectReason};
 pub use engine::{
     available_threads, check_exhaustive_parallel, prove_parallel, proved_cells, CellOutcomes,
     CellSource, MatrixCell, MatrixReport, ProofMode, ProvedCell, ScenarioMatrix,
@@ -109,7 +110,6 @@ pub use engine::{
 pub use exhaustive::{
     check_exhaustive, check_exhaustive_mode, ExhaustiveConfig, ExhaustiveMode, ExhaustiveVerdict,
 };
-pub use journal::{JournalRecord, JournalStats, JournalWriter};
 pub use noninterference::{
     check_ni_parts_recording, check_noninterference, obs_digest, NiScenario, NiVerdict,
     TransparencyCert,

@@ -1,10 +1,13 @@
 //! Atomic file persistence: write-to-temp, fsync, rename.
 //!
-//! Every durable artifact in the stack — the proof cache, checkpoint
-//! journals, trace captures — goes through [`write_atomic`] so that a
-//! crash at *any* instant leaves either the previous file intact or
-//! the new file complete, never a torn hybrid that parses as
-//! valid-but-wrong or bricks a later run with `EXIT_MALFORMED`. The
+//! Every durable artifact in the stack that is written whole — a proof
+//! cache log's compaction, trace captures — goes through
+//! [`write_atomic`] so that a crash at *any* instant leaves either the
+//! previous file intact or the new file complete, never a torn hybrid
+//! that parses as valid-but-wrong or bricks a later run with
+//! `EXIT_MALFORMED`. (A cache log's appends are written in place
+//! instead; its loader drops a torn final group, see `crate::cache`.)
+//! The
 //! recipe is the classic one: write the full payload to a
 //! uniquely-named temporary file *in the same directory* (so the
 //! rename cannot cross filesystems), `fsync` it, then `rename(2)` over
@@ -30,7 +33,7 @@ use crate::faultpoint::{self, Fault};
 pub const WRITE_POINT: &str = "persist.write";
 
 /// Process-local sequence number so concurrent writers in one process
-/// (e.g. tp-serve jobs) never share a temp file name.
+/// never share a temp file name.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Atomically replace `path` with `bytes`.
@@ -40,10 +43,7 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// injected fault, in which case a stale `.….tmp.…` file may remain —
 /// stale temps are inert and never read back).
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let dir = match path.parent() {
-        Some(d) if !d.as_os_str().is_empty() => d,
-        _ => Path::new("."),
-    };
+    let dir = parent_dir(path);
     let name = path
         .file_name()
         .and_then(|n| n.to_str())
@@ -58,13 +58,26 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
         let _ = fs::remove_file(&tmp);
     }
     result?;
-    // Make the rename durable. Some platforms refuse to open a
-    // directory for syncing; that degrades durability, not atomicity,
-    // so it is best-effort.
-    if let Ok(d) = File::open(dir) {
+    sync_parent(path);
+    Ok(())
+}
+
+/// The directory `path` lives in.
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    }
+}
+
+/// Make the directory entry of a file just created or renamed at `path`
+/// durable: fsync its directory. Some platforms refuse to open a
+/// directory for syncing; that degrades durability, not atomicity, so
+/// it is best-effort.
+pub(crate) fn sync_parent(path: &Path) {
+    if let Ok(d) = File::open(parent_dir(path)) {
         let _ = d.sync_all();
     }
-    Ok(())
 }
 
 /// Write and fsync the temp file, applying any planned fault first.

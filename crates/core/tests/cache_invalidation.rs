@@ -243,10 +243,9 @@ fn identical_inputs_share_a_key() {
     assert_eq!(a, b);
 }
 
-/// Keys are persisted in cache files and journals, so the key function
-/// is pinned: if this fails, every stored key just changed meaning, and
-/// `CACHE_SALT` (with the journal's `JOURNAL_SALT`) must be bumped
-/// before the value is re-pinned.
+/// Keys are persisted in cache files, so the key function is pinned: if
+/// this fails, every stored key just changed meaning, and `CACHE_SALT`
+/// must be bumped before the value is re-pinned.
 #[test]
 fn baseline_key_is_pinned() {
     assert_eq!(

@@ -83,14 +83,7 @@ fn fixture() -> &'static (Triples, String) {
         let pool = WorkerPool::new(2);
         let all: Vec<usize> = (0..m.cells().len()).collect();
         let mut cache = ProofCache::new();
-        let (outcomes, stats) = m.sweep(
-            &pool,
-            &all,
-            Some(&mut cache),
-            None,
-            scenario_for,
-            |_, _, _| {},
-        );
+        let (outcomes, stats) = m.sweep(&pool, &all, Some(&mut cache), scenario_for, |_, _, _| {});
         let triples = proved_cells(outcomes).expect("every fixture cell proves");
         assert_eq!(stats.reproved(), all.len(), "fixture must start cold");
         assert_eq!(cache.len(), all.len(), "every fixture cell is cacheable");
@@ -104,14 +97,7 @@ fn warm_run(cache_text: &str) -> (Triples, CacheStats) {
     let pool = WorkerPool::new(2);
     let all: Vec<usize> = (0..m.cells().len()).collect();
     let mut cache = ProofCache::load(cache_text).expect("tampered text must still parse here");
-    let (outcomes, stats) = m.sweep(
-        &pool,
-        &all,
-        Some(&mut cache),
-        None,
-        scenario_for,
-        |_, _, _| {},
-    );
+    let (outcomes, stats) = m.sweep(&pool, &all, Some(&mut cache), scenario_for, |_, _, _| {});
     (proved_cells(outcomes).expect("every cell proves"), stats)
 }
 
@@ -275,15 +261,25 @@ fn duplicated_entry_cannot_double_prove() {
 #[test]
 fn truncated_cache_fails_to_parse() {
     let (_, good) = fixture();
-    // Cut the file mid-group: the loader must refuse the whole file
-    // (callers then start cold) rather than silently half-load.
+    // Cut the file inside its LAST group: that is what a crash
+    // mid-append leaves, so the torn group is dropped and counted and
+    // the survivor loads (the dropped cell simply re-proves).
     let cut = good.rfind("end i=").unwrap();
+    let torn = ProofCache::load(&good[..cut]).expect("a torn tail is not corruption");
+    assert_eq!((torn.len(), torn.torn_dropped()), (1, 1));
+    // Cut a piece out of the FIRST group while the second follows:
+    // no crash does that, so the loader must refuse the whole file
+    // (callers then stop with the malformed-input exit) rather than
+    // silently half-load.
+    let second = good.find("end i=0\n").unwrap() + "end i=0\n".len();
+    let spliced = format!("{}{}", &good[..second / 2], &good[second..]);
     assert!(
-        ProofCache::load(&good[..cut]).is_err(),
-        "truncated cache must not load"
+        ProofCache::load(&spliced).is_err(),
+        "a mid-file cut must not load"
     );
     // Control: the full text loads.
-    assert_eq!(ProofCache::load(good).unwrap().len(), 2);
+    let whole = ProofCache::load(good).unwrap();
+    assert_eq!((whole.len(), whole.torn_dropped()), (2, 0));
 }
 
 #[test]

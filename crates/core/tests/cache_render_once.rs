@@ -3,8 +3,8 @@
 //! index into them, and `lookup` folds them for the checksum. These
 //! tests pin both uses to the reference that renders from the struct:
 //! `save()` must equal `write_cell_cached` per entry in key order with
-//! dense indices, however the entries arrived (`insert`, `insert_entry`
-//! or `load`), and `lookup` must reject exactly what `validate_entry`
+//! dense indices, however the entries arrived (`insert`, or `load` of
+//! groups rendered elsewhere), and `lookup` must reject exactly what `validate_entry`
 //! rejects, with the same reason, on a corpus of tampered entries. A
 //! hit's record group spliced from the stored bytes (what a sweep hands
 //! `on_cell`, and what tp-serve sends) must equal `write_cell` of the
@@ -95,7 +95,6 @@ fn fixture() -> &'static (Vec<CacheEntry>, String) {
             &WorkerPool::new(2),
             &all,
             Some(&mut cache),
-            None,
             scenario_for,
             |_, _, _| {},
         );
@@ -132,11 +131,28 @@ fn reference_save(entries: &[CacheEntry]) -> String {
     out
 }
 
+/// A cache holding `entries` exactly as stored — salt and checksum kept,
+/// nothing re-stamped — by loading their groups in order, as an append
+/// log holds them.
+fn absorb(entries: &[CacheEntry]) -> ProofCache {
+    let mut log = String::new();
+    for (i, e) in entries.iter().enumerate() {
+        let meta = CachedMeta {
+            key: e.key,
+            salt: e.salt,
+            check: e.check,
+            fps: e.fps.clone(),
+        };
+        write_cell_cached(&mut log, i, &e.cell, &e.report, &meta);
+    }
+    ProofCache::load(&log).expect("rendered groups load")
+}
+
 /// Twelve entries — enough for two-digit indices — covering both
 /// verdict kinds and a machine label that needs escaping (it contains
 /// ` i=0 `, which must not confuse the index splice). Moving an entry
-/// to a new key leaves its stored checksum stale, which `insert_entry`
-/// and `load` must keep verbatim.
+/// to a new key leaves its stored checksum stale, which `load` must
+/// keep verbatim.
 fn varied_entries() -> Vec<CacheEntry> {
     let (base, _) = fixture();
     let mut out = Vec::new();
@@ -173,12 +189,10 @@ fn save_of_inserted_entries_matches_the_reference_rendering() {
 #[test]
 fn save_of_absorbed_entries_matches_the_reference_rendering() {
     let entries = varied_entries();
-    let mut cache = ProofCache::new();
-    for e in &entries {
-        cache.insert_entry(e.clone());
-    }
     // Last write wins: re-absorbing an entry under its key replaces it.
-    cache.insert_entry(entries[3].clone());
+    let mut appended = entries.clone();
+    appended.push(entries[3].clone());
+    let cache = absorb(&appended);
     assert_eq!(cache.len(), 12);
     assert_eq!(cache.save(), reference_save(&entries));
 }
@@ -232,15 +246,14 @@ fn a_hit_spliced_from_the_stored_body_matches_write_cell() {
     let m = matrix();
     let (entries, saved) = fixture();
     let mut inserted = ProofCache::new();
-    let mut absorbed = ProofCache::new();
     for e in entries {
         inserted.insert(e.key, e.cell.clone(), e.report.clone(), e.fps.clone());
-        absorbed.insert_entry(e.clone());
     }
+    let absorbed = absorb(entries);
     let loaded = ProofCache::load(saved).expect("saved cache loads");
     for (how, cache) in [
         ("insert", &inserted),
-        ("insert_entry", &absorbed),
+        ("absorb", &absorbed),
         ("load", &loaded),
     ] {
         for (cell, key) in m.cells().iter().zip(keys()) {
@@ -274,7 +287,6 @@ fn a_warm_sweep_hands_each_hit_its_stored_body() {
             &all,
             keys,
             Some(&mut cache),
-            None,
             scenario_for,
             |ci, cell, outcome, source| {
                 let report = outcome.as_ref().expect("a hit is a proved cell");
@@ -477,8 +489,7 @@ fn lookup_rejects_forged_entries_exactly_as_validate_entry_does() {
     for (label, forged) in forgeries {
         // Absorbed verbatim: the stored checksum no longer matches the
         // edited bytes (except for the honest entry).
-        let mut cache = ProofCache::new();
-        cache.insert_entry(forged.clone());
+        let cache = absorb(std::slice::from_ref(&forged));
         let stale = [forged.clone()];
         reasons.extend(assert_lookup_agrees(&cache, &stale, label));
 

@@ -202,7 +202,6 @@ fn ablation_matrix_reports_are_bit_identical_across_modes() {
             &pool,
             &all,
             None,
-            None,
             |_| seeded_scenario(3, TimeProtConfig::full()),
             |_, _, _| {},
         );

@@ -85,7 +85,7 @@ fn sweep_all(
     make_scenario: impl Fn(&tp_core::MatrixCell) -> NiScenario,
 ) -> Vec<ProvedCell> {
     let all: Vec<usize> = (0..matrix.cells().len()).collect();
-    let (outcomes, _) = matrix.sweep(pool, &all, None, None, make_scenario, |_, _, _| {});
+    let (outcomes, _) = matrix.sweep(pool, &all, None, make_scenario, |_, _, _| {});
     proved_cells(outcomes).expect("every cell proves")
 }
 
@@ -254,14 +254,8 @@ fn cold_warm_and_mixed_cache_runs_are_bit_identical() {
         out
     };
     let cached = |pool: &WorkerPool, cache: &mut ProofCache, indices: &[usize], seed| {
-        let (outcomes, stats) = matrix.sweep(
-            pool,
-            indices,
-            Some(cache),
-            None,
-            scenario(seed),
-            |_, _, _| {},
-        );
+        let (outcomes, stats) =
+            matrix.sweep(pool, indices, Some(cache), scenario(seed), |_, _, _| {});
         (proved_cells(outcomes).expect("every cell proves"), stats)
     };
 

@@ -126,8 +126,7 @@ fn healthy_sweeps_match_the_plain_drivers_bit_for_bit() {
     let reference = sequential_reference(&matrix);
     for workers in POOL_SIZES {
         let pool = WorkerPool::new(workers);
-        let (uncached, stats) =
-            matrix.sweep(&pool, &all, None, None, |_| small_scenario(), |_, _, _| {});
+        let (uncached, stats) = matrix.sweep(&pool, &all, None, |_| small_scenario(), |_, _, _| {});
         assert_eq!(
             stats.hits + stats.misses + stats.rejected + stats.uncacheable,
             0
@@ -142,7 +141,6 @@ fn healthy_sweeps_match_the_plain_drivers_bit_for_bit() {
             &pool,
             &all,
             Some(&mut cache),
-            None,
             |_| small_scenario(),
             |_, _, _| {},
         );
@@ -153,7 +151,6 @@ fn healthy_sweeps_match_the_plain_drivers_bit_for_bit() {
             &pool,
             &all,
             Some(&mut cache),
-            None,
             |_| small_scenario(),
             |_, _, _| {},
         );
@@ -177,15 +174,17 @@ fn a_panicking_cell_yields_an_error_slot_and_spares_its_siblings() {
     let reference = sequential_reference(&matrix);
     for workers in POOL_SIZES {
         let pool = WorkerPool::new(workers);
-        let mut cache = ProofCache::new();
+        let log = std::env::temp_dir().join(format!(
+            "tp_fault_containment_{}_{workers}.cache",
+            std::process::id()
+        ));
+        std::fs::remove_file(&log).ok();
+        let mut cache = ProofCache::open(&log).expect("cache log opens");
         let mut streamed = Vec::new();
-        let mut journaled = Vec::new();
-        let mut on_proved = |i: usize, _: &MatrixCell, _: &ProofReport, _: &_| journaled.push(i);
         let (outcomes, stats) = matrix.sweep(
             &pool,
             &all,
             Some(&mut cache),
-            Some(&mut on_proved),
             faulty_scenario,
             |i, _, outcome| streamed.push((i, outcome.is_ok())),
         );
@@ -218,24 +217,26 @@ fn a_panicking_cell_yields_an_error_slot_and_spares_its_siblings() {
         );
         assert_eq!(stats.uncacheable, 1, "the faulted cell has no content key");
         assert_eq!(cache.len(), all.len() - 1, "only healthy cells cached");
-        assert_eq!(journaled, [0, 2], "only healthy cells checkpoint");
+        let text = std::fs::read_to_string(&log).expect("cache log readable");
+        std::fs::remove_file(&log).ok();
+        let logged: Vec<MatrixCell> = tp_core::wire::parse_cells_meta(&text)
+            .expect("cache log parses")
+            .into_iter()
+            .map(|(_, cell, _, _)| cell)
+            .collect();
+        let healthy = [matrix.cells()[0].clone(), matrix.cells()[2].clone()];
+        assert_eq!(logged, healthy, "only healthy cells checkpoint");
 
         // Resubmission: healthy cells hit, the faulted one fails again.
-        let (again, stats) = matrix.sweep(
-            &pool,
-            &all,
-            Some(&mut cache),
-            None,
-            faulty_scenario,
-            |_, _, _| {},
-        );
+        let (again, stats) =
+            matrix.sweep(&pool, &all, Some(&mut cache), faulty_scenario, |_, _, _| {});
         assert_eq!(stats.hits, all.len() - 1, "pool×{workers}");
         assert_eq!(stats.uncacheable, 1);
         assert_eq!(again.iter().filter(|(_, _, o)| o.is_err()).count(), 1);
 
         // The daemon's pool keeps serving: a fresh healthy sweep on the
         // same pool still matches the reference.
-        let (after, _) = matrix.sweep(&pool, &all, None, None, |_| small_scenario(), |_, _, _| {});
+        let (after, _) = matrix.sweep(&pool, &all, None, |_| small_scenario(), |_, _, _| {});
         let after: Vec<ProofReport> = after.into_iter().map(|(_, _, o)| o.unwrap()).collect();
         assert_eq!(
             after, reference,

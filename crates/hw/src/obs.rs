@@ -37,7 +37,7 @@
 //!
 //! [`WordFold`] is the other hash here: a four-lane fold taking one
 //! whole word at a time, behind program and kernel-configuration
-//! fingerprints, proof-cache keys and the cache and journal integrity
+//! fingerprints, proof-cache keys and the cache entries' integrity
 //! checks. Observation digests do not use it.
 
 use crate::types::Cycles;
@@ -157,7 +157,7 @@ fn merge_word(h: u64, w: u64) -> u64 {
 
 /// A streaming 64-bit fold over whole words: the content hash behind
 /// program and kernel-configuration fingerprints, proof-cache keys and
-/// the cache and journal integrity checks.
+/// the cache entries' integrity checks.
 ///
 /// Four independent xxh64-style lanes each take every fourth word, so
 /// the four multiply chains overlap instead of queueing behind one
@@ -686,8 +686,8 @@ mod tests {
     }
 
     /// Cache keys and checksums are persisted: a change to this value
-    /// means every cache and journal on disk is keyed differently, so
-    /// it must come with a `CACHE_SALT` and `JOURNAL_SALT` bump.
+    /// means every cache on disk is keyed differently, so it must come
+    /// with a `CACHE_SALT` bump.
     #[test]
     fn word_fold_is_pinned() {
         let words: Vec<u64> = (1..=10).collect();

@@ -6,29 +6,29 @@
 //!
 //! Binds (default `127.0.0.1:7477`; port `0` picks an ephemeral port),
 //! prints `tp-serve: listening on ADDR` to stdout, then serves until a
-//! client sends `SHUTDOWN`. `--cache PATH` loads a proof cache at
-//! startup and persists it (atomically, skipping no-op rewrites) after
-//! every cached job and at shutdown; the exit codes for a bad cache
-//! file match the sweep binaries (`EXIT_MALFORMED` for a file that
-//! fails wire parsing, 2 for an unreadable one). `--journal DIR` makes
-//! cached jobs crash-safe: each freshly proved cell is checkpointed to
-//! `DIR/job-<id>.journal` as it completes, and journals left behind by
-//! a killed daemon are absorbed into the cache at the next startup.
-
-use std::path::PathBuf;
+//! client sends `SHUTDOWN`. `--cache PATH` opens a proof cache as an
+//! append-only log: it is loaded at startup (a torn final group, left
+//! by a daemon killed mid-append, is dropped and reported on stderr),
+//! and every cell a cached job proves is appended and fsynced as it
+//! completes. The exit codes for a bad cache file match the sweep
+//! binaries (`EXIT_MALFORMED` for a file that fails wire parsing, 2 for
+//! an unreadable one). `--journal DIR` is accepted and ignored: the
+//! cache file is its own checkpoint journal now.
 
 use tp_serve::Server;
 
 fn usage() -> ! {
-    eprintln!("usage: tp-serve [--addr HOST:PORT] [--threads N] [--cache PATH] [--journal DIR]");
+    eprintln!(
+        "usage: tp-serve [--addr HOST:PORT] [--threads N] [--cache PATH] [--journal DIR]\n\
+         (--journal is ignored: --cache PATH is the crash-safe log)"
+    );
     std::process::exit(tp_bench::cli::EXIT_USAGE);
 }
 
 fn main() {
     let mut addr = "127.0.0.1:7477".to_string();
     let mut threads: Option<usize> = None;
-    let mut cache_path: Option<PathBuf> = None;
-    let mut journal_dir: Option<PathBuf> = None;
+    let mut cache_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = || args.next().unwrap_or_else(|| usage());
@@ -38,8 +38,10 @@ fn main() {
                 Ok(n) if n > 0 => threads = Some(n),
                 _ => usage(),
             },
-            "--cache" => cache_path = Some(PathBuf::from(value())),
-            "--journal" => journal_dir = Some(PathBuf::from(value())),
+            "--cache" => cache_path = Some(value()),
+            "--journal" => {
+                value();
+            }
             _ => usage(),
         }
     }
@@ -53,23 +55,23 @@ fn main() {
     // unparseable = malformed input (own exit code), unreadable = I/O.
     let cache = match &cache_path {
         None => tp_core::ProofCache::new(),
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => match tp_core::ProofCache::load(&text) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("tp-serve: cannot parse cache {}: {e}", path.display());
-                    std::process::exit(tp_bench::cli::EXIT_MALFORMED);
-                }
-            },
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => tp_core::ProofCache::new(),
+        Some(path) => match tp_core::ProofCache::open(std::path::Path::new(path)) {
+            Ok(c) => {
+                eprintln!("tp-serve: cache log: {} torn-dropped", c.torn_dropped());
+                c
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                eprintln!("tp-serve: cannot parse cache {path}: {e}");
+                std::process::exit(tp_bench::cli::EXIT_MALFORMED);
+            }
             Err(e) => {
-                eprintln!("tp-serve: cannot read cache {}: {e}", path.display());
+                eprintln!("tp-serve: cannot open cache {path}: {e}");
                 std::process::exit(2);
             }
         },
     };
 
-    let server = match Server::bind(&addr, cache, cache_path, journal_dir) {
+    let server = match Server::bind(&addr, cache) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("tp-serve: cannot bind {addr}: {e}");

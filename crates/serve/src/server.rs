@@ -19,27 +19,23 @@
 //! stream, never a wedged daemon).
 //!
 //! The proof cache is one [`Mutex`]: a cached job holds it for its
-//! sweep and for taking a snapshot of the cache file's contents, so
-//! concurrent cached jobs prove one at a time (the pool underneath is
-//! already saturated by one sweep; interleaving two would only shuffle
-//! latency around). What a job does under the lock is kept small. Its
-//! cells' content keys come from a memo *before* it takes the lock: a
-//! fault-free cell's key is fixed by the job's model count and the
-//! cell's index for the daemon's lifetime, so each is derived once, on
-//! first use, and a `fault=` cell's key is always derived afresh. A
-//! hit is then a validated lookup plus a splice of the entry's stored
-//! wire bytes — no key derivation, no rendering. The job writes its
-//! snapshot to disk after it releases the lock, so the next cached job
-//! — typically a warm one, all hits — sweeps while the write's fsyncs
-//! run. `nocache` jobs skip the lock and run concurrently. `STATUS`,
+//! sweep, so concurrent cached jobs prove one at a time (the pool
+//! underneath is already saturated by one sweep; interleaving two would
+//! only shuffle latency around). What a job does under the lock is kept
+//! small. Its cells' content keys come from a memo *before* it takes
+//! the lock: a fault-free cell's key is fixed by the job's model count
+//! and the cell's index for the daemon's lifetime, so each is derived
+//! once, on first use, and a `fault=` cell's key is always derived
+//! afresh. A hit is then a validated lookup plus a splice of the
+//! entry's stored wire bytes — no key derivation, no rendering, no
+//! write. `nocache` jobs skip the lock and run concurrently. `STATUS`,
 //! `CANCEL` and `METRICS` never wait on a sweep: the first two touch
 //! only the job registry, and `METRICS` reads an atomic copy of the
 //! cache's entry count, which each cached job updates before it
-//! releases the lock. The wait for
-//! the lock is timed as the `cache-lock` span and the snapshot's write
-//! as the `persist` span, once per cached job (`persist` only for jobs
-//! that write). The `job` span times every job from its `SUBMIT` line
-//! to the flush of its terminal line.
+//! releases the lock. The wait for the lock is timed as the
+//! `cache-lock` span, once per cached job, and each append to the cache
+//! file as the `persist` span. The `job` span times every job from its
+//! `SUBMIT` line to the flush of its terminal line.
 //!
 //! # Cancellation and deadlines
 //!
@@ -56,24 +52,16 @@
 //!
 //! # Crash safety
 //!
-//! All cache persistence goes through [`tp_core::persist`] (atomic
-//! temp-file + fsync + rename) and is skipped when a job changed
-//! nothing — an all-hit warm job does not rewrite an identical file.
-//! Snapshots are numbered in the order they are taken under the cache
-//! lock, and a writer gate writes them one at a time, skipping any
-//! snapshot older than the last one written: the newer file already
-//! holds all its entries. So a cached job's `DONE` still means its
-//! cells are on disk, written by the job itself or by a newer snapshot.
-//! (An all-hit job takes no snapshot and does not wait for another
-//! job's write in flight; the cells it replayed are on disk once that
-//! job's `DONE` is sent.) With a journal directory configured, every
-//! cached job additionally checkpoints its freshly proved cells to
-//! `job-<id>.journal` as they complete, and deletes the journal only
-//! after its snapshot's write succeeded; a daemon killed mid-job
-//! absorbs the surviving records at the next startup (through the full
-//! cache validation gauntlet on first use). `SHUTDOWN` refuses new
-//! jobs, drains the in-flight ones (their writes included), persists
-//! the cache through the same gate, and only then answers and exits.
+//! A cache opened on its file ([`ProofCache::open`], `--cache PATH`) is
+//! an append-only log: each freshly proved cell's group is appended and
+//! fsynced inside the sweep, under the cache lock, as the cell
+//! completes — before its `REC` group is sent. So a cached job's `DONE`
+//! means its cells are on disk, and an all-hit job writes nothing. A
+//! daemon killed mid-job loses at most the cell in flight: the next
+//! start drops a torn final group and serves the rest (every entry
+//! still passes the validation gauntlet before a verdict is believed).
+//! `SHUTDOWN` refuses new jobs, drains the in-flight ones, and only
+//! then answers and exits; there is nothing left to write.
 //!
 //! # Transport
 //!
@@ -106,16 +94,13 @@
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use tp_core::engine::MatrixCell;
 use tp_core::noninterference::NiScenario;
-use tp_core::{
-    wire, CacheStats, CellSource, JournalWriter, ProofCache, ProofReport, ScenarioMatrix,
-};
+use tp_core::{wire, CacheStats, CellSource, ProofCache, ProofReport, ScenarioMatrix};
 use tp_kernel::program::{Instr, Program, StepFeedback};
 use tp_telemetry::SpanKind;
 
@@ -185,94 +170,19 @@ struct JobEntry {
     state: Arc<JobState>,
 }
 
-/// One numbered copy of the cache's file contents.
-struct Snapshot {
-    /// Position in the order snapshots were taken, from 1.
-    seq: u64,
-    text: String,
-}
-
-/// The persisted cache file and its writer gate. Snapshots are taken
-/// under the cache lock and written outside it, one write at a time. A
-/// snapshot older than the last one written is skipped: entries are
-/// only ever added or replaced, so the newer snapshot already holds
-/// every entry of the older one.
-struct CacheFile {
-    path: PathBuf,
-    /// Snapshots taken so far.
-    taken: AtomicU64,
-    /// `seq` of the newest snapshot on disk (0: none yet). Held for the
-    /// whole write, which is what serialises writers.
-    written: Mutex<u64>,
-}
-
-impl CacheFile {
-    fn new(path: PathBuf) -> Self {
-        CacheFile {
-            path,
-            taken: AtomicU64::new(0),
-            written: Mutex::new(0),
-        }
-    }
-
-    /// Render `cache` as the next snapshot. Call it under the cache
-    /// lock, so snapshot order is the order of the cache's contents.
-    fn snapshot(&self, cache: &ProofCache) -> Snapshot {
-        Snapshot {
-            seq: self.taken.fetch_add(1, Ordering::SeqCst) + 1,
-            text: cache.save(),
-        }
-    }
-
-    /// Make `snap`'s entries durable: write it atomically, unless a
-    /// newer snapshot is already on disk. `Ok` means the file holds
-    /// every entry of `snap`, written by this call or by a newer one.
-    fn write(&self, snap: &Snapshot) -> io::Result<()> {
-        let mut written = lock(&self.written);
-        if snap.seq <= *written {
-            return Ok(());
-        }
-        tp_core::persist::write_atomic(&self.path, snap.text.as_bytes())?;
-        *written = snap.seq;
-        Ok(())
-    }
-}
-
-/// Write a cached job's snapshot through the gate (timed as the
-/// `persist` span), then delete the job's journal. A journal stays if
-/// the write failed: until some snapshot holding its entries is on
-/// disk, it is their only durable copy.
-fn persist_job(file: &CacheFile, snap: &Snapshot, job_id: u64, journal: Option<&Path>) {
-    let start = tp_telemetry::span_start();
-    let written = file.write(snap);
-    if let Some(start) = start {
-        tp_telemetry::span(SpanKind::Persist, job_id as usize, None, start);
-    }
-    match written {
-        Ok(()) => {
-            if let Some(p) = journal {
-                let _ = std::fs::remove_file(p);
-            }
-        }
-        Err(e) => eprintln!("tp-serve: cannot write cache {}: {e}", file.path.display()),
-    }
-}
-
 /// State shared by every connection handler.
 struct Shared {
     cache: Mutex<ProofCache>,
     /// `cache.len()` as of the last cached sweep, stored under the
     /// cache lock, so readers that only need the count never take it.
     cache_entries: AtomicUsize,
-    cache_file: Option<CacheFile>,
-    journal_dir: Option<PathBuf>,
     jobs: Mutex<Vec<JobEntry>>,
     next_job: AtomicU64,
     /// Jobs registered but not yet finished — what `SHUTDOWN` drains.
     active_jobs: AtomicUsize,
     /// Set first (under the jobs lock): refuse new jobs, keep serving.
     draining: AtomicBool,
-    /// Set last, after drain + persist: stops the accept loop.
+    /// Set last, after the drain: stops the accept loop.
     shutdown: AtomicBool,
     /// Where `SHUTDOWN` connects to wake the blocked accept loop.
     wake: SocketAddr,
@@ -380,24 +290,11 @@ pub struct Server {
 
 impl Server {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) fronting
-    /// `cache`. When `cache_path` is set, the cache is persisted there
-    /// (atomically, and only when a job actually changed it) after
-    /// every cached job and at shutdown, so warm state survives daemon
-    /// restarts. When `journal_dir` is set, cached jobs checkpoint
-    /// each proved cell to `job-<id>.journal` in that directory, and
-    /// journals that crashed daemons left behind are absorbed into the
-    /// cache here, before the first connection.
-    pub fn bind(
-        addr: &str,
-        cache: ProofCache,
-        cache_path: Option<PathBuf>,
-        journal_dir: Option<PathBuf>,
-    ) -> io::Result<Server> {
-        let mut cache = cache;
-        if let Some(dir) = &journal_dir {
-            std::fs::create_dir_all(dir)?;
-            absorb_job_journals(dir, &mut cache, cache_path.as_deref());
-        }
+    /// `cache`. A cache opened on its file ([`ProofCache::open`]) keeps
+    /// appending each cell a cached job proves to that file, so warm
+    /// state survives daemon restarts and crashes; a [`ProofCache::new`]
+    /// cache lives in memory only.
+    pub fn bind(addr: &str, cache: ProofCache) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let wake = wake_addr(listener.local_addr()?);
         Ok(Server {
@@ -405,8 +302,6 @@ impl Server {
             shared: Arc::new(Shared {
                 cache_entries: AtomicUsize::new(cache.len()),
                 cache: Mutex::new(cache),
-                cache_file: cache_path.map(CacheFile::new),
-                journal_dir,
                 jobs: Mutex::new(Vec::new()),
                 next_job: AtomicU64::new(1),
                 active_jobs: AtomicUsize::new(0),
@@ -427,8 +322,8 @@ impl Server {
     /// gets its own thread; a handler that dies takes down only its
     /// connection. Returns once the shutdown flag is observed — and
     /// because the `SHUTDOWN` handler sets it only *after* draining
-    /// in-flight jobs and persisting the cache, returning here is
-    /// already safe to exit on. `Err` means the listener itself is
+    /// in-flight jobs, whose proved cells are already on disk, returning
+    /// here is already safe to exit on. `Err` means the listener itself is
     /// dead; transient accept errors are retried.
     pub fn serve(&self) -> io::Result<()> {
         loop {
@@ -488,70 +383,6 @@ fn wake_addr(bound: SocketAddr) -> SocketAddr {
         _ => {}
     }
     addr
-}
-
-/// Absorb `*.journal` files crashed jobs left in `dir` into `cache` —
-/// every record still has to survive the validation gauntlet before a
-/// verdict is believed. An absorbed journal is deleted once its
-/// records are at least as durable as the configuration allows
-/// (persisted first when `cache_path` is set); a journal that fails to
-/// parse is quarantined to `*.journal.bad` instead of trusted.
-fn absorb_job_journals(dir: &Path, cache: &mut ProofCache, cache_path: Option<&Path>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    let mut files: Vec<PathBuf> = entries
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| p.extension().and_then(|x| x.to_str()) == Some("journal"))
-        .collect();
-    files.sort();
-    if files.is_empty() {
-        return;
-    }
-    let mut absorbed = 0usize;
-    let mut good = Vec::new();
-    for p in files {
-        let text = match std::fs::read_to_string(&p) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("tp-serve: cannot read journal {}: {e}", p.display());
-                continue;
-            }
-        };
-        match tp_core::journal::parse_journal(&text) {
-            Ok((records, stats)) => {
-                absorbed += stats.records;
-                for r in records {
-                    cache.insert_entry(r.into_entry());
-                }
-                good.push(p);
-            }
-            Err(e) => {
-                eprintln!(
-                    "tp-serve: journal {} is corrupt ({e}); quarantining",
-                    p.display()
-                );
-                let _ = std::fs::rename(&p, p.with_extension("journal.bad"));
-            }
-        }
-    }
-    let mut durable = true;
-    if let Some(path) = cache_path {
-        if let Err(e) = tp_core::persist::write_atomic(path, cache.save().as_bytes()) {
-            eprintln!("tp-serve: cannot persist absorbed cache: {e}");
-            durable = false;
-        }
-    }
-    if durable {
-        for p in &good {
-            let _ = std::fs::remove_file(p);
-        }
-    }
-    eprintln!(
-        "tp-serve: absorbed {absorbed} journal record(s) from {} crashed job(s)",
-        good.len()
-    );
 }
 
 /// Serve one accepted connection (see the module's transport rules).
@@ -725,27 +556,6 @@ fn dispatch<W: Write>(line: &str, shared: &Arc<Shared>, out: &mut W) -> io::Resu
             }
             if shared.active_jobs.load(Ordering::SeqCst) > 0 {
                 eprintln!("tp-serve: drain window expired with jobs still running");
-            }
-            // Persist after the drain so the final cache includes every
-            // drained job. A wedged sweep still holding the lock must
-            // not wedge shutdown too: bounded try-lock, then give up on
-            // persistence (the per-job persists already ran). The write
-            // goes through the same gate as the jobs' writes.
-            if let Some(file) = &shared.cache_file {
-                let lock_deadline = Instant::now() + Duration::from_secs(2);
-                let snap = loop {
-                    if let Ok(cache) = shared.cache.try_lock() {
-                        break Some(file.snapshot(&cache));
-                    }
-                    if Instant::now() >= lock_deadline {
-                        eprintln!("tp-serve: cache busy at shutdown; keeping last persisted state");
-                        break None;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                };
-                if let Some(Err(e)) = snap.map(|snap| file.write(&snap)) {
-                    eprintln!("tp-serve: cannot write cache {}: {e}", file.path.display());
-                }
             }
             writeln!(out, "OK shutting-down")?;
             end_block(out)?;
@@ -986,7 +796,8 @@ fn forward_job<W: Write>(
 
 /// The job-thread body: run the sweep (cached or not), stream each
 /// proved cell, and each run of consecutive hits, over `tx` as one
-/// message, persist what changed, and finish with a [`Msg::Done`].
+/// message, and finish with a [`Msg::Done`]. A cached sweep appends
+/// each cell it proves to the cache's file as the cell completes.
 /// Runs to completion even when nobody is listening — a cancelled or
 /// expired job still warms the cache. `fault` is the cell whose Hi
 /// program detonates, if any.
@@ -1057,41 +868,9 @@ fn run_job(
     };
 
     let ((outcomes, stats), entries) = if nocache {
-        let r = matrix.sweep_keyed(
-            tp_sched::global(),
-            indices,
-            &[],
-            None,
-            None,
-            make_scenario,
-            emit,
-        );
+        let r = matrix.sweep_keyed(tp_sched::global(), indices, &[], None, make_scenario, emit);
         (r, shared.cache_entries.load(Ordering::SeqCst))
     } else {
-        let jpath = shared
-            .journal_dir
-            .as_ref()
-            .map(|d| d.join(format!("job-{job_id}.journal")));
-        let mut jwriter = jpath.as_ref().and_then(|p| match JournalWriter::create(p) {
-            Ok(w) => Some(w),
-            Err(e) => {
-                eprintln!("tp-serve: cannot open journal {}: {e}", p.display());
-                None
-            }
-        });
-        let mut jdead = false;
-        let mut on_proved =
-            |i: usize, cell: &MatrixCell, report: &ProofReport, meta: &wire::CachedMeta| {
-                if jdead {
-                    return;
-                }
-                if let Some(w) = jwriter.as_mut() {
-                    if let Err(e) = w.append(i, cell, report, meta) {
-                        eprintln!("tp-serve: journal append failed for job {job_id}: {e}");
-                        jdead = true;
-                    }
-                }
-            };
         // Keys before the lock: memoised for fault-free cells, derived
         // by the sweep for a faulted one.
         let cells = fault.as_ref().map(|_| matrix.cells());
@@ -1108,39 +887,19 @@ fn run_job(
         if let Some(start) = wait {
             tp_telemetry::span(SpanKind::CacheLock, job_id as usize, None, start);
         }
-        let before = cache.len();
         let r = matrix.sweep_keyed(
             tp_sched::global(),
             indices,
             &keys,
             Some(&mut cache),
-            Some(&mut on_proved),
             make_scenario,
             emit,
         );
-        // Snapshot under the lock, and only when the job actually
-        // changed the entry set — an all-hit warm job skips the no-op
-        // rewrite. (`rejected > 0` means an entry was replaced in
-        // place, which `len()` alone cannot see.)
-        let changed = cache.len() != before || r.1.rejected > 0;
-        let snap = match &shared.cache_file {
-            Some(file) if changed => Some((file, file.snapshot(&cache))),
-            _ => None,
-        };
+        if let Some(e) = cache.take_log_error() {
+            eprintln!("tp-serve: cache append failed in job {job_id}: {e}; appends stop");
+        }
         let n = cache.len();
         shared.cache_entries.store(n, Ordering::SeqCst);
-        drop(cache);
-        // Write outside the lock, so the next cached job sweeps
-        // meanwhile. Without a cache file the journal is superseded by
-        // the in-memory cache as soon as the sweep ends.
-        match snap {
-            Some((file, snap)) => persist_job(file, &snap, job_id, jpath.as_deref()),
-            None => {
-                if let Some(p) = &jpath {
-                    let _ = std::fs::remove_file(p);
-                }
-            }
-        }
         (r, n)
     };
     job.finished.store(true, Ordering::SeqCst);
@@ -1175,8 +934,7 @@ mod tests {
 
     /// A daemon's shared state; its listener is never accepted on.
     fn shared() -> Arc<Shared> {
-        let server =
-            Server::bind("127.0.0.1:0", ProofCache::new(), None, None).expect("loopback binds");
+        let server = Server::bind("127.0.0.1:0", ProofCache::new()).expect("loopback binds");
         server.shared
     }
 
@@ -1216,8 +974,7 @@ mod tests {
     /// The wire group of each of `indices`, proved live, as `REC` lines.
     fn rec_groups(indices: &[usize]) -> Vec<String> {
         let matrix = tp_bench::shaped_matrix(Some(1));
-        let (outcomes, _, _) =
-            tp_bench::run_matrix_cells(&matrix, indices, None, None, |_, _, _| {});
+        let (outcomes, _) = tp_bench::run_matrix_cells(&matrix, indices, None, |_, _, _| {});
         tp_core::proved_cells(outcomes)
             .expect("every cell proves")
             .iter()
@@ -1355,77 +1112,36 @@ mod tests {
         );
     }
 
-    /// An empty scratch directory unique to this test.
-    fn scratch_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("tp_serve_unit_{}_{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        dir
-    }
-
-    fn snap(seq: u64, text: &str) -> Snapshot {
-        Snapshot {
-            seq,
-            text: text.into(),
+    /// A cached job appends each cell it proves to the cache log — one
+    /// group per proved cell, on disk by the time `DONE` is written — and
+    /// an all-hit job appends nothing.
+    #[test]
+    fn a_cached_job_appends_each_proved_cell_and_a_warm_job_appends_nothing() {
+        let path =
+            std::env::temp_dir().join(format!("tp_serve_unit_{}_append.cache", std::process::id()));
+        std::fs::remove_file(&path).ok();
+        let cache = ProofCache::open(&path).expect("cache log opens");
+        let shared = Server::bind("127.0.0.1:0", cache)
+            .expect("loopback binds")
+            .shared;
+        let groups = || {
+            std::fs::read_to_string(&path)
+                .expect("cache log readable")
+                .lines()
+                .filter(|l| l.starts_with("end "))
+                .count()
+        };
+        for (request, appended) in [
+            ("SUBMIT models=1 cells=0,2\n", 2),
+            ("SUBMIT models=1 cells=0,2\n", 2),
+            ("SUBMIT models=1 cells=0..3\n", 3),
+            ("SUBMIT models=1 cells=0..3 nocache\n", 3),
+        ] {
+            let done = writes(&shared, request).pop().expect("a terminal write");
+            assert!(done.starts_with("DONE "), "{request}: {done}");
+            assert_eq!(groups(), appended, "{request}");
         }
-    }
-
-    /// Empty `job-1.journal` and `job-2.journal` files in `dir`.
-    fn journals(dir: &Path) -> [PathBuf; 2] {
-        let js = [dir.join("job-1.journal"), dir.join("job-2.journal")];
-        for j in &js {
-            std::fs::write(j, "").expect("journal file");
-        }
-        js
-    }
-
-    #[test]
-    fn snapshots_are_numbered_in_the_order_they_are_taken() {
-        let file = CacheFile::new(PathBuf::from("unused.cache"));
-        let cache = ProofCache::new();
-        let seqs: Vec<u64> = (0..3).map(|_| file.snapshot(&cache).seq).collect();
-        assert_eq!(seqs, [1, 2, 3]);
-    }
-
-    /// Job 2's write overtakes job 1's: job 1's older snapshot is
-    /// skipped, and its entries count as durable because snapshot 2
-    /// holds them — so job 1's journal goes too.
-    #[test]
-    fn an_older_snapshot_behind_a_newer_write_is_skipped_and_durable() {
-        let dir = scratch_dir("gate_skip");
-        let file = CacheFile::new(dir.join("proofs.cache"));
-        let [j1, j2] = journals(&dir);
-        persist_job(&file, &snap(2, "two\n"), 2, Some(&j2));
-        persist_job(&file, &snap(1, "one\n"), 1, Some(&j1));
-        assert_eq!(std::fs::read_to_string(&file.path).unwrap(), "two\n");
-        assert!(!j1.exists(), "job 1's entries are on disk in snapshot 2");
-        assert!(!j2.exists(), "job 2's entries are on disk");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// A failed write does not count as written: the older snapshot
-    /// behind it is still written, and the failed job keeps its journal.
-    #[test]
-    fn a_failed_newer_write_still_lets_the_older_snapshot_through() {
-        let dir = scratch_dir("gate_fail");
-        // Writing into a directory that does not exist yet fails.
-        let later = dir.join("later");
-        let file = CacheFile::new(later.join("proofs.cache"));
-        let [j1, j2] = journals(&dir);
-        persist_job(&file, &snap(2, "two\n"), 2, Some(&j2));
-        assert!(!file.path.exists());
-        assert!(j2.exists(), "job 2's journal is its only durable copy");
-
-        std::fs::create_dir_all(&later).expect("cache dir");
-        persist_job(&file, &snap(1, "one\n"), 1, Some(&j1));
-        assert_eq!(std::fs::read_to_string(&file.path).unwrap(), "one\n");
-        assert!(!j1.exists(), "job 1's entries are on disk");
-        assert!(j2.exists(), "job 2's entries are still not on disk");
-
-        // Snapshot 2 can still be written later, e.g. at shutdown.
-        file.write(&snap(2, "two\n")).expect("write succeeds now");
-        assert_eq!(std::fs::read_to_string(&file.path).unwrap(), "two\n");
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! resubmits answered from the cache, a detonating cell contained as
 //! one `err` record while the daemon keeps serving, the protocol edges
 //! (PING/STATUS/CANCEL/METRICS/malformed/SHUTDOWN), and the crash-safe
-//! lifecycle: SHUTDOWN drains in-flight jobs before persisting, a
+//! lifecycle: SHUTDOWN drains in-flight jobs before it answers, a
+//! cached job's `DONE` means its cells are in the cache log, a
 //! `deadline_ms=` expiry yields `err` records instead of a wedged
-//! daemon, a vanished client cancels only its stream, and journals
-//! left by killed daemons are absorbed at the next startup. The key
+//! daemon, a vanished client cancels only its stream, and a daemon
+//! restarted over a log torn by a crash drops the torn group and
+//! resumes from the rest. The key
 //! memo never serves a `fault=` cell, and an over-long request line is
 //! refused without harming other connections.
 //!
@@ -93,19 +95,9 @@ impl Client {
 }
 
 /// Bind an in-process service on an ephemeral port and serve it from a
-/// background thread.
+/// background thread. A cache opened on a file keeps its log there.
 fn start_service(cache: ProofCache) -> (SocketAddr, Client) {
-    start_service_at(cache, None, None)
-}
-
-/// [`start_service`] with persistence knobs.
-fn start_service_at(
-    cache: ProofCache,
-    cache_path: Option<PathBuf>,
-    journal_dir: Option<PathBuf>,
-) -> (SocketAddr, Client) {
-    let server =
-        Server::bind("127.0.0.1:0", cache, cache_path, journal_dir).expect("service binds");
+    let server = Server::bind("127.0.0.1:0", cache).expect("service binds");
     let addr = server.local_addr().expect("bound address resolves");
     std::thread::spawn(move || server.serve().expect("accept loop stays up"));
     (addr, Client::connect(addr))
@@ -145,7 +137,7 @@ fn wait_for_job(client: &mut Client, job: u64, pred: impl Fn(&str) -> bool) -> S
 /// in-process through the same helpers that binary uses.
 fn reference_records(models: Option<usize>, indices: &[usize]) -> String {
     let matrix = tp_bench::shaped_matrix(models);
-    let (outcomes, _, _) = tp_bench::run_matrix_cells(&matrix, indices, None, None, |_, _, _| {});
+    let (outcomes, _) = tp_bench::run_matrix_cells(&matrix, indices, None, |_, _, _| {});
     let mut out = String::new();
     for (i, cell, report) in &tp_core::proved_cells(outcomes).expect("every cell proves") {
         tp_core::wire::write_cell(&mut out, *i, cell, report);
@@ -451,7 +443,7 @@ fn protocol_edges_ping_status_cancel_metrics_and_malformed_lines() {
 
 #[test]
 fn shutdown_wakes_the_blocking_accept_loop() {
-    let server = Server::bind("127.0.0.1:0", ProofCache::new(), None, None).expect("service binds");
+    let server = Server::bind("127.0.0.1:0", ProofCache::new()).expect("service binds");
     let addr = server.local_addr().expect("bound address resolves");
     let accept_loop = std::thread::spawn(move || server.serve());
 
@@ -478,14 +470,15 @@ fn shutdown_wakes_the_blocking_accept_loop() {
 
 #[test]
 fn the_daemon_binary_boots_persists_its_cache_and_shuts_down() {
-    let cache_path = std::env::temp_dir().join(format!(
-        "tp_serve_e2e_{}_{}.cache",
-        std::process::id(),
-        SCRATCH.fetch_add(1, Ordering::SeqCst)
-    ));
+    let cache_path = scratch_path("binary.cache");
+    // `--journal DIR` is still accepted, and ignored: the cache file is
+    // the crash-safe log.
+    let jdir = scratch_path("binary.journal.d");
     let mut daemon = std::process::Command::new(env!("CARGO_BIN_EXE_tp-serve"))
         .args(["--addr", "127.0.0.1:0", "--threads", "2", "--cache"])
         .arg(&cache_path)
+        .arg("--journal")
+        .arg(&jdir)
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::null())
         .spawn()
@@ -514,18 +507,15 @@ fn the_daemon_binary_boots_persists_its_cache_and_shuts_down() {
     let status = daemon.wait().expect("daemon exits");
     std::fs::remove_file(&cache_path).ok();
     assert!(status.success(), "clean shutdown exit: {status:?}");
+    assert!(!jdir.exists(), "--journal is ignored");
 }
 
 #[test]
 fn shutdown_drains_the_in_flight_job_persists_and_only_then_answers() {
     let _jobs = runs_jobs();
     let cache_path = scratch_path("drain.cache");
-    let jdir = scratch_path("drain.journal.d");
-    let (addr, mut submitter) = start_service_at(
-        ProofCache::new(),
-        Some(cache_path.clone()),
-        Some(jdir.clone()),
-    );
+    let (addr, mut submitter) =
+        start_service(ProofCache::open(&cache_path).expect("cache log opens"));
 
     // Start a sweep, and only after its job is registered (the OK line
     // proves it) ask a second connection to shut the daemon down.
@@ -546,35 +536,24 @@ fn shutdown_drains_the_in_flight_job_persists_and_only_then_answers() {
     );
     assert_eq!(field(done_line(&block), "proved="), 7);
 
-    // And the drained work is durable: the persisted cache carries all
-    // seven entries, and the job's journal was superseded and removed.
+    // And the drained work is durable: the cache log holds all seven
+    // entries, one group each.
     let text = std::fs::read_to_string(&cache_path).expect("cache persisted");
     assert_eq!(ProofCache::load(&text).expect("cache parses").len(), 7);
-    let leftovers: Vec<_> = std::fs::read_dir(&jdir)
-        .expect("journal dir exists")
-        .flatten()
-        .map(|e| e.path())
-        .collect();
-    assert!(leftovers.is_empty(), "journals cleaned up: {leftovers:?}");
+    assert_eq!(text.lines().filter(|l| l.starts_with("end ")).count(), 7);
 
     std::fs::remove_file(&cache_path).ok();
-    std::fs::remove_dir_all(&jdir).ok();
 }
 
-/// Two cold jobs on two connections race through the cache lock and
-/// the writer gate in either order; whichever snapshot lands last, the
-/// file `SHUTDOWN` leaves is the final cache's `save()` and holds both
-/// jobs' entries.
+/// Two cold jobs on two connections race through the cache lock in
+/// either order; each job's `DONE` means its entry is in the log, and
+/// the log `SHUTDOWN` leaves holds exactly the entries a CLI sweep of
+/// the same cells caches.
 #[test]
 fn concurrent_cold_jobs_leave_the_final_cache_on_disk() {
     let _jobs = runs_jobs();
     let cache_path = scratch_path("two_cold.cache");
-    let jdir = scratch_path("two_cold.journal.d");
-    let (addr, mut first) = start_service_at(
-        ProofCache::new(),
-        Some(cache_path.clone()),
-        Some(jdir.clone()),
-    );
+    let (addr, mut first) = start_service(ProofCache::open(&cache_path).expect("cache log opens"));
     let mut second = Client::connect(addr);
     let matrix = tp_bench::shaped_matrix(Some(1));
     first.send("SUBMIT models=1 cells=0..1");
@@ -601,19 +580,17 @@ fn concurrent_cold_jobs_leave_the_final_cache_on_disk() {
     assert_eq!(first.round_trip("SHUTDOWN"), vec!["OK shutting-down"]);
 
     let mut reference = ProofCache::new();
-    tp_bench::run_matrix_cells(&matrix, &[0, 1], Some(&mut reference), None, |_, _, _| {});
+    tp_bench::run_matrix_cells(&matrix, &[0, 1], Some(&mut reference), |_, _, _| {});
     let text = std::fs::read_to_string(&cache_path).expect("cache persisted");
-    assert_eq!(text, reference.save(), "the file is the final cache");
-    assert_eq!(ProofCache::load(&text).expect("cache parses").len(), 2);
-    let leftovers: Vec<_> = std::fs::read_dir(&jdir)
-        .expect("journal dir exists")
-        .flatten()
-        .map(|e| e.path())
-        .collect();
-    assert!(leftovers.is_empty(), "journals cleaned up: {leftovers:?}");
+    let on_disk = ProofCache::load(&text).expect("cache parses");
+    assert_eq!(on_disk.len(), 2);
+    assert_eq!(
+        on_disk.save(),
+        reference.save(),
+        "the log holds the final entries"
+    );
 
     std::fs::remove_file(&cache_path).ok();
-    std::fs::remove_dir_all(&jdir).ok();
 }
 
 #[test]
@@ -684,50 +661,45 @@ fn a_vanished_client_cancels_its_stream_but_the_sweep_still_warms_the_cache() {
 }
 
 #[test]
-fn leftover_job_journals_are_absorbed_at_startup() {
+fn a_restart_over_a_torn_cache_log_drops_the_tail_and_resumes() {
     let _jobs = runs_jobs();
-    use tp_core::engine::MatrixCell;
-    use tp_core::wire::CachedMeta;
-    use tp_core::ProofReport;
+    let cache_path = scratch_path("torn.cache");
 
-    let jdir = scratch_path("absorb.journal.d");
-    std::fs::create_dir_all(&jdir).expect("journal dir");
-
-    // Fabricate what a killed daemon leaves behind: a per-job journal
-    // holding five proved cells, written through the real writer.
+    // What a daemon killed mid-append leaves behind: four committed
+    // groups and the first half of a fifth.
     let matrix = tp_bench::shaped_matrix(Some(1));
     let indices: Vec<usize> = (0..5).collect();
-    let mut seed_cache = ProofCache::new();
-    let mut writer =
-        tp_core::JournalWriter::create(&jdir.join("job-9.journal")).expect("journal opens");
-    let mut on_proved = |i: usize, cell: &MatrixCell, report: &ProofReport, meta: &CachedMeta| {
-        writer.append(i, cell, report, meta).expect("append");
-    };
-    matrix.sweep(
-        tp_sched::global(),
-        &indices,
-        Some(&mut seed_cache),
-        Some(&mut on_proved),
-        |cell| tp_bench::canonical_scenario(cell.disable),
-        |_, _, _| {},
-    );
-    drop(writer);
+    let mut seeded = ProofCache::open(&cache_path).expect("cache log opens");
+    tp_bench::run_matrix_cells(&matrix, &indices, Some(&mut seeded), |_, _, _| {});
+    drop(seeded);
+    let text = std::fs::read_to_string(&cache_path).expect("cache persisted");
+    let fifth = text
+        .match_indices("\nend ")
+        .nth(3)
+        .map(|(at, _)| at + text[at + 1..].find('\n').expect("end line ends") + 2)
+        .expect("five groups");
+    let cut = fifth + (text.len() - fifth) / 2;
+    std::fs::write(&cache_path, &text[..cut]).expect("tear the tail");
 
-    // A daemon started over that directory begins warm: the records
-    // are absorbed (and the journal consumed) before the first job.
-    let (_addr, mut client) = start_service_at(ProofCache::new(), None, Some(jdir.clone()));
+    // The restarted daemon drops the torn group, serves the four
+    // survivors as hits and re-proves the fifth cell.
+    let cache = ProofCache::open(&cache_path).expect("a torn tail is not corruption");
+    assert_eq!(cache.torn_dropped(), 1);
+    assert_eq!(cache.len(), 4);
+    let (_addr, mut client) = start_service(cache);
     let block = client.round_trip("SUBMIT models=1 cells=0..5");
     assert_eq!(
         stripped_records(&block),
         reference_records(Some(1), &indices),
-        "absorbed stream"
+        "resumed stream"
     );
     let done = done_line(&block);
-    assert_eq!(field(done, "hits="), 5, "{done}");
-    assert_eq!(field(done, "missed="), 0, "{done}");
-    assert!(
-        !jdir.join("job-9.journal").exists(),
-        "absorbed journal consumed"
-    );
-    std::fs::remove_dir_all(&jdir).ok();
+    assert_eq!(field(done, "hits="), 4, "{done}");
+    assert_eq!(field(done, "missed="), 1, "{done}");
+
+    // The re-proved cell was appended after committed bytes only.
+    let text = std::fs::read_to_string(&cache_path).expect("cache persisted");
+    let reloaded = ProofCache::load(&text).expect("the log parses whole again");
+    assert_eq!((reloaded.len(), reloaded.torn_dropped()), (5, 0));
+    std::fs::remove_file(&cache_path).ok();
 }

@@ -85,12 +85,8 @@ pub enum Counter {
     CacheRejectCert,
     /// Hi programs scanned by the exhaustive enumeration.
     ExhPrograms,
-    /// Journal records replayed into a resumed sweep as cache hits.
-    JournalRecordsReplayed,
-    /// Torn trailing journal records silently dropped at parse.
-    JournalTornDropped,
-    /// Cells a resumed sweep re-proved live (missing or invalid).
-    ResumeCellsReproved,
+    /// Torn final groups dropped when a cache file was loaded.
+    CacheTornDropped,
     /// Faults the `TP_FAULTS` plan actually injected.
     FaultsInjected,
     /// Serve jobs cancelled by their `deadline_ms` wall-clock budget.
@@ -99,7 +95,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of distinct counters.
-    pub const COUNT: usize = 21;
+    pub const COUNT: usize = 19;
 
     /// Every counter, in array-index order.
     pub const ALL: [Counter; Self::COUNT] = [
@@ -119,9 +115,7 @@ impl Counter {
         Counter::CacheRejectVerdict,
         Counter::CacheRejectCert,
         Counter::ExhPrograms,
-        Counter::JournalRecordsReplayed,
-        Counter::JournalTornDropped,
-        Counter::ResumeCellsReproved,
+        Counter::CacheTornDropped,
         Counter::FaultsInjected,
         Counter::JobsDeadlineExpired,
     ];
@@ -145,9 +139,7 @@ impl Counter {
             Counter::CacheRejectVerdict => "cache_reject_verdict",
             Counter::CacheRejectCert => "cache_reject_cert",
             Counter::ExhPrograms => "exh_programs",
-            Counter::JournalRecordsReplayed => "journal_records_replayed",
-            Counter::JournalTornDropped => "journal_torn_dropped",
-            Counter::ResumeCellsReproved => "resume_cells_reproved",
+            Counter::CacheTornDropped => "cache_torn_dropped",
             Counter::FaultsInjected => "faults_injected",
             Counter::JobsDeadlineExpired => "jobs_deadline_expired",
         }
@@ -172,12 +164,11 @@ pub enum SpanKind {
     /// The ordered per-cell merge + verdict derivation on the consumer.
     Verify,
     /// A cached tp-serve job waiting for the proof-cache lock, which
-    /// another cached job holds for its sweep and its cache snapshot.
-    /// `cell` carries the job id.
+    /// another cached job holds for its sweep. `cell` carries the job id.
     CacheLock,
-    /// A cached tp-serve job writing its cache snapshot to disk, outside
-    /// the cache lock: the wait for an earlier job's write plus its own
-    /// write. `cell` carries the job id.
+    /// One append to a proof-cache log: a freshly proved cell's record
+    /// group written and fsynced. `cell` carries the group's index in
+    /// the file.
     Persist,
     /// One tp-serve job, from its `SUBMIT` line to the flush of its
     /// terminal line (`DONE`, `CANCELLED`, `EXPIRED`), cached or not.
@@ -486,11 +477,8 @@ impl Snapshot {
         );
         let _ = writeln!(
             out,
-            "  crash-safety: {} journal replayed, {} torn dropped, {} resume re-proved, \
-             {} faults injected, {} deadlines expired",
-            c(Counter::JournalRecordsReplayed),
-            c(Counter::JournalTornDropped),
-            c(Counter::ResumeCellsReproved),
+            "  crash-safety: {} torn dropped, {} faults injected, {} deadlines expired",
+            c(Counter::CacheTornDropped),
             c(Counter::FaultsInjected),
             c(Counter::JobsDeadlineExpired)
         );
