@@ -1,23 +1,25 @@
 //! Std-only microbenches for the simulator substrate itself: cache
 //! access, TLB lookup, flush, DRAM misses through the interconnect,
 //! kernel step, one monitored run under a hashed time model, the
-//! digesting used by the invariant checkers and the content
-//! fingerprints behind cache keys.
+//! switch-time P check and dirty-core digest, the digesting used by the
+//! invariant checkers and the content fingerprints behind cache keys.
 //! These put numbers on the cost of "proof by exhaustive checking" —
 //! the reproduction's analogue of proof effort.
 
 use std::hint::black_box;
 
 use tp_core::cache::cell_key;
+use tp_core::flush::FlushReference;
 use tp_core::noninterference::run_monitored;
+use tp_core::partition::{check_partition, SwitchMonitor};
 use tp_core::ProofMode;
 use tp_hw::cache::{Cache, CacheConfig};
 use tp_hw::clock::TimeModel;
 use tp_hw::machine::{Machine, MachineConfig};
 use tp_hw::tlb::{Tlb, TlbEntry};
 use tp_hw::types::{Asid, CoreId, DomainTag, PAddr, VAddr};
-use tp_kernel::config::{DomainSpec, KernelConfig};
-use tp_kernel::kernel::System;
+use tp_kernel::config::{DomainSpec, KernelConfig, Mechanism};
+use tp_kernel::kernel::{StepEvent, System};
 use tp_kernel::program::IdleProgram;
 
 /// Time `iters` iterations of `f` and print ns/op.
@@ -153,5 +155,35 @@ fn main() {
         let mut sys = System::new(hashed.clone(), (sc.make_kcfg)(sc.secrets[0])).unwrap();
         sys.use_digest_sinks();
         run_monitored(sys, sc.lo, sc.budget, sc.max_steps).steps
+    });
+
+    // The switch-time checks on that cell's system at its eighth
+    // switch: obligation P by the full scan and by the run's monitor
+    // (frame memo warm), and the digest of a core left dirty (the
+    // `-Flush` cell) with the monitor's TLB and predictor parts warm.
+    let mid_run = |disable| {
+        let sc = tp_bench::canonical_scenario(disable);
+        let mut sys = System::new(sc.mcfg, (sc.make_kcfg)(sc.secrets[0])).unwrap();
+        let mut switches = 0;
+        while switches < 8 {
+            if let StepEvent::Switched { .. } = sys.step() {
+                switches += 1;
+            }
+        }
+        sys
+    };
+    let sys = mid_run(None);
+    let mut monitor = SwitchMonitor::new();
+    bench("partition/full_scan", 10_000, || {
+        check_partition(black_box(&sys))
+    });
+    bench("partition/monitor", 10_000, || {
+        monitor.check_partition(black_box(&sys))
+    });
+    let sys = mid_run(Some(Mechanism::Flush));
+    let reference = FlushReference::of(&sys);
+    assert!(!reference.is_pristine(&sys), "the -Flush core is dirty");
+    bench("core/dirty_digest", 10_000, || {
+        monitor.switch_digest(black_box(&sys), &reference, false)
     });
 }

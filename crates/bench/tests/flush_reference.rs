@@ -1,13 +1,14 @@
 //! The monitors' flush fast path against its naive reference.
 //!
 //! At every domain switch the monitored loop answers obligation F with
-//! one structural compare against a prebuilt [`FlushReference`] and
-//! reuses the reference's precomputed digest for the switch-digest
-//! chain. The naive path rebuilds a pristine machine for its digest
+//! one structural compare against a prebuilt [`FlushReference`]. The
+//! naive path rebuilds a pristine machine for its digest
 //! ([`canonical_core_digest`]) and hashes the live core
 //! ([`check_flush_at_switch`]). Over the canonical scenario under all
-//! seven protection settings, both must give the same F result and the
-//! same core digest at every switch.
+//! seven protection settings, both must give the same F result at
+//! every switch. The switch digest the loop reuses from the reference
+//! is checked against `Core::microarch_digest` by
+//! `partition_reference.rs`.
 
 use tp_bench::canonical_scenario;
 use tp_core::flush::{
@@ -35,11 +36,6 @@ fn the_flush_fast_path_matches_the_naive_check_at_every_switch() {
                 let fast = check_flush_at_switch_ref(sys, &reference, pristine);
                 let naive = check_flush_at_switch(sys, canonical_core_digest(sys));
                 assert_eq!(fast, naive, "{disable:?}, secret {secret}");
-                assert_eq!(
-                    reference.digest_of(sys, pristine),
-                    sys.hw.cores[sys.kernel.core.0].microarch_digest(),
-                    "{disable:?}, secret {secret}"
-                );
                 sys.kernel.tp.flush_on_switch = claimed;
                 if pristine {
                     pristine_switches += 1;

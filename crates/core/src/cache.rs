@@ -333,11 +333,11 @@ impl core::fmt::Display for CacheStats {
 
 /// A stored entry with its canonical bytes, rendered once when it
 /// entered the cache. Entries are never changed after insertion, so the
-/// body cannot go stale. The body is shared, so a sweep can hand a
-/// hit's bytes on without copying them.
+/// body cannot go stale. Entry and body are shared, so a sweep can hand
+/// a hit's report and bytes on without copying them.
 #[derive(Debug)]
 struct Stored {
-    entry: CacheEntry,
+    entry: Arc<CacheEntry>,
     /// [`canonical_body`] of the entry's cell and report.
     body: Arc<str>,
 }
@@ -345,7 +345,10 @@ struct Stored {
 impl Stored {
     fn new(entry: CacheEntry) -> Self {
         let body = canonical_body(&entry.cell, &entry.report).into();
-        Stored { entry, body }
+        Stored {
+            entry: Arc::new(entry),
+            body,
+        }
     }
 
     /// The entry's group at `index`: its stored body re-indexed, then
@@ -361,7 +364,7 @@ impl Stored {
 #[derive(Debug, Clone, Copy)]
 pub struct Hit<'a> {
     /// The entry, every validation step passed.
-    pub entry: &'a CacheEntry,
+    pub entry: &'a Arc<CacheEntry>,
     /// Its canonical bytes — [`crate::wire::write_cell`]'s body at
     /// index 0, rendered when the entry entered the cache — which
     /// [`crate::wire::write_stored_cell`] re-indexes into the cell's
@@ -516,7 +519,10 @@ impl ProofCache {
             cell,
             report,
         };
-        let stored = Stored { entry, body };
+        let stored = Stored {
+            entry: Arc::new(entry),
+            body,
+        };
         if let Some(log) = self.log.as_mut() {
             let start = tp_telemetry::span_start();
             let index = self.groups;
@@ -550,7 +556,7 @@ impl ProofCache {
         secrets: &[u64],
     ) -> Result<&CacheEntry, CacheMiss> {
         self.lookup_hit(key, cell, models, secrets)
-            .map(|hit| hit.entry)
+            .map(|hit| &**hit.entry)
     }
 
     /// [`ProofCache::lookup`], handing back the entry's stored canonical

@@ -48,7 +48,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::cache::{cell_key, CacheMiss, CacheStats, ProofCache};
+use crate::cache::{cell_key, CacheEntry, CacheMiss, CacheStats, ProofCache};
 use crate::exhaustive::{
     recorded_leak, space_size, word_for_index_into, ExhaustiveConfig, ExhaustiveMode,
     ExhaustiveRunner, ExhaustiveVerdict,
@@ -884,21 +884,27 @@ impl ScenarioMatrix {
 
     /// Materialise the cross product, machines outer, ablations inner.
     pub fn cells(&self) -> Vec<MatrixCell> {
-        let mut out = Vec::with_capacity(self.machines.len() * self.ablations.len());
-        for (label, mcfg) in &self.machines {
-            for &disable in &self.ablations {
-                out.push(MatrixCell {
-                    machine: label.clone(),
-                    mcfg: mcfg.clone(),
-                    disable,
-                    tp: match disable {
-                        Some(m) => TimeProtConfig::full_without(m),
-                        None => TimeProtConfig::full(),
-                    },
-                });
-            }
+        (0..self.machines.len() * self.ablations.len())
+            .map(|ci| self.cell(ci))
+            .collect()
+    }
+
+    /// Cell `ci` of [`ScenarioMatrix::cells`], built alone.
+    ///
+    /// # Panics
+    /// Panics if `ci` is out of range.
+    pub fn cell(&self, ci: usize) -> MatrixCell {
+        let (label, mcfg) = &self.machines[ci / self.ablations.len()];
+        let disable = self.ablations[ci % self.ablations.len()];
+        MatrixCell {
+            machine: label.clone(),
+            mcfg: mcfg.clone(),
+            disable,
+            tp: match disable {
+                Some(m) => TimeProtConfig::full_without(m),
+                None => TimeProtConfig::full(),
+            },
         }
-        out
     }
 
     /// Check every cell constructs cleanly: `check_conformance` runs on
@@ -947,7 +953,7 @@ impl ScenarioMatrix {
     /// in `indices` order as soon as the cell's task outputs have
     /// arrived. Returns every `(global index, cell, outcome)` plus the
     /// cache statistics. [`ScenarioMatrix::sweep_keyed`] with no known
-    /// keys; see it for the parameters.
+    /// keys, keeping every outcome; see it for the parameters.
     pub fn sweep<F, C>(
         &self,
         pool: &WorkerPool,
@@ -960,25 +966,37 @@ impl ScenarioMatrix {
         F: Fn(&MatrixCell) -> NiScenario,
         C: FnMut(usize, &MatrixCell, &Result<ProofReport, String>),
     {
-        self.sweep_keyed(
+        let mut out = Vec::with_capacity(indices.len());
+        let stats = self.sweep_keyed(
             pool,
             indices,
             &[],
             cache,
             make_scenario,
-            |ci, cell, outcome, _| on_cell(ci, cell, outcome),
-        )
+            |ci, cell, outcome| {
+                let result = match outcome {
+                    CellOutcome::Live(result) => result,
+                    CellOutcome::Hit { report, .. } => Ok(report.clone()),
+                };
+                on_cell(ci, cell, &result);
+                out.push((ci, cell.clone(), result));
+            },
+        );
+        (out, stats)
     }
 
-    /// The content key ([`crate::cache::cell_key`]) a sweep of this
-    /// matrix derives for `cell` when `make_scenario` builds its base
-    /// scenario, or `None` when the cell is uncacheable.
-    pub fn cell_key<F>(&self, cell: &MatrixCell, make_scenario: F) -> Option<u64>
+    /// The cache address ([`crate::cache::cell_key`] and the secrets) a
+    /// sweep of this matrix derives for `cell` when `make_scenario`
+    /// builds its base scenario, or `None` when the cell is uncacheable.
+    pub fn cell_key<F>(&self, cell: &MatrixCell, make_scenario: F) -> Option<CellKey>
     where
         F: Fn(&MatrixCell) -> NiScenario,
     {
         let scenario = apply_cell(make_scenario(cell), cell);
-        cell_key(cell, &self.models, &scenario, self.mode)
+        cell_key(cell, &self.models, &scenario, self.mode).map(|key| CellKey {
+            key,
+            secrets: scenario.secrets.into(),
+        })
     }
 
     /// The sweep driver behind [`ScenarioMatrix::sweep`], for callers
@@ -994,8 +1012,9 @@ impl ScenarioMatrix {
     ///   must be exactly what [`ScenarioMatrix::cell_key`] returns for
     ///   that cell under this `make_scenario` — a caller that memoises
     ///   keys may only do so for inputs fixed for the memo's lifetime.
-    ///   `None` (and every cell when `keys` is empty) derives the key
-    ///   here, as an uncacheable cell always does.
+    ///   A known key answers a hit without building the cell's
+    ///   scenario. `None` (and every cell when `keys` is empty) derives
+    ///   the key here, as an uncacheable cell always does.
     /// * `cache`: each cell's content key is looked up first, and a
     ///   **validated** hit replays the stored report without running
     ///   anything; freshly proved cacheable cells are inserted back. A
@@ -1006,10 +1025,10 @@ impl ScenarioMatrix {
     ///   cell completes, in `indices` order, so a killed sweep resumes
     ///   from what it had proved. `None` proves every cell live and
     ///   counts no cache telemetry.
-    /// * `on_cell`: also told where the outcome came from
-    ///   ([`CellSource`]): a hit brings the entry's stored canonical
-    ///   bytes, so a caller can splice them instead of rendering the
-    ///   report again.
+    /// * `on_cell`: handed each cell's [`CellOutcome`]: a live result to
+    ///   keep, or a hit's stored report and canonical bytes, lent from
+    ///   the cache, so a caller can splice the bytes instead of
+    ///   rendering the report again. The sweep keeps no outcome itself.
     ///
     /// A cell whose tasks or merge panic yields `Err(panic message)` in
     /// its slot instead of unwinding into the caller; the remaining
@@ -1026,48 +1045,49 @@ impl ScenarioMatrix {
         &self,
         pool: &WorkerPool,
         indices: &[usize],
-        keys: &[Option<u64>],
+        keys: &[Option<CellKey>],
         mut cache: Option<&mut ProofCache>,
         make_scenario: F,
         mut on_cell: C,
-    ) -> (CellOutcomes, CacheStats)
+    ) -> CacheStats
     where
         F: Fn(&MatrixCell) -> NiScenario,
-        C: FnMut(usize, &MatrixCell, &Result<ProofReport, String>, CellSource<'_>),
+        C: FnMut(usize, &MatrixCell, CellOutcome<'_>),
     {
         enum Plan {
-            Hit(Box<ProofReport>, Arc<str>),
+            Hit(Arc<CacheEntry>, Arc<str>),
             Miss(Option<u64>, PlannedProof),
         }
         assert!(
             keys.is_empty() || keys.len() == indices.len(),
             "one known-key slot per swept cell"
         );
-        let all = self.cells();
         let mode = self.mode;
         let mut stats = CacheStats::default();
         let mut tasks = Vec::new();
         let mut flush_refs = Vec::new();
         let mut plans = Vec::with_capacity(indices.len());
         for (pos, &ci) in indices.iter().enumerate() {
-            let cell = &all[ci];
-            let scenario = apply_cell(make_scenario(cell), cell);
+            let cell = self.cell(ci);
+            let mut scenario = None;
             // Keys are derived only when a cache uses them, and only
             // when the caller does not already hold one.
-            let key = cache
-                .is_some()
-                .then(|| match keys.get(pos).copied().flatten() {
-                    Some(k) => Some(k),
-                    None => cell_key(cell, &self.models, &scenario, mode),
-                })
-                .flatten();
+            let mut key = None;
             if let Some(c) = cache.as_deref_mut() {
-                match key.map(|k| c.lookup_hit(k, cell, &self.models, &scenario.secrets)) {
+                let address = match keys.get(pos).and_then(Option::as_ref) {
+                    Some(known) => Some((known.key, &known.secrets[..])),
+                    None => {
+                        let sc = scenario.insert(apply_cell(make_scenario(&cell), &cell));
+                        cell_key(&cell, &self.models, sc, mode).map(|k| (k, &sc.secrets[..]))
+                    }
+                };
+                key = address.map(|(k, _)| k);
+                match address.map(|(k, secrets)| c.lookup_hit(k, &cell, &self.models, secrets)) {
                     Some(Ok(hit)) => {
                         stats.hits += 1;
                         tp_telemetry::count(Counter::CacheHits);
-                        let report = Box::new(hit.entry.report.clone());
-                        plans.push((ci, Plan::Hit(report, Arc::clone(hit.body))));
+                        let plan = Plan::Hit(Arc::clone(hit.entry), Arc::clone(hit.body));
+                        plans.push((ci, cell, plan));
                         continue;
                     }
                     Some(Err(CacheMiss::Absent)) => {
@@ -1084,6 +1104,7 @@ impl ScenarioMatrix {
                     }
                 }
             }
+            let scenario = scenario.unwrap_or_else(|| apply_cell(make_scenario(&cell), &cell));
             let proof = plan_proof(
                 &scenario,
                 &self.models,
@@ -1092,20 +1113,25 @@ impl ScenarioMatrix {
                 &mut flush_refs,
                 &mut tasks,
             );
-            plans.push((ci, Plan::Miss(key, proof)));
+            plans.push((ci, cell, Plan::Miss(key, proof)));
         }
 
         let mut stream = submit(pool, tasks, mode);
-        let mut out = Vec::with_capacity(plans.len());
         let mut plans = plans.into_iter().peekable();
-        while let Some((ci, plan)) = plans.next() {
-            let cell = &all[ci];
-            let next_is_hit = matches!(plans.peek(), Some((_, Plan::Hit(..))));
-            let mut body = None;
-            let result = match plan {
-                Plan::Hit(report, stored) => {
-                    body = Some(stored);
-                    Ok(*report)
+        while let Some((ci, cell, plan)) = plans.next() {
+            let outcome = match plan {
+                Plan::Hit(entry, body) => {
+                    let next_is_hit = matches!(plans.peek(), Some((_, _, Plan::Hit(..))));
+                    on_cell(
+                        ci,
+                        &cell,
+                        CellOutcome::Hit {
+                            report: &entry.report,
+                            body: &body,
+                            next_is_hit,
+                        },
+                    );
+                    continue;
                 }
                 Plan::Miss(key, proof) => {
                     proof
@@ -1118,14 +1144,9 @@ impl ScenarioMatrix {
                         })
                 }
             };
-            let source = match &body {
-                Some(body) => CellSource::Hit { body, next_is_hit },
-                None => CellSource::Live,
-            };
-            on_cell(ci, cell, &result, source);
-            out.push((ci, cell.clone(), result));
+            on_cell(ci, &cell, CellOutcome::Live(outcome));
         }
-        (out, stats)
+        stats
     }
 }
 
@@ -1144,14 +1165,29 @@ fn apply_cell(mut scenario: NiScenario, cell: &MatrixCell) -> NiScenario {
     scenario
 }
 
-/// Where a cell's outcome, as [`ScenarioMatrix::sweep_keyed`] hands it
-/// to `on_cell`, came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CellSource<'a> {
-    /// Proved (or failed) live in this sweep.
-    Live,
-    /// A validated cache hit.
+/// A cell's cache address as a sweep derives it
+/// ([`ScenarioMatrix::cell_key`]): the content key, and the secrets the
+/// cell proves under, which a hit's fingerprint table must list.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CellKey {
+    /// The content key ([`crate::cache::cell_key`]).
+    pub key: u64,
+    /// The cell's scenario's secrets, in order.
+    pub secrets: Arc<[u64]>,
+}
+
+/// A cell's outcome, as [`ScenarioMatrix::sweep_keyed`] hands it to
+/// `on_cell`.
+// Moved once per cell; boxing the live report would allocate per cell.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+pub enum CellOutcome<'a> {
+    /// Proved (or failed with its panic message) live in this sweep.
+    Live(Result<ProofReport, String>),
+    /// A validated cache hit, lent from the cache.
     Hit {
+        /// The stored report.
+        report: &'a ProofReport,
         /// The entry's stored canonical bytes ([`crate::cache::Hit::body`]).
         body: &'a str,
         /// Whether the next cell `on_cell` sees is a hit too, so it

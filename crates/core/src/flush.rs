@@ -32,7 +32,8 @@ pub fn canonical_core_digest(sys: &System) -> u64 {
 ///
 /// A reference depends only on the core's geometry (caches, TLB,
 /// predictors), not on the time model or on anything the kernel runs,
-/// so runs on equal cores can share one.
+/// so runs on equal cores can share one. What a run may reuse between
+/// its own switches lives in its [`crate::partition::SwitchMonitor`].
 pub struct FlushReference {
     /// A pristine core of the monitored machine's configuration.
     pub core: Core,
@@ -55,23 +56,11 @@ impl FlushReference {
 
     /// Whether the scheduled core's state equals the pristine core: the
     /// one structural comparison a domain switch needs. Its answer is
-    /// the `pristine` argument of [`FlushReference::digest_of`] and
-    /// [`check_flush_at_switch_ref`] for the same unchanged `sys`.
+    /// the `pristine` argument of [`check_flush_at_switch_ref`] and
+    /// [`crate::partition::SwitchMonitor::switch_digest`] for the same
+    /// unchanged `sys`.
     pub fn is_pristine(&self, sys: &System) -> bool {
         sys.hw.cores[sys.kernel.core.0].microarch_eq(&self.core)
-    }
-
-    /// The scheduled core's current microarch digest, reusing the
-    /// precomputed canonical value when the state matches the reference
-    /// (`pristine`, from [`FlushReference::is_pristine`] on this `sys`)
-    /// — bit-identical to calling [`tp_hw::machine::Core::microarch_digest`]
-    /// directly, because equal states hash equally.
-    pub fn digest_of(&self, sys: &System, pristine: bool) -> u64 {
-        if pristine {
-            self.digest
-        } else {
-            sys.hw.cores[sys.kernel.core.0].microarch_digest()
-        }
     }
 }
 

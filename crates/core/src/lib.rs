@@ -104,8 +104,8 @@ pub mod wire;
 
 pub use cache::{CacheMiss, CacheStats, JournalWriter, ProofCache, RejectReason};
 pub use engine::{
-    available_threads, check_exhaustive_parallel, prove_parallel, proved_cells, CellOutcomes,
-    CellSource, MatrixCell, MatrixReport, ProofMode, ProvedCell, ScenarioMatrix,
+    available_threads, check_exhaustive_parallel, prove_parallel, proved_cells, CellKey,
+    CellOutcome, CellOutcomes, MatrixCell, MatrixReport, ProofMode, ProvedCell, ScenarioMatrix,
 };
 pub use exhaustive::{
     check_exhaustive, check_exhaustive_mode, ExhaustiveConfig, ExhaustiveMode, ExhaustiveVerdict,

@@ -48,7 +48,7 @@
 use crate::flush::FlushReference;
 use crate::obligation::ObligationResult;
 use crate::padding::check_padding;
-use crate::partition::check_partition;
+use crate::partition::SwitchMonitor;
 use tp_hw::machine::MachineConfig;
 use tp_hw::types::Cycles;
 use tp_kernel::config::KernelConfig;
@@ -292,14 +292,20 @@ fn monitored_loop(
     // The reset reference makes the per-switch F check and the
     // switch-digest chain structural comparisons on the expected path:
     // a flushed core *equals* the pristine core, whose digest is
-    // precomputed — hashing the full core state per switch is the cold
-    // path, taken only when a flush left residue.
+    // precomputed. Everything else costs what changed since the last
+    // check: `checks` (a `SwitchMonitor`, one per run) answers P with
+    // the frame scan memoised on the memory's generation and a bitmask
+    // LLC scan, and digests a core the flush left dirty reusing the TLB
+    // and branch-predictor digests while their generations are
+    // unchanged (the prefetcher is rehashed every time). Its results
+    // equal `check_partition` and `Core::microarch_digest` exactly.
+    let mut checks = SwitchMonitor::new();
     let mut p = ObligationResult::new("P");
     let mut f = ObligationResult::new("F");
     let mut steps = 0;
     let mut switch_digest = OBS_DIGEST_SEED;
 
-    p.merge(check_partition(&sys));
+    p.merge(checks.check_partition(&sys));
     while sys.now().0 < budget.0 && steps < max_steps {
         let ev = sys.step();
         steps += 1;
@@ -310,10 +316,13 @@ fn monitored_loop(
             f.merge(crate::flush::check_flush_at_switch_ref(
                 &sys, reference, pristine,
             ));
-            p.merge(check_partition(&sys));
-            switch_digest = mix_digest(switch_digest, reference.digest_of(&sys, pristine));
+            p.merge(checks.check_partition(&sys));
+            switch_digest = mix_digest(
+                switch_digest,
+                checks.switch_digest(&sys, reference, pristine),
+            );
         } else if steps % P_CHECK_INTERVAL == 0 {
-            p.merge(check_partition(&sys));
+            p.merge(checks.check_partition(&sys));
         }
     }
     let t = check_padding(&sys);

@@ -13,7 +13,7 @@
 use std::sync::OnceLock;
 
 use tp_core::cache::{cell_key, validate_entry, CacheEntry, CacheMiss, ProofCache, RejectReason};
-use tp_core::engine::{CellSource, MatrixCell, ProofMode, ScenarioMatrix};
+use tp_core::engine::{CellKey, CellOutcome, MatrixCell, ProofMode, ScenarioMatrix};
 use tp_core::noninterference::{NiScenario, NiVerdict};
 use tp_core::proof::default_time_models;
 use tp_core::wire::{
@@ -271,26 +271,46 @@ fn a_hit_spliced_from_the_stored_body_matches_write_cell() {
     }
 }
 
-/// A warm sweep hands `on_cell` each hit's stored bytes, and says which
-/// hit ends the run, whether it derives the keys or is given them.
+/// A warm sweep hands `on_cell` each hit's stored report and bytes, and
+/// says which hit ends the run, whether it derives the keys or is given
+/// them; given them, it answers every hit without building a scenario.
 #[test]
 fn a_warm_sweep_hands_each_hit_its_stored_body() {
     let m = matrix();
     let (_, saved) = fixture();
     let all: Vec<usize> = (0..m.cells().len()).collect();
-    let known: Vec<Option<u64>> = keys().into_iter().map(Some).collect();
+    let known: Vec<Option<CellKey>> = m
+        .cells()
+        .iter()
+        .map(|c| m.cell_key(c, scenario_for))
+        .collect();
+    for (i, &k) in keys().iter().enumerate() {
+        assert_eq!(
+            known[i].as_ref().map(|c| c.key),
+            Some(k),
+            "the engine's key"
+        );
+    }
     for keys in [&[][..], &known[..]] {
         let mut cache = ProofCache::load(saved).expect("saved cache loads");
         let mut runs = Vec::new();
-        let (_, stats) = m.sweep_keyed(
+        let builds = std::cell::Cell::new(0);
+        let stats = m.sweep_keyed(
             &WorkerPool::new(2),
             &all,
             keys,
             Some(&mut cache),
-            scenario_for,
-            |ci, cell, outcome, source| {
-                let report = outcome.as_ref().expect("a hit is a proved cell");
-                let CellSource::Hit { body, next_is_hit } = source else {
+            |c: &MatrixCell| {
+                builds.set(builds.get() + 1);
+                scenario_for(c)
+            },
+            |ci, cell, outcome| {
+                let CellOutcome::Hit {
+                    report,
+                    body,
+                    next_is_hit,
+                } = outcome
+                else {
                     panic!("{} was not a hit", cell.label());
                 };
                 let mut rendered = String::new();
@@ -303,6 +323,8 @@ fn a_warm_sweep_hands_each_hit_its_stored_body() {
         );
         assert_eq!(stats.hits, all.len());
         assert_eq!(runs, [true, false], "the last hit ends the run");
+        let want_builds = if keys.is_empty() { all.len() } else { 0 };
+        assert_eq!(builds.get(), want_builds, "scenarios built");
     }
 }
 

@@ -7,7 +7,7 @@
 //! the mechanism behind several Spectre variants the paper cites as
 //! motivation.
 
-use crate::types::{mix2, DomainTag, VAddr};
+use crate::types::{mix2, DomainTag, Generation, GenerationCounter, VAddr};
 
 /// Number of global-history bits in the gshare predictor.
 const GSHARE_HISTORY_BITS: u32 = 10;
@@ -29,7 +29,10 @@ impl BranchOutcome {
 }
 
 /// A gshare direction predictor with a direct-mapped, tagged BTB.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Equality compares the prediction state and ignores the generation
+/// counter.
+#[derive(Debug, Clone)]
 pub struct BranchPredictor {
     /// Pattern history table of 2-bit saturating counters.
     pht: Vec<u8>,
@@ -40,7 +43,20 @@ pub struct BranchPredictor {
     btb: Vec<(u64, u64)>,
     /// Ghost owner of the most recent update to each PHT counter.
     owners: Vec<Option<DomainTag>>,
+    /// Bumped by `resolve` and `flush` (see [`BranchPredictor::generation`]).
+    generation: GenerationCounter,
 }
+
+impl PartialEq for BranchPredictor {
+    fn eq(&self, other: &Self) -> bool {
+        self.pht == other.pht
+            && self.ghr == other.ghr
+            && self.btb == other.btb
+            && self.owners == other.owners
+    }
+}
+
+impl Eq for BranchPredictor {}
 
 impl BranchPredictor {
     /// Create a predictor with `pht_entries` counters and `btb_entries`
@@ -62,6 +78,7 @@ impl BranchPredictor {
             ghr: 0,
             btb: vec![(0, 0); btb_entries],
             owners: vec![None; pht_entries],
+            generation: GenerationCounter::new(),
         }
     }
 
@@ -89,6 +106,7 @@ impl BranchPredictor {
         target: VAddr,
         owner: DomainTag,
     ) -> BranchOutcome {
+        self.generation.bump();
         let idx = self.pht_index(pc);
         let predicted_taken = self.pht[idx] >= 2;
         let direction_correct = predicted_taken == taken;
@@ -127,6 +145,7 @@ impl BranchPredictor {
     /// Reset all prediction state to the canonical power-on state (§4.1
     /// flushing). History-independent by construction.
     pub fn flush(&mut self) {
+        self.generation.bump();
         for c in &mut self.pht {
             *c = 1;
         }
@@ -145,6 +164,12 @@ impl BranchPredictor {
             .iter()
             .enumerate()
             .filter_map(|(i, o)| o.map(|t| (i, t)))
+    }
+
+    /// Where the predictor is in its mutation history: while this is
+    /// unchanged, so is [`BranchPredictor::state_digest`].
+    pub fn generation(&self) -> Generation {
+        self.generation.get()
     }
 
     /// Digest of all timing-relevant predictor state.
@@ -256,6 +281,30 @@ mod tests {
         y.flush();
         x.flush();
         assert_eq!(x.state_digest(), y.state_digest());
+    }
+
+    /// `resolve` and `flush` move the generation, readers leave it, and
+    /// a clone compares equal under another generation.
+    #[test]
+    fn every_mutator_moves_the_generation() {
+        let mut rng = proptest::TestRng::new(0xb9);
+        let mut bp = BranchPredictor::new(16, 4);
+        for step in 0..600 {
+            let generation = bp.generation();
+            if rng.below(10) == 0 {
+                bp.flush();
+            } else {
+                let pc = VAddr(rng.below(32) << 2);
+                bp.resolve(pc, rng.below(2) == 0, VAddr(rng.below(4) << 8), D);
+            }
+            assert_ne!(bp.generation(), generation, "step {step}");
+            let generation = bp.generation();
+            let _ = (bp.state_digest(), bp.iter_owners().count());
+            assert_eq!(bp.generation(), generation, "step {step}: readers");
+            let clone = bp.clone();
+            assert_eq!(clone, bp, "step {step}: equality ignores the generation");
+            assert_ne!(clone.generation(), bp.generation(), "step {step}");
+        }
     }
 
     #[test]

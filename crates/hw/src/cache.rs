@@ -432,6 +432,13 @@ impl Cache {
         self.lines.iter().filter(|l| l.valid && l.dirty).count()
     }
 
+    /// Every line, row-major by set: set `s` holds
+    /// `lines()[s * ways..(s + 1) * ways]`, so a colour's sets
+    /// ([`Cache::sets_of_colour`]) are one contiguous run.
+    pub fn lines(&self) -> &[LineState] {
+        &self.lines
+    }
+
     /// Iterate over `(set, way, state)` for every line. Used by the
     /// partitioning-invariant checker.
     pub fn iter_lines(&self) -> impl Iterator<Item = (usize, usize, &LineState)> + '_ {

@@ -70,4 +70,4 @@ pub use obs::{
     fold_obs_event, obs_digest, DigestSink, NullSink, ObsEvent, ObsSinkKind, Observation,
     RecordingSink,
 };
-pub use types::{Asid, Colour, CoreId, Cycles, DomainTag, Fault, PAddr, VAddr};
+pub use types::{Asid, Colour, CoreId, Cycles, DomainTag, Fault, Generation, PAddr, VAddr};

@@ -7,7 +7,7 @@
 //! cross-references cache-line owners against frame owners and the
 //! colour policy.
 
-use crate::types::{DomainTag, PAddr, PAGE_SIZE};
+use crate::types::{DomainTag, Generation, GenerationCounter, PAddr, PAGE_SIZE};
 
 /// Per-frame bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -20,10 +20,24 @@ pub struct FrameInfo {
 }
 
 /// Modelled physical memory: `frames` frames of [`PAGE_SIZE`] bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Equality compares the frames and ignores the generation counter.
+#[derive(Debug, Clone)]
 pub struct PhysMem {
     frames: Vec<FrameInfo>,
+    /// Bumped by every call that can change a frame (`assign`, `release`,
+    /// `frame_mut`), so a checker may reuse what it derived from the
+    /// frames while [`PhysMem::generation`] is unchanged.
+    generation: GenerationCounter,
 }
+
+impl PartialEq for PhysMem {
+    fn eq(&self, other: &Self) -> bool {
+        self.frames == other.frames
+    }
+}
+
+impl Eq for PhysMem {}
 
 impl PhysMem {
     /// Create a memory of `frames` frames.
@@ -34,6 +48,7 @@ impl PhysMem {
         assert!(frames > 0, "need at least one frame");
         PhysMem {
             frames: vec![FrameInfo::default(); frames],
+            generation: GenerationCounter::new(),
         }
     }
 
@@ -63,6 +78,7 @@ impl PhysMem {
 
     /// Mutable frame info for `pfn`.
     pub fn frame_mut(&mut self, pfn: u64) -> &mut FrameInfo {
+        self.generation.bump();
         &mut self.frames[pfn as usize]
     }
 
@@ -73,12 +89,20 @@ impl PhysMem {
 
     /// Assign `pfn` to `owner`.
     pub fn assign(&mut self, pfn: u64, owner: DomainTag) {
+        self.generation.bump();
         self.frames[pfn as usize].owner = Some(owner);
     }
 
     /// Release `pfn` back to the free pool.
     pub fn release(&mut self, pfn: u64) {
+        self.generation.bump();
         self.frames[pfn as usize] = FrameInfo::default();
+    }
+
+    /// Where the frames are in their mutation history: equal values mean
+    /// no frame of this memory changed in between.
+    pub fn generation(&self) -> Generation {
+        self.generation.get()
     }
 
     /// Iterate `(pfn, info)` over all frames.
@@ -127,6 +151,35 @@ mod tests {
             None,
             "out of range is unowned"
         );
+    }
+
+    /// `assign`, `release` and `frame_mut` move the generation, readers
+    /// leave it, and a clone compares equal under another generation.
+    #[test]
+    fn every_mutator_moves_the_generation() {
+        let mut m = PhysMem::new(4);
+        let mutators: [fn(&mut PhysMem); 3] = [
+            |m| m.assign(1, DomainTag(2)),
+            |m| m.release(1),
+            |m| m.frame_mut(2).kernel_image = true,
+        ];
+        for (i, mutate) in mutators.iter().enumerate() {
+            let generation = m.generation();
+            mutate(&mut m);
+            assert_ne!(m.generation(), generation, "mutator {i}");
+        }
+        let generation = m.generation();
+        let _ = (
+            m.frame(2),
+            m.owner_of(PAddr::from_pfn(1, 0)),
+            m.iter().count(),
+            m.frames_owned_by(DomainTag(2)),
+            m.free_frames(),
+        );
+        assert_eq!(m.generation(), generation, "readers");
+        let clone = m.clone();
+        assert_eq!(clone, m, "equality ignores the generation");
+        assert_ne!(clone.generation(), m.generation());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! timing consequence (hit/miss behaviour for one ASID is independent of
 //! another ASID's fills and invalidations — experiment E8).
 
-use crate::types::{mix2, Asid, DomainTag, VAddr};
+use crate::types::{mix2, Asid, DomainTag, Generation, GenerationCounter, VAddr};
 
 /// A single TLB entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,6 +67,9 @@ pub struct Tlb {
     memo: [Option<LookupMemo>; 2],
     /// Round-robin victim pointer into `memo`.
     memo_next: u8,
+    /// Bumped by every change to `entries` or `lru` (see
+    /// [`Tlb::generation`]); never consulted by digests or equality.
+    generation: GenerationCounter,
 }
 
 /// One memoised lookup (see [`Tlb::memo`]).
@@ -81,8 +84,9 @@ struct LookupMemo {
 /// 2^52 - 1 (64-bit addresses, 12-bit pages), so this cannot collide.
 const NO_KEY: u64 = u64::MAX;
 
-/// Equality ignores the lookup memo (pure acceleration state): two TLBs
-/// are the same hardware state iff their entries and recency ranks agree.
+/// Equality ignores the lookup memo and the generation counter (pure
+/// acceleration state): two TLBs are the same hardware state iff their
+/// entries and recency ranks agree.
 impl PartialEq for Tlb {
     fn eq(&self, other: &Self) -> bool {
         self.entries == other.entries && self.lru == other.lru
@@ -107,6 +111,7 @@ impl Tlb {
             vpn_key: vec![NO_KEY; capacity],
             memo: [None; 2],
             memo_next: 0,
+            generation: GenerationCounter::new(),
         }
     }
 
@@ -215,6 +220,7 @@ impl Tlb {
     /// Install `entry` in slot `idx`, keeping the VPN index coherent.
     fn fill(&mut self, idx: usize, entry: TlbEntry) {
         self.clear_memo();
+        self.generation.bump();
         self.vpn_key[idx] = entry.vpn;
         self.entries[idx] = Some(entry);
         self.touch(idx);
@@ -223,6 +229,7 @@ impl Tlb {
     /// Invalidate every entry (including globals). Canonical reset state.
     pub fn flush_all(&mut self) -> usize {
         self.clear_memo();
+        self.generation.bump();
         let n = self.occupancy();
         for e in &mut self.entries {
             *e = None;
@@ -239,6 +246,7 @@ impl Tlb {
     /// Invalidate all non-global entries of one ASID. Returns the count.
     pub fn flush_asid(&mut self, asid: Asid) -> usize {
         self.clear_memo();
+        self.generation.bump();
         let mut n = 0;
         for i in 0..self.entries.len() {
             if matches!(&self.entries[i], Some(x) if x.asid == asid && !x.global) {
@@ -257,6 +265,7 @@ impl Tlb {
         for i in 0..self.entries.len() {
             if matches!(&self.entries[i], Some(x) if x.asid == asid && x.vpn == vpn) {
                 self.clear_memo();
+                self.generation.bump();
                 self.entries[i] = None;
                 self.vpn_key[i] = NO_KEY;
                 return true;
@@ -268,6 +277,13 @@ impl Tlb {
     /// Iterate over valid entries (for the invariant checkers).
     pub fn iter(&self) -> impl Iterator<Item = &TlbEntry> + '_ {
         self.entries.iter().flatten()
+    }
+
+    /// Where the TLB is in its mutation history: while this is
+    /// unchanged, so is [`Tlb::state_digest`]. A hit on the most
+    /// recently used entry changes nothing and leaves it alone.
+    pub fn generation(&self) -> Generation {
+        self.generation.get()
     }
 
     /// Digest of all state visible to timing: which (asid, vpn) pairs are
@@ -305,6 +321,10 @@ impl Tlb {
 
     fn touch(&mut self, idx: usize) {
         let old = self.lru[idx];
+        if old == 0 {
+            return; // already most recent: no rank moves
+        }
+        self.generation.bump();
         for r in self.lru.iter_mut() {
             if *r < old {
                 *r += 1;
@@ -443,5 +463,57 @@ mod tests {
     #[should_panic(expected = "unsupported TLB capacity")]
     fn zero_capacity_rejected() {
         let _ = Tlb::new(0);
+    }
+
+    /// Every change to the entries or ranks moves the generation, so a
+    /// digest memoised on it stays right; readers leave it; a clone
+    /// compares equal under another generation.
+    #[test]
+    fn the_generation_moves_with_every_change() {
+        let mut rng = proptest::TestRng::new(0x71b);
+        let mut t = Tlb::new(4);
+        for step in 0..4000 {
+            let (before, generation, digest) = (t.clone(), t.generation(), t.state_digest());
+            let asid = Asid(rng.below(3) as u16);
+            let vaddr = VAddr(rng.below(6) << 12);
+            let op = rng.below(12) as usize;
+            match op {
+                0..=5 => {
+                    t.lookup(asid, vaddr);
+                }
+                6..=8 => {
+                    let mut e = entry(asid.0, vaddr.vpn());
+                    e.global = rng.below(5) == 0;
+                    t.insert(e);
+                }
+                9 => {
+                    t.flush_asid(asid);
+                }
+                10 => {
+                    t.invalidate_page(asid, vaddr);
+                }
+                _ => {
+                    t.flush_all();
+                }
+            }
+            let moved = t.generation() != generation;
+            let ctx = format!("step {step} op {op}");
+            if t != before || t.state_digest() != digest {
+                assert!(moved, "{ctx}: a change kept the generation");
+            }
+            if (6..=9).contains(&op) || op == 11 {
+                assert!(moved, "{ctx}: a mutator kept the generation");
+            }
+            let clone = t.clone();
+            assert_eq!(clone, t, "{ctx}: equality ignores the generation");
+            assert_ne!(clone.generation(), t.generation(), "{ctx}");
+        }
+        let g = t.generation();
+        let _ = (
+            t.peek(Asid(0), VAddr(0)),
+            t.iter().count(),
+            t.asid_digest(Asid(0)),
+        );
+        assert_eq!(t.generation(), g, "readers leave the generation");
     }
 }

@@ -8,6 +8,7 @@
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
+use core::sync::atomic::{AtomicU64, Ordering};
 
 /// Size of a page in bytes (4 KiB, as on all hardware the paper considers).
 pub const PAGE_SIZE: u64 = 4096;
@@ -231,6 +232,52 @@ pub fn mix64(mut x: u64) -> u64 {
 #[inline]
 pub fn mix2(a: u64, b: u64) -> u64 {
     mix64(a ^ mix64(b))
+}
+
+/// Where one piece of modelled state is in its mutation history: an id
+/// unique to the instance in this process, and how many mutations the
+/// instance has seen. Equal generations therefore mean the same
+/// instance with nothing changed in between, so a memo keyed on one is
+/// sound even when a monitor swaps a component for another instance.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Generation {
+    instance: u64,
+    mutations: u64,
+}
+
+/// The mutation counter a component carries next to its state. Every
+/// construction, clone included, draws a fresh instance id, so a clone
+/// never shares a generation with its original. Components bump it on
+/// every mutation and leave it out of their equality.
+#[derive(Debug)]
+pub(crate) struct GenerationCounter(Generation);
+
+impl GenerationCounter {
+    pub(crate) fn new() -> Self {
+        static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(0);
+        GenerationCounter(Generation {
+            // Relaxed: the id publishes no other data; the RMW alone
+            // makes it unique.
+            instance: NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed),
+            mutations: 0,
+        })
+    }
+
+    /// Record one mutation.
+    #[inline]
+    pub(crate) fn bump(&mut self) {
+        self.0.mutations += 1;
+    }
+
+    pub(crate) fn get(&self) -> Generation {
+        self.0
+    }
+}
+
+impl Clone for GenerationCounter {
+    fn clone(&self) -> Self {
+        GenerationCounter::new()
+    }
 }
 
 #[cfg(test)]

@@ -100,7 +100,7 @@ use std::time::{Duration, Instant};
 
 use tp_core::engine::MatrixCell;
 use tp_core::noninterference::NiScenario;
-use tp_core::{wire, CacheStats, CellSource, ProofCache, ProofReport, ScenarioMatrix};
+use tp_core::{wire, CacheStats, CellKey, CellOutcome, ProofCache, ScenarioMatrix};
 use tp_kernel::program::{Instr, Program, StepFeedback};
 use tp_telemetry::SpanKind;
 
@@ -186,9 +186,9 @@ struct Shared {
     shutdown: AtomicBool,
     /// Where `SHUTDOWN` connects to wake the blocked accept loop.
     wake: SocketAddr,
-    /// Fault-free cells' content keys under (model count, cell index):
-    /// at most 5 × 21 entries, filled on first use.
-    keys: Mutex<HashMap<(usize, usize), Option<u64>>>,
+    /// Fault-free cells' cache addresses under (model count, cell
+    /// index): at most 5 × 21 entries, filled on first use.
+    keys: Mutex<HashMap<(usize, usize), Option<CellKey>>>,
 }
 
 impl Shared {
@@ -231,23 +231,23 @@ impl Shared {
         Some((id, state))
     }
 
-    /// The content key of cell `ci` of `matrix` under the canonical
+    /// The cache address of cell `ci` of `matrix` under the canonical
     /// scenario, from the memo or derived and memoised. Every input the
     /// key folds — machine, protection, models, scenario, proof mode —
     /// is fixed by the model count and the index, so the entry stays
     /// right for the daemon's lifetime. A faulted cell's scenario
     /// differs; never call this for one.
-    fn cell_key(&self, matrix: &ScenarioMatrix, ci: usize) -> Option<u64> {
+    fn cell_key(&self, matrix: &ScenarioMatrix, ci: usize) -> Option<CellKey> {
         let slot = (matrix.models().len(), ci);
-        if let Some(&key) = lock(&self.keys).get(&slot) {
-            return key;
+        if let Some(key) = lock(&self.keys).get(&slot) {
+            return key.clone();
         }
         // Derived outside the memo lock; two jobs racing here derive
         // the same key.
-        let key = matrix.cell_key(&matrix.cells()[ci], |c| {
+        let key = matrix.cell_key(&matrix.cell(ci), |c| {
             tp_bench::canonical_scenario(c.disable)
         });
-        lock(&self.keys).insert(slot, key);
+        lock(&self.keys).insert(slot, key.clone());
         key
     }
 }
@@ -824,21 +824,24 @@ fn run_job(
     // The run of hits gathered so far, as ready `REC` lines.
     let mut hits = String::new();
     let mut hit_groups = 0usize;
-    let emit = |i: usize,
-                cell: &MatrixCell,
-                outcome: &Result<ProofReport, String>,
-                source: CellSource<'_>| {
+    let (mut proved, mut failed) = (0usize, 0usize);
+    let emit = |i: usize, cell: &MatrixCell, outcome: CellOutcome<'_>| {
         job.done.fetch_add(1, Ordering::SeqCst);
-        if outcome.is_err() {
+        if matches!(outcome, CellOutcome::Live(Err(_))) {
+            failed += 1;
             job.failed.fetch_add(1, Ordering::SeqCst);
+        } else {
+            proved += 1;
         }
         if job.cancelled.load(Ordering::SeqCst) {
             return; // nobody is listening: skip the rendering work
         }
         // A send failure means the receiver gave up (deadline); the
         // sweep still runs to completion for the cache's sake.
-        match (outcome, source) {
-            (Ok(_), CellSource::Hit { body, next_is_hit }) => {
+        match outcome {
+            CellOutcome::Hit {
+                body, next_is_hit, ..
+            } => {
                 wire::write_stored_cell(&mut hits, "REC ", i, body);
                 hit_groups += 1;
                 if !next_is_hit {
@@ -848,17 +851,17 @@ fn run_job(
                     });
                 }
             }
-            (Ok(report), CellSource::Live) => {
+            CellOutcome::Live(Ok(report)) => {
                 let mut rec = String::new();
-                wire::write_cell(&mut rec, i, cell, report);
+                wire::write_cell(&mut rec, i, cell, &report);
                 let _ = tx.send(Msg::Rec {
                     text: rec_group(&rec),
                     groups: 1,
                 });
             }
-            (Err(msg), _) => {
+            CellOutcome::Live(Err(msg)) => {
                 let mut rec = String::new();
-                wire::write_cell_error(&mut rec, i, msg);
+                wire::write_cell_error(&mut rec, i, &msg);
                 let _ = tx.send(Msg::Rec {
                     text: rec_group(&rec),
                     groups: 1,
@@ -867,17 +870,16 @@ fn run_job(
         }
     };
 
-    let ((outcomes, stats), entries) = if nocache {
+    let (stats, entries) = if nocache {
         let r = matrix.sweep_keyed(tp_sched::global(), indices, &[], None, make_scenario, emit);
         (r, shared.cache_entries.load(Ordering::SeqCst))
     } else {
         // Keys before the lock: memoised for fault-free cells, derived
         // by the sweep for a faulted one.
-        let cells = fault.as_ref().map(|_| matrix.cells());
-        let keys: Vec<Option<u64>> = indices
+        let keys: Vec<Option<CellKey>> = indices
             .iter()
-            .map(|&ci| match (&cells, &fault) {
-                (Some(cells), Some(f)) if cells[ci] == *f => None,
+            .map(|&ci| match &fault {
+                Some(f) if matrix.cell(ci) == *f => None,
                 _ => shared.cell_key(matrix, ci),
             })
             .collect();
@@ -903,10 +905,9 @@ fn run_job(
         (r, n)
     };
     job.finished.store(true, Ordering::SeqCst);
-    let proved = outcomes.iter().filter(|(_, _, r)| r.is_ok()).count();
     let _ = tx.send(Msg::Done {
         proved,
-        failed: outcomes.len() - proved,
+        failed,
         stats,
         entries,
     });
