@@ -1,6 +1,7 @@
 //! Std-only microbenches for the simulator substrate itself: cache
-//! access, TLB lookup, flush, DRAM misses through the interconnect,
-//! kernel step, one monitored run under a hashed time model, the
+//! access, TLB lookup, flush, the L1 set digests and access pricing of
+//! the hashed time models, DRAM misses through the interconnect, kernel
+//! step, one monitored run under a hashed time model, the
 //! switch-time P check and dirty-core digest, the digesting used by the
 //! invariant checkers and the content fingerprints behind cache keys.
 //! These put numbers on the cost of "proof by exhaustive checking" —
@@ -14,7 +15,7 @@ use tp_core::noninterference::run_monitored;
 use tp_core::partition::{check_partition, SwitchMonitor};
 use tp_core::ProofMode;
 use tp_hw::cache::{Cache, CacheConfig};
-use tp_hw::clock::TimeModel;
+use tp_hw::clock::{MemEvent, TimeModel};
 use tp_hw::machine::{Machine, MachineConfig};
 use tp_hw::tlb::{Tlb, TlbEntry};
 use tp_hw::types::{Asid, CoreId, DomainTag, PAddr, VAddr};
@@ -58,6 +59,29 @@ fn main() {
     bench("cache/set_digest_l1", 100_000, || {
         set = (set + 1) % 64;
         black_box(l1.set_digest(black_box(set)))
+    });
+    // The memoised digest after a hit that flips tree bits, over a full
+    // L1: every access hits the next set's next way, so its PLRU word
+    // changes and its lines do not.
+    let mut l1 = Cache::new(CacheConfig::l1());
+    for k in 0..512u64 {
+        l1.access(PAddr(k * 64), k % 3 == 0, DomainTag(0));
+    }
+    let mut line = 0u64;
+    bench("cache/set_digest_memo_plru_hit", 100_000, || {
+        line = (line + 1) % 512;
+        let out = l1.access(PAddr(black_box(line) * 64), false, DomainTag(0));
+        black_box(l1.set_digest_memo(out.set))
+    });
+
+    // A hashed model pricing one access: the outcome key, the local
+    // state and the seed.
+    let model = TimeModel::hashed(0xdead_beef);
+    let mut ev = MemEvent::l1_hit();
+    bench("clock/mem_cost_hashed", 1_000_000, || {
+        ev.local_state = ev.local_state.wrapping_add(0x9e37_79b9);
+        ev.prefetches = (ev.local_state % 5) as u8;
+        model.mem_cost(black_box(&ev))
     });
 
     let mut tlb = Tlb::new(64);

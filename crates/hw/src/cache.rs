@@ -16,7 +16,7 @@
 //! miss anywhere in the cache — and exists so the proof harness can
 //! demonstrate *detecting* hardware that breaks the aISA contract.
 
-use crate::types::{mix2, Colour, DomainTag, PAddr, LINE_BITS, PAGE_BITS};
+use crate::types::{mix2, mix64, Colour, DomainTag, PAddr, LINE_BITS, PAGE_BITS};
 
 /// Replacement policy for a [`Cache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -210,7 +210,8 @@ pub struct FlushOutcome {
 
 /// A physically indexed set-associative cache.
 ///
-/// Equality compares the modelled state and ignores the digest memo.
+/// Equality compares the modelled state and ignores the digest memo and
+/// its line terms.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
@@ -222,13 +223,19 @@ pub struct Cache {
     plru: Vec<u32>,
     /// Global LFSR for `GlobalRandom`.
     lfsr: u32,
-    /// Memoised [`Cache::set_digest`] per set; entry `s` is meaningful
-    /// only while bit `s` of `memo_valid` is set. Both stay empty until
-    /// the first [`Cache::set_digest_memo`] call, so caches nobody asks
-    /// for set digests (the LLC, L2) never allocate them.
+    /// Memoised line part of [`Cache::set_digest`] per set: the chain
+    /// over the set's ways, before the set's PLRU word is folded in.
+    /// Entry `s` is meaningful only while bit `s` of `memo_valid` is set.
+    /// This, `memo_valid` and `line_terms` stay empty until the first
+    /// [`Cache::set_digest_memo`] call, so caches nobody asks for set
+    /// digests (the LLC, L2, every cache under a table time model) never
+    /// allocate them.
     memo: Vec<u64>,
     /// One validity bit per set for `memo`, 64 sets a word.
     memo_valid: Vec<u64>,
+    /// Per line, once `memo` exists: [`line_term`] of the line, written
+    /// on every fill and dirtying hit. Meaningful for valid lines only.
+    line_terms: Vec<u64>,
 }
 
 impl PartialEq for Cache {
@@ -261,6 +268,7 @@ impl Cache {
             lfsr: 0xace1,
             memo: Vec::new(),
             memo_valid: Vec::new(),
+            line_terms: Vec::new(),
         }
     }
 
@@ -301,6 +309,7 @@ impl Cache {
             if l.valid && l.tag == tag {
                 if write && self.cfg.write_back && !l.dirty {
                     l.dirty = true;
+                    self.refresh_line_term(base + way, way);
                     self.forget_digest(set);
                 }
                 self.touch(set, way);
@@ -327,6 +336,7 @@ impl Cache {
             owner: Some(owner),
         };
         self.fill_touch(set, way);
+        self.refresh_line_term(base + way, way);
         self.forget_digest(set);
 
         AccessOutcome {
@@ -472,13 +482,18 @@ impl Cache {
     /// Case 1 of §5.2 reasons about exactly this: the cost of an access
     /// may depend only on the state of the set it indexes.
     ///
-    /// This is the only set-digest function; [`Cache::set_digest_memo`]
-    /// caches its result per set. The memo's invariant: a set's validity
-    /// bit is cleared by every change to that set's lines or replacement
-    /// state — a fill (prefetch fills included), a hit that dirties a
-    /// line or moves its LRU rank or PLRU bits, and `flush_line`,
-    /// `flush_set` and `flush_all` — so a valid memo entry always equals
-    /// `set_digest` of the current state.
+    /// This is the reference set digest; [`Cache::set_digest_memo`]
+    /// returns the same value from a per-set memo of the line part (the
+    /// chain before the final PLRU fold). The memo's invariant: a set's
+    /// validity bit is cleared by every change to that set's lines or
+    /// LRU ranks — a fill (prefetch fills included), a hit that dirties
+    /// a line or moves its LRU rank, and `flush_line`, `flush_set` and
+    /// `flush_all` — so a valid memo entry always equals the line part
+    /// of the current state. PLRU tree bits are outside the memo: a hit
+    /// that only flips them leaves it valid, and the current word is
+    /// folded in at every read. Each valid line's hashed term is
+    /// rewritten whenever its tag or dirty bit changes, so a recompute
+    /// folds stored terms instead of rehashing the lines.
     pub fn set_digest(&self, set: usize) -> u64 {
         let base = set * self.cfg.ways;
         let mut h = 0u64;
@@ -492,22 +507,53 @@ impl Cache {
         mix2(h, self.plru[set] as u64)
     }
 
-    /// [`Cache::set_digest`], memoised per set: recomputed only when the
-    /// set changed since the last call.
+    /// [`Cache::set_digest`], memoised per set: the line part is
+    /// recomputed, from the stored line terms, only when the set's lines
+    /// or LRU ranks changed since the last call; the PLRU word is folded
+    /// in afresh every time.
     pub fn set_digest_memo(&mut self, set: usize) -> u64 {
         if self.memo.is_empty() {
             self.memo = vec![0; self.cfg.sets];
             self.memo_valid = vec![0; self.cfg.sets.div_ceil(64)];
+            self.line_terms = (0..self.lines.len())
+                .map(|i| line_term(i % self.cfg.ways, &self.lines[i]))
+                .collect();
         }
         let (word, bit) = (set / 64, 1u64 << (set % 64));
         if self.memo_valid[word] & bit == 0 {
-            self.memo[set] = self.set_digest(set);
+            self.memo[set] = self.lines_digest(set);
             self.memo_valid[word] |= bit;
         }
-        self.memo[set]
+        mix2(self.memo[set], self.plru[set] as u64)
     }
 
-    /// Invalidate `set`'s memoised digest after a change to the set.
+    /// The line part of [`Cache::set_digest`] for `set`, folding the
+    /// stored line terms and tabled rank terms: `mix2(h, x)` is
+    /// `mix64(h ^ mix64(x))`, and both hold `mix64(x)` already. Needs
+    /// `line_terms`.
+    fn lines_digest(&self, set: usize) -> u64 {
+        let base = set * self.cfg.ways;
+        let mut h = 0u64;
+        for i in base..base + self.cfg.ways {
+            if self.lines[i].valid {
+                h = mix64(h ^ self.line_terms[i]);
+            }
+            h = mix64(h ^ RANK_TERMS[self.lru[i] as usize]);
+        }
+        h
+    }
+
+    /// Rewrite line `i`'s (way `way`'s) term after its tag or dirty bit
+    /// changed, if this cache keeps line terms.
+    #[inline]
+    fn refresh_line_term(&mut self, i: usize, way: usize) {
+        if let Some(t) = self.line_terms.get_mut(i) {
+            *t = line_term(way, &self.lines[i]);
+        }
+    }
+
+    /// Invalidate `set`'s memoised line digest after a change to the
+    /// set's lines or LRU ranks.
     #[inline]
     fn forget_digest(&mut self, set: usize) {
         if let Some(w) = self.memo_valid.get_mut(set / 64) {
@@ -574,10 +620,8 @@ impl Cache {
                         node = node * 2 + 1;
                     }
                 }
-                if bits != self.plru[set] {
-                    self.plru[set] = bits;
-                    self.forget_digest(set);
-                }
+                // The memo leaves the tree bits out, so it stays valid.
+                self.plru[set] = bits;
             }
         }
     }
@@ -630,6 +674,25 @@ impl Cache {
             }
         }
     }
+}
+
+/// `mix64(r)` for every LRU rank `r`, built at compile time.
+static RANK_TERMS: [u64; CacheConfig::MAX_WAYS] = {
+    let mut terms = [0; CacheConfig::MAX_WAYS];
+    let mut r = 0;
+    while r < terms.len() {
+        terms[r] = mix64(r as u64);
+        r += 1;
+    }
+    terms
+};
+
+/// A valid line's contribution to its set's digest, hashed once:
+/// `mix64(mix2(way, mix2(tag, dirty)))`, so that [`Cache::set_digest`]'s
+/// `mix2(h, mix2(way, ..))` is `mix64(h ^ line_term(way, line))`.
+#[inline]
+fn line_term(way: usize, l: &LineState) -> u64 {
+    mix64(mix2(way as u64, mix2(l.tag, l.dirty as u64)))
 }
 
 #[cfg(test)]
@@ -827,8 +890,13 @@ mod tests {
         assert_ne!(c.set_digest(2), before);
     }
 
-    /// Every set's memo, where valid, equals a fresh `set_digest`; a
-    /// memo-free clone compares equal.
+    fn memo_is_valid(c: &Cache, set: usize) -> bool {
+        c.memo_valid[set / 64] & (1 << (set % 64)) != 0
+    }
+
+    /// Every set's memo, where valid, equals a fresh `set_digest`; every
+    /// valid line's stored term is its current one; a clone without the
+    /// memo and line terms compares equal and rebuilds the same digests.
     fn assert_memo_sound(c: &mut Cache, ctx: &str) {
         for set in 0..c.cfg.sets {
             assert_eq!(
@@ -837,10 +905,81 @@ mod tests {
                 "{ctx}: set {set}"
             );
         }
+        for (i, l) in c.lines.iter().enumerate() {
+            if l.valid {
+                let want = line_term(i % c.cfg.ways, l);
+                assert_eq!(c.line_terms[i], want, "{ctx}: line {i}");
+            }
+        }
         let mut fresh = c.clone();
         fresh.memo.clear();
         fresh.memo_valid.clear();
+        fresh.line_terms.clear();
         assert_eq!(fresh, *c, "{ctx}: equality ignores the memo");
+        for set in 0..c.cfg.sets {
+            assert_eq!(
+                fresh.set_digest_memo(set),
+                c.set_digest(set),
+                "{ctx}: rebuilt memo, set {set}"
+            );
+        }
+    }
+
+    /// Runs of TreePLRU hits that only flip tree bits keep the memo
+    /// valid, and it still equals `set_digest`; a dirtying hit clears it
+    /// and refreshes the line's term.
+    fn plru_hits_keep_the_memo(rng: &mut proptest::TestRng, ways: usize) {
+        let mut c = Cache::new(CacheConfig {
+            sets: 8,
+            ways,
+            write_back: true,
+            policy: ReplacementPolicy::TreePlru,
+        });
+        let set = rng.below(8) as usize;
+        let tag = |k: u64| PAddr((k * 8 + set as u64) << LINE_BITS);
+        for k in 0..ways as u64 {
+            c.access(tag(k), false, DomainTag(0));
+        }
+        let mut flips = 0;
+        for run in 0..40 {
+            let ctx = format!("TreePlru ways={ways} set {set} run {run}");
+            c.set_digest_memo(set);
+            for _ in 0..rng.below(6) {
+                let before = c.plru[set];
+                let out = c.access(tag(rng.below(ways as u64)), false, DomainTag(0));
+                assert!(out.hit, "{ctx}");
+                flips += (c.plru[set] != before) as u32;
+                assert!(memo_is_valid(&c, set), "{ctx}: a PLRU hit kept the memo");
+                assert_eq!(c.set_digest_memo(set), c.set_digest(set), "{ctx}");
+            }
+            // A store to a clean resident line dirties it.
+            let k = rng.below(ways as u64);
+            let way = c.access(tag(k), false, DomainTag(0)).way;
+            let clean = !c.lines[set * ways + way].dirty;
+            c.set_digest_memo(set);
+            let out = c.access(tag(k), true, DomainTag(1));
+            let i = set * ways + out.way;
+            assert!(out.hit && c.lines[i].dirty, "{ctx}");
+            if clean {
+                assert!(
+                    !memo_is_valid(&c, set),
+                    "{ctx}: a dirtying hit clears the memo"
+                );
+            }
+            assert_eq!(c.line_terms[i], line_term(out.way, &c.lines[i]), "{ctx}");
+            assert_eq!(c.set_digest_memo(set), c.set_digest(set), "{ctx}");
+            // Now and then clean the set again so later stores dirty.
+            if rng.below(3) == 0 {
+                c.flush_set(set);
+                for k in 0..ways as u64 {
+                    c.access(tag(k), false, DomainTag(0));
+                }
+            }
+            assert_memo_sound(&mut c, &ctx);
+        }
+        if ways > 1 {
+            assert!(flips > 0, "ways={ways}: no hit flipped a tree bit");
+        }
     }
 
     #[test]
@@ -900,6 +1039,9 @@ mod tests {
                     }
                 }
             }
+        }
+        for ways in [1, 2, 3, 4, 8] {
+            plru_hits_keep_the_memo(&mut rng, ways);
         }
     }
 

@@ -113,6 +113,64 @@ impl MemEvent {
     }
 }
 
+/// The part of [`TimeModel::mem_cost`]'s key that depends on neither the
+/// seed nor any hidden state: the access's outcome,
+/// `mix2(served_by, mix2(tlb_hit, mix2(walk_levels, prefetches)))`.
+const fn outcome_key_chain(served_by: u64, tlb_hit: u64, walk_levels: u64, prefetches: u64) -> u64 {
+    mix2(served_by, mix2(tlb_hit, mix2(walk_levels, prefetches)))
+}
+
+/// Tabled values of [`MemEvent::walk_levels`]: 0 on a TLB hit, and the
+/// one or two levels a walk touches.
+const KEY_WALK_LEVELS: usize = 3;
+/// Tabled values of [`MemEvent::prefetches`]: the machine issues at most
+/// four prefetches per access.
+const KEY_PREFETCHES: usize = 5;
+/// Number of in-range outcomes: four [`MemLevel`]s, TLB hit or miss, and
+/// the tabled walk and prefetch counts.
+const OUTCOMES: usize = 4 * 2 * KEY_WALK_LEVELS * KEY_PREFETCHES;
+
+/// [`outcome_key_chain`] of every in-range outcome, built at compile
+/// time, at index `((served_by * 2 + tlb_hit) * KEY_WALK_LEVELS +
+/// walk_levels) * KEY_PREFETCHES + prefetches`.
+static OUTCOME_KEYS: [u64; OUTCOMES] = {
+    let mut keys = [0; OUTCOMES];
+    let mut i = 0;
+    while i < OUTCOMES {
+        let prefetches = i % KEY_PREFETCHES;
+        let walk_levels = i / KEY_PREFETCHES % KEY_WALK_LEVELS;
+        let tlb_hit = i / (KEY_PREFETCHES * KEY_WALK_LEVELS) % 2;
+        let served_by = i / (KEY_PREFETCHES * KEY_WALK_LEVELS * 2);
+        keys[i] = outcome_key_chain(
+            served_by as u64,
+            tlb_hit as u64,
+            walk_levels as u64,
+            prefetches as u64,
+        );
+        i += 1;
+    }
+    keys
+};
+
+/// [`outcome_key_chain`] of `ev`: a table read when the counts are in
+/// range, the chain itself otherwise (`MemEvent` is public, so any
+/// count can arrive).
+#[inline]
+fn outcome_key(ev: &MemEvent) -> u64 {
+    let (walk_levels, prefetches) = (ev.walk_levels as usize, ev.prefetches as usize);
+    if walk_levels < KEY_WALK_LEVELS && prefetches < KEY_PREFETCHES {
+        let outcome = ev.served_by as usize * 2 + ev.tlb_hit as usize;
+        OUTCOME_KEYS[(outcome * KEY_WALK_LEVELS + walk_levels) * KEY_PREFETCHES + prefetches]
+    } else {
+        outcome_key_chain(
+            ev.served_by as u64,
+            ev.tlb_hit as u64,
+            ev.walk_levels as u64,
+            ev.prefetches as u64,
+        )
+    }
+}
+
 /// Latency table for the [`TimeModel::Table`] variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostTable {
@@ -268,22 +326,24 @@ impl TimeModel {
 
     /// Whether any cost this model produces can depend on hidden local
     /// state ([`MemEvent::local_state`]). Pure table models never read
-    /// it, so the machine can skip digesting the indexed cache set on
-    /// their behalf — the hottest per-access computation otherwise.
+    /// it, so the machine skips digesting the indexed L1 set on their
+    /// behalf, and their caches never allocate the digest memo or its
+    /// per-line terms.
     pub fn consults_hidden_state(&self) -> bool {
         self.jitter_bound() > 0
     }
 
-    fn perturb(&self, key: u64) -> u64 {
-        match self {
-            TimeModel::Table(_) => 0,
-            TimeModel::Hashed { seed, jitter, .. } => {
-                if *jitter == 0 {
-                    0
-                } else {
-                    mix2(*seed, key) % (*jitter + 1)
-                }
+    /// The deterministic perturbation for the event whose hash `key`
+    /// computes: `mix2(seed, key)` reduced to `0..=jitter`. Models that
+    /// cannot perturb (tables, zero jitter) never compute the key.
+    fn perturb(&self, key: impl FnOnce() -> u64) -> u64 {
+        match *self {
+            TimeModel::Hashed { seed, jitter, .. } if jitter > 0 => {
+                let h = mix2(seed, key());
+                // Every u64 is already in 0..=u64::MAX.
+                jitter.checked_add(1).map_or(h, |n| h % n)
             }
+            _ => 0,
         }
     }
 
@@ -303,17 +363,7 @@ impl TimeModel {
         }
         // The unspecified part: a function of this access's outcome and
         // the state of the structures it indexed — nothing else.
-        let key = mix2(
-            ev.local_state,
-            mix2(
-                ev.served_by as u64,
-                mix2(
-                    ev.tlb_hit as u64,
-                    mix2(ev.walk_levels as u64, ev.prefetches as u64),
-                ),
-            ),
-        );
-        Cycles(c + self.perturb(key))
+        Cycles(c + self.perturb(|| mix2(ev.local_state, outcome_key(ev))))
     }
 
     /// Cycles consumed by resolving a branch.
@@ -324,10 +374,12 @@ impl TimeModel {
         } else {
             t.branch_correct
         };
-        let key = mix2(
-            0xb4a2c4,
-            mix2(out.direction_correct as u64, out.btb_hit as u64),
-        );
+        let key = || {
+            mix2(
+                0xb4a2c4,
+                mix2(out.direction_correct as u64, out.btb_hit as u64),
+            )
+        };
         Cycles(base + self.perturb(key))
     }
 
@@ -345,7 +397,7 @@ impl TimeModel {
         let base = t.flush_base
             + t.flush_per_line * out.invalidated as u64
             + t.flush_per_writeback * out.writebacks as u64;
-        let key = mix2(0xf1u64, mix2(out.invalidated as u64, out.writebacks as u64));
+        let key = || mix2(0xf1u64, mix2(out.invalidated as u64, out.writebacks as u64));
         Cycles(base + self.perturb(key))
     }
 
@@ -483,6 +535,126 @@ mod tests {
             writebacks: 10,
         };
         assert_eq!(m.flush_cost(&clean), m.flush_cost(&dirty));
+    }
+
+    /// Every level, TLB outcome, walk length and prefetch count, in range
+    /// of the outcome-key table and past it.
+    fn outcomes(walks: u8, prefetches: u8) -> impl Iterator<Item = MemEvent> {
+        let levels = [MemLevel::L1, MemLevel::L2, MemLevel::Llc, MemLevel::Dram];
+        levels.into_iter().flat_map(move |served_by| {
+            [true, false].into_iter().flat_map(move |tlb_hit| {
+                (0..walks).flat_map(move |walk_levels| {
+                    (0..prefetches).map(move |prefetches| MemEvent {
+                        tlb_hit,
+                        walk_levels,
+                        served_by,
+                        prefetches,
+                        ..MemEvent::l1_hit()
+                    })
+                })
+            })
+        })
+    }
+
+    fn nested_chain(ev: &MemEvent) -> u64 {
+        mix2(
+            ev.served_by as u64,
+            mix2(
+                ev.tlb_hit as u64,
+                mix2(ev.walk_levels as u64, ev.prefetches as u64),
+            ),
+        )
+    }
+
+    #[test]
+    fn outcome_key_table_equals_the_nested_chain() {
+        let in_range: Vec<_> = outcomes(KEY_WALK_LEVELS as u8, KEY_PREFETCHES as u8).collect();
+        assert_eq!(in_range.len(), OUTCOMES);
+        for ev in &in_range {
+            assert_eq!(outcome_key(ev), nested_chain(ev), "{ev:?}");
+        }
+        // Every table entry is some in-range outcome's chain.
+        let mut tabled: Vec<_> = in_range.iter().map(nested_chain).collect();
+        let mut table = OUTCOME_KEYS.to_vec();
+        tabled.sort_unstable();
+        table.sort_unstable();
+        assert_eq!(table, tabled);
+    }
+
+    #[test]
+    fn out_of_range_outcomes_fall_back_to_the_chain() {
+        let widest = MemEvent {
+            walk_levels: u8::MAX,
+            prefetches: u8::MAX,
+            ..MemEvent::l1_hit()
+        };
+        let wide = outcomes(9, 9).chain([widest]).filter(|ev| {
+            ev.walk_levels as usize >= KEY_WALK_LEVELS || ev.prefetches as usize >= KEY_PREFETCHES
+        });
+        let mut fell_back = 0;
+        for ev in wide {
+            fell_back += 1;
+            assert_eq!(outcome_key(&ev), nested_chain(&ev), "{ev:?}");
+        }
+        assert_eq!(
+            fell_back,
+            8 * (9 * 9 - KEY_WALK_LEVELS * KEY_PREFETCHES) + 1
+        );
+        // A hashed model prices a wide event by the same key.
+        let m = TimeModel::hashed(3);
+        let ev = MemEvent {
+            walk_levels: 7,
+            prefetches: 9,
+            local_state: 0x5eed,
+            served_by: MemLevel::Llc,
+            ..MemEvent::l1_hit()
+        };
+        assert_eq!(
+            m.mem_cost(&ev).0 - TimeModel::intel_like().mem_cost(&ev).0,
+            mix2(3, mix2(ev.local_state, nested_chain(&ev))) % 18
+        );
+    }
+
+    #[test]
+    fn table_models_ignore_local_state() {
+        for m in [
+            TimeModel::intel_like(),
+            TimeModel::Table(CostTable::arm_like()),
+        ] {
+            for ev in outcomes(4, 6) {
+                let cost = m.mem_cost(&ev);
+                for local_state in [1, 0xdead_beef, u64::MAX] {
+                    let other = MemEvent { local_state, ..ev };
+                    assert_eq!(m.mem_cost(&other), cost, "{m:?} {ev:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn full_width_jitter_returns_the_whole_hash() {
+        let m = TimeModel::Hashed {
+            table: CostTable::intel_like(),
+            seed: 11,
+            jitter: u64::MAX,
+        };
+        assert_eq!(m.perturb(|| 42), mix2(11, 42));
+        // Pricing a branch no longer divides by zero.
+        let out = BranchOutcome {
+            direction_correct: true,
+            btb_hit: true,
+        };
+        let key = mix2(0xb4a2c4, mix2(1, 1));
+        assert_eq!(
+            m.branch_cost(&out).0.wrapping_sub(mix2(11, key)),
+            CostTable::intel_like().branch_correct
+        );
+        let hashed = TimeModel::Hashed {
+            table: CostTable::intel_like(),
+            seed: 11,
+            jitter: u64::MAX - 1,
+        };
+        assert_eq!(hashed.perturb(|| 42), mix2(11, 42) % u64::MAX);
     }
 
     #[test]

@@ -546,8 +546,9 @@ impl Machine {
         // Record the local state the time model may consult (Case 1).
         // Pure table models never read it, so don't digest the set on
         // their behalf — this is the hottest path in the simulator. The
-        // hashed models read it on every access; the memo rehashes only
-        // sets that changed since their last digest.
+        // hashed models read it on every access; the memo refolds a set's
+        // stored line terms only after its lines or LRU ranks changed,
+        // and folds the current PLRU word in at each read.
         let local_state = if wants_local_state {
             l1.set_digest_memo(l1.set_of(paddr))
         } else {

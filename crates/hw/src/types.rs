@@ -220,8 +220,10 @@ impl fmt::Display for Fault {
 /// function — most importantly the hashed time models of
 /// [`crate::clock::TimeModel`], which realise the paper's "deterministic
 /// yet unspecified function of the microarchitectural state" (§5.1).
+/// It is a `const fn` so hot paths can table its values at compile time
+/// without restating the hash.
 #[inline]
-pub fn mix64(mut x: u64) -> u64 {
+pub const fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e3779b97f4a7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
@@ -230,7 +232,7 @@ pub fn mix64(mut x: u64) -> u64 {
 
 /// Combine two values with [`mix64`].
 #[inline]
-pub fn mix2(a: u64, b: u64) -> u64 {
+pub const fn mix2(a: u64, b: u64) -> u64 {
     mix64(a ^ mix64(b))
 }
 
