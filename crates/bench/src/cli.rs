@@ -48,6 +48,8 @@
 //! * `--merge FILE...` — parse worker outputs and print the merged
 //!   report, identical to a single-process run over the same cells.
 
+use std::ops::RangeInclusive;
+
 /// Exit code for usage errors (unknown flags, bad `--cells` specs).
 pub const EXIT_USAGE: i32 = 2;
 
@@ -66,8 +68,9 @@ pub const EXIT_MALFORMED: i32 = 3;
 pub struct SweepArgs {
     /// `--threads N`.
     pub threads: Option<usize>,
-    /// `--cells SPEC`, expanded to explicit indices (ascending, unique).
-    pub cells: Option<Vec<usize>>,
+    /// `--cells SPEC`, as its segments ([`parse_cell_spec`]); expanded
+    /// only once bounded by the matrix ([`SweepArgs::select_cells`]).
+    pub cells: Option<Vec<RangeInclusive<usize>>>,
     /// `--models N`.
     pub models: Option<usize>,
     /// `--replay-check`.
@@ -162,49 +165,69 @@ impl SweepArgs {
     pub fn select_cells(&self, total: usize) -> Result<Vec<usize>, String> {
         match &self.cells {
             None => Ok((0..total).collect()),
-            Some(sel) => {
-                if let Some(&bad) = sel.iter().find(|&&i| i >= total) {
-                    return Err(format!(
-                        "--cells index {bad} out of range (matrix has {total} cells)"
-                    ));
-                }
-                Ok(sel.clone())
-            }
+            Some(spec) => expand_cell_spec(spec, total).map_err(|bad| {
+                format!("--cells index {bad} out of range (matrix has {total} cells)")
+            }),
         }
     }
 }
 
-/// Expand a cell spec: comma-separated indices and half-open `a..b`
-/// ranges, e.g. `0..4,9,12..14` → `[0,1,2,3,9,12,13]`. Duplicates are
-/// rejected so shard specs cannot silently double-prove a cell.
-pub fn parse_cell_spec(spec: &str) -> Result<Vec<usize>, String> {
+/// Parse a cell spec into its segments: comma-separated indices and
+/// half-open `a..b` ranges, e.g. `0..4,9,12..14` → `[0..=3, 9..=9,
+/// 12..=13]`. Nothing is expanded here, so a spec costs its own length
+/// whatever indices it names; [`expand_cell_spec`] bounds it by the
+/// matrix first. Overlapping segments are rejected so shard specs
+/// cannot silently double-prove a cell.
+pub fn parse_cell_spec(spec: &str) -> Result<Vec<RangeInclusive<usize>>, String> {
     let mut out = Vec::new();
+    // The disjoint segments so far, start to end.
+    let mut seen = std::collections::BTreeMap::new();
     for part in spec.split(',') {
         let part = part.trim();
         if part.is_empty() {
             return Err(format!("empty segment in cell spec {spec:?}"));
         }
-        if let Some((a, b)) = part.split_once("..") {
+        let segment = if let Some((a, b)) = part.split_once("..") {
             let a: usize = a.parse().map_err(|_| format!("bad range start {a:?}"))?;
             let b: usize = b.parse().map_err(|_| format!("bad range end {b:?}"))?;
             if a >= b {
                 return Err(format!("empty range {part:?}"));
             }
-            out.extend(a..b);
+            a..=b - 1
         } else {
-            out.push(
-                part.parse()
-                    .map_err(|_| format!("bad cell index {part:?}"))?,
-            );
-        }
-    }
-    let mut seen = std::collections::BTreeSet::new();
-    for &i in &out {
-        if !seen.insert(i) {
+            let i = part
+                .parse()
+                .map_err(|_| format!("bad cell index {part:?}"))?;
+            i..=i
+        };
+        // The segment's first index an earlier one already selected:
+        // its start, if the segment before it reaches that far, else
+        // the first later segment start it covers.
+        let (start, end) = (*segment.start(), *segment.end());
+        let twice = seen
+            .range(..=start)
+            .next_back()
+            .filter(|&(_, &e)| e >= start)
+            .map(|_| start)
+            .or_else(|| seen.range(start..=end).next().map(|(&s, _)| s));
+        if let Some(i) = twice {
             return Err(format!("cell index {i} selected twice in {spec:?}"));
         }
+        seen.insert(start, end);
+        out.push(segment);
     }
     Ok(out)
+}
+
+/// The indices `spec` selects in a matrix of `total` cells, in spec
+/// order, or the first one out of range. Every segment is checked
+/// before any is expanded, so the result never holds more than `total`
+/// indices.
+pub fn expand_cell_spec(spec: &[RangeInclusive<usize>], total: usize) -> Result<Vec<usize>, usize> {
+    if let Some(r) = spec.iter().find(|r| *r.end() >= total) {
+        return Err((*r.start()).max(total));
+    }
+    Ok(spec.iter().cloned().flatten().collect())
 }
 
 #[cfg(test)]
@@ -230,7 +253,7 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(a.threads, Some(4));
-        assert_eq!(a.cells, Some(vec![0, 1, 2, 7]));
+        assert_eq!(a.cells, Some(vec![0..=2, 7..=7]));
         assert_eq!(a.models, Some(2));
         assert!(!a.worker);
     }
@@ -299,6 +322,42 @@ mod tests {
         assert!(parse_cell_spec("1,1").is_err());
         assert!(parse_cell_spec("x").is_err());
         assert!(parse_cell_spec("0..2,1").is_err(), "overlap is a duplicate");
+        // The duplicate named is the first one in spec order.
+        for (spec, twice) in [
+            ("0..2,1", 1),
+            ("5..9,0..6", 5),
+            ("4,2..8", 4),
+            ("3..5,0..4", 3),
+        ] {
+            let err = parse_cell_spec(spec).unwrap_err();
+            assert!(
+                err.contains(&format!("cell index {twice} selected twice")),
+                "{spec}: {err}"
+            );
+        }
+        assert!(
+            parse_cell_spec("0..2,2..4,4").is_ok(),
+            "adjacent segments are disjoint"
+        );
+        // Huge ranges parse to one segment each and are refused against
+        // the matrix before anything is expanded.
+        let max = usize::MAX;
+        for spec in [
+            format!("0..{max}"),
+            "0..4000000000".to_string(),
+            format!("{max}"),
+        ] {
+            let segments = parse_cell_spec(&spec).unwrap();
+            assert_eq!(segments.len(), 1, "{spec}");
+            assert!(expand_cell_spec(&segments, 21).is_err(), "{spec}");
+            let a = SweepArgs::parse(strs(&["--cells", &spec])).unwrap();
+            let err = a.select_cells(21).unwrap_err();
+            assert!(
+                err.contains("out of range (matrix has 21 cells)"),
+                "{spec}: {err}"
+            );
+        }
+        assert!(parse_cell_spec(&format!("{max}..{max}")).is_err());
         assert!(SweepArgs::parse(strs(&["--threads", "0"])).is_err());
         assert!(SweepArgs::parse(strs(&["--bogus"])).is_err());
     }
@@ -308,6 +367,15 @@ mod tests {
         let a = SweepArgs::parse(strs(&["--cells", "18..21"])).unwrap();
         assert_eq!(a.select_cells(21).unwrap(), vec![18, 19, 20]);
         assert!(a.select_cells(19).is_err());
+        // Spec order is kept, and the first index out of range is named.
+        let a = SweepArgs::parse(strs(&["--cells", "9,0..3,30,12..21"])).unwrap();
+        assert_eq!(a.select_cells(31).unwrap().len(), 14);
+        assert_eq!(
+            a.select_cells(21).unwrap_err(),
+            "--cells index 30 out of range (matrix has 21 cells)"
+        );
+        assert_eq!(expand_cell_spec(&[12..=39], 21), Err(21));
+        assert_eq!(expand_cell_spec(&[9..=9, 0..=2], 21), Ok(vec![9, 0, 1, 2]));
         let none = SweepArgs::default();
         assert_eq!(none.select_cells(3).unwrap(), vec![0, 1, 2]);
     }

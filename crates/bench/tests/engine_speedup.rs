@@ -3,9 +3,10 @@
 //! sequential `prove` while doing less work, split into independent
 //! pool tasks; and on the E11 ablation sweep certified single-run mode
 //! does exactly the work it claims — one replay per cell where
-//! `--replay-check` does one per (model, secret). The work is counted
-//! from telemetry, so the assertions are exact at any worker count and
-//! never depend on wall-clock timing.
+//! `--replay-check` does one per (model, secret), and in both modes
+//! one lockstep witness extraction per leaking verdict. The work is
+//! counted from telemetry, so the assertions are exact at any worker
+//! count and never depend on wall-clock timing.
 //!
 //! The same counts make the repository's performance gate:
 //! `fixtures/work_counts.txt` pins, with zero tolerance, the work the
@@ -51,19 +52,23 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, tp_telemetry::Snapshot) {
     (out, snap)
 }
 
+/// The `prove`, `replay` and `lockstep` span counts of one sweep.
+type Work = (u64, u64, u64);
+
 /// The E11 sweep (7 cells × 2 models × 3 secrets) in `mode`, with the
-/// number of `prove` and `replay` spans it recorded.
-fn counted_e11(mode: ProofMode) -> (MatrixReport, u64, u64) {
+/// work it recorded.
+fn counted_e11(mode: ProofMode) -> (MatrixReport, Work) {
     let matrix = ScenarioMatrix::new("canonical", canonical_machine())
         .sweep_ablations()
         .with_models(default_time_models()[..2].to_vec())
         .with_mode(mode);
     let (report, snap) = counted(|| matrix.run(|cell| canonical_scenario(cell.disable)));
-    (
-        report,
+    let work = (
         snap.span(SpanKind::Prove).0,
         snap.span(SpanKind::Replay).0,
-    )
+        snap.span(SpanKind::Lockstep).0,
+    );
+    (report, work)
 }
 
 #[test]
@@ -105,8 +110,8 @@ fn parallel_prove_matches_and_beats_sequential() {
 fn certified_single_run_halves_replay_check_work_on_the_e11_sweep() {
     let _guard = telemetry_lock();
     // Both modes produce bit-identical reports, certificates included.
-    let (certified, certified_prove, certified_replay) = counted_e11(ProofMode::Certified);
-    let (audited, audited_prove, audited_replay) = counted_e11(ProofMode::ReplayCheck);
+    let (certified, certified_work) = counted_e11(ProofMode::Certified);
+    let (audited, audited_work) = counted_e11(ProofMode::ReplayCheck);
     assert_eq!(
         certified, audited,
         "certified and replay-check E11 sweeps must agree bit for bit"
@@ -119,17 +124,27 @@ fn certified_single_run_halves_replay_check_work_on_the_e11_sweep() {
 
     // Exact work: one monitored run per (cell, model, secret) in both
     // modes; certified adds one replay per cell, replay-check one per
-    // monitored run.
+    // monitored run. Neither keeps a trace to read a witness from, so
+    // both extract one by lockstep per leaking (cell, model) verdict.
+    let leaking = certified
+        .cells
+        .iter()
+        .flat_map(|(_, report)| &report.ni)
+        .filter(|v| !v.verdict.passed())
+        .count() as u64;
+    assert!(leaking > 0, "every E11 ablation leaks");
     assert_eq!(certified.cells.len(), 7);
     assert_eq!(
-        (certified_prove, certified_replay),
-        (42, 7),
-        "certified: 42 monitored runs, one certification replay per cell"
+        certified_work,
+        (42, 7, leaking),
+        "certified: 42 monitored runs, one certification replay per cell, \
+         one lockstep per leaking verdict"
     );
     assert_eq!(
-        (audited_prove, audited_replay),
-        (42, 42),
-        "replay-check: a plain replay beside every monitored run"
+        audited_work,
+        (42, 42, leaking),
+        "replay-check: a plain replay beside every monitored run, \
+         one lockstep per leaking verdict"
     );
 }
 

@@ -1,20 +1,21 @@
-//! The monitors' flush fast path against its naive reference.
+//! The switch monitor's flush answer against its naive reference.
 //!
-//! At every domain switch the monitored loop answers obligation F with
-//! one structural compare against a prebuilt [`FlushReference`]. The
-//! naive path rebuilds a pristine machine for its digest
-//! ([`canonical_core_digest`]) and hashes the live core
-//! ([`check_flush_at_switch`]). Over the canonical scenario under all
-//! seven protection settings, both must give the same F result at
-//! every switch. The switch digest the loop reuses from the reference
-//! is checked against `Core::microarch_digest` by
-//! `partition_reference.rs`.
+//! At every domain switch the monitored loop answers obligations F and
+//! P and the switch digest with one [`SwitchMonitor::at_switch`]: one
+//! structural compare against a prebuilt [`FlushReference`], and one
+//! hash of a core the flush left dirty. The naive path rebuilds a
+//! pristine machine for its digest ([`canonical_core_digest`]) and
+//! hashes the live core ([`check_flush_at_switch`]). Over the canonical
+//! scenario under all seven protection settings, with flushing claimed
+//! at every switch, the monitor must give the naive F result,
+//! [`check_partition`]'s P and `Core::microarch_digest` at every
+//! switch. `partition_reference.rs` compares the same monitor at the
+//! settings' own claims, with hostile hooks.
 
 use tp_bench::canonical_scenario;
-use tp_core::flush::{
-    canonical_core_digest, check_flush_at_switch, check_flush_at_switch_ref, FlushReference,
-};
+use tp_core::flush::{canonical_core_digest, check_flush_at_switch, FlushReference};
 use tp_core::noninterference::run_monitored_with;
+use tp_core::partition::{check_partition, SwitchMonitor};
 use tp_kernel::config::Mechanism;
 use tp_kernel::kernel::System;
 
@@ -26,18 +27,22 @@ fn the_flush_fast_path_matches_the_naive_check_at_every_switch() {
         for &secret in &sc.secrets {
             let sys = System::new(sc.mcfg.clone(), (sc.make_kcfg)(secret)).unwrap();
             let reference = FlushReference::of(&sys);
-            run_monitored_with(sys, sc.lo, sc.budget, sc.max_steps, |sys| {
+            let mut monitor = SwitchMonitor::new(&reference);
+            run_monitored_with(sys, &reference, sc.lo, sc.budget, sc.max_steps, |sys| {
                 // Claim flushing for the duration of the checks, so an
                 // ablated run's residue reaches both violation paths;
                 // the flag is restored before the run goes on.
                 let claimed = sys.kernel.tp.flush_on_switch;
                 sys.kernel.tp.flush_on_switch = true;
-                let pristine = reference.is_pristine(sys);
-                let fast = check_flush_at_switch_ref(sys, &reference, pristine);
+                let ctx = format!("{disable:?}, secret {secret}");
+                let (f, p, digest) = monitor.at_switch(sys);
                 let naive = check_flush_at_switch(sys, canonical_core_digest(sys));
-                assert_eq!(fast, naive, "{disable:?}, secret {secret}");
+                assert_eq!(f, naive, "{ctx}: F");
+                assert_eq!(p, check_partition(sys), "{ctx}: P");
+                let core = &sys.hw.cores[sys.kernel.core.0];
+                assert_eq!(digest, core.microarch_digest(), "{ctx}: digest");
                 sys.kernel.tp.flush_on_switch = claimed;
-                if pristine {
+                if reference.is_pristine(sys) {
                     pristine_switches += 1;
                 } else {
                     dirty_switches += 1;

@@ -1,18 +1,21 @@
 //! The switch-time monitor against its full-scan oracles.
 //!
-//! The monitored loop answers obligation P and digests a dirty core with
-//! a [`SwitchMonitor`], which reuses what it derived from state whose
-//! generation has not changed. The oracles recompute everything:
-//! [`check_partition`] scans every frame, LLC line and TLB entry, and
+//! The monitored loop answers obligations F and P and the switch digest
+//! with a [`SwitchMonitor`], which reuses what it derived from state
+//! whose generation has not changed. The oracles recompute everything:
+//! [`check_flush_at_switch`] hashes the live core against a freshly
+//! built one, [`check_partition`] scans every frame, LLC line and TLB
+//! entry, and
 //! [`Core::microarch_digest`](tp_hw::machine::Core::microarch_digest)
 //! hashes the whole core. Over the canonical scenario under all seven
 //! protection settings and every secret, with and without hostile
 //! monitor hooks, the monitor must agree with the oracles at every
-//! switch and every periodic check, and `run_monitored_with` must end
-//! with the oracles' P result and switch-digest chain.
+//! switch and every periodic check, on pristine and dirty cores alike,
+//! and `run_monitored_with` must end with the oracles' F and P results
+//! and switch-digest chain.
 
 use tp_bench::canonical_scenario;
-use tp_core::flush::FlushReference;
+use tp_core::flush::{canonical_core_digest, check_flush_at_switch, FlushReference};
 use tp_core::noninterference::{run_monitored_with, NiScenario};
 use tp_core::obligation::ObligationResult;
 use tp_core::partition::{check_partition, SwitchMonitor};
@@ -21,7 +24,7 @@ use tp_hw::types::{Colour, DomainTag, Generation, PAddr, VAddr, LINE_BITS};
 use tp_kernel::config::Mechanism;
 use tp_kernel::kernel::{StepEvent, System};
 
-/// `monitored_loop`'s periodic P interval.
+/// `run_monitored_with`'s periodic P interval.
 const P_CHECK_INTERVAL: usize = 2048;
 
 /// What a monitor hook does to the system, from the second switch on.
@@ -159,9 +162,11 @@ fn hook(kind: Hostile) -> impl FnMut(&mut System) {
 
 /// What the reference loop saw.
 struct Reference {
+    f: ObligationResult,
     p: ObligationResult,
     switch_digest: u64,
     frame_scans: usize,
+    pristine_switches: usize,
     dirty_switches: usize,
     /// From the second dirty switch on, how often the predictor / TLB
     /// generation was the previous dirty switch's (`[0]`, the digest
@@ -170,24 +175,24 @@ struct Reference {
     tlb_moves: [usize; 2],
 }
 
-/// `monitored_loop`'s P checks and switch-digest chain, with the
-/// oracles' results recorded and a [`SwitchMonitor`] asserted equal to
-/// them at every check.
+/// `run_monitored_with`'s F and P checks and switch-digest chain, with
+/// the oracles' results recorded and a [`SwitchMonitor`] asserted equal
+/// to them at every check.
 fn reference_run(sc: &NiScenario, secret: u64, kind: Hostile, ctx: &str) -> Reference {
     let mut sys = System::new(sc.mcfg.clone(), (sc.make_kcfg)(secret)).unwrap();
     let reference = FlushReference::of(&sys);
-    let mut monitor = SwitchMonitor::new();
+    let canonical = canonical_core_digest(&sys);
+    let mut monitor = SwitchMonitor::new(&reference);
     let mut hook = hook(kind);
+    let mut f = ObligationResult::new("F");
     let mut p = ObligationResult::new("P");
-    let mut check = |sys: &System, monitor: &mut SwitchMonitor, at: &str| {
-        let oracle = check_partition(sys);
-        assert_eq!(monitor.check_partition(sys), oracle, "{ctx}, {at}");
-        p.merge(oracle);
-    };
     let (mut chain, mut steps, mut switches) = (OBS_DIGEST_SEED, 0, 0);
     let mut last_dirty: Option<(Generation, Generation)> = None;
-    let (mut dirty_switches, mut bp_moves, mut tlb_moves) = (0, [0; 2], [0; 2]);
-    check(&sys, &mut monitor, "start");
+    let (mut pristine_switches, mut dirty_switches) = (0, 0);
+    let (mut bp_moves, mut tlb_moves) = ([0; 2], [0; 2]);
+    let oracle = check_partition(&sys);
+    assert_eq!(monitor.check_partition(&sys), oracle, "{ctx}, start");
+    p.merge(oracle);
     while sys.now().0 < sc.budget.0 && steps < sc.max_steps {
         let ev = sys.step();
         steps += 1;
@@ -195,17 +200,22 @@ fn reference_run(sc: &NiScenario, secret: u64, kind: Hostile, ctx: &str) -> Refe
             switches += 1;
             hook(&mut sys);
             let at = format!("switch {switches}");
-            check(&sys, &mut monitor, &at);
-            let pristine = reference.is_pristine(&sys);
+            let (got_f, got_p, got_digest) = monitor.at_switch(&sys);
+            let (want_f, want_p) = (
+                check_flush_at_switch(&sys, canonical),
+                check_partition(&sys),
+            );
             let core = &sys.hw.cores[sys.kernel.core.0];
             let digest = core.microarch_digest();
-            assert_eq!(
-                monitor.switch_digest(&sys, &reference, pristine),
-                digest,
-                "{ctx}, {at}"
-            );
+            assert_eq!(got_f, want_f, "{ctx}, {at}: F");
+            assert_eq!(got_p, want_p, "{ctx}, {at}: P");
+            assert_eq!(got_digest, digest, "{ctx}, {at}: digest");
+            f.merge(want_f);
+            p.merge(want_p);
             chain = mix_digest(chain, digest);
-            if !pristine {
+            if reference.is_pristine(&sys) {
+                pristine_switches += 1;
+            } else {
                 dirty_switches += 1;
                 let now = (core.bp.generation(), core.tlb.generation());
                 if let Some((bp, tlb)) = last_dirty {
@@ -215,13 +225,17 @@ fn reference_run(sc: &NiScenario, secret: u64, kind: Hostile, ctx: &str) -> Refe
                 last_dirty = Some(now);
             }
         } else if steps % P_CHECK_INTERVAL == 0 {
-            check(&sys, &mut monitor, &format!("step {steps}"));
+            let oracle = check_partition(&sys);
+            assert_eq!(monitor.check_partition(&sys), oracle, "{ctx}, step {steps}");
+            p.merge(oracle);
         }
     }
     Reference {
+        f,
         p,
         switch_digest: chain,
         frame_scans: monitor.frame_scans(),
+        pristine_switches,
         dirty_switches,
         bp_moves,
         tlb_moves,
@@ -230,7 +244,8 @@ fn reference_run(sc: &NiScenario, secret: u64, kind: Hostile, ctx: &str) -> Refe
 
 #[test]
 fn the_switch_monitor_matches_the_full_scans_at_every_check() {
-    let (mut dirty, mut bp_moves, mut tlb_moves) = (0, [0; 2], [0; 2]);
+    let (mut pristine, mut dirty) = (0, 0);
+    let (mut bp_moves, mut tlb_moves) = ([0; 2], [0; 2]);
     for disable in std::iter::once(None).chain(Mechanism::ALL.into_iter().map(Some)) {
         let sc = canonical_scenario(disable);
         for &secret in &sc.secrets {
@@ -238,7 +253,10 @@ fn the_switch_monitor_matches_the_full_scans_at_every_check() {
                 let ctx = format!("{disable:?}, secret {secret}, {kind:?}");
                 let want = reference_run(&sc, secret, kind, &ctx);
                 let sys = System::new(sc.mcfg.clone(), (sc.make_kcfg)(secret)).unwrap();
-                let run = run_monitored_with(sys, sc.lo, sc.budget, sc.max_steps, hook(kind));
+                let reference = FlushReference::of(&sys);
+                let run =
+                    run_monitored_with(sys, &reference, sc.lo, sc.budget, sc.max_steps, hook(kind));
+                assert_eq!(run.f, want.f, "{ctx}: the run's F");
                 assert_eq!(run.p, want.p, "{ctx}: the run's P");
                 assert_eq!(
                     run.switch_digest, want.switch_digest,
@@ -257,6 +275,7 @@ fn the_switch_monitor_matches_the_full_scans_at_every_check() {
                         assert_eq!(want.frame_scans, 1, "{ctx}: one frame scan per clean run");
                     }
                 }
+                pristine += want.pristine_switches;
                 dirty += want.dirty_switches;
                 for i in 0..2 {
                     bp_moves[i] += want.bp_moves[i];
@@ -265,9 +284,10 @@ fn the_switch_monitor_matches_the_full_scans_at_every_check() {
             }
         }
     }
-    // The digest memo was both reused and recomputed on dirty switches:
-    // the digest comparison covers both of its paths, for both parts.
-    assert!(dirty > 0);
+    // Both sides of the pristine compare ran, and the digest memo was
+    // both reused and recomputed on dirty switches: the comparison
+    // covers every path, for both memoised parts.
+    assert!(pristine > 0 && dirty > 0);
     assert!(
         bp_moves.iter().chain(&tlb_moves).all(|&n| n > 0),
         "{bp_moves:?} {tlb_moves:?}"

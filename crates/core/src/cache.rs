@@ -199,9 +199,9 @@ pub fn cell_key(
         f.push(s);
         f.push((scenario.make_kcfg)(s).content_fingerprint()?);
     }
+    // Stored keys fold these codes, so they never change (1 is unused).
     f.push(match mode {
         ProofMode::Certified => 0,
-        ProofMode::CertifiedRecording => 1,
         ProofMode::ReplayCheck => 2,
     });
     Some(f.finish())

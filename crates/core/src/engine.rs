@@ -38,26 +38,31 @@
 //!   fingerprint; a leak verdict is the *lowest-index* witness, which
 //!   is precisely the sequential first-witness.
 //!
+//! Every shard takes one path: digest-first. No monitored run, replay
+//! or exhaustive word keeps a trace, and a leak's witness always comes
+//! from a lockstep re-run of the diverging pair. [`ProofMode`] only
+//! chooses where the NI baseline comes from (the certified monitored
+//! run, or a plain replay beside every run under `--replay-check`).
+//!
 //! The zero-argument-pool forms run on the process-wide
-//! [`tp_sched::global`] pool; the `_on` forms take a pool and a mode.
-//! The sequential `prove` / `check_exhaustive` stay the reference every
-//! pooled path is pinned against.
+//! [`tp_sched::global`] pool; the `_on` forms take a pool (and, for
+//! proofs, a mode). The sequential `prove` / `check_exhaustive_mode(…,
+//! Recording)` record every run and stay the references every pooled
+//! path is pinned against.
 
-use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::cache::{cell_key, CacheEntry, CacheMiss, CacheStats, ProofCache};
 use crate::exhaustive::{
-    recorded_leak, space_size, word_for_index_into, ExhaustiveConfig, ExhaustiveMode,
-    ExhaustiveRunner, ExhaustiveVerdict,
+    recorded_leak, space_size, word_for_index_into, ExhaustiveConfig, ExhaustiveRunner,
+    ExhaustiveVerdict,
 };
 use crate::flush::FlushReference;
 use crate::noninterference::{
-    compare_secret_digests, compare_secret_runs, first_divergence, lo_digest_len, lo_trace,
-    lockstep_divergence, run_monitored_against, MonitoredRun, NiScenario, NiVerdict,
-    TransparencyCert,
+    compare_secret_digests, lo_digest_len, lockstep_leak, run_monitored_with, MonitoredRun,
+    NiScenario, TransparencyCert,
 };
 use crate::obligation::ObligationResult;
 use crate::proof::{ModelVerdict, ProofReport};
@@ -67,7 +72,7 @@ use tp_hw::clock::TimeModel;
 use tp_hw::machine::{Core, MachineConfig};
 use tp_hw::types::{CoreId, Cycles};
 use tp_kernel::config::{KernelConfig, Mechanism, TimeProtConfig};
-use tp_kernel::domain::{DomainId, ObsEvent};
+use tp_kernel::domain::DomainId;
 use tp_kernel::kernel::System;
 use tp_kernel::program::Instr;
 use tp_sched::{OrderedResults, WorkerPool};
@@ -79,40 +84,26 @@ pub use tp_sched::available_threads;
 // Proof sharding
 // ---------------------------------------------------------------------
 
-/// How the engine obtains the NI baseline evidence for a proof.
+/// Where the engine takes the NI baseline from. Either way every
+/// monitored run is trace-free, and a leak's witness comes from one
+/// lockstep re-run of the diverging pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProofMode {
-    /// Digest-first certified single-run mode (the default): one
-    /// *trace-free* monitored run per (model, secret) provides the
-    /// P/F/T evidence and a rolling `(len, digest)` fingerprint of Lo's
-    /// observations — the NI baseline — plus a single digest-only plain
-    /// replay of the first pair whose digest certifies that monitoring
-    /// is observation-transparent ([`TransparencyCert`]). No run on the
-    /// hot path allocates per-event storage; only a fingerprint
-    /// mismatch triggers a recording re-run of the offending pair to
-    /// extract the replayable witness.
+    /// Certified single-run mode (the default): one *trace-free*
+    /// monitored run per (model, secret) provides the P/F/T evidence and
+    /// a rolling `(len, digest)` fingerprint of Lo's observations — the
+    /// NI baseline — plus a single digest-only plain replay of the first
+    /// pair whose digest certifies that monitoring is
+    /// observation-transparent ([`TransparencyCert`]).
     #[default]
     Certified,
-    /// Certified single-run mode with every monitored run fully
-    /// recorded and Lo traces compared event by event — the
-    /// pre-digest-first engine behaviour, kept as the equivalence
-    /// oracle and the perf-pin baseline. Reports are bit-identical to
-    /// [`ProofMode::Certified`].
-    CertifiedRecording,
     /// The paranoid audit mode (`--replay-check`): every (model,
     /// secret) pair runs twice — monitored for P/F/T, plain for the NI
-    /// baseline — exactly like the sequential [`crate::proof::prove`].
-    /// Reports are bit-identical to certified mode whenever monitoring
-    /// really is transparent, which is what the determinism harness
-    /// pins.
+    /// baseline — like the sequential [`crate::proof::prove`], but with
+    /// both runs digest-only. Reports are bit-identical to certified
+    /// mode whenever monitoring really is transparent, which is what the
+    /// determinism harness pins.
     ReplayCheck,
-}
-
-impl ProofMode {
-    /// Whether monitored runs execute trace-free (digest sinks).
-    fn digest_first(self) -> bool {
-        matches!(self, ProofMode::Certified)
-    }
 }
 
 /// Owned inputs for one (model, secret) proof shard. Materialised on
@@ -136,56 +127,23 @@ struct ProofTask {
 }
 
 impl ProofTask {
-    /// The monitored run for this shard, trace-free or recording,
-    /// checked against the cell's shared flush reference.
-    fn monitored(&self, digest_first: bool, flush: &FlushReference) -> MonitoredRun {
-        let mut sys = System::from_parts(&self.mcfg, &self.kcfg)
-            .expect("scenario construction must succeed for every secret");
-        if digest_first {
-            sys.use_digest_sinks();
-        }
-        run_monitored_against(sys, flush, self.lo, self.budget, self.max_steps)
-    }
-
     /// A fresh recording system for this shard's configuration.
     fn build(&self) -> System {
         System::from_parts(&self.mcfg, &self.kcfg)
             .expect("scenario construction must succeed for every secret")
     }
 
+    /// The trace-free monitored run for this shard, checked against the
+    /// cell's shared flush reference.
+    fn monitored(&self, flush: &FlushReference) -> MonitoredRun {
+        let mut sys = self.build();
+        sys.use_digest_sinks();
+        run_monitored_with(sys, flush, self.lo, self.budget, self.max_steps, |_| {})
+    }
+
     /// The digest-only plain replay: Lo's `(len, digest)` fingerprint.
     fn fingerprint(&self) -> (usize, u64) {
         lo_digest_len(&self.mcfg, &self.kcfg, self.lo, self.budget, self.max_steps)
-    }
-
-    /// Lockstep witness extraction against another shard of the same
-    /// model: both systems run (recording) only up to the first
-    /// diverging Lo event.
-    fn lockstep_leak(&self, other: &ProofTask, secret_a: u64, secret_b: u64) -> NiVerdict {
-        let span = tp_telemetry::span_start();
-        let (divergence, event_a, event_b) = lockstep_divergence(
-            self.build(),
-            other.build(),
-            self.lo,
-            self.budget,
-            self.max_steps,
-        )
-        .expect("a fingerprint mismatch implies a trace divergence");
-        if let Some(start) = span {
-            tp_telemetry::span(
-                SpanKind::Lockstep,
-                self.cell,
-                tp_sched::current_worker(),
-                start,
-            );
-        }
-        NiVerdict::Leak {
-            secret_a,
-            secret_b,
-            divergence,
-            event_a,
-            event_b,
-        }
     }
 }
 
@@ -217,20 +175,14 @@ struct ProofShard {
     f: ObligationResult,
     t: ObligationResult,
     steps: usize,
-    /// Number of events in Lo's observation log.
-    lo_len: usize,
-    /// The NI baseline trace: the certified monitored trace
-    /// ([`ProofMode::CertifiedRecording`]) or the plain replay trace
-    /// ([`ProofMode::ReplayCheck`]). `None` on the digest-first hot
-    /// path, where `(lo_len, monitored_digest)` is the baseline.
-    trace: Option<Vec<ObsEvent>>,
-    /// Rolling digest of the monitored run's Lo trace, straight from
-    /// the observation sink.
-    monitored_digest: u64,
+    /// Lo's `(len, digest)` fingerprint in the monitored run, straight
+    /// from the observation sink.
+    monitored: (usize, u64),
     /// Rolling chain of post-switch core digests.
     switch_digest: u64,
-    /// Digest of the shard's own plain replay (replay-check mode only).
-    replay_digest: Option<u64>,
+    /// The fingerprint of the shard's own plain replay (replay-check
+    /// mode only).
+    replay: Option<(usize, u64)>,
 }
 
 /// What one [`EngineTask`] produced.
@@ -255,7 +207,7 @@ struct PlannedProof {
 
 /// Flatten `scenario` × `models` into owned engine tasks appended to
 /// `tasks`, in the (model, secret) lexicographic order the merge
-/// consumes them in. In certified modes the certification replay leads
+/// consumes them in. In certified mode the certification replay leads
 /// so it overlaps the monitored runs on the pool. Kernel configurations
 /// are built once per secret and `Arc`-shared across models; machines
 /// once per model, shared across secrets; the flush reference comes
@@ -298,7 +250,7 @@ fn plan_proof(
     }
     let flush = flush_reference(flush_refs, &scenario.mcfg);
     let before = tasks.len();
-    if mode != ProofMode::ReplayCheck {
+    if mode == ProofMode::Certified {
         tasks.push(EngineTask::CertReplay(runs[0].clone()));
     }
     tasks.extend(
@@ -323,7 +275,7 @@ fn flush_reference(
     mcfg: &MachineConfig,
 ) -> Arc<FlushReference> {
     // Every system built from parts schedules core 0;
-    // `run_monitored_against` checks that on each run.
+    // `run_monitored_with` checks that on each run.
     let core = Core::new(CoreId(0), mcfg);
     if let Some(r) = known.iter().find(|r| r.core.microarch_eq(&core)) {
         return Arc::clone(r);
@@ -350,57 +302,41 @@ fn submit(
     })
 }
 
-/// Execute one engine task. A [`EngineTask::Run`] in a certified mode
-/// is the single monitored run whose Lo fingerprint (digest-first) or
-/// trace (recording) doubles as the NI baseline; in replay-check mode
-/// it is exactly the two runs the sequential driver performs — one
-/// monitored (P/F/T evidence) and one plain replay (the NI trace).
+/// Execute one engine task. A [`EngineTask::Run`] in certified mode is
+/// the single monitored run whose Lo fingerprint doubles as the NI
+/// baseline; in replay-check mode it is the two runs the sequential
+/// driver performs — one monitored (P/F/T evidence) and one plain
+/// replay (the NI baseline) — both digest-only.
 fn run_engine_task(task: EngineTask, mode: ProofMode) -> TaskOutput {
     // Chaos hook: `TP_FAULTS=…:task=panic@n` (containment) and
     // `task=delay:ms@n` (worker stall) land here, on the worker thread,
     // before any proof work. One lazily-armed atomic load when unused.
     crate::faultpoint::apply_inline("task");
     let worker = tp_sched::current_worker();
-    match task {
-        // The certification replay never needs a trace: its digest
-        // comes straight from the replay system's sink.
-        EngineTask::CertReplay(t) => {
-            let span = tp_telemetry::span_start();
-            let digest = t.fingerprint().1;
-            if let Some(start) = span {
-                tp_telemetry::span(SpanKind::Replay, t.cell, worker, start);
-            }
-            TaskOutput::Cert(digest)
+    let replay = |t: &ProofTask| {
+        let span = tp_telemetry::span_start();
+        let fingerprint = t.fingerprint();
+        if let Some(start) = span {
+            tp_telemetry::span(SpanKind::Replay, t.cell, worker, start);
         }
+        fingerprint
+    };
+    match task {
+        EngineTask::CertReplay(t) => TaskOutput::Cert(replay(&t).1),
         EngineTask::Run(t, flush) => {
             let span = tp_telemetry::span_start();
-            let run = t.monitored(mode.digest_first(), &flush);
+            let run = t.monitored(&flush);
             if let Some(start) = span {
                 tp_telemetry::span(SpanKind::Prove, t.cell, worker, start);
             }
-            let (trace, replay_digest) = match mode {
-                ProofMode::Certified => (None, None),
-                ProofMode::CertifiedRecording => (run.lo_trace, None),
-                ProofMode::ReplayCheck => {
-                    let span = tp_telemetry::span_start();
-                    let replay = lo_trace(&t.mcfg, &t.kcfg, t.lo, t.budget, t.max_steps);
-                    if let Some(start) = span {
-                        tp_telemetry::span(SpanKind::Replay, t.cell, worker, start);
-                    }
-                    let digest = crate::noninterference::obs_digest(&replay);
-                    (Some(replay), Some(digest))
-                }
-            };
             TaskOutput::Run(Box::new(ProofShard {
                 p: run.p,
                 f: run.f,
                 t: run.t,
                 steps: run.steps,
-                lo_len: run.lo_len,
-                trace,
-                monitored_digest: run.lo_digest,
+                monitored: (run.lo_len, run.lo_digest),
                 switch_digest: run.switch_digest,
-                replay_digest,
+                replay: (mode == ProofMode::ReplayCheck).then(|| replay(&t)),
             }))
         }
     }
@@ -458,10 +394,9 @@ impl PlannedProof {
     /// verdicts, same violation order, same first witness, same step
     /// count, same transparency certificate.
     ///
-    /// When a digest-first model's fingerprints disagree, the merge
-    /// re-runs the offending pair with recording sinks to extract the
-    /// witness — the only trace materialisation a digest-first proof
-    /// ever performs.
+    /// When a model's fingerprints disagree, the merge re-runs the
+    /// offending pair with recording sinks, in lockstep, to extract the
+    /// witness — the only trace materialisation a proof ever performs.
     ///
     /// Alongside the report, returns each run's
     /// `(secret, lo_len, monitored_digest)` observation fingerprint in
@@ -481,7 +416,7 @@ impl PlannedProof {
         } = self;
         let mut it = outputs.into_iter();
         let cert_replay = match mode {
-            ProofMode::Certified | ProofMode::CertifiedRecording => match it.next() {
+            ProofMode::Certified => match it.next() {
                 Some(TaskOutput::Cert(d)) => Some(d),
                 _ => panic!("certification replay must lead a certified proof stream"),
             },
@@ -495,47 +430,60 @@ impl PlannedProof {
         let mut transparency: Option<TransparencyCert> = None;
         let mut fps = Vec::with_capacity(models.len() * secrets.len());
         for (mi, model) in models.iter().enumerate() {
-            let mut traces: Vec<(u64, Vec<ObsEvent>)> = Vec::new();
-            let mut digests: Vec<(u64, usize, u64)> = Vec::new();
+            let mut baselines = Vec::with_capacity(secrets.len());
             for &s in &secrets {
                 let shard = match it.next() {
                     Some(TaskOutput::Run(s)) => *s,
                     _ => panic!("one monitored shard per (model, secret)"),
                 };
-                fps.push((s, shard.lo_len, shard.monitored_digest));
+                let (lo_len, monitored_digest) = shard.monitored;
+                fps.push((s, lo_len, monitored_digest));
                 p.merge(shard.p);
                 f.merge(shard.f);
                 t.merge(shard.t);
                 steps += shard.steps;
                 if transparency.is_none() {
                     transparency = Some(TransparencyCert {
-                        monitored_digest: shard.monitored_digest,
+                        monitored_digest,
                         replay_digest: cert_replay
-                            .or(shard.replay_digest)
+                            .or(shard.replay.map(|(_, d)| d))
                             .expect("certified or replay-check digest for the first shard"),
                         switch_digest: shard.switch_digest,
                     });
                 }
-                match shard.trace {
-                    Some(trace) => traces.push((s, trace)),
-                    None => digests.push((s, shard.lo_len, shard.monitored_digest)),
-                }
+                // The NI baseline: the shard's own plain replay under
+                // replay-check, else the certified monitored run.
+                let (len, digest) = shard.replay.unwrap_or(shard.monitored);
+                baselines.push((s, len, digest));
             }
-            let verdict = if digests.is_empty() {
-                compare_secret_runs(&traces)
-            } else {
-                compare_secret_digests(&digests).unwrap_or_else(|b| {
-                    // Fingerprint divergence: lockstep re-run of the
-                    // baseline and the offending secret with recording
-                    // sinks, stopped at the first diverging event. Sinks
-                    // (and the read-only monitors, per the transparency
-                    // certification) cannot influence execution, so the
-                    // extracted witness is exactly what the digest runs
-                    // observed.
-                    let model_runs = &runs[mi * secrets.len()..(mi + 1) * secrets.len()];
-                    model_runs[0].lockstep_leak(&model_runs[b], secrets[0], secrets[b])
-                })
-            };
+            let verdict = compare_secret_digests(&baselines).unwrap_or_else(|b| {
+                // Fingerprint divergence: lockstep re-run of the
+                // baseline and the offending secret with recording
+                // sinks, stopped at the first diverging event. Sinks
+                // (and the read-only monitors, per the transparency
+                // certification) cannot influence execution, so the
+                // extracted witness is exactly what the digest runs
+                // observed.
+                let model_runs = &runs[mi * secrets.len()..(mi + 1) * secrets.len()];
+                let (base, other) = (&model_runs[0], &model_runs[b]);
+                let span = tp_telemetry::span_start();
+                let leak = lockstep_leak(
+                    (secrets[0], base.build()),
+                    (secrets[b], other.build()),
+                    base.lo,
+                    base.budget,
+                    base.max_steps,
+                );
+                if let Some(start) = span {
+                    tp_telemetry::span(
+                        SpanKind::Lockstep,
+                        base.cell,
+                        tp_sched::current_worker(),
+                        start,
+                    );
+                }
+                leak
+            });
             ni.push(ModelVerdict {
                 model: *model,
                 verdict,
@@ -610,50 +558,16 @@ pub fn prove_parallel_on(
 /// keep scheduling traffic negligible next to a full system run.
 const EXH_BLOCK: usize = 8;
 
-thread_local! {
-    /// Per-worker scratch trace for recording-mode scans: one buffer
-    /// per thread for the whole sweep instead of an allocation per
-    /// enumerated word.
-    static EXH_SCRATCH: RefCell<Vec<ObsEvent>> = const { RefCell::new(Vec::new()) };
-}
-
-/// The shared baseline an exhaustive scan compares against: always the
-/// `(len, digest)` fingerprint, plus the recorded trace in recording
-/// mode.
-struct ExhBaseline {
-    fingerprint: (usize, u64),
-    trace: Option<Vec<ObsEvent>>,
-}
-
-impl ExhBaseline {
-    fn new(runner: &ExhaustiveRunner, mode: ExhaustiveMode) -> Self {
-        match mode {
-            ExhaustiveMode::DigestFirst => ExhBaseline {
-                fingerprint: runner.run_digest(&[]),
-                trace: None,
-            },
-            ExhaustiveMode::Recording => {
-                let trace = runner.run(&[]);
-                ExhBaseline {
-                    fingerprint: (trace.len(), crate::noninterference::obs_digest(&trace)),
-                    trace: Some(trace),
-                }
-            }
-        }
-    }
-}
-
-/// Scan one contiguous index block for leaks against `baseline`,
-/// pruning past any already-known lower-index leak in `best`. A leak
-/// comes back as its program index and full verdict.
-/// Digest-first scans compare fingerprints and only materialise traces
-/// for a hit; recording scans replay every word into the per-worker
-/// scratch buffer.
+/// Scan one contiguous index block for leaks against the empty
+/// program's `baseline` fingerprint, pruning past any already-known
+/// lower-index leak in `best`. Each word runs trace-free; only a hit
+/// re-runs baseline and witness recorded. A leak comes back as its
+/// program index and full verdict.
 fn scan_exhaustive_block(
     runner: &ExhaustiveRunner,
     alphabet: &[Instr],
     max_len: usize,
-    baseline: &ExhBaseline,
+    baseline: (usize, u64),
     best: &AtomicUsize,
     start: usize,
     end: usize,
@@ -672,25 +586,9 @@ fn scan_exhaustive_block(
             word_for_index_into(alphabet, max_len, index, &mut word),
             "index is within the enumerated space"
         );
-        let leak = match &baseline.trace {
-            // A digest-first hit re-runs baseline and witness recorded.
-            None => (runner.run_digest(&word) != baseline.fingerprint)
-                .then(|| recorded_leak(runner, index, word.clone())),
-            Some(base) => EXH_SCRATCH.with(|scratch| {
-                let buf = &mut *scratch.borrow_mut();
-                runner.run_recorded_into(&word, buf);
-                first_divergence(base, buf).map(|div| ExhaustiveVerdict::Leak {
-                    program_index: index,
-                    witness: word.clone(),
-                    divergence: div,
-                    baseline_event: base.get(div).copied(),
-                    witness_event: buf.get(div).copied(),
-                })
-            }),
-        };
-        if let Some(v) = leak {
+        if runner.run_digest(&word) != baseline {
             best.fetch_min(index, Ordering::Relaxed);
-            found = Some((index, v));
+            found = Some((index, recorded_leak(runner, index, word.clone())));
             break;
         }
     }
@@ -711,19 +609,16 @@ fn scan_exhaustive_block(
 /// and all shards run systems stamped from one [`ExhaustiveRunner`]
 /// template instead of paying full construction per program.
 pub fn check_exhaustive_parallel(cfg: &ExhaustiveConfig) -> ExhaustiveVerdict {
-    check_exhaustive_parallel_on(tp_sched::global(), cfg, ExhaustiveMode::DigestFirst)
+    check_exhaustive_parallel_on(tp_sched::global(), cfg)
 }
 
-/// [`check_exhaustive_parallel`] on an explicit pool under an explicit
-/// [`ExhaustiveMode`] — [`ExhaustiveMode::Recording`] is the fully
-/// materialised equivalence oracle.
+/// [`check_exhaustive_parallel`] on an explicit pool.
 pub fn check_exhaustive_parallel_on(
     pool: &WorkerPool,
     cfg: &ExhaustiveConfig,
-    mode: ExhaustiveMode,
 ) -> ExhaustiveVerdict {
     let runner = Arc::new(ExhaustiveRunner::new(cfg));
-    let baseline = Arc::new(ExhBaseline::new(&runner, mode));
+    let baseline = runner.run_digest(&[]);
     let total = space_size(cfg.alphabet.len(), cfg.max_len);
     let alphabet = Arc::new(cfg.alphabet.clone());
     let max_len = cfg.max_len;
@@ -732,7 +627,7 @@ pub fn check_exhaustive_parallel_on(
     let blocks: Vec<usize> = (1..=total).step_by(EXH_BLOCK).collect();
     let found = pool.map(blocks, move |_, start| {
         let end = (start + EXH_BLOCK - 1).min(total);
-        scan_exhaustive_block(&runner, &alphabet, max_len, &baseline, &best, start, end)
+        scan_exhaustive_block(&runner, &alphabet, max_len, baseline, &best, start, end)
     });
     found
         .into_iter()
@@ -799,9 +694,7 @@ impl ScenarioMatrix {
     }
 
     /// Prove every cell under an explicit [`ProofMode`] —
-    /// [`ProofMode::ReplayCheck`] is the `--replay-check` audit path;
-    /// [`ProofMode::CertifiedRecording`] is how the equivalence and
-    /// perf harnesses force the pre-digest-first behaviour.
+    /// [`ProofMode::ReplayCheck`] is the `--replay-check` audit path.
     pub fn with_mode(mut self, mode: ProofMode) -> Self {
         self.mode = mode;
         self

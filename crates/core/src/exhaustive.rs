@@ -285,10 +285,9 @@ pub enum ExhaustiveMode {
     /// word and the baseline to extract the witness events.
     #[default]
     DigestFirst,
-    /// Every run fully recorded and compared event by event — the
-    /// pre-digest-first semantics, kept as the equivalence oracle (with
-    /// one scratch buffer reused across words instead of a fresh
-    /// allocation per run).
+    /// Every run fully recorded and compared event by event, in one
+    /// scratch buffer reused across words — the reference the
+    /// digest-first checkers, sequential and pooled, are pinned against.
     Recording,
 }
 

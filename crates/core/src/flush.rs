@@ -6,6 +6,12 @@
 //! 1. **Reset-state check** — immediately after each switch, the
 //!    switched-to core's local microarchitectural digest equals the
 //!    digest of a pristine core (computed once from a fresh machine).
+//!    [`check_flush_at_switch`] hashes the live core every time and is
+//!    the reference. The monitored loop asks its run's
+//!    [`crate::partition::SwitchMonitor`] instead, which compares the
+//!    core with a [`FlushReference`]'s pristine core first: an equal
+//!    core needs no hash, and a dirty one is hashed once for F and the
+//!    switch digest both.
 //! 2. **History-independence check** — a direct differential experiment:
 //!    run two copies of a system through wildly different histories,
 //!    flush both, and require digest equality. This is the executable
@@ -34,6 +40,7 @@ pub fn canonical_core_digest(sys: &System) -> u64 {
 /// predictors), not on the time model or on anything the kernel runs,
 /// so runs on equal cores can share one. What a run may reuse between
 /// its own switches lives in its [`crate::partition::SwitchMonitor`].
+#[derive(Debug)]
 pub struct FlushReference {
     /// A pristine core of the monitored machine's configuration.
     pub core: Core,
@@ -55,72 +62,37 @@ impl FlushReference {
     }
 
     /// Whether the scheduled core's state equals the pristine core: the
-    /// one structural comparison a domain switch needs. Its answer is
-    /// the `pristine` argument of [`check_flush_at_switch_ref`] and
-    /// [`crate::partition::SwitchMonitor::switch_digest`] for the same
-    /// unchanged `sys`.
+    /// one structural comparison a domain switch needs
+    /// ([`crate::partition::SwitchMonitor::at_switch`]).
     pub fn is_pristine(&self, sys: &System) -> bool {
         sys.hw.cores[sys.kernel.core.0].microarch_eq(&self.core)
     }
 }
 
-/// [`check_flush_at_switch`] against a prebuilt [`FlushReference`]: the
-/// hot-loop variant. `pristine` is [`FlushReference::is_pristine`] on
-/// this `sys`. On the expected path (flush held) the check costs
-/// nothing more; the digest is only computed to report a violation.
-pub fn check_flush_at_switch_ref(
+/// Check the reset-state property on `sys` *right now* — callers invoke
+/// this immediately after observing a `Switched` event. It hashes the
+/// live core every time: the reference the monitored loop's
+/// [`crate::partition::SwitchMonitor`] is pinned against.
+pub fn check_flush_at_switch(sys: &System, canonical: u64) -> ObligationResult {
+    flush_result(sys, canonical, || {
+        sys.hw.cores[sys.kernel.core.0].microarch_digest()
+    })
+}
+
+/// [`check_flush_at_switch`] with the scheduled core's microarch digest
+/// taken from `digest`, which is asked for only when flushing is
+/// claimed.
+pub(crate) fn flush_result(
     sys: &System,
-    reference: &FlushReference,
-    pristine: bool,
+    canonical: u64,
+    digest: impl FnOnce() -> u64,
 ) -> ObligationResult {
     let mut r = ObligationResult::new("F");
     if !sys.kernel.tp.flush_on_switch {
         return r; // not claimed; NI will expose the residue channel
     }
     r.checked_points += 1;
-    let core = &sys.hw.cores[sys.kernel.core.0];
-    if pristine {
-        // Equal state means equal digest and zero residue lines: both
-        // violation conditions below are impossible by construction.
-        return r;
-    }
-    let digest = core.microarch_digest();
-    if digest != reference.digest {
-        r.violate(
-            ViolationKind::FlushResidue,
-            sys.now(),
-            format!(
-                "post-switch core digest {digest:#x} != canonical {:#x}",
-                reference.digest
-            ),
-        );
-    }
-    let residue = core
-        .l1d
-        .iter_lines()
-        .chain(core.l1i.iter_lines())
-        .filter(|(_, _, l)| l.valid)
-        .count();
-    if residue != 0 {
-        r.violate(
-            ViolationKind::FlushResidue,
-            sys.now(),
-            format!("{residue} valid L1 lines survived the switch flush"),
-        );
-    }
-    r
-}
-
-/// Check the reset-state property on `sys` *right now* — callers invoke
-/// this immediately after observing a `Switched` event.
-pub fn check_flush_at_switch(sys: &System, canonical: u64) -> ObligationResult {
-    let mut r = ObligationResult::new("F");
-    if !sys.kernel.tp.flush_on_switch {
-        return r; // not claimed; NI will expose the residue channel
-    }
-    r.checked_points += 1;
-    let core = &sys.hw.cores[sys.kernel.core.0];
-    let digest = core.microarch_digest();
+    let digest = digest();
     if digest != canonical {
         r.violate(
             ViolationKind::FlushResidue,
@@ -129,6 +101,7 @@ pub fn check_flush_at_switch(sys: &System, canonical: u64) -> ObligationResult {
         );
     }
     // Belt and braces: no valid line may carry any ghost owner at all.
+    let core = &sys.hw.cores[sys.kernel.core.0];
     let residue = core
         .l1d
         .iter_lines()

@@ -28,16 +28,21 @@
 //! with [`tp_hw::obs::RecordingSink`]s to extract the replayable
 //! witness ([`first_divergence`] index plus the diverging events) —
 //! byte-identical to what a fully recorded comparison reports, because
-//! sinks cannot influence execution. [`check_ni_parts_recording`] keeps
-//! the fully materialised comparison alive as the equivalence oracle.
+//! sinks cannot influence execution. The engine's proof shards take the
+//! same path ([`crate::engine`]). [`check_ni_parts_recording`] and the
+//! sequential [`crate::proof::prove`] keep the fully materialised
+//! comparison alive as the references the digest path is pinned
+//! against.
 //!
 //! ## Observation transparency
 //!
 //! The monitors that check P/F/T must themselves be *invisible* in Lo's
 //! observable trace — otherwise the monitored run is evidence about a
 //! different system than the one the NI replay examines. Every check
-//! takes `&System` (read-only by construction), and [`run_monitored`]
-//! additionally *certifies* this: it threads a rolling digest of Lo's
+//! takes `&System` (read-only by construction); one
+//! [`crate::partition::SwitchMonitor`] per run answers F, P and the
+//! switch digest at every switch. [`run_monitored`] additionally
+//! *certifies* transparency: it threads a rolling digest of Lo's
 //! observation log (and a chain of the post-switch core digests)
 //! through the run, so one digest comparison against a plain,
 //! unmonitored replay ([`TransparencyCert`]) proves monitoring cannot
@@ -238,49 +243,23 @@ impl MonitoredRun {
 /// after every switch, and T at the end. `lo` is the observer domain
 /// whose trace is certified (rolling digest threaded through the run).
 pub fn run_monitored(sys: System, lo: DomainId, budget: Cycles, max_steps: usize) -> MonitoredRun {
-    run_monitored_with(sys, lo, budget, max_steps, |_| {})
-}
-
-/// [`run_monitored`] with an additional monitor hook invoked at every
-/// domain switch, *before* the standard F/P checks. The standard checks
-/// take `&System` and cannot perturb the run; the hook takes
-/// `&mut System` deliberately — it is the seam where the test suite
-/// injects faults (to force divergence witnesses) and mounts mock
-/// *perturbing* monitors, proving the transparency certification would
-/// reject a monitor that touches what Lo can observe.
-pub fn run_monitored_with(
-    sys: System,
-    lo: DomainId,
-    budget: Cycles,
-    max_steps: usize,
-    monitor: impl FnMut(&mut System),
-) -> MonitoredRun {
     let reference = FlushReference::of(&sys);
-    monitored_loop(sys, &reference, lo, budget, max_steps, monitor)
+    run_monitored_with(sys, &reference, lo, budget, max_steps, |_| {})
 }
 
 /// [`run_monitored`] against a prebuilt [`FlushReference`] for `sys`'s
-/// scheduled core — what the engine runs, sharing one reference across
-/// every run of a submission on the same core. `reference` must come from
-/// a machine with `sys`'s core geometry; one from any other geometry
-/// never matches, so the F check fails closed.
-pub fn run_monitored_against(
-    sys: System,
-    reference: &FlushReference,
-    lo: DomainId,
-    budget: Cycles,
-    max_steps: usize,
-) -> MonitoredRun {
-    assert_eq!(
-        reference.core.id, sys.kernel.core,
-        "flush reference built for another core"
-    );
-    monitored_loop(sys, reference, lo, budget, max_steps, |_| {})
-}
-
-/// The monitored step loop behind [`run_monitored_with`] and
-/// [`run_monitored_against`].
-fn monitored_loop(
+/// scheduled core, with a monitor hook invoked at every domain switch,
+/// *before* the standard F/P checks. The engine passes a no-op hook and
+/// shares one reference across every run of a submission on the same
+/// core; a reference from another core geometry never matches, so the F
+/// check fails closed.
+///
+/// The standard checks take `&System` and cannot perturb the run; the
+/// hook takes `&mut System` deliberately — it is the seam where the test
+/// suite injects faults (to force divergence witnesses) and mounts mock
+/// *perturbing* monitors, proving the transparency certification would
+/// reject a monitor that touches what Lo can observe.
+pub fn run_monitored_with(
     mut sys: System,
     reference: &FlushReference,
     lo: DomainId,
@@ -289,17 +268,18 @@ fn monitored_loop(
     mut monitor: impl FnMut(&mut System),
 ) -> MonitoredRun {
     const P_CHECK_INTERVAL: usize = 2048;
-    // The reset reference makes the per-switch F check and the
-    // switch-digest chain structural comparisons on the expected path:
-    // a flushed core *equals* the pristine core, whose digest is
-    // precomputed. Everything else costs what changed since the last
-    // check: `checks` (a `SwitchMonitor`, one per run) answers P with
-    // the frame scan memoised on the memory's generation and a bitmask
-    // LLC scan, and digests a core the flush left dirty reusing the TLB
-    // and branch-predictor digests while their generations are
-    // unchanged (the prefetcher is rehashed every time). Its results
-    // equal `check_partition` and `Core::microarch_digest` exactly.
-    let mut checks = SwitchMonitor::new();
+    assert_eq!(
+        reference.core.id, sys.kernel.core,
+        "flush reference built for another core"
+    );
+    // One `SwitchMonitor` per run answers F, P and the switch digest
+    // from a single structural compare against the reference's pristine
+    // core per switch. A flushed core *equals* it, so F holds and the
+    // digest is the precomputed one; anything else costs what changed
+    // since the last check (see `crate::partition`). Its results equal
+    // `check_flush_at_switch`, `check_partition` and
+    // `Core::microarch_digest` exactly.
+    let mut checks = SwitchMonitor::new(reference);
     let mut p = ObligationResult::new("P");
     let mut f = ObligationResult::new("F");
     let mut steps = 0;
@@ -311,16 +291,10 @@ fn monitored_loop(
         steps += 1;
         if let StepEvent::Switched { .. } = ev {
             monitor(&mut sys);
-            // The checks below take `&System`, so one compare serves both.
-            let pristine = reference.is_pristine(&sys);
-            f.merge(crate::flush::check_flush_at_switch_ref(
-                &sys, reference, pristine,
-            ));
-            p.merge(checks.check_partition(&sys));
-            switch_digest = mix_digest(
-                switch_digest,
-                checks.switch_digest(&sys, reference, pristine),
-            );
+            let (f_at, p_at, digest) = checks.at_switch(&sys);
+            f.merge(f_at);
+            p.merge(p_at);
+            switch_digest = mix_digest(switch_digest, digest);
         } else if steps % P_CHECK_INTERVAL == 0 {
             p.merge(checks.check_partition(&sys));
         }
@@ -435,13 +409,13 @@ pub fn check_ni_parts(
     compare_secret_digests(&runs).unwrap_or_else(|b| {
         // Divergence: lockstep re-run of the offending pair, recording
         // sinks, stopped at the first diverging event.
+        let build = |s| {
+            System::from_parts(mcfg, &make_kcfg(s))
+                .expect("scenario construction must succeed for every secret")
+        };
         lockstep_leak(
-            |s| {
-                System::from_parts(mcfg, &make_kcfg(s))
-                    .expect("scenario construction must succeed for every secret")
-            },
-            secrets[0],
-            secrets[b],
+            (secrets[0], build(secrets[0])),
+            (secrets[b], build(secrets[b])),
             lo,
             budget,
             max_steps,
@@ -570,19 +544,19 @@ pub fn lockstep_divergence(
 }
 
 /// Materialise the [`NiVerdict::Leak`] for two secrets whose
-/// fingerprints diverged, by building both systems and running them in
-/// lockstep to the first diverging event.
+/// fingerprints diverged, by running their freshly built (recording)
+/// systems in lockstep to the first diverging event. Shared by the
+/// sequential checker and the engine's merge, so a witness has one
+/// shape wherever the leak was first noticed.
 pub(crate) fn lockstep_leak(
-    build: impl Fn(u64) -> System,
-    secret_a: u64,
-    secret_b: u64,
+    (secret_a, a): (u64, System),
+    (secret_b, b): (u64, System),
     lo: DomainId,
     budget: Cycles,
     max_steps: usize,
 ) -> NiVerdict {
-    let (divergence, event_a, event_b) =
-        lockstep_divergence(build(secret_a), build(secret_b), lo, budget, max_steps)
-            .expect("a fingerprint mismatch implies a trace divergence");
+    let (divergence, event_a, event_b) = lockstep_divergence(a, b, lo, budget, max_steps)
+        .expect("a fingerprint mismatch implies a trace divergence");
     NiVerdict::Leak {
         secret_a,
         secret_b,

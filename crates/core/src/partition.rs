@@ -43,11 +43,17 @@
 //! their order, times and details are the full scan's, and the clean
 //! path formats nothing.
 //!
-//! The same monitor digests a core the switch flush left dirty
-//! ([`SwitchMonitor::switch_digest`]), reusing the TLB and
-//! branch-predictor digests while their generations are unchanged.
+//! The same monitor answers obligation F and the switch digest
+//! ([`SwitchMonitor::at_switch`]), from one structural compare of the
+//! scheduled core with its run's [`FlushReference`] per switch. A
+//! pristine core has the reference's digest and no valid line, so F
+//! holds with nothing hashed. A core the flush left dirty is hashed
+//! once, for F and the digest both, reusing the TLB and branch-predictor
+//! digests while their generations are unchanged. The results equal
+//! [`crate::flush::check_flush_at_switch`] and
+//! [`tp_hw::machine::Core::microarch_digest`] exactly.
 
-use crate::flush::FlushReference;
+use crate::flush::{flush_result, FlushReference};
 use crate::obligation::{ObligationResult, ViolationKind};
 use tp_hw::types::{mix2, Colour, DomainTag, Generation};
 use tp_kernel::kernel::System;
@@ -219,23 +225,53 @@ impl PartMemo {
     }
 }
 
-/// The switch-time checks of one monitored run, remembering what they
-/// derived from state that has not changed since (see the module docs).
-/// Every memo is keyed on generations, which are unique to a component
-/// instance, so the monitor stays exact even when a hook swaps a
-/// component out.
-#[derive(Debug, Default)]
-pub struct SwitchMonitor {
+/// The switch-time checks of one monitored run against its
+/// [`FlushReference`], remembering what they derived from state that
+/// has not changed since (see the module docs). Every memo is keyed on
+/// generations, which are unique to a component instance, so the
+/// monitor stays exact even when a hook swaps a component out.
+#[derive(Debug)]
+pub struct SwitchMonitor<'r> {
+    reference: &'r FlushReference,
     frames: Option<FrameMemo>,
     frame_scans: usize,
     tlb: PartMemo,
     bp: PartMemo,
 }
 
-impl SwitchMonitor {
-    /// A monitor that remembers nothing yet.
-    pub fn new() -> Self {
-        Self::default()
+impl<'r> SwitchMonitor<'r> {
+    /// A monitor for runs on `reference`'s core that remembers nothing
+    /// yet.
+    pub fn new(reference: &'r FlushReference) -> Self {
+        SwitchMonitor {
+            reference,
+            frames: None,
+            frame_scans: 0,
+            tlb: PartMemo::default(),
+            bp: PartMemo::default(),
+        }
+    }
+
+    /// `(F, P, digest)` right after a switch: the results of
+    /// [`crate::flush::check_flush_at_switch`] and [`check_partition`],
+    /// and the scheduled core's
+    /// [`tp_hw::machine::Core::microarch_digest`]. One structural
+    /// compare of the core with the reference's pristine core decides
+    /// the path: a pristine core has the reference's digest and no valid
+    /// line, so F holds wherever flushing is claimed, with nothing
+    /// hashed or scanned; a dirty core is hashed once, for F and the
+    /// digest both.
+    pub fn at_switch(&mut self, sys: &System) -> (ObligationResult, ObligationResult, u64) {
+        let reference = self.reference;
+        let (f, digest) = if reference.is_pristine(sys) {
+            let mut f = ObligationResult::new("F");
+            f.checked_points = usize::from(sys.kernel.tp.flush_on_switch);
+            (f, reference.digest)
+        } else {
+            let digest = self.dirty_digest(sys);
+            (flush_result(sys, reference.digest, || digest), digest)
+        };
+        (f, self.check_partition(sys), digest)
     }
 
     /// [`check_partition`] on `sys`: equal to it, result for result.
@@ -332,24 +368,14 @@ impl SwitchMonitor {
         Some(owned)
     }
 
-    /// The scheduled core's microarch digest after a switch: `reference`'s
-    /// precomputed digest when `pristine` ([`FlushReference::is_pristine`]
-    /// on this `sys`), else [`tp_hw::machine::Core::microarch_digest`]
+    /// [`tp_hw::machine::Core::microarch_digest`] of the scheduled core,
     /// with the TLB and branch-predictor parts reused while their
     /// generations are unchanged. The parts fold in `microarch_digest`'s
     /// order, so the value is bit-identical to it. (The prefetcher is
     /// hashed every time: every demand load trains it, so its
     /// generation moves in every slice, and its 16-slot digest is
     /// cheap.)
-    pub fn switch_digest(
-        &mut self,
-        sys: &System,
-        reference: &FlushReference,
-        pristine: bool,
-    ) -> u64 {
-        if pristine {
-            return reference.digest;
-        }
+    fn dirty_digest(&mut self, sys: &System) -> u64 {
         let core = &sys.hw.cores[sys.kernel.core.0];
         let mut h = core.l1i.state_digest();
         h = mix2(h, core.l1d.state_digest());

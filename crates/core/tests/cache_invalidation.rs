@@ -107,9 +107,8 @@ impl Spec {
         s.hi_stride = 8 + pick(32, 14);
         s.slice = 10_000 + 100 * pick(32, 15);
         s.pad = s.slice + 5_000 + 100 * pick(32, 16);
-        s.mode = match pick(3, 17) {
+        s.mode = match pick(2, 17) {
             0 => ProofMode::Certified,
-            1 => ProofMode::CertifiedRecording,
             _ => ProofMode::ReplayCheck,
         };
         s
@@ -228,8 +227,7 @@ fn perturbations() -> Vec<Perturbation> {
         ("proof mode", |s| {
             s.mode = match s.mode {
                 ProofMode::Certified => ProofMode::ReplayCheck,
-                ProofMode::ReplayCheck => ProofMode::CertifiedRecording,
-                ProofMode::CertifiedRecording => ProofMode::Certified,
+                ProofMode::ReplayCheck => ProofMode::Certified,
             }
         }),
     ]

@@ -1,9 +1,12 @@
 //! The digest-first equivalence suite: the trace-free hot path must be
-//! *observationally indistinguishable* from forced-recording execution
-//! — same verdicts, same witnesses, same [`ProofReport`]s, bit for bit
-//! — over randomised configurations and secrets. This is the licence
-//! for comparing `(len, digest)` fingerprints in the hot loop and only
-//! materialising traces on divergence.
+//! *observationally indistinguishable* from recording execution — same
+//! verdicts, same witnesses, same proof reports, bit for bit — over
+//! randomised configurations and secrets. This is the licence for
+//! comparing `(len, digest)` fingerprints in the hot loop and only
+//! materialising traces on divergence. The engine proves digest-first
+//! only, so every comparison here is against a sequential reference
+//! that records every run: `check_ni_parts_recording`, the sequential
+//! `prove`, and `check_exhaustive_mode(…, Recording)`.
 //!
 //! The broken-mechanism cases additionally prove the divergence
 //! *re-run* reproduces the exact witness trace: the leak evidence a
@@ -21,6 +24,7 @@ use tp_core::noninterference::{
     NiScenario, NiVerdict,
 };
 use tp_core::proof::default_time_models;
+use tp_core::proof::prove;
 use tp_hw::machine::MachineConfig;
 use tp_hw::types::Cycles;
 use tp_kernel::config::{DomainSpec, KernelConfig, Mechanism, TimeProtConfig};
@@ -88,9 +92,10 @@ proptest! {
         prop_assert_eq!(digest_first, recorded, "seed {}", seed);
     }
 
-    /// Digest-first certified proofs equal forced-recording certified
-    /// proofs bit for bit — every report field, certificate included —
-    /// on random scenarios, with and without a broken mechanism.
+    /// Digest-first certified proofs equal the sequential `prove`, which
+    /// records every run, bit for bit — every report field, certificate
+    /// included — on random scenarios, with and without a broken
+    /// mechanism.
     #[test]
     fn proof_reports_are_bit_identical(seed in 0u64..200, ablate in any::<bool>()) {
         let tp = if ablate {
@@ -103,9 +108,7 @@ proptest! {
         let digest = prove_parallel_on(
             &pool, &seeded_scenario(seed, tp), &models, ProofMode::Certified,
         );
-        let recording = prove_parallel_on(
-            &pool, &seeded_scenario(seed, tp), &models, ProofMode::CertifiedRecording,
-        );
+        let recording = prove(&seeded_scenario(seed, tp), &models);
         prop_assert_eq!(&digest, &recording, "seed {}", seed);
         prop_assert_eq!(digest.to_string(), recording.to_string());
     }
@@ -156,10 +159,10 @@ fn divergence_rerun_reproduces_the_exact_witness_trace() {
     }
 }
 
-/// Exhaustive enumeration: digest-first and recording modes agree on
-/// the sequential checker and on the pool, across protection settings
-/// — including the exact lowest-index witness when a mechanism is
-/// ablated.
+/// Exhaustive enumeration: the digest-first checkers, sequential and
+/// pooled, agree with the sequential recording scan across protection
+/// settings — including the exact lowest-index witness when a mechanism
+/// is ablated.
 #[test]
 fn exhaustive_digest_and_recording_agree_on_every_path() {
     let pool = WorkerPool::new(2);
@@ -172,43 +175,48 @@ fn exhaustive_digest_and_recording_agree_on_every_path() {
             max_len: 2,
             ..ExhaustiveConfig::small(tp)
         };
+        let recording = check_exhaustive_mode(&cfg, ExhaustiveMode::Recording);
         let digest_seq = check_exhaustive_mode(&cfg, ExhaustiveMode::DigestFirst);
-        let rec_seq = check_exhaustive_mode(&cfg, ExhaustiveMode::Recording);
-        assert_eq!(digest_seq, rec_seq, "{tp:?}: sequential modes disagree");
-        let digest_pool = check_exhaustive_parallel_on(&pool, &cfg, ExhaustiveMode::DigestFirst);
-        let rec_pool = check_exhaustive_parallel_on(&pool, &cfg, ExhaustiveMode::Recording);
-        assert_eq!(digest_pool, rec_pool, "{tp:?}: pooled modes disagree");
-        assert_eq!(digest_seq, digest_pool, "{tp:?}: sequential vs pooled");
+        assert_eq!(digest_seq, recording, "{tp:?}: sequential modes disagree");
+        let digest_pool = check_exhaustive_parallel_on(&pool, &cfg);
+        assert_eq!(digest_pool, recording, "{tp:?}: pooled vs recording");
     }
 }
 
 /// The matrix-level pin: an E11-shaped ablation sweep (most cells
-/// leaking) proved digest-first equals the same sweep proved with
-/// forced recording — the leak-heavy regime where every cell exercises
-/// the divergence re-run path.
+/// leaking) proved digest-first equals the sequential `prove` of each
+/// cell — the leak-heavy regime where every cell exercises the
+/// divergence re-run path.
 #[test]
 fn ablation_matrix_reports_are_bit_identical_across_modes() {
     let models = default_time_models()[..1].to_vec();
-    let matrix = |mode: ProofMode| {
-        ScenarioMatrix::new("digest-eq", MachineConfig::single_core())
-            .with_ablations(vec![None, Some(Mechanism::Padding), Some(Mechanism::Flush)])
-            .with_models(models.clone())
-            .with_mode(mode)
-    };
+    let matrix = ScenarioMatrix::new("digest-eq", MachineConfig::single_core())
+        .with_ablations(vec![None, Some(Mechanism::Padding), Some(Mechanism::Flush)])
+        .with_models(models.clone());
     let pool = WorkerPool::new(2);
-    let sweep = |matrix: ScenarioMatrix| {
-        let all: Vec<usize> = (0..matrix.cells().len()).collect();
-        let (outcomes, _) = matrix.sweep(
-            &pool,
-            &all,
-            None,
-            |_| seeded_scenario(3, TimeProtConfig::full()),
-            |_, _, _| {},
-        );
-        tp_core::MatrixReport::from(proved_cells(outcomes).expect("every cell proves"))
+    let all: Vec<usize> = (0..matrix.cells().len()).collect();
+    let (outcomes, _) = matrix.sweep(
+        &pool,
+        &all,
+        None,
+        |_| seeded_scenario(3, TimeProtConfig::full()),
+        |_, _, _| {},
+    );
+    let digest = tp_core::MatrixReport::from(proved_cells(outcomes).expect("every cell proves"));
+    // The sequential reference, proved on each cell's scenario
+    // specialised exactly as the engine specialises it.
+    let recording = tp_core::MatrixReport {
+        cells: matrix
+            .cells()
+            .into_iter()
+            .map(|cell| {
+                let mut sc = seeded_scenario(3, cell.tp);
+                sc.mcfg = cell.mcfg.clone();
+                let report = prove(&sc, &models);
+                (cell, report)
+            })
+            .collect(),
     };
-    let digest = sweep(matrix(ProofMode::Certified));
-    let recording = sweep(matrix(ProofMode::CertifiedRecording));
     assert_eq!(digest, recording);
     assert_eq!(digest.to_string(), recording.to_string());
     assert!(
@@ -220,8 +228,7 @@ fn ablation_matrix_reports_are_bit_identical_across_modes() {
     );
 
     // Wire records — what sharded sweeps ship between hosts — must be
-    // byte-identical too, so digest-first and recording workers can be
-    // mixed within one sharded sweep.
+    // byte-identical too.
     let wire = |report: &tp_core::MatrixReport| {
         let mut out = String::new();
         for (i, (cell, r)) in report.cells.iter().enumerate() {

@@ -1,17 +1,15 @@
 //! Determinism harness for the parallel proof engine: sharding the
 //! (time-model × secret) product or the Hi-program enumeration across
 //! worker threads must not change a single bit of the result, in
-//! **any** [`ProofMode`]. Each scenario is checked several ways:
+//! either [`ProofMode`]. Each scenario is checked several ways:
 //!
-//! * sequential (`prove` / `check_exhaustive`) — the reference, and
-//!   since the transparency work also the paranoid *double-run*: one
-//!   monitored run plus one plain replay per (model, secret);
+//! * sequential (`prove` / `check_exhaustive`) — the reference: the
+//!   paranoid *double-run*, one monitored run plus one plain replay per
+//!   (model, secret), every run recorded and compared event by event;
 //! * persistent `tp-sched` pools (`*_on`) — the production certified
-//!   single-run path, exercised at 1, 2 and 8 workers;
-//! * [`ProofMode::CertifiedRecording`] on the pool — the forced
-//!   recording single-run path;
+//!   single-run path, digest-first, exercised at 1, 2 and 8 workers;
 //! * [`ProofMode::ReplayCheck`] on the pool — the `--replay-check`
-//!   audit path that re-enables the double-run.
+//!   audit path that re-enables the double-run, digest-only.
 //!
 //! Pinning the certified single-run reports equal to the sequential
 //! double-run reports is the engine's licence to drop the second replay
@@ -24,7 +22,7 @@ use tp_core::engine::{
     check_exhaustive_parallel_on, prove_parallel_on, proved_cells, ProofMode, ProvedCell,
     ScenarioMatrix,
 };
-use tp_core::exhaustive::{check_exhaustive, ExhaustiveConfig, ExhaustiveMode};
+use tp_core::exhaustive::{check_exhaustive, ExhaustiveConfig};
 use tp_core::noninterference::NiScenario;
 use tp_core::proof::{default_time_models, prove, ProofReport};
 use tp_hw::machine::MachineConfig;
@@ -132,6 +130,14 @@ fn prove_is_bit_identical_across_all_execution_paths() {
             TimeProtConfig::full_without(Mechanism::Padding),
         ] {
             let sequential = prove(&seeded_scenario(seed, tp), &models);
+            if tp != TimeProtConfig::full() {
+                // The ablation leaks, so every pooled mode's lockstep
+                // witness extraction is compared too.
+                assert!(
+                    sequential.ni.iter().any(|v| !v.verdict.passed()),
+                    "seed {seed}: the Padding ablation must leak"
+                );
+            }
             for workers in POOL_SIZES {
                 let pool = WorkerPool::new(workers);
                 let pooled = prove_parallel_on(
@@ -144,19 +150,6 @@ fn prove_is_bit_identical_across_all_execution_paths() {
                     &sequential,
                     &pooled,
                     &format!("seed {seed} pool×{workers}"),
-                );
-                // The forced-recording single-run path (the
-                // pre-digest-first engine) must agree bit for bit.
-                let recorded = prove_parallel_on(
-                    &pool,
-                    &seeded_scenario(seed, tp),
-                    &models,
-                    ProofMode::CertifiedRecording,
-                );
-                assert_reports_identical(
-                    &sequential,
-                    &recorded,
-                    &format!("seed {seed} certified-recording×{workers}"),
                 );
                 // The --replay-check audit path (paranoid double-run on
                 // the pool) must agree bit for bit too.
@@ -399,7 +392,7 @@ fn exhaustive_matches_sequential_witness_across_all_execution_paths() {
         let sequential = check_exhaustive(&cfg);
         for workers in POOL_SIZES {
             let pool = WorkerPool::new(workers);
-            let pooled = check_exhaustive_parallel_on(&pool, &cfg, ExhaustiveMode::DigestFirst);
+            let pooled = check_exhaustive_parallel_on(&pool, &cfg);
             assert_eq!(
                 sequential, pooled,
                 "exhaustive verdict must be pool-size independent ({tp:?}, pool×{workers})"

@@ -12,6 +12,7 @@
 
 use proptest::prelude::*;
 
+use tp_core::flush::FlushReference;
 use tp_core::noninterference::{
     certify_transparency, lo_trace, obs_digest, run_monitored, run_monitored_with, NiScenario,
 };
@@ -119,7 +120,8 @@ proptest! {
         let lo = sc.lo;
         let sys = System::new(sc.mcfg.clone(), (sc.make_kcfg)(secret)).expect("system");
         let mut perturbed = false;
-        let run = run_monitored_with(sys, lo, sc.budget, sc.max_steps, |sys| {
+        let reference = FlushReference::of(&sys);
+        let run = run_monitored_with(sys, &reference, lo, sc.budget, sc.max_steps, |sys| {
             if !perturbed {
                 sys.kernel.domains[lo.0]
                     .obs
@@ -151,7 +153,8 @@ fn history_rewriting_mock_monitor_is_rejected() {
     let lo = sc.lo;
     let sys = System::new(sc.mcfg.clone(), (sc.make_kcfg)(secret)).expect("system");
     let mut rewrote = false;
-    let run = run_monitored_with(sys, lo, sc.budget, sc.max_steps, |sys| {
+    let reference = FlushReference::of(&sys);
+    let run = run_monitored_with(sys, &reference, lo, sc.budget, sc.max_steps, |sys| {
         let events = &mut sys.kernel.domains[lo.0]
             .obs
             .observation_mut()
@@ -187,7 +190,8 @@ fn truncating_mock_monitor_is_rejected_without_panicking() {
     let lo = sc.lo;
     let sys = System::new(sc.mcfg.clone(), (sc.make_kcfg)(secret)).expect("system");
     let mut truncated = false;
-    let run = run_monitored_with(sys, lo, sc.budget, sc.max_steps, |sys| {
+    let reference = FlushReference::of(&sys);
+    let run = run_monitored_with(sys, &reference, lo, sc.budget, sc.max_steps, |sys| {
         let events = &mut sys.kernel.domains[lo.0]
             .obs
             .observation_mut()
@@ -227,7 +231,8 @@ fn timing_perturbing_mock_monitor_is_rejected() {
         let sc = seeded_scenario(3, tp);
         let secret = sc.secrets[1];
         let sys = System::new(sc.mcfg.clone(), (sc.make_kcfg)(secret)).expect("system");
-        let run = run_monitored_with(sys, sc.lo, sc.budget, sc.max_steps, |sys| {
+        let reference = FlushReference::of(&sys);
+        let run = run_monitored_with(sys, &reference, sc.lo, sc.budget, sc.max_steps, |sys| {
             let core = sys.kernel.core;
             sys.hw.compute(core, 137);
         });
@@ -255,7 +260,8 @@ fn read_only_mock_monitor_stays_transparent() {
     let secret = sc.secrets[1];
     let sys = System::new(sc.mcfg.clone(), (sc.make_kcfg)(secret)).expect("system");
     let mut sink = 0u64;
-    let run = run_monitored_with(sys, sc.lo, sc.budget, sc.max_steps, |sys| {
+    let reference = FlushReference::of(&sys);
+    let run = run_monitored_with(sys, &reference, sc.lo, sc.budget, sc.max_steps, |sys| {
         // Heavy read-only inspection: digest the core and count lines.
         sink ^= sys.hw.cores[sys.kernel.core.0].microarch_digest();
         sink ^= sys.hw.cores[sys.kernel.core.0]

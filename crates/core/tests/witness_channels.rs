@@ -16,6 +16,7 @@
 //!   each with the right [`ViolationKind`]. Every obligation also has a
 //!   passing control so a vacuous checker cannot hide here.
 
+use tp_core::flush::FlushReference;
 use tp_core::noninterference::{
     check_noninterference, first_divergence, run_monitored, run_monitored_with, NiScenario,
     NiVerdict,
@@ -180,7 +181,8 @@ fn p_fails_under_forged_frame_ownership() {
     let llc_colours = sys.hw.config().llc.unwrap().colours() as u64;
     let kcolour = sys.kernel.kernel_colours[0];
     let mut forged = false;
-    let run = run_monitored_with(sys, sc.lo, sc.budget, sc.max_steps, |sys| {
+    let reference = FlushReference::of(&sys);
+    let run = run_monitored_with(sys, &reference, sc.lo, sc.budget, sc.max_steps, |sys| {
         if !forged {
             let pfn = (0..sys.hw.mem.num_frames() as u64)
                 .find(|p| p % llc_colours == kcolour.0 as u64)
@@ -212,7 +214,8 @@ fn p_holds_without_sabotage() {
 #[test]
 fn f_fails_when_residue_survives_the_switch_flush() {
     let (sc, sys) = protected_system();
-    let run = run_monitored_with(sys, sc.lo, sc.budget, sc.max_steps, |sys| {
+    let reference = FlushReference::of(&sys);
+    let run = run_monitored_with(sys, &reference, sc.lo, sc.budget, sc.max_steps, |sys| {
         // Warm one line back into the L1 the kernel just flushed.
         let _ = sys
             .hw

@@ -20,6 +20,8 @@
 //!   is *not* an error — it re-proves and shows up in `DONE` under
 //!   `rejected=`, mirroring the exit-0 self-healing path.
 
+use std::ops::RangeInclusive;
+
 use tp_bench::cli::parse_cell_spec;
 
 /// The sweep a `SUBMIT` line asks for.
@@ -28,9 +30,10 @@ pub struct SubmitSpec {
     /// `models=N` — first `N` default time models (whole family if
     /// absent); must match what a comparison `matrix` run uses.
     pub models: Option<usize>,
-    /// `cells=SPEC` — subset of the matrix in `--cells` syntax; the
-    /// whole matrix if absent.
-    pub cells: Option<Vec<usize>>,
+    /// `cells=SPEC` — subset of the matrix in `--cells` syntax, as its
+    /// segments (expanded only once bounded by the matrix); the whole
+    /// matrix if absent.
+    pub cells: Option<Vec<RangeInclusive<usize>>>,
     /// `fault=IDX` — fault injection: detonate the Hi program of the
     /// cell at global index `IDX` (a chaos-testing knob; the cell
     /// yields an `err` record instead of a record group).
@@ -148,7 +151,7 @@ mod tests {
             parse_request("SUBMIT models=1 cells=0..3,7 fault=2 nocache deadline_ms=250"),
             Ok(Request::Submit(SubmitSpec {
                 models: Some(1),
-                cells: Some(vec![0, 1, 2, 7]),
+                cells: Some(vec![0..=2, 7..=7]),
                 fault: Some(2),
                 nocache: true,
                 deadline_ms: Some(250),

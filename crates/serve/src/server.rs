@@ -98,6 +98,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use tp_bench::cli::expand_cell_spec;
 use tp_core::engine::MatrixCell;
 use tp_core::noninterference::NiScenario;
 use tp_core::{wire, CacheStats, CellKey, CellOutcome, ProofCache, ScenarioMatrix};
@@ -626,17 +627,19 @@ fn run_submit<W: Write>(shared: &Arc<Shared>, spec: SubmitSpec, out: &mut W) -> 
     let submitted = tp_telemetry::span_start();
     let matrix = tp_bench::shaped_matrix(spec.models);
     let total = matrix.cells().len();
-    let indices: Vec<usize> = match spec.cells {
-        Some(sel) => sel,
+    let indices = match &spec.cells {
+        Some(sel) => match expand_cell_spec(sel, total) {
+            Ok(indices) => indices,
+            Err(bad) => {
+                return err_block(
+                    out,
+                    "malformed",
+                    &format!("cell {bad} out of range (matrix has {total} cells)"),
+                );
+            }
+        },
         None => (0..total).collect(),
     };
-    if let Some(&bad) = indices.iter().find(|&&i| i >= total) {
-        return err_block(
-            out,
-            "malformed",
-            &format!("cell {bad} out of range (matrix has {total} cells)"),
-        );
-    }
     let fault_cell: Option<MatrixCell> = match spec.fault {
         None => None,
         Some(i) if i < total => Some(matrix.cells()[i].clone()),

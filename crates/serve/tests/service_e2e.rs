@@ -340,6 +340,33 @@ fn an_over_long_request_line_is_refused_and_the_daemon_keeps_serving() {
     assert_eq!(fresh.round_trip("PING"), vec!["OK pong"]);
 }
 
+/// A cell spec is bounded by the matrix before it is expanded: a short
+/// line naming billions of cells gets `ERR code=malformed`, not an
+/// allocation that takes the daemon down, and the daemon keeps serving.
+#[test]
+fn a_huge_cell_range_is_refused_before_it_is_expanded() {
+    let _jobs = runs_jobs();
+    let (addr, mut client) = start_service(ProofCache::new());
+    let max = usize::MAX;
+    for spec in [
+        format!("0..{max}"),
+        "0..4000000000".to_string(),
+        format!("{max}"),
+        format!("3,4..{max}"),
+    ] {
+        let block = client.round_trip(&format!("SUBMIT models=1 cells={spec}"));
+        assert_eq!(block.len(), 1, "{spec}: {block:?}");
+        assert!(
+            block[0].starts_with("ERR code=malformed ")
+                && block[0].contains("out of range (matrix has 21 cells)"),
+            "{spec}: {block:?}"
+        );
+    }
+    assert_eq!(client.round_trip("PING"), vec!["OK pong"]);
+    let mut fresh = Client::connect(addr);
+    assert_eq!(fresh.round_trip("PING"), vec!["OK pong"]);
+}
+
 #[test]
 fn protocol_edges_ping_status_cancel_metrics_and_malformed_lines() {
     let _counting = counts_telemetry();
