@@ -62,18 +62,18 @@ fn main() {
         set = (set + 1) % 64;
         black_box(l1.set_digest(black_box(set)))
     });
-    // The memoised digest after a hit that flips tree bits, over a full
-    // L1: every access hits the next set's next way, so its PLRU word
-    // changes and its lines do not.
+    // A hit that flips tree bits, then its set's digest, over a full L1:
+    // every access hits the next set's next way, so the running digest
+    // rehashes the set's PLRU term and none of its lines.
     let mut l1 = Cache::new(CacheConfig::l1());
     for k in 0..512u64 {
         l1.access(PAddr(k * 64), k % 3 == 0, DomainTag(0));
     }
     let mut line = 0u64;
-    bench("cache/set_digest_memo_plru_hit", 100_000, || {
+    bench("cache/running_digest_plru_hit", 100_000, || {
         line = (line + 1) % 512;
         let out = l1.access(PAddr(black_box(line) * 64), false, DomainTag(0));
-        black_box(l1.set_digest_memo(out.set))
+        black_box(l1.set_digest(out.set))
     });
 
     // A hashed model pricing one access: the outcome key, the local

@@ -3,13 +3,14 @@
 //! At every domain switch the monitored loop answers obligations F and
 //! P and the switch digest with one [`SwitchMonitor::at_switch`]: one
 //! structural compare against a prebuilt [`FlushReference`], and one
-//! hash of a core the flush left dirty. The naive path rebuilds a
-//! pristine machine for its digest ([`canonical_core_digest`]) and
-//! hashes the live core ([`check_flush_at_switch`]). Over the canonical
-//! scenario under all seven protection settings, with flushing claimed
-//! at every switch, the monitor must give the naive F result,
-//! [`check_partition`]'s P and `Core::microarch_digest` at every
-//! switch. `partition_reference.rs` compares the same monitor at the
+//! read of the running digest of a core the flush left dirty. The naive
+//! path rebuilds a pristine machine for its digest
+//! ([`canonical_core_digest`]) and checks the live core
+//! ([`check_flush_at_switch`]). Over the canonical scenario under all
+//! seven protection settings, with flushing claimed at every switch, the
+//! monitor must give the naive F result, [`check_partition`]'s P and
+//! the core's digest folded from scratch
+//! (`Core::microarch_digest_from_scratch`) at every switch. `partition_reference.rs` compares the same monitor at the
 //! settings' own claims, with hostile hooks.
 
 use tp_bench::canonical_scenario;
@@ -40,7 +41,8 @@ fn the_flush_fast_path_matches_the_naive_check_at_every_switch() {
                 assert_eq!(f, naive, "{ctx}: F");
                 assert_eq!(p, check_partition(sys), "{ctx}: P");
                 let core = &sys.hw.cores[sys.kernel.core.0];
-                assert_eq!(digest, core.microarch_digest(), "{ctx}: digest");
+                let want = core.microarch_digest_from_scratch();
+                assert_eq!(digest, want, "{ctx}: digest");
                 sys.kernel.tp.flush_on_switch = claimed;
                 if reference.is_pristine(sys) {
                     pristine_switches += 1;

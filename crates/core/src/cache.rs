@@ -143,7 +143,7 @@ use tp_hw::obs::WordFold;
 /// observation semantics, proof obligations, wire canonicalisation —
 /// so every entry produced by the previous version stops being
 /// addressed *and* fails the salt check if addressed anyway.
-pub const CACHE_SALT: u64 = 0x7470_cace_0000_0002;
+pub const CACHE_SALT: u64 = 0x7470_cace_0000_0003;
 
 /// Fold a byte string into `f`, length-delimited: its byte length,
 /// then its bytes packed eight to a little-endian word, the last word
@@ -208,7 +208,7 @@ pub fn cell_key(
 }
 
 /// The entry checksum: a [`WordFold`] over the entry's canonical wire
-/// bytes ([`write_cell_body`] with the index pinned to 0, so checksums
+/// bytes (`wire::write_cell_body` with the index pinned to 0, so checksums
 /// are position-independent) plus its key, salt and fingerprint table.
 ///
 /// This is an *integrity* check — it catches corruption, truncation,

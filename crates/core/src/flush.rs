@@ -10,8 +10,9 @@
 //!    the reference. The monitored loop asks its run's
 //!    [`crate::partition::SwitchMonitor`] instead, which compares the
 //!    core with a [`FlushReference`]'s pristine core first: an equal
-//!    core needs no hash, and a dirty one is hashed once for F and the
-//!    switch digest both.
+//!    core has the reference's digest, and a dirty one's digest, which
+//!    its components keep current, is read once for F and the switch
+//!    digest both.
 //! 2. **History-independence check** — a direct differential experiment:
 //!    run two copies of a system through wildly different histories,
 //!    flush both, and require digest equality. This is the executable
@@ -31,10 +32,11 @@ pub fn canonical_core_digest(sys: &System) -> u64 {
 }
 
 /// The canonical post-flush core state, kept around by monitors so the
-/// per-switch reset check can be a structural comparison instead of a
-/// full state hash. The digest is the hash of exactly that state, so
+/// per-switch reset check can be a structural comparison, which no
+/// digest collision can fool and which also shows that no valid line
+/// survived. The digest is the hash of exactly that state, so
 /// `state == reference.core` implies the core's digest *is*
-/// `reference.digest` — no hashing needed on the match path.
+/// `reference.digest`.
 ///
 /// A reference depends only on the core's geometry (caches, TLB,
 /// predictors), not on the time model or on anything the kernel runs,
@@ -70,7 +72,7 @@ impl FlushReference {
 }
 
 /// Check the reset-state property on `sys` *right now* — callers invoke
-/// this immediately after observing a `Switched` event. It hashes the
+/// this immediately after observing a `Switched` event. It digests the
 /// live core every time: the reference the monitored loop's
 /// [`crate::partition::SwitchMonitor`] is pinned against.
 pub fn check_flush_at_switch(sys: &System, canonical: u64) -> ObligationResult {

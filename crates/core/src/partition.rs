@@ -47,15 +47,15 @@
 //! ([`SwitchMonitor::at_switch`]), from one structural compare of the
 //! scheduled core with its run's [`FlushReference`] per switch. A
 //! pristine core has the reference's digest and no valid line, so F
-//! holds with nothing hashed. A core the flush left dirty is hashed
-//! once, for F and the digest both, reusing the TLB and branch-predictor
-//! digests while their generations are unchanged. The results equal
-//! [`crate::flush::check_flush_at_switch`] and
-//! [`tp_hw::machine::Core::microarch_digest`] exactly.
+//! holds with nothing hashed. A core the flush left dirty gives its
+//! [`tp_hw::machine::Core::microarch_digest`], for F and the switch
+//! digest both: its caches, TLB and predictor keep their digests
+//! current, so that chains a few loads. The F result equals
+//! [`crate::flush::check_flush_at_switch`] exactly.
 
 use crate::flush::{flush_result, FlushReference};
 use crate::obligation::{ObligationResult, ViolationKind};
-use tp_hw::types::{mix2, Colour, DomainTag, Generation};
+use tp_hw::types::{Colour, DomainTag, Generation};
 use tp_kernel::kernel::System;
 
 /// Does `tag`'s colour set (or the kernel's) contain `colour`?
@@ -206,37 +206,16 @@ struct FrameMemo {
     owned: usize,
 }
 
-/// One component's digest at a generation.
-#[derive(Debug, Default)]
-struct PartMemo(Option<(Generation, u64)>);
-
-impl PartMemo {
-    /// The memoised digest while `generation` is unchanged, else a fresh
-    /// one, remembered.
-    fn digest(&mut self, generation: Generation, digest: impl FnOnce() -> u64) -> u64 {
-        match self.0 {
-            Some((g, d)) if g == generation => d,
-            _ => {
-                let d = digest();
-                self.0 = Some((generation, d));
-                d
-            }
-        }
-    }
-}
-
 /// The switch-time checks of one monitored run against its
-/// [`FlushReference`], remembering what they derived from state that
-/// has not changed since (see the module docs). Every memo is keyed on
-/// generations, which are unique to a component instance, so the
-/// monitor stays exact even when a hook swaps a component out.
+/// [`FlushReference`], remembering the frame scan while the frames have
+/// not changed (see the module docs). The memo is keyed on the memory's
+/// generation, which is unique to a `PhysMem` instance, so the monitor
+/// stays exact even when a hook swaps the memory out.
 #[derive(Debug)]
 pub struct SwitchMonitor<'r> {
     reference: &'r FlushReference,
     frames: Option<FrameMemo>,
     frame_scans: usize,
-    tlb: PartMemo,
-    bp: PartMemo,
 }
 
 impl<'r> SwitchMonitor<'r> {
@@ -247,8 +226,6 @@ impl<'r> SwitchMonitor<'r> {
             reference,
             frames: None,
             frame_scans: 0,
-            tlb: PartMemo::default(),
-            bp: PartMemo::default(),
         }
     }
 
@@ -259,7 +236,7 @@ impl<'r> SwitchMonitor<'r> {
     /// compare of the core with the reference's pristine core decides
     /// the path: a pristine core has the reference's digest and no valid
     /// line, so F holds wherever flushing is claimed, with nothing
-    /// hashed or scanned; a dirty core is hashed once, for F and the
+    /// scanned; a dirty core's digest is read once, for F and the
     /// digest both.
     pub fn at_switch(&mut self, sys: &System) -> (ObligationResult, ObligationResult, u64) {
         let reference = self.reference;
@@ -268,7 +245,7 @@ impl<'r> SwitchMonitor<'r> {
             f.checked_points = usize::from(sys.kernel.tp.flush_on_switch);
             (f, reference.digest)
         } else {
-            let digest = self.dirty_digest(sys);
+            let digest = sys.hw.cores[sys.kernel.core.0].microarch_digest();
             (flush_result(sys, reference.digest, || digest), digest)
         };
         (f, self.check_partition(sys), digest)
@@ -366,33 +343,6 @@ impl<'r> SwitchMonitor<'r> {
             owned,
         });
         Some(owned)
-    }
-
-    /// [`tp_hw::machine::Core::microarch_digest`] of the scheduled core,
-    /// with the TLB and branch-predictor parts reused while their
-    /// generations are unchanged. The parts fold in `microarch_digest`'s
-    /// order, so the value is bit-identical to it. (The prefetcher is
-    /// hashed every time: every demand load trains it, so its
-    /// generation moves in every slice, and its 16-slot digest is
-    /// cheap.)
-    fn dirty_digest(&mut self, sys: &System) -> u64 {
-        let core = &sys.hw.cores[sys.kernel.core.0];
-        let mut h = core.l1i.state_digest();
-        h = mix2(h, core.l1d.state_digest());
-        if let Some(l2) = &core.l2 {
-            h = mix2(h, l2.state_digest());
-        }
-        h = mix2(
-            h,
-            self.tlb
-                .digest(core.tlb.generation(), || core.tlb.state_digest()),
-        );
-        h = mix2(
-            h,
-            self.bp
-                .digest(core.bp.generation(), || core.bp.state_digest()),
-        );
-        mix2(h, core.pf.state_digest())
     }
 }
 

@@ -248,7 +248,7 @@ fn identical_inputs_share_a_key() {
 fn baseline_key_is_pinned() {
     assert_eq!(
         (tp_core::cache::CACHE_SALT, Spec::baseline().key()),
-        (0x7470_cace_0000_0002, Some(0xa3ec_a10f_1ca9_dadb))
+        (0x7470_cace_0000_0003, Some(0x88fc_ab34_d80e_5b53))
     );
 }
 

@@ -7,7 +7,7 @@
 //! the mechanism behind several Spectre variants the paper cites as
 //! motivation.
 
-use crate::types::{mix2, DomainTag, Generation, GenerationCounter, VAddr};
+use crate::types::{mix2, slot_term, DomainTag, VAddr};
 
 /// Number of global-history bits in the gshare predictor.
 const GSHARE_HISTORY_BITS: u32 = 10;
@@ -30,9 +30,10 @@ impl BranchOutcome {
 
 /// A gshare direction predictor with a direct-mapped, tagged BTB.
 ///
-/// Equality compares the prediction state and ignores the generation
-/// counter.
-#[derive(Debug, Clone)]
+/// The predictor keeps its state digest current (see [`slot_term`]):
+/// PHT counter `i` is slot `i`, BTB entry `j` slot `pht + j` and the
+/// global history the slot after those, each 0 in its reset state.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BranchPredictor {
     /// Pattern history table of 2-bit saturating counters.
     pht: Vec<u8>,
@@ -43,20 +44,12 @@ pub struct BranchPredictor {
     btb: Vec<(u64, u64)>,
     /// Ghost owner of the most recent update to each PHT counter.
     owners: Vec<Option<DomainTag>>,
-    /// Bumped by `resolve` and `flush` (see [`BranchPredictor::generation`]).
-    generation: GenerationCounter,
+    /// Running [`BranchPredictor::state_digest`].
+    digest: u64,
 }
 
-impl PartialEq for BranchPredictor {
-    fn eq(&self, other: &Self) -> bool {
-        self.pht == other.pht
-            && self.ghr == other.ghr
-            && self.btb == other.btb
-            && self.owners == other.owners
-    }
-}
-
-impl Eq for BranchPredictor {}
+/// A PHT counter's reset value: weakly not-taken.
+const PHT_RESET: u8 = 1;
 
 impl BranchPredictor {
     /// Create a predictor with `pht_entries` counters and `btb_entries`
@@ -74,11 +67,11 @@ impl BranchPredictor {
             "BTB size must be a power of two"
         );
         BranchPredictor {
-            pht: vec![1; pht_entries], // weakly not-taken
+            pht: vec![PHT_RESET; pht_entries],
             ghr: 0,
             btb: vec![(0, 0); btb_entries],
             owners: vec![None; pht_entries],
-            generation: GenerationCounter::new(),
+            digest: 0,
         }
     }
 
@@ -106,7 +99,6 @@ impl BranchPredictor {
         target: VAddr,
         owner: DomainTag,
     ) -> BranchOutcome {
-        self.generation.bump();
         let idx = self.pht_index(pc);
         let predicted_taken = self.pht[idx] >= 2;
         let direction_correct = predicted_taken == taken;
@@ -120,21 +112,34 @@ impl BranchPredictor {
             true
         };
 
-        // Update PHT counter.
-        if taken {
-            self.pht[idx] = (self.pht[idx] + 1).min(3);
+        // Update PHT counter. Each update below hashes only a slot whose
+        // content changed.
+        let counter = if taken {
+            (self.pht[idx] + 1).min(3)
         } else {
-            self.pht[idx] = self.pht[idx].saturating_sub(1);
+            self.pht[idx].saturating_sub(1)
+        };
+        if counter != self.pht[idx] {
+            self.digest ^= self.pht_term(idx);
+            self.pht[idx] = counter;
+            self.digest ^= self.pht_term(idx);
         }
         self.owners[idx] = Some(owner);
 
         // Update BTB on taken branches.
-        if taken {
+        if taken && !btb_hit {
+            self.digest ^= self.btb_term(bidx);
             self.btb[bidx] = (tag, target.0);
+            self.digest ^= self.btb_term(bidx);
         }
 
         // Shift history.
-        self.ghr = ((self.ghr << 1) | taken as u64) & ((1 << GSHARE_HISTORY_BITS) - 1);
+        let ghr = ((self.ghr << 1) | taken as u64) & ((1 << GSHARE_HISTORY_BITS) - 1);
+        if ghr != self.ghr {
+            self.digest ^= self.ghr_term();
+            self.ghr = ghr;
+            self.digest ^= self.ghr_term();
+        }
 
         BranchOutcome {
             direction_correct,
@@ -145,17 +150,11 @@ impl BranchPredictor {
     /// Reset all prediction state to the canonical power-on state (§4.1
     /// flushing). History-independent by construction.
     pub fn flush(&mut self) {
-        self.generation.bump();
-        for c in &mut self.pht {
-            *c = 1;
-        }
+        self.pht.fill(PHT_RESET);
         self.ghr = 0;
-        for b in &mut self.btb {
-            *b = (0, 0);
-        }
-        for o in &mut self.owners {
-            *o = None;
-        }
+        self.btb.fill((0, 0));
+        self.owners.fill(None);
+        self.digest = 0;
     }
 
     /// Ghost owners of PHT entries, for the partitioning checker.
@@ -166,22 +165,42 @@ impl BranchPredictor {
             .filter_map(|(i, o)| o.map(|t| (i, t)))
     }
 
-    /// Where the predictor is in its mutation history: while this is
-    /// unchanged, so is [`BranchPredictor::state_digest`].
-    pub fn generation(&self) -> Generation {
-        self.generation.get()
+    /// Digest of all timing-relevant predictor state. Kept current by
+    /// every mutator, so this is one load.
+    #[inline]
+    pub fn state_digest(&self) -> u64 {
+        self.digest
     }
 
-    /// Digest of all timing-relevant predictor state.
-    pub fn state_digest(&self) -> u64 {
-        let mut h = self.ghr;
-        for (i, c) in self.pht.iter().enumerate() {
-            h = mix2(h, mix2(i as u64, *c as u64));
+    /// [`BranchPredictor::state_digest`] folded afresh from every slot:
+    /// the oracle the running digest is tested against.
+    pub fn digest_from_scratch(&self) -> u64 {
+        let pht = (0..self.pht.len()).fold(self.ghr_term(), |h, i| h ^ self.pht_term(i));
+        (0..self.btb.len()).fold(pht, |h, j| h ^ self.btb_term(j))
+    }
+
+    /// PHT counter `i`'s term.
+    fn pht_term(&self, i: usize) -> u64 {
+        match self.pht[i] {
+            PHT_RESET => 0,
+            c => slot_term(i as u64, c as u64),
         }
-        for (i, (t, tgt)) in self.btb.iter().enumerate() {
-            h = mix2(h, mix2(i as u64, mix2(*t, *tgt)));
+    }
+
+    /// BTB entry `j`'s term, at slot `pht + j`.
+    fn btb_term(&self, j: usize) -> u64 {
+        match self.btb[j] {
+            (0, 0) => 0,
+            (tag, target) => slot_term((self.pht.len() + j) as u64, mix2(tag, target)),
         }
-        h
+    }
+
+    /// The global history's term, at the slot after the BTB's.
+    fn ghr_term(&self) -> u64 {
+        match self.ghr {
+            0 => 0,
+            ghr => slot_term((self.pht.len() + self.btb.len()) as u64, ghr),
+        }
     }
 }
 
@@ -283,28 +302,27 @@ mod tests {
         assert_eq!(x.state_digest(), y.state_digest());
     }
 
-    /// `resolve` and `flush` move the generation, readers leave it, and
-    /// a clone compares equal under another generation.
+    /// Random resolves and flushes: after each one the running digest
+    /// equals the fold from scratch, and a flushed predictor's digest is 0.
     #[test]
-    fn every_mutator_moves_the_generation() {
+    fn the_running_digest_matches_the_fold_after_every_mutation() {
         let mut rng = proptest::TestRng::new(0xb9);
         let mut bp = BranchPredictor::new(16, 4);
-        for step in 0..600 {
-            let generation = bp.generation();
-            if rng.below(10) == 0 {
+        let (mut btb_moves, mut ghr_moves) = (0, 0);
+        for step in 0..2000 {
+            let before = bp.clone();
+            if rng.below(20) == 0 {
                 bp.flush();
+                assert_eq!(bp.state_digest(), 0, "step {step}: a flush hashes nothing");
             } else {
                 let pc = VAddr(rng.below(32) << 2);
                 bp.resolve(pc, rng.below(2) == 0, VAddr(rng.below(4) << 8), D);
             }
-            assert_ne!(bp.generation(), generation, "step {step}");
-            let generation = bp.generation();
-            let _ = (bp.state_digest(), bp.iter_owners().count());
-            assert_eq!(bp.generation(), generation, "step {step}: readers");
-            let clone = bp.clone();
-            assert_eq!(clone, bp, "step {step}: equality ignores the generation");
-            assert_ne!(clone.generation(), bp.generation(), "step {step}");
+            assert_eq!(bp.state_digest(), bp.digest_from_scratch(), "step {step}");
+            btb_moves += usize::from(bp.btb != before.btb);
+            ghr_moves += usize::from(bp.ghr != before.ghr);
         }
+        assert!(btb_moves > 0 && ghr_moves > 0);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! miss anywhere in the cache — and exists so the proof harness can
 //! demonstrate *detecting* hardware that breaks the aISA contract.
 
-use crate::types::{mix2, mix64, Colour, DomainTag, PAddr, LINE_BITS, PAGE_BITS};
+use crate::types::{mix2, slot_term, Colour, DomainTag, PAddr, LINE_BITS, PAGE_BITS};
 
 /// Replacement policy for a [`Cache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -210,9 +210,13 @@ pub struct FlushOutcome {
 
 /// A physically indexed set-associative cache.
 ///
-/// Equality compares the modelled state and ignores the digest memo and
-/// its line terms.
-#[derive(Debug, Clone)]
+/// The cache keeps its state digests current (see [`slot_term`]): every
+/// valid line has a term keyed by its index, every set one for its
+/// recency state (the LRU ranks, or the PLRU word) and the
+/// `GlobalRandom` LFSR one of its own, each 0 in its reset state. A set's
+/// digest is the XOR of its lines' and its recency term, the whole
+/// cache's the XOR of every set's and the LFSR's.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cache {
     cfg: CacheConfig,
     /// `sets * ways` lines, row-major by set.
@@ -223,32 +227,14 @@ pub struct Cache {
     plru: Vec<u32>,
     /// Global LFSR for `GlobalRandom`.
     lfsr: u32,
-    /// Memoised line part of [`Cache::set_digest`] per set: the chain
-    /// over the set's ways, before the set's PLRU word is folded in.
-    /// Entry `s` is meaningful only while bit `s` of `memo_valid` is set.
-    /// This, `memo_valid` and `line_terms` stay empty until the first
-    /// [`Cache::set_digest_memo`] call, so caches nobody asks for set
-    /// digests (the LLC, L2, every cache under a table time model) never
-    /// allocate them.
-    memo: Vec<u64>,
-    /// One validity bit per set for `memo`, 64 sets a word.
-    memo_valid: Vec<u64>,
-    /// Per line, once `memo` exists: [`line_term`] of the line, written
-    /// on every fill and dirtying hit. Meaningful for valid lines only.
-    line_terms: Vec<u64>,
+    /// Running [`Cache::set_digest`] of every set.
+    set_digests: Vec<u64>,
+    /// Running [`Cache::state_digest`].
+    digest: u64,
 }
 
-impl PartialEq for Cache {
-    fn eq(&self, other: &Self) -> bool {
-        self.cfg == other.cfg
-            && self.lines == other.lines
-            && self.lru == other.lru
-            && self.plru == other.plru
-            && self.lfsr == other.lfsr
-    }
-}
-
-impl Eq for Cache {}
+/// The LFSR's reset value.
+const LFSR_SEED: u32 = 0xace1;
 
 impl Cache {
     /// Create an empty cache with the given geometry.
@@ -265,10 +251,9 @@ impl Cache {
             lines: vec![LineState::INVALID; n],
             lru: vec![0; n],
             plru: vec![0; cfg.sets],
-            lfsr: 0xace1,
-            memo: Vec::new(),
-            memo_valid: Vec::new(),
-            line_terms: Vec::new(),
+            lfsr: LFSR_SEED,
+            set_digests: vec![0; cfg.sets],
+            digest: 0,
         }
     }
 
@@ -305,12 +290,12 @@ impl Cache {
 
         // Hit?
         for way in 0..self.cfg.ways {
-            let l = &mut self.lines[base + way];
-            if l.valid && l.tag == tag {
-                if write && self.cfg.write_back && !l.dirty {
-                    l.dirty = true;
-                    self.refresh_line_term(base + way, way);
-                    self.forget_digest(set);
+            let i = base + way;
+            if self.lines[i].valid && self.lines[i].tag == tag {
+                if write && self.cfg.write_back && !self.lines[i].dirty {
+                    let before = self.line_term(i);
+                    self.lines[i].dirty = true;
+                    self.replace_term(set, before, self.line_term(i));
                 }
                 self.touch(set, way);
                 return AccessOutcome {
@@ -329,15 +314,15 @@ impl Cache {
         let writeback = victim.valid && victim.dirty;
         let evicted_owner = if victim.valid { victim.owner } else { None };
 
+        let before = self.line_term(base + way);
         self.lines[base + way] = LineState {
             valid: true,
             tag,
             dirty: write && self.cfg.write_back,
             owner: Some(owner),
         };
+        self.replace_term(set, before, self.line_term(base + way));
         self.fill_touch(set, way);
-        self.refresh_line_term(base + way, way);
-        self.forget_digest(set);
 
         AccessOutcome {
             hit: false,
@@ -380,14 +365,11 @@ impl Cache {
             }
             *l = LineState::INVALID;
         }
-        for r in &mut self.lru {
-            *r = 0;
-        }
-        for p in &mut self.plru {
-            *p = 0;
-        }
-        self.lfsr = 0xace1;
-        self.memo_valid.fill(0);
+        self.lru.fill(0);
+        self.plru.fill(0);
+        self.lfsr = LFSR_SEED;
+        self.set_digests.fill(0);
+        self.digest = 0;
         out
     }
 
@@ -407,7 +389,8 @@ impl Cache {
             self.lru[base + way] = 0;
         }
         self.plru[set] = 0;
-        self.forget_digest(set);
+        self.digest ^= self.set_digests[set];
+        self.set_digests[set] = 0;
         out
     }
 
@@ -417,15 +400,15 @@ impl Cache {
         let set = self.set_of(paddr);
         let tag = paddr.line();
         let base = set * self.cfg.ways;
-        for way in 0..self.cfg.ways {
-            let l = &mut self.lines[base + way];
+        for i in base..base + self.cfg.ways {
+            let l = self.lines[i];
             if l.valid && l.tag == tag {
-                let wb = l.dirty;
-                *l = LineState::INVALID;
-                self.forget_digest(set);
+                let before = self.line_term(i);
+                self.lines[i] = LineState::INVALID;
+                self.replace_term(set, before, self.line_term(i));
                 return FlushOutcome {
                     invalidated: 1,
-                    writebacks: wb as usize,
+                    writebacks: l.dirty as usize,
                 };
             }
         }
@@ -462,103 +445,85 @@ impl Cache {
     /// A deterministic digest of the *architecturally invisible* state:
     /// validity, tags, dirtiness and replacement metadata. Two caches with
     /// equal digests are indistinguishable to any timing experiment.
+    /// Kept current by every mutator, so this is one load.
+    #[inline]
     pub fn state_digest(&self) -> u64 {
-        let mut h = 0u64;
-        for (i, l) in self.lines.iter().enumerate() {
-            if l.valid {
-                h = mix2(h, mix2(i as u64, mix2(l.tag, l.dirty as u64)));
-            }
-        }
-        for (i, r) in self.lru.iter().enumerate() {
-            h = mix2(h, mix2(i as u64, *r as u64));
-        }
-        for (i, p) in self.plru.iter().enumerate() {
-            h = mix2(h, mix2(i as u64, *p as u64));
-        }
-        mix2(h, self.lfsr as u64)
+        self.digest
     }
 
     /// Digest of a single set's state (lines + replacement metadata).
     /// Case 1 of §5.2 reasons about exactly this: the cost of an access
-    /// may depend only on the state of the set it indexes.
-    ///
-    /// This is the reference set digest; [`Cache::set_digest_memo`]
-    /// returns the same value from a per-set memo of the line part (the
-    /// chain before the final PLRU fold). The memo's invariant: a set's
-    /// validity bit is cleared by every change to that set's lines or
-    /// LRU ranks — a fill (prefetch fills included), a hit that dirties
-    /// a line or moves its LRU rank, and `flush_line`, `flush_set` and
-    /// `flush_all` — so a valid memo entry always equals the line part
-    /// of the current state. PLRU tree bits are outside the memo: a hit
-    /// that only flips them leaves it valid, and the current word is
-    /// folded in at every read. Each valid line's hashed term is
-    /// rewritten whenever its tag or dirty bit changes, so a recompute
-    /// folds stored terms instead of rehashing the lines.
+    /// may depend only on the state of the set it indexes. Kept current
+    /// by every mutator, so this is one load.
+    #[inline]
     pub fn set_digest(&self, set: usize) -> u64 {
-        let base = set * self.cfg.ways;
-        let mut h = 0u64;
-        for way in 0..self.cfg.ways {
-            let l = &self.lines[base + way];
-            if l.valid {
-                h = mix2(h, mix2(way as u64, mix2(l.tag, l.dirty as u64)));
-            }
-            h = mix2(h, self.lru[base + way] as u64);
-        }
-        mix2(h, self.plru[set] as u64)
+        self.set_digests[set]
     }
 
-    /// [`Cache::set_digest`], memoised per set: the line part is
-    /// recomputed, from the stored line terms, only when the set's lines
-    /// or LRU ranks changed since the last call; the PLRU word is folded
-    /// in afresh every time.
-    pub fn set_digest_memo(&mut self, set: usize) -> u64 {
-        if self.memo.is_empty() {
-            self.memo = vec![0; self.cfg.sets];
-            self.memo_valid = vec![0; self.cfg.sets.div_ceil(64)];
-            self.line_terms = (0..self.lines.len())
-                .map(|i| line_term(i % self.cfg.ways, &self.lines[i]))
-                .collect();
-        }
-        let (word, bit) = (set / 64, 1u64 << (set % 64));
-        if self.memo_valid[word] & bit == 0 {
-            self.memo[set] = self.lines_digest(set);
-            self.memo_valid[word] |= bit;
-        }
-        mix2(self.memo[set], self.plru[set] as u64)
+    /// [`Cache::state_digest`] folded afresh from every slot: the oracle
+    /// the running digest is tested against.
+    pub fn digest_from_scratch(&self) -> u64 {
+        (0..self.cfg.sets).fold(self.lfsr_term(), |h, set| {
+            h ^ self.set_digest_from_scratch(set)
+        })
     }
 
-    /// The line part of [`Cache::set_digest`] for `set`, folding the
-    /// stored line terms and tabled rank terms: `mix2(h, x)` is
-    /// `mix64(h ^ mix64(x))`, and both hold `mix64(x)` already. Needs
-    /// `line_terms`.
-    fn lines_digest(&self, set: usize) -> u64 {
-        let base = set * self.cfg.ways;
-        let mut h = 0u64;
-        for i in base..base + self.cfg.ways {
-            if self.lines[i].valid {
-                h = mix64(h ^ self.line_terms[i]);
-            }
-            h = mix64(h ^ RANK_TERMS[self.lru[i] as usize]);
-        }
-        h
+    /// [`Cache::set_digest`] folded afresh from the set's slots.
+    fn set_digest_from_scratch(&self, set: usize) -> u64 {
+        let ways = set * self.cfg.ways..(set + 1) * self.cfg.ways;
+        ways.fold(self.recency_term(set), |h, i| h ^ self.line_term(i))
     }
 
-    /// Rewrite line `i`'s (way `way`'s) term after its tag or dirty bit
-    /// changed, if this cache keeps line terms.
+    // ---- running digest ------------------------------------------------
+
+    /// Line `i`'s term: slot `i`, content its tag and dirty bit.
     #[inline]
-    fn refresh_line_term(&mut self, i: usize, way: usize) {
-        if let Some(t) = self.line_terms.get_mut(i) {
-            *t = line_term(way, &self.lines[i]);
+    fn line_term(&self, i: usize) -> u64 {
+        let l = &self.lines[i];
+        if l.valid {
+            slot_term(i as u64, (l.tag << 1) | l.dirty as u64)
+        } else {
+            0
         }
     }
 
-    /// Invalidate `set`'s memoised line digest after a change to the
-    /// set's lines or LRU ranks.
-    #[inline]
-    fn forget_digest(&mut self, set: usize) {
-        if let Some(w) = self.memo_valid.get_mut(set / 64) {
-            *w &= !(1u64 << (set % 64));
+    /// `set`'s recency term: slot `lines + set`, content the PLRU word
+    /// or the set's LRU ranks, packed a byte each (words of eight ranks
+    /// past the first chained in by `mix2`).
+    fn recency_term(&self, set: usize) -> u64 {
+        let slot = (self.lines.len() + set) as u64;
+        if self.cfg.policy == ReplacementPolicy::TreePlru {
+            return match self.plru[set] {
+                0 => 0,
+                word => slot_term(slot, word as u64),
+            };
         }
+        let ranks = &self.lru[set * self.cfg.ways..(set + 1) * self.cfg.ways];
+        if ranks.iter().all(|&r| r == 0) {
+            return 0;
+        }
+        let mut words = ranks.chunks(8).map(|c| {
+            let mut w = [0; 8];
+            w[..c.len()].copy_from_slice(c);
+            u64::from_le_bytes(w)
+        });
+        let first = words.next().unwrap_or(0);
+        slot_term(slot, words.fold(first, mix2))
+    }
+
+    /// The LFSR's term: the slot after every set's, content the LFSR.
+    fn lfsr_term(&self) -> u64 {
+        match self.lfsr {
+            LFSR_SEED => 0,
+            lfsr => slot_term((self.lines.len() + self.cfg.sets) as u64, lfsr as u64),
+        }
+    }
+
+    /// Swap one of `set`'s terms, `before`, for `after` in the digests.
+    #[inline]
+    fn replace_term(&mut self, set: usize, before: u64, after: u64) {
+        self.set_digests[set] ^= before ^ after;
+        self.digest ^= before ^ after;
     }
 
     // ---- replacement ---------------------------------------------------
@@ -571,12 +536,14 @@ impl Cache {
             self.cfg.policy,
             ReplacementPolicy::Lru | ReplacementPolicy::GlobalRandom
         ) {
+            let before = self.recency_term(set);
             for w in 0..self.cfg.ways {
                 if w != way {
                     self.lru[base + w] = self.lru[base + w].saturating_add(1);
                 }
             }
             self.lru[base + way] = 0;
+            self.replace_term(set, before, self.recency_term(set));
         } else {
             self.touch(set, way);
         }
@@ -593,13 +560,14 @@ impl Cache {
                 if old == 0 {
                     return;
                 }
-                self.forget_digest(set);
+                let before = self.recency_term(set);
                 for w in 0..self.cfg.ways {
                     if self.lru[base + w] < old {
                         self.lru[base + w] += 1;
                     }
                 }
                 self.lru[base + way] = 0;
+                self.replace_term(set, before, self.recency_term(set));
             }
             ReplacementPolicy::TreePlru => {
                 // Set the tree bits on the path to `way` to point away.
@@ -620,8 +588,12 @@ impl Cache {
                         node = node * 2 + 1;
                     }
                 }
-                // The memo leaves the tree bits out, so it stays valid.
-                self.plru[set] = bits;
+                // A touch that leaves the word unchanged hashes nothing.
+                if bits != self.plru[set] {
+                    let before = self.recency_term(set);
+                    self.plru[set] = bits;
+                    self.replace_term(set, before, self.recency_term(set));
+                }
             }
         }
     }
@@ -668,31 +640,14 @@ impl Cache {
             ReplacementPolicy::GlobalRandom => {
                 // 16-bit Fibonacci LFSR; steps on *every* miss in the cache,
                 // coupling victim choice across sets (and hence domains).
+                let before = self.lfsr_term();
                 let bit = (self.lfsr ^ (self.lfsr >> 2) ^ (self.lfsr >> 3) ^ (self.lfsr >> 5)) & 1;
                 self.lfsr = (self.lfsr >> 1) | (bit << 15);
+                self.digest ^= before ^ self.lfsr_term();
                 (self.lfsr as usize) % self.cfg.ways
             }
         }
     }
-}
-
-/// `mix64(r)` for every LRU rank `r`, built at compile time.
-static RANK_TERMS: [u64; CacheConfig::MAX_WAYS] = {
-    let mut terms = [0; CacheConfig::MAX_WAYS];
-    let mut r = 0;
-    while r < terms.len() {
-        terms[r] = mix64(r as u64);
-        r += 1;
-    }
-    terms
-};
-
-/// A valid line's contribution to its set's digest, hashed once:
-/// `mix64(mix2(way, mix2(tag, dirty)))`, so that [`Cache::set_digest`]'s
-/// `mix2(h, mix2(way, ..))` is `mix64(h ^ line_term(way, line))`.
-#[inline]
-fn line_term(way: usize, l: &LineState) -> u64 {
-    mix64(mix2(way as u64, mix2(l.tag, l.dirty as u64)))
 }
 
 #[cfg(test)]
@@ -890,116 +845,39 @@ mod tests {
         assert_ne!(c.set_digest(2), before);
     }
 
-    fn memo_is_valid(c: &Cache, set: usize) -> bool {
-        c.memo_valid[set / 64] & (1 << (set % 64)) != 0
-    }
-
-    /// Every set's memo, where valid, equals a fresh `set_digest`; every
-    /// valid line's stored term is its current one; a clone without the
-    /// memo and line terms compares equal and rebuilds the same digests.
-    fn assert_memo_sound(c: &mut Cache, ctx: &str) {
+    /// Every running digest equals its from-scratch fold.
+    fn assert_digests_current(c: &Cache, ctx: &str) {
         for set in 0..c.cfg.sets {
-            assert_eq!(
-                c.set_digest_memo(set),
-                c.set_digest(set),
-                "{ctx}: set {set}"
-            );
+            let want = c.set_digest_from_scratch(set);
+            assert_eq!(c.set_digest(set), want, "{ctx}: set {set}");
         }
-        for (i, l) in c.lines.iter().enumerate() {
-            if l.valid {
-                let want = line_term(i % c.cfg.ways, l);
-                assert_eq!(c.line_terms[i], want, "{ctx}: line {i}");
-            }
-        }
-        let mut fresh = c.clone();
-        fresh.memo.clear();
-        fresh.memo_valid.clear();
-        fresh.line_terms.clear();
-        assert_eq!(fresh, *c, "{ctx}: equality ignores the memo");
-        for set in 0..c.cfg.sets {
-            assert_eq!(
-                fresh.set_digest_memo(set),
-                c.set_digest(set),
-                "{ctx}: rebuilt memo, set {set}"
-            );
-        }
+        assert_eq!(c.state_digest(), c.digest_from_scratch(), "{ctx}");
     }
 
-    /// Runs of TreePLRU hits that only flip tree bits keep the memo
-    /// valid, and it still equals `set_digest`; a dirtying hit clears it
-    /// and refreshes the line's term.
-    fn plru_hits_keep_the_memo(rng: &mut proptest::TestRng, ways: usize) {
-        let mut c = Cache::new(CacheConfig {
-            sets: 8,
-            ways,
-            write_back: true,
-            policy: ReplacementPolicy::TreePlru,
-        });
-        let set = rng.below(8) as usize;
-        let tag = |k: u64| PAddr((k * 8 + set as u64) << LINE_BITS);
-        for k in 0..ways as u64 {
-            c.access(tag(k), false, DomainTag(0));
-        }
-        let mut flips = 0;
-        for run in 0..40 {
-            let ctx = format!("TreePlru ways={ways} set {set} run {run}");
-            c.set_digest_memo(set);
-            for _ in 0..rng.below(6) {
-                let before = c.plru[set];
-                let out = c.access(tag(rng.below(ways as u64)), false, DomainTag(0));
-                assert!(out.hit, "{ctx}");
-                flips += (c.plru[set] != before) as u32;
-                assert!(memo_is_valid(&c, set), "{ctx}: a PLRU hit kept the memo");
-                assert_eq!(c.set_digest_memo(set), c.set_digest(set), "{ctx}");
-            }
-            // A store to a clean resident line dirties it.
-            let k = rng.below(ways as u64);
-            let way = c.access(tag(k), false, DomainTag(0)).way;
-            let clean = !c.lines[set * ways + way].dirty;
-            c.set_digest_memo(set);
-            let out = c.access(tag(k), true, DomainTag(1));
-            let i = set * ways + out.way;
-            assert!(out.hit && c.lines[i].dirty, "{ctx}");
-            if clean {
-                assert!(
-                    !memo_is_valid(&c, set),
-                    "{ctx}: a dirtying hit clears the memo"
-                );
-            }
-            assert_eq!(c.line_terms[i], line_term(out.way, &c.lines[i]), "{ctx}");
-            assert_eq!(c.set_digest_memo(set), c.set_digest(set), "{ctx}");
-            // Now and then clean the set again so later stores dirty.
-            if rng.below(3) == 0 {
-                c.flush_set(set);
-                for k in 0..ways as u64 {
-                    c.access(tag(k), false, DomainTag(0));
-                }
-            }
-            assert_memo_sound(&mut c, &ctx);
-        }
-        if ways > 1 {
-            assert!(flips > 0, "ways={ways}: no hit flipped a tree bit");
-        }
-    }
-
+    /// Random accesses, prefetch fills and all three flushes under every
+    /// policy: after each one, every set digest and the whole-cache
+    /// digest equal the fold from scratch, and a flushed cache's digest
+    /// is 0.
     #[test]
-    fn memoised_set_digest_tracks_every_change() {
+    fn running_digests_match_the_fold_after_every_mutation() {
         let mut rng = proptest::TestRng::new(0x5e7d);
-        let policies = [
+        let (mut lfsr_moves, mut plru_moves, mut rank_moves, mut dirtying) = (0, 0, 0, 0);
+        for policy in [
             ReplacementPolicy::Lru,
             ReplacementPolicy::TreePlru,
             ReplacementPolicy::GlobalRandom,
-        ];
-        for policy in policies {
+        ] {
             for write_back in [true, false] {
-                for ways in [1, 2, 3, 4, 8] {
+                for ways in [1, 2, 3, 4, 8, 12] {
                     let mut c = Cache::new(CacheConfig {
                         sets: 8,
                         ways,
                         write_back,
                         policy,
                     });
+                    assert_eq!(c.state_digest(), 0, "a new cache hashes nothing");
                     for step in 0..600 {
+                        let before = c.clone();
                         // Few tags per set, so hits, re-hits and evictions
                         // all come up often.
                         let a = PAddr(rng.below(8 * (ways as u64 + 2)) << LINE_BITS);
@@ -1023,25 +901,50 @@ mod tests {
                             _ => {
                                 if rng.below(4) == 0 {
                                     c.flush_all();
+                                    assert_eq!(c.state_digest(), 0, "a flush hashes nothing");
                                 }
                             }
                         }
                         let ctx =
                             format!("{policy:?} wb={write_back} ways={ways} step {step} op {op}");
-                        // Check every set only now and then, so memo
-                        // entries also survive many ops unread.
-                        if step % 7 == 0 {
-                            assert_memo_sound(&mut c, &ctx);
-                        } else {
-                            let set = c.set_of(a);
-                            assert_eq!(c.set_digest_memo(set), c.set_digest(set), "{ctx}");
-                        }
+                        assert_digests_current(&c, &ctx);
+                        lfsr_moves += usize::from(c.lfsr != before.lfsr);
+                        plru_moves += usize::from(c.plru != before.plru);
+                        rank_moves += usize::from(c.lru != before.lru);
+                        dirtying += usize::from(c.dirty_lines() > before.dirty_lines());
                     }
                 }
             }
         }
-        for ways in [1, 2, 3, 4, 8] {
-            plru_hits_keep_the_memo(&mut rng, ways);
+        // Every kind of update came up.
+        assert!(
+            lfsr_moves > 0 && plru_moves > 0 && rank_moves > 0 && dirtying > 0,
+            "{lfsr_moves} {plru_moves} {rank_moves} {dirtying}"
+        );
+    }
+
+    /// Two sets holding the same recency state have different recency
+    /// terms, so caches that differ only in which line of each set was
+    /// touched last have different digests: equal terms would cancel.
+    #[test]
+    fn equal_recency_in_two_sets_does_not_cancel() {
+        for policy in [ReplacementPolicy::Lru, ReplacementPolicy::TreePlru] {
+            let run = |last: u64| {
+                let mut c = tiny(policy);
+                for set in [0, 1] {
+                    for t in [0, 1, last] {
+                        c.access(addr_for(set, t), false, DomainTag(0));
+                    }
+                }
+                c
+            };
+            let (a, b) = (run(0), run(1));
+            assert_eq!(a.lines, b.lines, "{policy:?}: same lines");
+            assert_ne!(a.recency_term(0), 0, "{policy:?}");
+            assert_ne!(a.recency_term(0), a.recency_term(1), "{policy:?}");
+            assert_ne!(a.state_digest(), b.state_digest(), "{policy:?}");
+            assert_digests_current(&a, "a");
+            assert_digests_current(&b, "b");
         }
     }
 

@@ -324,15 +324,6 @@ impl TimeModel {
         }
     }
 
-    /// Whether any cost this model produces can depend on hidden local
-    /// state ([`MemEvent::local_state`]). Pure table models never read
-    /// it, so the machine skips digesting the indexed L1 set on their
-    /// behalf, and their caches never allocate the digest memo or its
-    /// per-line terms.
-    pub fn consults_hidden_state(&self) -> bool {
-        self.jitter_bound() > 0
-    }
-
     /// The deterministic perturbation for the event whose hash `key`
     /// computes: `mix2(seed, key)` reduced to `0..=jitter`. Models that
     /// cannot perturb (tables, zero jitter) never compute the key.

@@ -92,11 +92,6 @@ impl IrqController {
         self.enabled = mask | (1 << TIMER_LINE);
     }
 
-    /// Current enable mask.
-    pub fn enabled_mask(&self) -> u64 {
-        self.enabled
-    }
-
     /// Is `line` currently latched pending (masked or not)?
     pub fn is_pending(&self, line: u8) -> bool {
         self.pending & (1 << line) != 0

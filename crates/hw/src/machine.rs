@@ -134,15 +134,34 @@ impl Core {
     }
 
     /// Digest of every piece of core-local microarchitectural state.
-    /// Two cores with equal digests are timing-indistinguishable.
+    /// Two cores with equal digests are timing-indistinguishable. The
+    /// caches, TLB and predictor keep their digests current, so this
+    /// chains their loaded digests and the prefetcher's 16-slot fold.
     pub fn microarch_digest(&self) -> u64 {
-        let mut h = self.l1i.state_digest();
-        h = mix2(h, self.l1d.state_digest());
+        let (tlb, bp) = (self.tlb.state_digest(), self.bp.state_digest());
+        self.chain_digests(Cache::state_digest, tlb, bp)
+    }
+
+    /// [`Core::microarch_digest`] from every component's digest folded
+    /// afresh: the oracle the running digests are tested against.
+    pub fn microarch_digest_from_scratch(&self) -> u64 {
+        let (tlb, bp) = (
+            self.tlb.digest_from_scratch(),
+            self.bp.digest_from_scratch(),
+        );
+        self.chain_digests(Cache::digest_from_scratch, tlb, bp)
+    }
+
+    /// The caches' digests (by `cache`), then `tlb`, `bp` and the
+    /// prefetcher's, chained in that order.
+    fn chain_digests(&self, cache: fn(&Cache) -> u64, tlb: u64, bp: u64) -> u64 {
+        let mut h = cache(&self.l1i);
+        h = mix2(h, cache(&self.l1d));
         if let Some(l2) = &self.l2 {
-            h = mix2(h, l2.state_digest());
+            h = mix2(h, cache(l2));
         }
-        h = mix2(h, self.tlb.state_digest());
-        h = mix2(h, self.bp.state_digest());
+        h = mix2(h, tlb);
+        h = mix2(h, bp);
         mix2(h, self.pf.state_digest())
     }
 
@@ -539,21 +558,13 @@ impl Machine {
         owner: DomainTag,
     ) -> (MemEvent, Cycles) {
         let round = self.round;
-        let wants_local_state = self.cfg.time_model.consults_hidden_state();
         let c = &mut self.cores[core.0];
         let l1 = if is_fetch { &mut c.l1i } else { &mut c.l1d };
 
-        // Record the local state the time model may consult (Case 1).
-        // Pure table models never read it, so don't digest the set on
-        // their behalf — this is the hottest path in the simulator. The
-        // hashed models read it on every access; the memo refolds a set's
-        // stored line terms only after its lines or LRU ranks changed,
-        // and folds the current PLRU word in at each read.
-        let local_state = if wants_local_state {
-            l1.set_digest_memo(l1.set_of(paddr))
-        } else {
-            0
-        };
+        // Record the local state the time model may consult (Case 1):
+        // the indexed set's digest, which the cache keeps current, so
+        // reading it is one load. Table models ignore it.
+        let local_state = l1.set_digest(l1.set_of(paddr));
 
         let l1_out = l1.access(paddr, write, owner);
         let mut writeback = l1_out.writeback;

@@ -9,7 +9,7 @@
 //! timing consequence (hit/miss behaviour for one ASID is independent of
 //! another ASID's fills and invalidations — experiment E8).
 
-use crate::types::{mix2, Asid, DomainTag, Generation, GenerationCounter, VAddr};
+use crate::types::{mix2, slot_term, Asid, DomainTag, VAddr};
 
 /// A single TLB entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,6 +50,10 @@ pub enum TlbLookup {
 /// makes the partitioning argument cleanest: the only cross-ASID coupling
 /// is capacity/replacement, which `flush_asid`/`flush_all` plus the
 /// kernel's switch-time policy remove.
+///
+/// The TLB keeps its state digest current (see [`slot_term`]): slot `i`
+/// has one term for its entry and slot `capacity + i` one for its
+/// recency rank, each 0 while invalid or at rank 0.
 #[derive(Debug, Clone)]
 pub struct Tlb {
     entries: Vec<Option<TlbEntry>>,
@@ -67,9 +71,8 @@ pub struct Tlb {
     memo: [Option<LookupMemo>; 2],
     /// Round-robin victim pointer into `memo`.
     memo_next: u8,
-    /// Bumped by every change to `entries` or `lru` (see
-    /// [`Tlb::generation`]); never consulted by digests or equality.
-    generation: GenerationCounter,
+    /// Running [`Tlb::state_digest`].
+    digest: u64,
 }
 
 /// One memoised lookup (see [`Tlb::memo`]).
@@ -84,9 +87,9 @@ struct LookupMemo {
 /// 2^52 - 1 (64-bit addresses, 12-bit pages), so this cannot collide.
 const NO_KEY: u64 = u64::MAX;
 
-/// Equality ignores the lookup memo and the generation counter (pure
-/// acceleration state): two TLBs are the same hardware state iff their
-/// entries and recency ranks agree.
+/// Equality ignores the lookup memo (pure acceleration state) and the
+/// digest (a function of the rest): two TLBs are the same hardware state
+/// iff their entries and recency ranks agree.
 impl PartialEq for Tlb {
     fn eq(&self, other: &Self) -> bool {
         self.entries == other.entries && self.lru == other.lru
@@ -111,7 +114,7 @@ impl Tlb {
             vpn_key: vec![NO_KEY; capacity],
             memo: [None; 2],
             memo_next: 0,
-            generation: GenerationCounter::new(),
+            digest: 0,
         }
     }
 
@@ -217,41 +220,40 @@ impl Tlb {
         old
     }
 
-    /// Install `entry` in slot `idx`, keeping the VPN index coherent.
+    /// Install `entry` in slot `idx`.
     fn fill(&mut self, idx: usize, entry: TlbEntry) {
         self.clear_memo();
-        self.generation.bump();
-        self.vpn_key[idx] = entry.vpn;
-        self.entries[idx] = Some(entry);
+        self.set_entry(idx, Some(entry));
         self.touch(idx);
+    }
+
+    /// Replace slot `idx`'s entry, keeping the VPN index and the digest
+    /// current.
+    fn set_entry(&mut self, idx: usize, entry: Option<TlbEntry>) {
+        self.digest ^= self.entry_term(idx);
+        self.entries[idx] = entry;
+        self.vpn_key[idx] = entry.map_or(NO_KEY, |e| e.vpn);
+        self.digest ^= self.entry_term(idx);
     }
 
     /// Invalidate every entry (including globals). Canonical reset state.
     pub fn flush_all(&mut self) -> usize {
         self.clear_memo();
-        self.generation.bump();
         let n = self.occupancy();
-        for e in &mut self.entries {
-            *e = None;
-        }
-        for r in &mut self.lru {
-            *r = 0;
-        }
-        for k in &mut self.vpn_key {
-            *k = NO_KEY;
-        }
+        self.entries.fill(None);
+        self.lru.fill(0);
+        self.vpn_key.fill(NO_KEY);
+        self.digest = 0;
         n
     }
 
     /// Invalidate all non-global entries of one ASID. Returns the count.
     pub fn flush_asid(&mut self, asid: Asid) -> usize {
         self.clear_memo();
-        self.generation.bump();
         let mut n = 0;
         for i in 0..self.entries.len() {
             if matches!(&self.entries[i], Some(x) if x.asid == asid && !x.global) {
-                self.entries[i] = None;
-                self.vpn_key[i] = NO_KEY;
+                self.set_entry(i, None);
                 n += 1;
             }
         }
@@ -265,9 +267,7 @@ impl Tlb {
         for i in 0..self.entries.len() {
             if matches!(&self.entries[i], Some(x) if x.asid == asid && x.vpn == vpn) {
                 self.clear_memo();
-                self.generation.bump();
-                self.entries[i] = None;
-                self.vpn_key[i] = NO_KEY;
+                self.set_entry(i, None);
                 return true;
             }
         }
@@ -279,30 +279,37 @@ impl Tlb {
         self.entries.iter().flatten()
     }
 
-    /// Where the TLB is in its mutation history: while this is
-    /// unchanged, so is [`Tlb::state_digest`]. A hit on the most
-    /// recently used entry changes nothing and leaves it alone.
-    pub fn generation(&self) -> Generation {
-        self.generation.get()
+    /// Digest of all state visible to timing: which (asid, vpn) pairs are
+    /// resident plus replacement ranks. Kept current by every mutator, so
+    /// this is one load.
+    #[inline]
+    pub fn state_digest(&self) -> u64 {
+        self.digest
     }
 
-    /// Digest of all state visible to timing: which (asid, vpn) pairs are
-    /// resident plus replacement ranks.
-    pub fn state_digest(&self) -> u64 {
-        let mut h = 0u64;
-        for (i, slot) in self.entries.iter().enumerate() {
-            if let Some(e) = slot {
-                h = mix2(
-                    h,
-                    mix2(
-                        i as u64,
-                        mix2(e.asid.0 as u64, mix2(e.vpn, mix2(e.pfn, e.global as u64))),
-                    ),
-                );
-            }
-            h = mix2(h, self.lru[i] as u64);
+    /// [`Tlb::state_digest`] folded afresh from every slot: the oracle
+    /// the running digest is tested against.
+    pub fn digest_from_scratch(&self) -> u64 {
+        (0..self.entries.len()).fold(0, |h, i| h ^ self.entry_term(i) ^ self.rank_term(i))
+    }
+
+    /// Slot `i`'s entry term: content its ASID, VPN, PFN and global bit.
+    fn entry_term(&self, i: usize) -> u64 {
+        match &self.entries[i] {
+            Some(e) => slot_term(
+                i as u64,
+                mix2(e.asid.0 as u64, mix2(e.vpn, mix2(e.pfn, e.global as u64))),
+            ),
+            None => 0,
         }
-        h
+    }
+
+    /// Slot `i`'s rank term, at slot `capacity + i`.
+    fn rank_term(&self, i: usize) -> u64 {
+        match self.lru[i] {
+            0 => 0,
+            r => slot_term((self.lru.len() + i) as u64, r as u64),
+        }
     }
 
     /// Digest of the entries belonging to one ASID (plus globals), i.e.
@@ -324,13 +331,13 @@ impl Tlb {
         if old == 0 {
             return; // already most recent: no rank moves
         }
-        self.generation.bump();
-        for r in self.lru.iter_mut() {
-            if *r < old {
-                *r += 1;
+        for i in 0..self.lru.len() {
+            if self.lru[i] < old || i == idx {
+                self.digest ^= self.rank_term(i);
+                self.lru[i] = if i == idx { 0 } else { self.lru[i] + 1 };
+                self.digest ^= self.rank_term(i);
             }
         }
-        self.lru[idx] = 0;
     }
 }
 
@@ -465,15 +472,16 @@ mod tests {
         let _ = Tlb::new(0);
     }
 
-    /// Every change to the entries or ranks moves the generation, so a
-    /// digest memoised on it stays right; readers leave it; a clone
-    /// compares equal under another generation.
+    /// Random lookups, inserts and every kind of invalidation: after
+    /// each one the running digest equals the fold from scratch, and a
+    /// flushed TLB's digest is 0.
     #[test]
-    fn the_generation_moves_with_every_change() {
+    fn the_running_digest_matches_the_fold_after_every_mutation() {
         let mut rng = proptest::TestRng::new(0x71b);
         let mut t = Tlb::new(4);
+        let mut moves = 0;
         for step in 0..4000 {
-            let (before, generation, digest) = (t.clone(), t.generation(), t.state_digest());
+            let digest = t.state_digest();
             let asid = Asid(rng.below(3) as u16);
             let vaddr = VAddr(rng.below(6) << 12);
             let op = rng.below(12) as usize;
@@ -494,26 +502,16 @@ mod tests {
                 }
                 _ => {
                     t.flush_all();
+                    assert_eq!(t.state_digest(), 0, "step {step}: a flush hashes nothing");
                 }
             }
-            let moved = t.generation() != generation;
-            let ctx = format!("step {step} op {op}");
-            if t != before || t.state_digest() != digest {
-                assert!(moved, "{ctx}: a change kept the generation");
-            }
-            if (6..=9).contains(&op) || op == 11 {
-                assert!(moved, "{ctx}: a mutator kept the generation");
-            }
-            let clone = t.clone();
-            assert_eq!(clone, t, "{ctx}: equality ignores the generation");
-            assert_ne!(clone.generation(), t.generation(), "{ctx}");
+            assert_eq!(
+                t.state_digest(),
+                t.digest_from_scratch(),
+                "step {step} op {op}"
+            );
+            moves += usize::from(t.state_digest() != digest);
         }
-        let g = t.generation();
-        let _ = (
-            t.peek(Asid(0), VAddr(0)),
-            t.iter().count(),
-            t.asid_digest(Asid(0)),
-        );
-        assert_eq!(t.generation(), g, "readers leave the generation");
+        assert!(moves > 0);
     }
 }

@@ -236,6 +236,21 @@ pub const fn mix2(a: u64, b: u64) -> u64 {
     mix64(a ^ mix64(b))
 }
 
+/// One slot's term in a running (Zobrist) state digest:
+/// `mix64(mix2(slot, content))`.
+///
+/// A component's digest is the XOR of one term per slot, keyed by the
+/// slot's index across the whole component, so equal contents in two
+/// slots cannot cancel. A slot in its reset state contributes 0 instead
+/// (callers decide what reset means), so a fresh or flushed component's
+/// digest is 0 with nothing hashed. A mutator XORs the slot's old term
+/// out and its new one in, so reading a digest is one load (Zobrist
+/// 1970, "A new hashing method with application for game playing").
+#[inline]
+pub const fn slot_term(slot: u64, content: u64) -> u64 {
+    mix64(mix2(slot, content))
+}
+
 /// Where one piece of modelled state is in its mutation history: an id
 /// unique to the instance in this process, and how many mutations the
 /// instance has seen. Equal generations therefore mean the same

@@ -112,11 +112,6 @@ impl Domain {
         self.id.tag()
     }
 
-    /// Whether the domain can execute an instruction right now.
-    pub fn runnable(&self) -> bool {
-        matches!(self.state, DomState::Runnable)
-    }
-
     /// Re-derive [`Domain::code_bytes`] from the current address space:
     /// the mapped-page count of the code window (at least one page).
     /// Called after any mapping change that touches the window.

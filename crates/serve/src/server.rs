@@ -84,10 +84,10 @@
 //!   accept errors (an aborted handshake, a signal, descriptor
 //!   exhaustion) are retried; only a dead listener ends the loop.
 //!
-//! A request line longer than [`MAX_LINE`] bytes is answered with
+//! A request line longer than `MAX_LINE` (4 KiB) is answered with
 //! `ERR code=too-long` and the connection is closed, so no client can
 //! make the daemon buffer an unbounded line. Before closing, the rest
-//! of that line (up to [`MAX_DISCARD`] bytes) is read and dropped
+//! of that line (up to `MAX_DISCARD`, 1 MiB) is read and dropped
 //! without being stored: closing a socket with unread input resets
 //! it, and the reset could reach the client ahead of the refusal.
 
