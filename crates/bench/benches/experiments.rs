@@ -117,7 +117,9 @@ fn main() {
     });
 
     use tp_core::exhaustive::ExhaustiveConfig;
-    bench("e14_exhaustive/length_2_sequential", 5, || {
+    // The sequential checker records every run: it is the reference the
+    // pooled digest-first scan is pinned against, not a production path.
+    bench("e14_exhaustive/length_2_recording_reference", 5, || {
         tp_core::check_exhaustive(&ExhaustiveConfig {
             max_len: 2,
             ..ExhaustiveConfig::small(TimeProtConfig::full())

@@ -3,11 +3,11 @@
 //! matrix. Every parallel phase shares the one persistent worker pool.
 //!
 //! ```sh
-//! all [--threads N] [--cells SPEC] [--models N] [--replay-check]
+//! all [--threads N] [--cells SPEC] [--models N]
 //!     [--metrics] [--trace-out FILE]
 //! ```
 //!
-//! `--cells` / `--models` / `--replay-check` shape the final matrix
+//! `--cells` / `--models` shape the final matrix
 //! phase (the E1–E14 reports are fixed-size); `--threads` sizes the
 //! pool for everything. `--metrics` / `--trace-out` observe the whole
 //! run — report phases included — since the sink is process-global.
@@ -29,7 +29,7 @@ fn main() {
         Err(e) => {
             eprintln!("all: {e}");
             eprintln!(
-                "usage: all [--threads N] [--cells SPEC] [--models N] [--replay-check] \
+                "usage: all [--threads N] [--cells SPEC] [--models N] \
                  [--metrics] [--trace-out FILE]"
             );
             std::process::exit(EXIT_USAGE);
@@ -42,7 +42,7 @@ fn main() {
 
     // Validate the matrix selection up front: a bad --cells index must
     // fail in milliseconds, not after the full E1–E14 report phase.
-    let matrix = tp_bench::shaped_matrix(args.models).with_mode(args.proof_mode());
+    let matrix = tp_bench::shaped_matrix(args.models);
     let indices = match args.select_cells(matrix.cells().len()) {
         Ok(v) => v,
         Err(e) => {

@@ -7,10 +7,6 @@
 //! # single process, whole sweep (per-cell progress streams to stderr)
 //! matrix [--threads N] [--cells SPEC] [--models N]
 //!
-//! # audit mode: paranoid double-run per (model, secret); the report
-//! # is bit-identical to the certified single-run default
-//! matrix --replay-check
-//!
 //! # shard across two processes, then merge — byte-identical output
 //! matrix --worker --cells 0..11  > a.txt
 //! matrix --worker --cells 11..21 > b.txt
@@ -37,7 +33,7 @@ fn main() {
         Err(e) => {
             eprintln!("matrix: {e}");
             eprintln!(
-                "usage: matrix [--threads N] [--cells SPEC] [--models N] [--replay-check] \
+                "usage: matrix [--threads N] [--cells SPEC] [--models N] \
                  [--cache PATH] [--metrics] \
                  [--trace-out FILE] [--progress] [--worker | --merge FILE...]"
             );
@@ -71,7 +67,7 @@ fn main() {
         return;
     }
 
-    let matrix = tp_bench::shaped_matrix(args.models).with_mode(args.proof_mode());
+    let matrix = tp_bench::shaped_matrix(args.models);
     let indices = match args.select_cells(matrix.cells().len()) {
         Ok(v) => v,
         Err(e) => {

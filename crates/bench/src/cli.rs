@@ -1,8 +1,8 @@
 //! Plain `std::env::args` flag parsing for the sweep binaries.
 //!
 //! `bin/matrix` accepts every flag below. `bin/all` accepts
-//! `--threads`, `--cells`, `--models`, `--replay-check`, `--metrics`
-//! and `--trace-out`, and exits with [`EXIT_USAGE`] on any other:
+//! `--threads`, `--cells`, `--models`, `--metrics` and `--trace-out`,
+//! and exits with [`EXIT_USAGE`] on any other:
 //!
 //! * `--threads N` — size of the process-wide worker pool (must come
 //!   before the first sweep runs; applied via
@@ -12,11 +12,6 @@
 //!   (`a..b` is half-open). This is also how a sweep is sharded across
 //!   processes: give each worker a disjoint slice.
 //! * `--models N` — use only the first `N` of the default time models.
-//! * `--replay-check` — re-enable the paranoid double-run per
-//!   (model, secret) instead of the certified single-run default: every
-//!   NI baseline comes from a plain replay, auditing the transparency
-//!   certification. Reports are bit-identical to certified mode.
-//!
 //! * `--cache PATH` — back the sweep with the content-addressed proof
 //!   cache (`tp_core::cache`): load `PATH` if it exists, replay
 //!   validated hits, prove only changed cells, and append each proved
@@ -73,8 +68,6 @@ pub struct SweepArgs {
     pub cells: Option<Vec<RangeInclusive<usize>>>,
     /// `--models N`.
     pub models: Option<usize>,
-    /// `--replay-check`.
-    pub replay_check: bool,
     /// `--cache PATH`.
     pub cache: Option<String>,
     /// `--worker`.
@@ -117,7 +110,6 @@ impl SweepArgs {
                     }
                     out.models = Some(n);
                 }
-                "--replay-check" => out.replay_check = true,
                 "--cache" => {
                     let v = args.next().ok_or("--cache needs a path")?;
                     out.cache = Some(v);
@@ -148,16 +140,6 @@ impl SweepArgs {
             return Err("--trace-out does not apply to --merge".into());
         }
         Ok(out)
-    }
-
-    /// The proof mode the sweep runs in: `--replay-check` selects the
-    /// paranoid double-run audit, the default is certified single-run.
-    pub fn proof_mode(&self) -> tp_core::ProofMode {
-        if self.replay_check {
-            tp_core::ProofMode::ReplayCheck
-        } else {
-            tp_core::ProofMode::Certified
-        }
     }
 
     /// The cell indices to run given a matrix of `total` cells: the
@@ -259,16 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_replay_check() {
-        let a = SweepArgs::parse(strs(&["--replay-check"])).unwrap();
-        assert!(a.replay_check);
-        assert!(!SweepArgs::default().replay_check);
-        // Composes with worker mode: an audit shard is a valid shard.
-        let w = SweepArgs::parse(strs(&["--worker", "--replay-check"])).unwrap();
-        assert!(w.worker && w.replay_check);
-    }
-
-    #[test]
     fn parses_cache_flag() {
         let a = SweepArgs::parse(strs(&["--cache", "proofs.cache"])).unwrap();
         assert_eq!(a.cache.as_deref(), Some("proofs.cache"));
@@ -288,6 +260,10 @@ mod tests {
         // of running without the checkpoint it asked for.
         let err = SweepArgs::parse(strs(&["--journal", "run.journal"])).unwrap_err();
         assert!(err.contains("unknown argument \"--journal\""), "{err}");
+        // The double-run audit retired too: cold runs are always sound,
+        // so a script that still asks for the audit fails loudly.
+        let err = SweepArgs::parse(strs(&["--replay-check"])).unwrap_err();
+        assert!(err.contains("unknown argument \"--replay-check\""), "{err}");
         let c = SweepArgs::parse(strs(&["--worker", "--cache", "run.cache"])).unwrap();
         assert!(c.worker && c.cache.is_some());
     }

@@ -1,6 +1,6 @@
 //! Acceptance test for digest-first execution: on the E11 ablation
-//! sweep, the engine's trace-free proof ([`ProofMode::Certified`],
-//! swept on an explicit pool) must be functionally bit-identical to the
+//! sweep, the engine's trace-free certified proof (swept on an
+//! explicit pool) must be functionally bit-identical to the
 //! recording reference — the sequential [`prove`], which keeps each
 //! run's trace — and do exactly the work it claims.
 //!
@@ -19,7 +19,7 @@
 use std::sync::{Mutex, MutexGuard};
 
 use tp_bench::{canonical_machine, canonical_scenario};
-use tp_core::engine::{available_threads, proved_cells, ProofMode, ScenarioMatrix};
+use tp_core::engine::{available_threads, proved_cells, ScenarioMatrix};
 use tp_core::proof::{default_time_models, prove};
 use tp_core::MatrixReport;
 use tp_sched::WorkerPool;
@@ -58,8 +58,7 @@ fn digest_first_work_counts_are_exact_on_the_e11_sweep() {
     let models = default_time_models()[..2].to_vec();
     let matrix = ScenarioMatrix::new("canonical", canonical_machine())
         .sweep_ablations()
-        .with_models(models.clone())
-        .with_mode(ProofMode::Certified);
+        .with_models(models.clone());
     let all: Vec<usize> = (0..matrix.cells().len()).collect();
 
     let (digest, digest_work) = counted(|| {

@@ -6,7 +6,7 @@
 //! is stored under a 64-bit content key over its **full input
 //! fingerprint** — machine configuration × kernel configuration (per
 //! secret, down to each domain's instruction sequence) × time-model
-//! family × secret set × engine/proof-mode version salt — together
+//! family × secret set × engine version salt — together
 //! with the `(secret, len, digest)` observation fingerprints its NI
 //! verdicts were derived from, its [`ProofReport`] (including the
 //! [`TransparencyCert`]) and a checksum over the entry's canonical
@@ -43,9 +43,8 @@
 //! all recomputed to agree) for inputs that genuinely hash to the
 //! addressed key. Detecting that requires re-running the cell, which
 //! is exactly what caching avoids — so treat a cache file with the
-//! same trust as the binary that wrote it, and fall back to
-//! `--replay-check` without a cache (or simply delete the cache) when
-//! provenance is in doubt. The adversarial suite in
+//! same trust as the binary that wrote it, and when provenance is in
+//! doubt, drop it: cold runs are always sound. The adversarial suite in
 //! `crates/core/tests/cache_poisoning.rs` pins the entire reachable
 //! tampering surface to fail closed.
 //!
@@ -136,7 +135,7 @@ use crate::wire::{
 use tp_hw::clock::TimeModel;
 use tp_hw::obs::WordFold;
 
-/// Engine/proof-mode version salt folded into every content key and
+/// Engine version salt folded into every content key and
 /// stored verbatim in every entry.
 ///
 /// Bump this whenever the engine's observable behaviour changes —
@@ -170,9 +169,10 @@ fn fold_bytes(f: &mut WordFold, bytes: &[u8]) {
 ///
 /// `scenario` must already be specialised to `cell`
 /// ([`crate::engine::ScenarioMatrix`] applies the cell's machine and
-/// protection before calling this), and `models`/`mode` are the
-/// matrix's — together they are every input the proof of this cell
-/// consumes.
+/// protection before calling this), and `models` are the matrix's —
+/// together they are every input the proof of this cell consumes.
+/// `mode` is always [`ProofMode::Certified`]; its code (0) is still
+/// folded so stored keys keep their meaning.
 pub fn cell_key(
     cell: &MatrixCell,
     models: &[TimeModel],
@@ -199,10 +199,9 @@ pub fn cell_key(
         f.push(s);
         f.push((scenario.make_kcfg)(s).content_fingerprint()?);
     }
-    // Stored keys fold these codes, so they never change (1 is unused).
+    // Stored keys fold this code, so it never changes.
     f.push(match mode {
         ProofMode::Certified => 0,
-        ProofMode::ReplayCheck => 2,
     });
     Some(f.finish())
 }

@@ -21,7 +21,7 @@
 //!   outputs have arrived. Each (model, secret) shard is one
 //!   *certified, trace-free* monitored run whose rolling Lo fingerprint
 //!   doubles as the NI baseline, with a single digest-only plain replay
-//!   certifying observation transparency ([`ProofMode`]); the merge
+//!   certifying observation transparency ([`TransparencyCert`]); the merge
 //!   follows the exact lexicographic order the sequential `prove`
 //!   accumulates in, re-running only fingerprint-diverging pairs with
 //!   recording sinks for their witnesses. An optional [`ProofCache`]
@@ -39,16 +39,15 @@
 //!   is precisely the sequential first-witness.
 //!
 //! Every shard takes one path: digest-first. No monitored run, replay
-//! or exhaustive word keeps a trace, and a leak's witness always comes
-//! from a lockstep re-run of the diverging pair. [`ProofMode`] only
-//! chooses where the NI baseline comes from (the certified monitored
-//! run, or a plain replay beside every run under `--replay-check`).
+//! or exhaustive word keeps a trace, the NI baseline is always the
+//! certified monitored run, and a leak's witness always comes from a
+//! lockstep re-run of the diverging pair.
 //!
 //! The zero-argument-pool forms run on the process-wide
-//! [`tp_sched::global`] pool; the `_on` forms take a pool (and, for
-//! proofs, a mode). The sequential `prove` / `check_exhaustive_mode(…,
-//! Recording)` record every run and stay the references every pooled
-//! path is pinned against.
+//! [`tp_sched::global`] pool; the `_on` forms take a pool. The
+//! sequential [`crate::proof::prove`] and
+//! [`crate::exhaustive::check_exhaustive`] record every run and stay the
+//! references every pooled path is pinned against.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -84,26 +83,23 @@ pub use tp_sched::available_threads;
 // Proof sharding
 // ---------------------------------------------------------------------
 
-/// Where the engine takes the NI baseline from. Either way every
-/// monitored run is trace-free, and a leak's witness comes from one
-/// lockstep re-run of the diverging pair.
+/// How the engine proves a cell. There is one way: certified
+/// single-run proofs, where one *trace-free* monitored run per (model,
+/// secret) provides the P/F/T evidence and a rolling `(len, digest)`
+/// fingerprint of Lo's observations — the NI baseline — plus a single
+/// digest-only plain replay of the first pair whose digest certifies
+/// that monitoring is observation-transparent ([`TransparencyCert`]).
+///
+/// The enum survives only as an argument of [`crate::cache::cell_key`],
+/// which still folds its code into every content key, so stored keys
+/// keep their meaning. perfbench's harness
+/// (`perfbench/harness/src/layers.rs`) calls `cell_key` with it; the
+/// enum and the argument go with the next change to that harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProofMode {
-    /// Certified single-run mode (the default): one *trace-free*
-    /// monitored run per (model, secret) provides the P/F/T evidence and
-    /// a rolling `(len, digest)` fingerprint of Lo's observations — the
-    /// NI baseline — plus a single digest-only plain replay of the first
-    /// pair whose digest certifies that monitoring is
-    /// observation-transparent ([`TransparencyCert`]).
+    /// Certified single-run proofs, the engine's only proof path.
     #[default]
     Certified,
-    /// The paranoid audit mode (`--replay-check`): every (model,
-    /// secret) pair runs twice — monitored for P/F/T, plain for the NI
-    /// baseline — like the sequential [`crate::proof::prove`], but with
-    /// both runs digest-only. Reports are bit-identical to certified
-    /// mode whenever monitoring really is transparent, which is what the
-    /// determinism harness pins.
-    ReplayCheck,
 }
 
 /// Owned inputs for one (model, secret) proof shard. Materialised on
@@ -141,22 +137,21 @@ impl ProofTask {
         run_monitored_with(sys, flush, self.lo, self.budget, self.max_steps, |_| {})
     }
 
-    /// The digest-only plain replay: Lo's `(len, digest)` fingerprint.
-    fn fingerprint(&self) -> (usize, u64) {
-        lo_digest_len(&self.mcfg, &self.kcfg, self.lo, self.budget, self.max_steps)
+    /// The digest-only plain replay: the digest of Lo's observations.
+    fn replay_digest(&self) -> u64 {
+        lo_digest_len(&self.mcfg, &self.kcfg, self.lo, self.budget, self.max_steps).1
     }
 }
 
 /// One unit of engine work: a monitored proof shard, or the single
-/// certification replay a certified-mode proof prepends.
+/// certification replay every proof leads with.
 #[derive(Clone)]
 enum EngineTask {
-    /// Monitored run for one (model, secret) pair (both runs in
-    /// [`ProofMode::ReplayCheck`]), with the flush reference every run
-    /// of its cell shares.
+    /// Monitored run for one (model, secret) pair, with the flush
+    /// reference every run of its cell shares.
     Run(ProofTask, Arc<FlushReference>),
     /// The plain replay of the first (model, secret) pair whose digest
-    /// grounds the [`TransparencyCert`] (certified mode only).
+    /// grounds the [`TransparencyCert`].
     CertReplay(ProofTask),
 }
 
@@ -176,13 +171,10 @@ struct ProofShard {
     t: ObligationResult,
     steps: usize,
     /// Lo's `(len, digest)` fingerprint in the monitored run, straight
-    /// from the observation sink.
+    /// from the observation sink — the NI baseline.
     monitored: (usize, u64),
     /// Rolling chain of post-switch core digests.
     switch_digest: u64,
-    /// The fingerprint of the shard's own plain replay (replay-check
-    /// mode only).
-    replay: Option<(usize, u64)>,
 }
 
 /// What one [`EngineTask`] produced.
@@ -207,17 +199,16 @@ struct PlannedProof {
 
 /// Flatten `scenario` × `models` into owned engine tasks appended to
 /// `tasks`, in the (model, secret) lexicographic order the merge
-/// consumes them in. In certified mode the certification replay leads
-/// so it overlaps the monitored runs on the pool. Kernel configurations
-/// are built once per secret and `Arc`-shared across models; machines
-/// once per model, shared across secrets; the flush reference comes
+/// consumes them in. The certification replay leads so it overlaps the
+/// monitored runs on the pool. Kernel configurations are built once
+/// per secret and `Arc`-shared across models; machines once per model,
+/// shared across secrets; the flush reference comes
 /// from `flush_refs`, shared by every monitored run of the submission
 /// whose core is the same (see [`flush_reference`]). `cell` is the
 /// matrix cell index the shards report telemetry under.
 fn plan_proof(
     scenario: &NiScenario,
     models: &[TimeModel],
-    mode: ProofMode,
     cell: usize,
     flush_refs: &mut Vec<Arc<FlushReference>>,
     tasks: &mut Vec<EngineTask>,
@@ -250,9 +241,7 @@ fn plan_proof(
     }
     let flush = flush_reference(flush_refs, &scenario.mcfg);
     let before = tasks.len();
-    if mode == ProofMode::Certified {
-        tasks.push(EngineTask::CertReplay(runs[0].clone()));
-    }
+    tasks.push(EngineTask::CertReplay(runs[0].clone()));
     tasks.extend(
         runs.iter()
             .map(|t| EngineTask::Run(t.clone(), Arc::clone(&flush))),
@@ -288,41 +277,35 @@ fn flush_reference(
 /// Submit engine tasks to `pool` — the one place proof tasks reach a
 /// pool. Outputs stream back in submission order; a task that panics
 /// arrives as its slot's `Err` outcome.
-fn submit(
-    pool: &WorkerPool,
-    tasks: Vec<EngineTask>,
-    mode: ProofMode,
-) -> OrderedResults<TaskOutput> {
+fn submit(pool: &WorkerPool, tasks: Vec<EngineTask>) -> OrderedResults<TaskOutput> {
     let queued = tp_telemetry::span_start();
     pool.map_streamed(tasks, move |_, t| {
         if let Some(q) = queued {
             tp_telemetry::span(SpanKind::QueueWait, t.cell(), tp_sched::current_worker(), q);
         }
-        run_engine_task(t, mode)
+        run_engine_task(t)
     })
 }
 
-/// Execute one engine task. A [`EngineTask::Run`] in certified mode is
-/// the single monitored run whose Lo fingerprint doubles as the NI
-/// baseline; in replay-check mode it is the two runs the sequential
-/// driver performs — one monitored (P/F/T evidence) and one plain
-/// replay (the NI baseline) — both digest-only.
-fn run_engine_task(task: EngineTask, mode: ProofMode) -> TaskOutput {
+/// Execute one engine task. A [`EngineTask::Run`] is the single
+/// monitored run whose Lo fingerprint doubles as the NI baseline; a
+/// [`EngineTask::CertReplay`] is the digest-only plain replay that
+/// certifies it.
+fn run_engine_task(task: EngineTask) -> TaskOutput {
     // Chaos hook: `TP_FAULTS=…:task=panic@n` (containment) and
     // `task=delay:ms@n` (worker stall) land here, on the worker thread,
     // before any proof work. One lazily-armed atomic load when unused.
     crate::faultpoint::apply_inline("task");
     let worker = tp_sched::current_worker();
-    let replay = |t: &ProofTask| {
-        let span = tp_telemetry::span_start();
-        let fingerprint = t.fingerprint();
-        if let Some(start) = span {
-            tp_telemetry::span(SpanKind::Replay, t.cell, worker, start);
-        }
-        fingerprint
-    };
     match task {
-        EngineTask::CertReplay(t) => TaskOutput::Cert(replay(&t).1),
+        EngineTask::CertReplay(t) => {
+            let span = tp_telemetry::span_start();
+            let digest = t.replay_digest();
+            if let Some(start) = span {
+                tp_telemetry::span(SpanKind::Replay, t.cell, worker, start);
+            }
+            TaskOutput::Cert(digest)
+        }
         EngineTask::Run(t, flush) => {
             let span = tp_telemetry::span_start();
             let run = t.monitored(&flush);
@@ -336,7 +319,6 @@ fn run_engine_task(task: EngineTask, mode: ProofMode) -> TaskOutput {
                 steps: run.steps,
                 monitored: (run.lo_len, run.lo_digest),
                 switch_digest: run.switch_digest,
-                replay: (mode == ProofMode::ReplayCheck).then(|| replay(&t)),
             }))
         }
     }
@@ -356,7 +338,6 @@ impl PlannedProof {
     fn collect(
         self,
         models: &[TimeModel],
-        mode: ProofMode,
         stream: &mut OrderedResults<TaskOutput>,
     ) -> Result<(ProofReport, Fingerprints), String> {
         let mut outputs = Vec::with_capacity(self.tasks);
@@ -379,7 +360,7 @@ impl PlannedProof {
         }
         let cell = self.runs[0].cell;
         let span = tp_telemetry::span_start();
-        let merged = catch_unwind(AssertUnwindSafe(|| self.merge(models, mode, outputs)));
+        let merged = catch_unwind(AssertUnwindSafe(|| self.merge(models, outputs)));
         if let Some(start) = span {
             tp_telemetry::span(SpanKind::Verify, cell, tp_sched::current_worker(), start);
         }
@@ -402,12 +383,7 @@ impl PlannedProof {
     /// `(secret, lo_len, monitored_digest)` observation fingerprint in
     /// model-major order — the evidence the proof cache stores and
     /// re-validates on every hit.
-    fn merge(
-        self,
-        models: &[TimeModel],
-        mode: ProofMode,
-        outputs: Vec<TaskOutput>,
-    ) -> (ProofReport, Fingerprints) {
+    fn merge(self, models: &[TimeModel], outputs: Vec<TaskOutput>) -> (ProofReport, Fingerprints) {
         let PlannedProof {
             aisa,
             secrets,
@@ -415,12 +391,9 @@ impl PlannedProof {
             ..
         } = self;
         let mut it = outputs.into_iter();
-        let cert_replay = match mode {
-            ProofMode::Certified => match it.next() {
-                Some(TaskOutput::Cert(d)) => Some(d),
-                _ => panic!("certification replay must lead a certified proof stream"),
-            },
-            ProofMode::ReplayCheck => None,
+        let replay_digest = match it.next() {
+            Some(TaskOutput::Cert(d)) => d,
+            _ => panic!("certification replay must lead a proof stream"),
         };
         let mut p = ObligationResult::new("P");
         let mut f = ObligationResult::new("F");
@@ -445,16 +418,11 @@ impl PlannedProof {
                 if transparency.is_none() {
                     transparency = Some(TransparencyCert {
                         monitored_digest,
-                        replay_digest: cert_replay
-                            .or(shard.replay.map(|(_, d)| d))
-                            .expect("certified or replay-check digest for the first shard"),
+                        replay_digest,
                         switch_digest: shard.switch_digest,
                     });
                 }
-                // The NI baseline: the shard's own plain replay under
-                // replay-check, else the certified monitored run.
-                let (len, digest) = shard.replay.unwrap_or(shard.monitored);
-                baselines.push((s, len, digest));
+                baselines.push((s, lo_len, monitored_digest));
             }
             let verdict = compare_secret_digests(&baselines).unwrap_or_else(|b| {
                 // Fingerprint divergence: lockstep re-run of the
@@ -505,8 +473,9 @@ impl PlannedProof {
 }
 
 /// The telemetry counter a cache validation-gauntlet rejection reports
-/// under — one distinct counter per [`RejectReason`], so a sweep's
-/// metrics say *why* entries were thrown out, not just how many.
+/// under — one distinct counter per [`crate::cache::RejectReason`], so
+/// a sweep's metrics say *why* entries were thrown out, not just how
+/// many.
 fn reject_counter(r: crate::cache::RejectReason) -> Counter {
     use crate::cache::RejectReason as R;
     match r {
@@ -521,30 +490,27 @@ fn reject_counter(r: crate::cache::RejectReason) -> Counter {
 }
 
 /// [`crate::proof::prove`], sharded over the (time-model × secret)
-/// product on the process-wide [`tp_sched::global`] pool, in certified
-/// single-run mode ([`ProofMode::Certified`]).
+/// product on the process-wide [`tp_sched::global`] pool as certified
+/// single runs.
 ///
 /// The resulting [`ProofReport`] is bit-identical to
 /// `prove(scenario, models)` regardless of worker count or scheduling.
 pub fn prove_parallel(scenario: &NiScenario, models: &[TimeModel]) -> ProofReport {
-    prove_parallel_on(tp_sched::global(), scenario, models, ProofMode::Certified)
+    prove_parallel_on(tp_sched::global(), scenario, models)
 }
 
-/// [`prove_parallel`] on an explicit pool under an explicit
-/// [`ProofMode`] — [`ProofMode::ReplayCheck`] is the `--replay-check`
-/// audit path that re-enables the paranoid double-run. Planned,
-/// submitted and merged exactly like one [`ScenarioMatrix::sweep`]
-/// cell; a panicking shard re-panics here with its message.
+/// [`prove_parallel`] on an explicit pool. Planned, submitted and
+/// merged exactly like one [`ScenarioMatrix::sweep`] cell; a panicking
+/// shard re-panics here with its message.
 pub fn prove_parallel_on(
     pool: &WorkerPool,
     scenario: &NiScenario,
     models: &[TimeModel],
-    mode: ProofMode,
 ) -> ProofReport {
     let mut tasks = Vec::new();
-    let proof = plan_proof(scenario, models, mode, 0, &mut Vec::new(), &mut tasks);
-    let mut stream = submit(pool, tasks, mode);
-    match proof.collect(models, mode, &mut stream) {
+    let proof = plan_proof(scenario, models, 0, &mut Vec::new(), &mut tasks);
+    let mut stream = submit(pool, tasks);
+    match proof.collect(models, &mut stream) {
         Ok((report, _)) => report,
         Err(msg) => panic!("{msg}"),
     }
@@ -678,31 +644,17 @@ pub struct ScenarioMatrix {
     machines: Vec<(String, MachineConfig)>,
     ablations: Vec<Option<Mechanism>>,
     models: Vec<TimeModel>,
-    mode: ProofMode,
 }
 
 impl ScenarioMatrix {
     /// A matrix holding just `base` under full protection and the
-    /// default time-model family, in certified single-run mode.
+    /// default time-model family.
     pub fn new(label: impl Into<String>, base: MachineConfig) -> Self {
         ScenarioMatrix {
             machines: vec![(label.into(), base)],
             ablations: vec![None],
             models: crate::proof::default_time_models(),
-            mode: ProofMode::Certified,
         }
-    }
-
-    /// Prove every cell under an explicit [`ProofMode`] —
-    /// [`ProofMode::ReplayCheck`] is the `--replay-check` audit path.
-    pub fn with_mode(mut self, mode: ProofMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// The [`ProofMode`] every cell is proved under.
-    pub fn mode(&self) -> ProofMode {
-        self.mode
     }
 
     /// The first (base) machine configuration.
@@ -886,7 +838,7 @@ impl ScenarioMatrix {
         F: Fn(&MatrixCell) -> NiScenario,
     {
         let scenario = apply_cell(make_scenario(cell), cell);
-        cell_key(cell, &self.models, &scenario, self.mode).map(|key| CellKey {
+        cell_key(cell, &self.models, &scenario, ProofMode::Certified).map(|key| CellKey {
             key,
             secrets: scenario.secrets.into(),
         })
@@ -955,7 +907,6 @@ impl ScenarioMatrix {
             keys.is_empty() || keys.len() == indices.len(),
             "one known-key slot per swept cell"
         );
-        let mode = self.mode;
         let mut stats = CacheStats::default();
         let mut tasks = Vec::new();
         let mut flush_refs = Vec::new();
@@ -971,7 +922,8 @@ impl ScenarioMatrix {
                     Some(known) => Some((known.key, &known.secrets[..])),
                     None => {
                         let sc = scenario.insert(apply_cell(make_scenario(&cell), &cell));
-                        cell_key(&cell, &self.models, sc, mode).map(|k| (k, &sc.secrets[..]))
+                        cell_key(&cell, &self.models, sc, ProofMode::Certified)
+                            .map(|k| (k, &sc.secrets[..]))
                     }
                 };
                 key = address.map(|(k, _)| k);
@@ -998,18 +950,11 @@ impl ScenarioMatrix {
                 }
             }
             let scenario = scenario.unwrap_or_else(|| apply_cell(make_scenario(&cell), &cell));
-            let proof = plan_proof(
-                &scenario,
-                &self.models,
-                mode,
-                ci,
-                &mut flush_refs,
-                &mut tasks,
-            );
+            let proof = plan_proof(&scenario, &self.models, ci, &mut flush_refs, &mut tasks);
             plans.push((ci, cell, Plan::Miss(key, proof)));
         }
 
-        let mut stream = submit(pool, tasks, mode);
+        let mut stream = submit(pool, tasks);
         let mut plans = plans.into_iter().peekable();
         while let Some((ci, cell, plan)) = plans.next() {
             let outcome = match plan {
@@ -1028,7 +973,7 @@ impl ScenarioMatrix {
                 }
                 Plan::Miss(key, proof) => {
                     proof
-                        .collect(&self.models, mode, &mut stream)
+                        .collect(&self.models, &mut stream)
                         .map(|(report, fps)| {
                             if let (Some(k), Some(c)) = (key, cache.as_deref_mut()) {
                                 c.insert(k, cell.clone(), report.clone(), fps);

@@ -274,28 +274,12 @@ pub fn word_for_index_into(
     false
 }
 
-/// How an exhaustive check executes its runs. Both modes return
-/// bit-identical verdicts (the equivalence suite pins this); they
-/// differ only in what the hot loop materialises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExhaustiveMode {
-    /// The default: every run is trace-free (`(len, digest)`
-    /// fingerprints compared against the cached baseline fingerprint);
-    /// only a divergence triggers a recording re-run of the offending
-    /// word and the baseline to extract the witness events.
-    #[default]
-    DigestFirst,
-    /// Every run fully recorded and compared event by event, in one
-    /// scratch buffer reused across words — the reference the
-    /// digest-first checkers, sequential and pooled, are pinned against.
-    Recording,
-}
-
 /// Materialise the leak verdict for `word` at `index` by re-running the
 /// baseline and the witness in lockstep (recording, stopped at the
-/// first diverging Lo event). Shared by both checkers and the parallel
-/// engine, so a leak found digest-first carries exactly the evidence a
-/// recorded comparison would have.
+/// first diverging Lo event). The pooled digest-first scan
+/// ([`crate::engine::check_exhaustive_parallel`]) calls it on a
+/// fingerprint mismatch, so a leak found digest-first carries exactly
+/// the evidence [`check_exhaustive`]'s recorded comparison would have.
 pub(crate) fn recorded_leak(
     runner: &ExhaustiveRunner,
     index: usize,
@@ -319,49 +303,31 @@ pub(crate) fn recorded_leak(
 }
 
 /// Enumerate every Hi program up to `cfg.max_len` and compare Lo's
-/// observations against the empty-program baseline — digest-first
-/// ([`ExhaustiveMode::DigestFirst`]).
+/// observations against the empty-program baseline, sequentially and
+/// fully recorded: every run's Lo log goes into one scratch buffer
+/// reused across words and is compared event by event. This is the
+/// reference the pooled digest-first scan
+/// ([`crate::engine::check_exhaustive_parallel`]) is pinned against.
 pub fn check_exhaustive(cfg: &ExhaustiveConfig) -> ExhaustiveVerdict {
-    check_exhaustive_mode(cfg, ExhaustiveMode::DigestFirst)
-}
-
-/// [`check_exhaustive`] with an explicit [`ExhaustiveMode`].
-pub fn check_exhaustive_mode(cfg: &ExhaustiveConfig, mode: ExhaustiveMode) -> ExhaustiveVerdict {
     let runner = ExhaustiveRunner::new(cfg);
     let total = space_size(cfg.alphabet.len(), cfg.max_len);
+    let baseline = runner.run(&[]);
     let mut word = Vec::new();
-    match mode {
-        ExhaustiveMode::DigestFirst => {
-            let baseline = runner.run_digest(&[]);
-            for index in 1..=total {
-                assert!(
-                    word_for_index_into(&cfg.alphabet, cfg.max_len, index, &mut word),
-                    "index is within the enumerated space"
-                );
-                if runner.run_digest(&word) != baseline {
-                    return recorded_leak(&runner, index, word);
-                }
-            }
-        }
-        ExhaustiveMode::Recording => {
-            let baseline = runner.run(&[]);
-            let mut buf = Vec::new();
-            for index in 1..=total {
-                assert!(
-                    word_for_index_into(&cfg.alphabet, cfg.max_len, index, &mut word),
-                    "index is within the enumerated space"
-                );
-                runner.run_recorded_into(&word, &mut buf);
-                if let Some(div) = crate::noninterference::first_divergence(&baseline, &buf) {
-                    return ExhaustiveVerdict::Leak {
-                        program_index: index,
-                        witness: word,
-                        divergence: div,
-                        baseline_event: baseline.get(div).copied(),
-                        witness_event: buf.get(div).copied(),
-                    };
-                }
-            }
+    let mut buf = Vec::new();
+    for index in 1..=total {
+        assert!(
+            word_for_index_into(&cfg.alphabet, cfg.max_len, index, &mut word),
+            "index is within the enumerated space"
+        );
+        runner.run_recorded_into(&word, &mut buf);
+        if let Some(div) = crate::noninterference::first_divergence(&baseline, &buf) {
+            return ExhaustiveVerdict::Leak {
+                program_index: index,
+                witness: word,
+                divergence: div,
+                baseline_event: baseline.get(div).copied(),
+                witness_event: buf.get(div).copied(),
+            };
         }
     }
     ExhaustiveVerdict::Pass {
@@ -413,24 +379,6 @@ mod tests {
             !v.passed(),
             "missing padding must be discoverable by enumeration"
         );
-    }
-
-    /// The digest-first hot path and the fully recorded oracle return
-    /// bit-identical verdicts — Pass counts and Leak witnesses alike.
-    #[test]
-    fn digest_first_and_recording_modes_agree() {
-        for tp in [
-            TimeProtConfig::full(),
-            TimeProtConfig::off(),
-            TimeProtConfig::full_without(Mechanism::Padding),
-        ] {
-            let cfg = quick(tp, 2);
-            assert_eq!(
-                check_exhaustive_mode(&cfg, ExhaustiveMode::DigestFirst),
-                check_exhaustive_mode(&cfg, ExhaustiveMode::Recording),
-                "{tp:?}"
-            );
-        }
     }
 
     /// The runner's fingerprint path agrees with its recording path on

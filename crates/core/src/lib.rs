@@ -107,9 +107,7 @@ pub use engine::{
     available_threads, check_exhaustive_parallel, prove_parallel, proved_cells, CellKey,
     CellOutcome, CellOutcomes, MatrixCell, MatrixReport, ProofMode, ProvedCell, ScenarioMatrix,
 };
-pub use exhaustive::{
-    check_exhaustive, check_exhaustive_mode, ExhaustiveConfig, ExhaustiveMode, ExhaustiveVerdict,
-};
+pub use exhaustive::{check_exhaustive, ExhaustiveConfig, ExhaustiveVerdict};
 pub use noninterference::{
     check_ni_parts_recording, check_noninterference, obs_digest, NiScenario, NiVerdict,
     TransparencyCert,

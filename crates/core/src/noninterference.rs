@@ -443,8 +443,8 @@ pub fn check_ni_parts_recording(
 }
 
 /// Build and run one system, returning Lo's observation log — the
-/// recording-mode unit of work: witness extraction, the paranoid
-/// `--replay-check` audit path, and the equivalence oracles.
+/// recording-mode unit of work: the recording checker, the sequential
+/// double-run [`crate::proof::prove`], and the equivalence oracles.
 pub fn lo_trace(
     mcfg: &MachineConfig,
     kcfg: &KernelConfig,
@@ -568,7 +568,8 @@ pub(crate) fn lockstep_leak(
 
 /// Compare per-secret observation logs (first run is the baseline) and
 /// produce the NI verdict. Shared by the recording-mode checker and the
-/// engine's `--replay-check` merge, so both report identical verdicts.
+/// sequential double-run [`crate::proof::prove`], so both report
+/// identical verdicts.
 pub fn compare_secret_runs(runs: &[(u64, Vec<ObsEvent>)]) -> NiVerdict {
     assert!(runs.len() >= 2, "need at least two secrets to compare");
     let (s0, ref base) = runs[0];

@@ -147,10 +147,10 @@ pub fn default_time_models() -> Vec<TimeModel> {
 
 /// Discharge all obligations for `scenario` under `models`.
 ///
-/// This is the paranoid double-run reference (the `--replay-check`
-/// semantics): for each (model, secret), the system is run twice — once
-/// under monitoring (accumulating P/F/T and the rolling trace digest)
-/// and once plain (the NI replay baseline), both fully recorded. The
+/// This is the paranoid double-run reference: for each (model,
+/// secret), the system is run twice — once under monitoring
+/// (accumulating P/F/T and the rolling trace digest) and once plain
+/// (the NI replay baseline), both fully recorded. The
 /// first pair's digests form the [`TransparencyCert`]; the digest-first
 /// certified single-run engine ([`crate::engine::prove_parallel`]) —
 /// which materialises no trace at all on its hot path — must produce a
@@ -184,7 +184,7 @@ pub fn prove(scenario: &NiScenario, models: &[TimeModel]) -> ProofReport {
             t.merge(run.t);
             steps += run.steps;
 
-            // Plain replay: the NI baseline of the paranoid mode.
+            // Plain replay: the NI baseline of the double-run reference.
             let trace = lo_trace(
                 &mcfg,
                 &(scenario.make_kcfg)(s),

@@ -4,8 +4,8 @@
 //!
 //! 1. *Sensitivity* — perturbing any single field of the cell's input
 //!    fingerprint (machine shape, ablation, protection flags, time
-//!    models, scheduling parameters, secrets, kernel programs, proof
-//!    mode) yields a different key, so a stale entry can never be
+//!    models, scheduling parameters, secrets, kernel programs) yields a
+//!    different key, so a stale entry can never be
 //!    addressed by a changed configuration.
 //! 2. *Stability* — rebuilding the identical inputs yields the
 //!    identical key (unchanged inputs always hit), and across a random
@@ -49,7 +49,6 @@ struct Spec {
     hi_stride: u64,
     slice: u64,
     pad: u64,
-    mode: ProofMode,
 }
 
 impl Spec {
@@ -69,7 +68,6 @@ impl Spec {
             hi_stride: 16,
             slice: 15_000,
             pad: 25_000,
-            mode: ProofMode::Certified,
         }
     }
 
@@ -107,10 +105,6 @@ impl Spec {
         s.hi_stride = 8 + pick(32, 14);
         s.slice = 10_000 + 100 * pick(32, 15);
         s.pad = s.slice + 5_000 + 100 * pick(32, 16);
-        s.mode = match pick(2, 17) {
-            0 => ProofMode::Certified,
-            _ => ProofMode::ReplayCheck,
-        };
         s
     }
 
@@ -155,7 +149,7 @@ impl Spec {
 
     fn key(&self) -> Option<u64> {
         let (cell, scenario) = self.build();
-        cell_key(&cell, &self.models, &scenario, self.mode)
+        cell_key(&cell, &self.models, &scenario, ProofMode::Certified)
     }
 
     /// Canonical rendering of every field the key folds — two specs
@@ -168,8 +162,8 @@ impl Spec {
             .map(|&s| (scenario.make_kcfg)(s).content_fingerprint())
             .collect();
         format!(
-            "{cell:?}|{:?}|{:?}|{:?}|{}|{:?}|{kfps:?}|{:?}",
-            self.models, scenario.lo, scenario.budget, scenario.max_steps, self.secrets, self.mode
+            "{cell:?}|{:?}|{:?}|{:?}|{}|{:?}|{kfps:?}",
+            self.models, scenario.lo, scenario.budget, scenario.max_steps, self.secrets
         )
     }
 }
@@ -224,12 +218,6 @@ fn perturbations() -> Vec<Perturbation> {
         ("hi program", |s| s.hi_stride += 1),
         ("slice", |s| s.slice += 1),
         ("pad", |s| s.pad += 1),
-        ("proof mode", |s| {
-            s.mode = match s.mode {
-                ProofMode::Certified => ProofMode::ReplayCheck,
-                ProofMode::ReplayCheck => ProofMode::Certified,
-            }
-        }),
     ]
 }
 
@@ -292,7 +280,10 @@ fn opaque_programs_are_uncacheable() {
         ])
         .with_tp(tp)
     });
-    assert_eq!(cell_key(&cell, &spec.models, &scenario, spec.mode), None);
+    assert_eq!(
+        cell_key(&cell, &spec.models, &scenario, ProofMode::Certified),
+        None
+    );
 }
 
 proptest! {

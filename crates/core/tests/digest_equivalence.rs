@@ -6,7 +6,7 @@
 //! materialising traces on divergence. The engine proves digest-first
 //! only, so every comparison here is against a sequential reference
 //! that records every run: `check_ni_parts_recording`, the sequential
-//! `prove`, and `check_exhaustive_mode(…, Recording)`.
+//! `prove`, and the sequential `check_exhaustive`.
 //!
 //! The broken-mechanism cases additionally prove the divergence
 //! *re-run* reproduces the exact witness trace: the leak evidence a
@@ -16,9 +16,9 @@
 use proptest::prelude::*;
 
 use tp_core::engine::{
-    check_exhaustive_parallel_on, prove_parallel_on, proved_cells, ProofMode, ScenarioMatrix,
+    check_exhaustive_parallel_on, prove_parallel_on, proved_cells, ScenarioMatrix,
 };
-use tp_core::exhaustive::{check_exhaustive_mode, ExhaustiveConfig, ExhaustiveMode};
+use tp_core::exhaustive::{check_exhaustive, ExhaustiveConfig};
 use tp_core::noninterference::{
     check_ni_parts, check_ni_parts_recording, check_noninterference, first_divergence, lo_trace,
     NiScenario, NiVerdict,
@@ -105,9 +105,7 @@ proptest! {
         };
         let models = default_time_models()[..2].to_vec();
         let pool = WorkerPool::new(2);
-        let digest = prove_parallel_on(
-            &pool, &seeded_scenario(seed, tp), &models, ProofMode::Certified,
-        );
+        let digest = prove_parallel_on(&pool, &seeded_scenario(seed, tp), &models);
         let recording = prove(&seeded_scenario(seed, tp), &models);
         prop_assert_eq!(&digest, &recording, "seed {}", seed);
         prop_assert_eq!(digest.to_string(), recording.to_string());
@@ -159,10 +157,9 @@ fn divergence_rerun_reproduces_the_exact_witness_trace() {
     }
 }
 
-/// Exhaustive enumeration: the digest-first checkers, sequential and
-/// pooled, agree with the sequential recording scan across protection
-/// settings — including the exact lowest-index witness when a mechanism
-/// is ablated.
+/// Exhaustive enumeration: the pooled digest-first scan agrees with the
+/// sequential recording scan across protection settings — including
+/// the exact lowest-index witness when a mechanism is ablated.
 #[test]
 fn exhaustive_digest_and_recording_agree_on_every_path() {
     let pool = WorkerPool::new(2);
@@ -175,9 +172,7 @@ fn exhaustive_digest_and_recording_agree_on_every_path() {
             max_len: 2,
             ..ExhaustiveConfig::small(tp)
         };
-        let recording = check_exhaustive_mode(&cfg, ExhaustiveMode::Recording);
-        let digest_seq = check_exhaustive_mode(&cfg, ExhaustiveMode::DigestFirst);
-        assert_eq!(digest_seq, recording, "{tp:?}: sequential modes disagree");
+        let recording = check_exhaustive(&cfg);
         let digest_pool = check_exhaustive_parallel_on(&pool, &cfg);
         assert_eq!(digest_pool, recording, "{tp:?}: pooled vs recording");
     }

@@ -1,15 +1,13 @@
 //! Determinism harness for the parallel proof engine: sharding the
 //! (time-model × secret) product or the Hi-program enumeration across
-//! worker threads must not change a single bit of the result, in
-//! either [`ProofMode`]. Each scenario is checked several ways:
+//! worker threads must not change a single bit of the result. Each
+//! scenario is checked two ways:
 //!
 //! * sequential (`prove` / `check_exhaustive`) — the reference: the
 //!   paranoid *double-run*, one monitored run plus one plain replay per
 //!   (model, secret), every run recorded and compared event by event;
 //! * persistent `tp-sched` pools (`*_on`) — the production certified
-//!   single-run path, digest-first, exercised at 1, 2 and 8 workers;
-//! * [`ProofMode::ReplayCheck`] on the pool — the `--replay-check`
-//!   audit path that re-enables the double-run, digest-only.
+//!   single-run path, digest-first, exercised at 1, 2 and 8 workers.
 //!
 //! Pinning the certified single-run reports equal to the sequential
 //! double-run reports is the engine's licence to drop the second replay
@@ -19,8 +17,7 @@
 //! therefore the same rendered reports.
 
 use tp_core::engine::{
-    check_exhaustive_parallel_on, prove_parallel_on, proved_cells, ProofMode, ProvedCell,
-    ScenarioMatrix,
+    check_exhaustive_parallel_on, prove_parallel_on, proved_cells, ProvedCell, ScenarioMatrix,
 };
 use tp_core::exhaustive::{check_exhaustive, ExhaustiveConfig};
 use tp_core::noninterference::NiScenario;
@@ -118,7 +115,7 @@ fn assert_reports_identical(reference: &ProofReport, other: &ProofReport, label:
 }
 
 /// Sequential and persistent-pool proofs must agree on everything the
-/// report exposes, in every mode, at every worker count.
+/// report exposes, at every worker count.
 #[test]
 fn prove_is_bit_identical_across_all_execution_paths() {
     let models = default_time_models();
@@ -131,8 +128,8 @@ fn prove_is_bit_identical_across_all_execution_paths() {
         ] {
             let sequential = prove(&seeded_scenario(seed, tp), &models);
             if tp != TimeProtConfig::full() {
-                // The ablation leaks, so every pooled mode's lockstep
-                // witness extraction is compared too.
+                // The ablation leaks, so the pooled lockstep witness
+                // extraction is compared too.
                 assert!(
                     sequential.ni.iter().any(|v| !v.verdict.passed()),
                     "seed {seed}: the Padding ablation must leak"
@@ -140,53 +137,31 @@ fn prove_is_bit_identical_across_all_execution_paths() {
             }
             for workers in POOL_SIZES {
                 let pool = WorkerPool::new(workers);
-                let pooled = prove_parallel_on(
-                    &pool,
-                    &seeded_scenario(seed, tp),
-                    &models,
-                    ProofMode::Certified,
-                );
+                let pooled = prove_parallel_on(&pool, &seeded_scenario(seed, tp), &models);
                 assert_reports_identical(
                     &sequential,
                     &pooled,
                     &format!("seed {seed} pool×{workers}"),
-                );
-                // The --replay-check audit path (paranoid double-run on
-                // the pool) must agree bit for bit too.
-                let audited = prove_parallel_on(
-                    &pool,
-                    &seeded_scenario(seed, tp),
-                    &models,
-                    ProofMode::ReplayCheck,
-                );
-                assert_reports_identical(
-                    &sequential,
-                    &audited,
-                    &format!("seed {seed} replay-check×{workers}"),
                 );
             }
         }
     }
 }
 
-/// The certified-vs-audited pin at the matrix level: a sweep run in
-/// certified single-run mode must produce the identical
-/// [`tp_core::MatrixReport`] (cells, verdicts, certificates, rendered
-/// text) as the same sweep with `--replay-check`'s double-run — and
-/// both must equal the sequential prover cell by cell, at 1/2/8 workers.
+/// The matrix-level pin: a certified sweep must produce, cell by cell,
+/// the sequential double-run prover's report (verdicts, certificates,
+/// rendered text), at 1/2/8 workers, and every cell's transparency
+/// certificate must hold.
 #[test]
-fn certified_and_replay_check_sweeps_are_bit_identical() {
+fn certified_sweeps_match_the_sequential_prover() {
     let models = default_time_models()[..2].to_vec();
-    let matrix = |mode: ProofMode| {
-        ScenarioMatrix::new("det", MachineConfig::single_core())
-            .with_ablations(vec![None, Some(Mechanism::Padding)])
-            .with_models(models.clone())
-            .with_mode(mode)
-    };
+    let matrix = ScenarioMatrix::new("det", MachineConfig::single_core())
+        .with_ablations(vec![None, Some(Mechanism::Padding)])
+        .with_models(models.clone());
     let scenario = |_: &tp_core::MatrixCell| seeded_scenario(2, TimeProtConfig::full());
     // The sequential reference, proved on each cell's specialised
     // scenario exactly as the engine specialises it.
-    let reference: Vec<ProofReport> = matrix(ProofMode::Certified)
+    let reference: Vec<ProofReport> = matrix
         .cells()
         .iter()
         .map(|cell| {
@@ -198,15 +173,8 @@ fn certified_and_replay_check_sweeps_are_bit_identical() {
 
     for workers in POOL_SIZES {
         let pool = WorkerPool::new(workers);
-        let certified = sweep_all(&matrix(ProofMode::Certified), &pool, scenario);
-        let audited = sweep_all(&matrix(ProofMode::ReplayCheck), &pool, scenario);
-        assert_eq!(
-            certified, audited,
-            "certified and replay-check sweeps must agree (pool×{workers})"
-        );
-        let report = tp_core::MatrixReport::from(certified);
-        let audited = tp_core::MatrixReport::from(audited);
-        assert_eq!(report.to_string(), audited.to_string());
+        let report = tp_core::MatrixReport::from(sweep_all(&matrix, &pool, scenario));
+        assert_eq!(report.cells.len(), reference.len());
         for ((cell, got), want) in report.cells.iter().zip(&reference) {
             assert_reports_identical(
                 want,
@@ -418,7 +386,6 @@ fn pool_reuse_across_submissions_stays_deterministic() {
                 &pool,
                 &seeded_scenario(seed, TimeProtConfig::full()),
                 &models,
-                ProofMode::Certified,
             );
             assert_reports_identical(
                 &reference[i],

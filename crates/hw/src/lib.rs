@@ -67,7 +67,6 @@ pub use cache::{Cache, CacheConfig, ReplacementPolicy};
 pub use clock::{CostTable, HwClock, MemEvent, MemLevel, TimeModel};
 pub use machine::{AddressSpace, Machine, MachineConfig, Translation, WalkFootprint};
 pub use obs::{
-    fold_obs_event, obs_digest, DigestSink, NullSink, ObsEvent, ObsSinkKind, Observation,
-    RecordingSink,
+    fold_obs_event, obs_digest, DigestSink, ObsEvent, ObsSinkKind, Observation, RecordingSink,
 };
 pub use types::{Asid, Colour, CoreId, Cycles, DomainTag, Fault, Generation, PAddr, VAddr};

@@ -25,7 +25,6 @@
 //!   already stands on), so the checkers compare fingerprints in the
 //!   hot loop and re-run with a [`RecordingSink`] only when a
 //!   divergence needs a concrete, replayable witness.
-//! * [`NullSink`] keeps nothing, for domains nobody observes.
 //!
 //! Sinks cannot influence execution — the kernel hands them events and
 //! never reads them back — so which sink a system carries is invisible
@@ -292,14 +291,6 @@ impl RecordingSink {
     }
 }
 
-/// A sink that discards everything: no log, no digest, `len` stays 0.
-///
-/// Only sound for domains whose observations are never consulted (a Hi
-/// domain in a sweep that fingerprints Lo alone) — installing it on an
-/// observer domain would erase the very evidence the checkers compare.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullSink;
-
 // ---------------------------------------------------------------------
 // Static dispatch
 // ---------------------------------------------------------------------
@@ -312,8 +303,8 @@ pub struct NullSink;
 /// the machine's point of view, which is why the choice of sink cannot
 /// perturb execution. Every domain carries an `ObsSinkKind`; the
 /// variant is chosen once per run (recording by default,
-/// [`DigestSink`] via `System::use_digest_sinks`, [`NullSink`] only by
-/// explicit opt-in) and never changes mid-run, so the match predicts
+/// [`DigestSink`] via `System::use_digest_sinks`) and never changes
+/// mid-run, so the match predicts
 /// perfectly in the hot loop and the sink methods inline into the
 /// kernel's step.
 #[derive(Debug, Clone)]
@@ -322,8 +313,6 @@ pub enum ObsSinkKind {
     Recording(RecordingSink),
     /// Rolling digest only ([`DigestSink`]) — the proof hot path.
     Digest(DigestSink),
-    /// Discard everything ([`NullSink`]).
-    Null(NullSink),
 }
 
 impl Default for ObsSinkKind {
@@ -344,12 +333,6 @@ impl From<DigestSink> for ObsSinkKind {
     }
 }
 
-impl From<NullSink> for ObsSinkKind {
-    fn from(s: NullSink) -> Self {
-        ObsSinkKind::Null(s)
-    }
-}
-
 impl ObsSinkKind {
     /// Consume one event.
     #[inline]
@@ -357,7 +340,6 @@ impl ObsSinkKind {
         match self {
             ObsSinkKind::Recording(s) => s.record(e),
             ObsSinkKind::Digest(s) => s.record(e),
-            ObsSinkKind::Null(_) => {}
         }
     }
 
@@ -368,7 +350,6 @@ impl ObsSinkKind {
         match self {
             ObsSinkKind::Recording(s) => events.iter().for_each(|&e| s.record(e)),
             ObsSinkKind::Digest(s) => events.iter().for_each(|&e| s.record(e)),
-            ObsSinkKind::Null(_) => {}
         }
     }
 
@@ -378,7 +359,6 @@ impl ObsSinkKind {
         match self {
             ObsSinkKind::Recording(s) => s.obs.events.len(),
             ObsSinkKind::Digest(s) => s.len,
-            ObsSinkKind::Null(_) => 0,
         }
     }
 
@@ -395,7 +375,6 @@ impl ObsSinkKind {
         match self {
             ObsSinkKind::Recording(s) => s.digest,
             ObsSinkKind::Digest(s) => s.digest,
-            ObsSinkKind::Null(_) => OBS_DIGEST_SEED,
         }
     }
 
@@ -503,18 +482,6 @@ mod tests {
         assert_eq!(sink.digest(), obs_digest(&[]), "take_events resets");
     }
 
-    #[test]
-    fn null_sink_discards_everything() {
-        let mut n = ObsSinkKind::from(NullSink);
-        n.record(ObsEvent::Fault);
-        n.record_batch(&sample_events());
-        assert_eq!(n.len(), 0);
-        assert!(n.is_empty());
-        assert_eq!(n.digest(), obs_digest(&[]));
-        assert!(n.observation().is_none());
-        assert!(n.take_events().is_none());
-    }
-
     /// Every variant ends with the same length, digest and log whether
     /// the events arrive one at a time or as one batch.
     #[test]
@@ -523,7 +490,6 @@ mod tests {
         for mut kind in [
             ObsSinkKind::default(),
             ObsSinkKind::from(DigestSink::default()),
-            ObsSinkKind::from(NullSink),
         ] {
             let mut batched = kind.clone();
             for e in &events {
@@ -537,7 +503,7 @@ mod tests {
                 batched.observation().map(|o| o.events.clone())
             );
         }
-        // Recording variant retains the log; digest/null do not.
+        // Recording variant retains the log; digest does not.
         let mut rec = ObsSinkKind::default();
         rec.record_batch(&events);
         assert_eq!(rec.observation().unwrap().events, events);

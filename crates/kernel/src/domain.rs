@@ -21,7 +21,7 @@
 use crate::program::{Program, StepFeedback};
 use crate::vspace::VSpace;
 use tp_hw::obs::RecordingSink;
-pub use tp_hw::obs::{NullSink, ObsEvent, ObsSinkKind, Observation};
+pub use tp_hw::obs::{ObsEvent, ObsSinkKind, Observation};
 use tp_hw::types::{Asid, Colour, Cycles, DomainTag, VAddr, PAGE_SIZE};
 
 /// Index of a domain within the kernel.

@@ -234,8 +234,8 @@ impl Shared {
 
     /// The cache address of cell `ci` of `matrix` under the canonical
     /// scenario, from the memo or derived and memoised. Every input the
-    /// key folds — machine, protection, models, scenario, proof mode —
-    /// is fixed by the model count and the index, so the entry stays
+    /// key folds — machine, protection, models, scenario — is fixed by
+    /// the model count and the index, so the entry stays
     /// right for the daemon's lifetime. A faulted cell's scenario
     /// differs; never call this for one.
     fn cell_key(&self, matrix: &ScenarioMatrix, ci: usize) -> Option<CellKey> {

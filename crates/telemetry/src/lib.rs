@@ -158,8 +158,8 @@ pub enum SpanKind {
     Prove,
     /// Lockstep witness extraction after a fingerprint divergence.
     Lockstep,
-    /// A plain replay: the certification replay, or the per-shard
-    /// replay `--replay-check` re-enables.
+    /// The certification replay: one plain digest-only run per proof
+    /// that grounds its transparency certificate.
     Replay,
     /// The ordered per-cell merge + verdict derivation on the consumer.
     Verify,
