@@ -1,9 +1,10 @@
 //! Std-only microbenches for the simulator substrate itself: cache
 //! access, TLB lookup, flush, the L1 set digests and access pricing of
 //! the hashed time models, DRAM misses through the interconnect, kernel
-//! step, one monitored run under a hashed time model, the
-//! switch-time P check and a dirty switch's checks, the digesting used by the
-//! invariant checkers and the content fingerprints behind cache keys.
+//! step, one monitored run under a hashed time model, a halted domain's
+//! idle wait to the end of its slice, the switch-time P check and a
+//! dirty switch's checks, the digesting used by the invariant checkers
+//! and the content fingerprints behind cache keys.
 //! These put numbers on the cost of "proof by exhaustive checking" —
 //! the reproduction's analogue of proof effort.
 
@@ -20,6 +21,7 @@ use tp_hw::machine::{Machine, MachineConfig};
 use tp_hw::tlb::{Tlb, TlbEntry};
 use tp_hw::types::{Asid, CoreId, DomainTag, PAddr, VAddr};
 use tp_kernel::config::{DomainSpec, KernelConfig, Mechanism};
+use tp_kernel::domain::{DomState, DomainId};
 use tp_kernel::kernel::{StepEvent, System};
 use tp_kernel::program::IdleProgram;
 
@@ -181,6 +183,22 @@ fn main() {
         let mut sys = System::new(hashed.clone(), (sc.make_kcfg)(sc.secrets[0])).unwrap();
         sys.use_digest_sinks();
         run_monitored(sys, sc.lo, sc.budget, sc.max_steps).steps
+    });
+
+    // The idle layer: Hi's slice after it has halted (secret 0 halts it
+    // early), run to its deadline with `run_cycles` as the sweep's
+    // replays run it. Only the clock moves, so each iteration rewinds it.
+    let hi = DomainId(1);
+    let mut sys = System::new(sc.mcfg.clone(), (sc.make_kcfg)(sc.secrets[0])).unwrap();
+    while !(sys.kernel.current == hi && sys.kernel.domains[hi.0].state == DomState::Halted) {
+        sys.step();
+    }
+    let core = sys.kernel.core.0;
+    let halted_at = sys.hw.cores[core].clock;
+    let deadline = sys.kernel.deadline;
+    bench("system/halted_slice", 10_000, || {
+        sys.hw.cores[core].clock = halted_at;
+        sys.run_cycles(deadline, usize::MAX)
     });
 
     // The switch-time checks on that cell's system at its eighth

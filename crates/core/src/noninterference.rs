@@ -254,6 +254,10 @@ pub fn run_monitored(sys: System, lo: DomainId, budget: Cycles, max_steps: usize
 /// core; a reference from another core geometry never matches, so the F
 /// check fails closed.
 ///
+/// Idle ticks run in batches ([`System::advance`]) that end on every
+/// `P_CHECK_INTERVAL` boundary, so P is checked after the same steps as
+/// a step-by-step loop would check it.
+///
 /// The standard checks take `&System` and cannot perturb the run; the
 /// hook takes `&mut System` deliberately — it is the seam where the test
 /// suite injects faults (to force divergence witnesses) and mounts mock
@@ -287,8 +291,9 @@ pub fn run_monitored_with(
 
     p.merge(checks.check_partition(&sys));
     while sys.now().0 < budget.0 && steps < max_steps {
-        let ev = sys.step();
-        steps += 1;
+        let limit = (max_steps - steps).min(P_CHECK_INTERVAL - steps % P_CHECK_INTERVAL);
+        let (ev, n) = sys.advance(budget, limit);
+        steps += n;
         if let StepEvent::Switched { .. } = ev {
             monitor(&mut sys);
             let (f_at, p_at, digest) = checks.at_switch(&sys);
@@ -503,8 +508,9 @@ pub fn leak_between(
 /// typically diverge within the first observation window, so the
 /// fallback costs a fraction of two full runs), yet the result is
 /// exactly [`first_divergence`] over the two complete traces — each
-/// system steps through the same `budget`/`max_steps` loop a full run
-/// would, and events already emitted cannot change.
+/// system advances under the same `budget`/`max_steps` bounds as
+/// [`System::run_cycles`], idle runs batched the same way (an idle tick
+/// emits no event), and events already emitted cannot change.
 pub fn lockstep_divergence(
     mut a: System,
     mut b: System,
@@ -512,9 +518,9 @@ pub fn lockstep_divergence(
     budget: Cycles,
     max_steps: usize,
 ) -> Option<(usize, Option<ObsEvent>, Option<ObsEvent>)> {
-    /// Step `sys` until Lo has observed more than `upto` events or the
-    /// run is over (budget spent / step cap hit) — the same loop
-    /// condition as `System::run_cycles`, paused at event boundaries.
+    /// Advance `sys` until Lo has observed more than `upto` events or
+    /// the run is over (budget spent / step cap hit) — the same loop
+    /// as `System::run_cycles`, paused at event boundaries.
     fn advance(
         sys: &mut System,
         steps: &mut usize,
@@ -524,8 +530,7 @@ pub fn lockstep_divergence(
         upto: usize,
     ) {
         while sys.obs_len(lo) <= upto && sys.now().0 < budget.0 && *steps < max_steps {
-            sys.step();
-            *steps += 1;
+            *steps += sys.advance(budget, max_steps - *steps).1;
         }
     }
     let (mut steps_a, mut steps_b) = (0usize, 0usize);

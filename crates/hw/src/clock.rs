@@ -19,7 +19,7 @@
 
 use crate::branch::BranchOutcome;
 use crate::cache::FlushOutcome;
-use crate::types::{mix2, Cycles};
+use crate::types::{mix2, mix64, Cycles};
 
 /// A per-core cycle counter, readable by user programs (rdtsc analogue).
 ///
@@ -130,9 +130,11 @@ const KEY_PREFETCHES: usize = 5;
 /// the tabled walk and prefetch counts.
 const OUTCOMES: usize = 4 * 2 * KEY_WALK_LEVELS * KEY_PREFETCHES;
 
-/// [`outcome_key_chain`] of every in-range outcome, built at compile
-/// time, at index `((served_by * 2 + tlb_hit) * KEY_WALK_LEVELS +
-/// walk_levels) * KEY_PREFETCHES + prefetches`.
+/// `mix64` of every in-range outcome's [`outcome_key_chain`], built at
+/// compile time, at index `((served_by * 2 + tlb_hit) * KEY_WALK_LEVELS +
+/// walk_levels) * KEY_PREFETCHES + prefetches`. Pre-mixed because
+/// [`TimeModel::mem_cost`] needs `mix2(local_state, key)`, which is
+/// `mix64(local_state ^ mix64(key))`.
 static OUTCOME_KEYS: [u64; OUTCOMES] = {
     let mut keys = [0; OUTCOMES];
     let mut i = 0;
@@ -141,33 +143,33 @@ static OUTCOME_KEYS: [u64; OUTCOMES] = {
         let walk_levels = i / KEY_PREFETCHES % KEY_WALK_LEVELS;
         let tlb_hit = i / (KEY_PREFETCHES * KEY_WALK_LEVELS) % 2;
         let served_by = i / (KEY_PREFETCHES * KEY_WALK_LEVELS * 2);
-        keys[i] = outcome_key_chain(
+        keys[i] = mix64(outcome_key_chain(
             served_by as u64,
             tlb_hit as u64,
             walk_levels as u64,
             prefetches as u64,
-        );
+        ));
         i += 1;
     }
     keys
 };
 
-/// [`outcome_key_chain`] of `ev`: a table read when the counts are in
-/// range, the chain itself otherwise (`MemEvent` is public, so any
-/// count can arrive).
+/// `mix64` of `ev`'s [`outcome_key_chain`]: a table read when the counts
+/// are in range, computed otherwise (`MemEvent` is public, so any count
+/// can arrive).
 #[inline]
-fn outcome_key(ev: &MemEvent) -> u64 {
+fn premixed_outcome_key(ev: &MemEvent) -> u64 {
     let (walk_levels, prefetches) = (ev.walk_levels as usize, ev.prefetches as usize);
     if walk_levels < KEY_WALK_LEVELS && prefetches < KEY_PREFETCHES {
         let outcome = ev.served_by as usize * 2 + ev.tlb_hit as usize;
         OUTCOME_KEYS[(outcome * KEY_WALK_LEVELS + walk_levels) * KEY_PREFETCHES + prefetches]
     } else {
-        outcome_key_chain(
+        mix64(outcome_key_chain(
             ev.served_by as u64,
             ev.tlb_hit as u64,
             ev.walk_levels as u64,
             ev.prefetches as u64,
-        )
+        ))
     }
 }
 
@@ -353,8 +355,10 @@ impl TimeModel {
             c += t.writeback;
         }
         // The unspecified part: a function of this access's outcome and
-        // the state of the structures it indexed — nothing else.
-        Cycles(c + self.perturb(|| mix2(ev.local_state, outcome_key(ev))))
+        // the state of the structures it indexed — nothing else. This is
+        // `mix2(local_state, outcome key)`, with the key's own `mix64`
+        // read from the table.
+        Cycles(c + self.perturb(|| mix64(ev.local_state ^ premixed_outcome_key(ev))))
     }
 
     /// Cycles consumed by resolving a branch.
@@ -562,14 +566,27 @@ mod tests {
         let in_range: Vec<_> = outcomes(KEY_WALK_LEVELS as u8, KEY_PREFETCHES as u8).collect();
         assert_eq!(in_range.len(), OUTCOMES);
         for ev in &in_range {
-            assert_eq!(outcome_key(ev), nested_chain(ev), "{ev:?}");
+            assert_eq!(premixed_outcome_key(ev), mix64(nested_chain(ev)), "{ev:?}");
         }
-        // Every table entry is some in-range outcome's chain.
-        let mut tabled: Vec<_> = in_range.iter().map(nested_chain).collect();
+        // Every table entry is some in-range outcome's pre-mixed chain.
+        let mut tabled: Vec<_> = in_range.iter().map(|ev| mix64(nested_chain(ev))).collect();
         let mut table = OUTCOME_KEYS.to_vec();
         tabled.sort_unstable();
         table.sort_unstable();
         assert_eq!(table, tabled);
+        // A hashed model prices each one by `mix2(local_state, chain)`.
+        let m = TimeModel::hashed(3);
+        for ev in &in_range {
+            let ev = MemEvent {
+                local_state: 0x5eed,
+                ..*ev
+            };
+            assert_eq!(
+                m.mem_cost(&ev).0 - TimeModel::intel_like().mem_cost(&ev).0,
+                mix2(3, mix2(ev.local_state, nested_chain(&ev))) % 18,
+                "{ev:?}"
+            );
+        }
     }
 
     #[test]
@@ -585,7 +602,11 @@ mod tests {
         let mut fell_back = 0;
         for ev in wide {
             fell_back += 1;
-            assert_eq!(outcome_key(&ev), nested_chain(&ev), "{ev:?}");
+            assert_eq!(
+                premixed_outcome_key(&ev),
+                mix64(nested_chain(&ev)),
+                "{ev:?}"
+            );
         }
         assert_eq!(
             fell_back,

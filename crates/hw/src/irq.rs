@@ -9,7 +9,8 @@
 //! The controller models up to 64 lines. Line 0 is by convention the
 //! preemption timer and is never maskable by the partitioning policy.
 //! Devices arm completion interrupts at absolute times; the kernel's
-//! machine loop polls [`IrqController::highest_pending`] each step.
+//! machine loop polls [`IrqController::highest_pending`] each step, and
+//! idles no further in one go than [`IrqController::next_fire`].
 
 use crate::types::Cycles;
 
@@ -83,6 +84,13 @@ impl IrqController {
                 i += 1;
             }
         }
+    }
+
+    /// The earliest `fire_at` among the armed timers: the first clock at
+    /// which [`Self::tick`] would change anything. `None` when nothing is
+    /// armed. The kernel's idle fast-forward stops its run of ticks here.
+    pub fn next_fire(&self) -> Option<Cycles> {
+        self.armed.iter().map(|t| t.fire_at).min()
     }
 
     /// Replace the enable mask. The timer line is forced on: the
@@ -185,6 +193,23 @@ mod tests {
         c.tick(Cycles(100));
         assert_eq!(c.highest_pending(), Some(PendingIrq { line: 4 }));
         assert_eq!(c.armed_count(), 0);
+    }
+
+    #[test]
+    fn next_fire_is_the_earliest_armed_timer() {
+        let mut c = IrqController::new();
+        assert_eq!(c.next_fire(), None, "nothing armed");
+        c.arm_timer(4, Cycles(300));
+        c.arm_timer(6, Cycles(100));
+        c.arm_timer(9, Cycles(200));
+        assert_eq!(c.next_fire(), Some(Cycles(100)));
+        c.tick(Cycles(99));
+        assert_eq!(c.next_fire(), Some(Cycles(100)), "nothing due yet");
+        c.tick(Cycles(150));
+        assert!(c.is_pending(6));
+        assert_eq!(c.next_fire(), Some(Cycles(200)), "the fired timer left");
+        c.tick(Cycles(300));
+        assert_eq!(c.next_fire(), None);
     }
 
     #[test]

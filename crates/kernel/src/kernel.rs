@@ -32,7 +32,12 @@ use tp_hw::irq::TIMER_LINE;
 use tp_hw::machine::{Machine, MachineConfig};
 use tp_hw::types::{Asid, Colour, CoreId, Cycles, DomainTag, VAddr, PAGE_SIZE};
 
-/// Maximum cycles a single idle tick advances the clock.
+/// The modelled idle tick: while the current domain is halted or
+/// blocked, each step advances the clock by at most this many cycles,
+/// the last tick of a wait shortened to land exactly on the next instant
+/// that matters (the deadline or a message-ready time). It is the
+/// model's granularity, counted in steps and `max_steps`, not the driver
+/// loop's: [`System::advance`] takes a whole run of ticks in one call.
 const IDLE_QUANTUM: u64 = 64;
 
 /// Errors during system construction.
@@ -149,7 +154,9 @@ pub enum StepEvent {
         /// The receiving domain.
         domain: DomainId,
     },
-    /// The current domain is blocked or halted; time idled forward.
+    /// The current domain is blocked or halted; time idled forward by
+    /// one tick per step ([`System::advance`] reports a run of them as
+    /// one event and its length).
     IdleTick,
 }
 
@@ -518,29 +525,48 @@ impl System {
     }
 
     /// Run until the clock passes `budget` cycles (or `max_steps` as a
-    /// safety net). Returns the number of steps taken.
+    /// safety net). Returns the number of steps taken, idle ticks
+    /// included, exactly as a loop of [`System::step`] would count them.
     pub fn run_cycles(&mut self, budget: Cycles, max_steps: usize) -> usize {
         let mut steps = 0;
         while self.now().0 < budget.0 && steps < max_steps {
-            self.step();
-            steps += 1;
+            steps += self.advance(budget, max_steps - steps).1;
         }
         steps
     }
 
-    /// Execute one step of the system.
+    /// Execute one step of the system: [`System::advance`] with no
+    /// budget and a limit of one, so a waiting domain takes a single
+    /// idle tick of at most 64 cycles.
     pub fn step(&mut self) -> StepEvent {
+        self.advance(Cycles(u64::MAX), 1).0
+    }
+
+    /// Execute one step, or, while the current domain is halted or
+    /// blocked, a maximal run of at most `limit` idle ticks computed in
+    /// O(1). Returns the step's event and how many steps it stands for.
+    ///
+    /// A run is exactly what that many [`System::step`] calls would do:
+    /// between its first and last tick nothing but the clock changes,
+    /// because no later tick starts at or after the deadline, the blocked
+    /// receiver's message-ready time, the earliest armed device timer
+    /// ([`tp_hw::irq::IrqController::next_fire`]) or `budget`. Drivers
+    /// that count steps (`max_steps`, periodic checks) pass what is left
+    /// before their next count boundary as `limit`; a step is always
+    /// taken, so a `limit` of 0 acts as 1.
+    pub fn advance(&mut self, budget: Cycles, limit: usize) -> (StepEvent, usize) {
         let core = self.kernel.core;
         let now = self.hw.now(core);
 
         // Case 2b: preemption due?
         if now.0 >= self.kernel.deadline.0 {
             let (from, to) = self.switch_domain(SwitchReason::Timer, None);
-            return StepEvent::Switched {
+            let ev = StepEvent::Switched {
                 from,
                 to,
                 reason: SwitchReason::Timer,
             };
+            return (ev, 1);
         }
 
         // Device interrupts (the timer is modelled by the deadline check).
@@ -550,17 +576,14 @@ impl System {
                 self.hw.charge_irq_entry(core);
                 self.charge_kernel(KernelOp::Entry);
                 self.charge_kernel(KernelOp::IrqDispatch);
-                return StepEvent::IrqHandled { line: p.line };
+                return (StepEvent::IrqHandled { line: p.line }, 1);
             }
             self.hw.irq.ack(TIMER_LINE);
         }
 
         let cur = self.kernel.current;
         match self.kernel.domains[cur.0].state {
-            DomState::Halted => {
-                self.idle_tick();
-                StepEvent::IdleTick
-            }
+            DomState::Halted => (StepEvent::IdleTick, self.idle_run(budget, limit)),
             DomState::BlockedRecv { ep } => {
                 let now = self.hw.now(core);
                 let msg = self.kernel.endpoints[ep].take_deliverable(now);
@@ -568,34 +591,57 @@ impl System {
                     Some(m) => {
                         self.kernel.endpoints[ep].take_waiting();
                         self.deliver_ipc(cur, m);
-                        StepEvent::IpcDelivered { domain: cur }
+                        (StepEvent::IpcDelivered { domain: cur }, 1)
                     }
-                    None => {
-                        self.idle_tick();
-                        StepEvent::IdleTick
-                    }
+                    None => (StepEvent::IdleTick, self.idle_run(budget, limit)),
                 }
             }
-            DomState::Runnable => self.exec_instr(cur),
+            DomState::Runnable => (self.exec_instr(cur), 1),
         }
     }
 
-    /// Advance the clock while the current domain cannot run: to the next
-    /// interesting instant (deadline, message-ready time), capped at
-    /// [`IDLE_QUANTUM`]. Deterministic in the system state.
-    fn idle_tick(&mut self) {
+    /// Idle the current (halted or blocked) domain forward by a run of
+    /// `1..=limit` ticks and return its length. Each tick aims at the next
+    /// instant that matters — the deadline, or a blocked receiver's
+    /// message-ready time before it — and advances at most
+    /// [`IDLE_QUANTUM`] cycles, so ticks start at `now`, `now + Q`,
+    /// `now + 2Q`, … and the run ends on `now + n·Q` or the target,
+    /// whichever is earlier.
+    ///
+    /// The first tick follows this step's deadline, IRQ and endpoint
+    /// checks. A later tick repeats them unchanged only while it starts
+    /// before the target, before `budget` and before the earliest armed
+    /// device timer fires, and while no enabled interrupt is left pending
+    /// (acking the timer line can leave one), so the run ends where the
+    /// step-by-step loop would first do something else.
+    fn idle_run(&mut self, budget: Cycles, limit: usize) -> usize {
         let core = self.kernel.core;
-        let now = self.hw.now(core);
-        let mut until = self.kernel.deadline;
+        let now = self.hw.now(core).0;
+        let mut target = self.kernel.deadline.0;
         if let DomState::BlockedRecv { ep } = self.kernel.domains[self.kernel.current.0].state {
             if let Some(r) = self.kernel.endpoints[ep].next_ready_at() {
-                if r.0 > now.0 && r.0 < until.0 {
-                    until = r;
+                if r.0 > now && r.0 < target {
+                    target = r.0;
                 }
             }
         }
-        let delta = until.saturating_sub(now).0.clamp(1, IDLE_QUANTUM);
-        self.hw.compute(core, delta);
+        let ticks = if self.hw.irq.highest_pending().is_some() {
+            1
+        } else {
+            let mut stop = target.min(budget.0);
+            if let Some(fire) = self.hw.irq.next_fire() {
+                stop = stop.min(fire.0);
+            }
+            stop.saturating_sub(now)
+                .div_ceil(IDLE_QUANTUM)
+                .min(limit as u64)
+                .max(1)
+        };
+        let until = now
+            .saturating_add(ticks.saturating_mul(IDLE_QUANTUM))
+            .min(target);
+        self.hw.compute(core, until - now);
+        ticks as usize
     }
 
     /// Deliver a message into a blocked receiver.
@@ -1550,6 +1596,187 @@ mod tests {
             irq_during,
             Some(DomainId(0)),
             "IRQ must be handled in the owner's slice"
+        );
+    }
+
+    /// Two domains that halt at once: the first runs `first` then
+    /// `Halt`, the second only `Halt`, each with a 20,000-cycle slice and
+    /// an 8,000-cycle pad, so slices end in idle waits: domain 0's in
+    /// `0..20_000`, domain 1's in `28_000..48_000`.
+    fn halting(first: Vec<Instr>, irq_lines: Vec<u8>) -> KernelConfig {
+        let mut prog = first;
+        prog.push(Instr::Halt);
+        KernelConfig::new(vec![
+            DomainSpec::new(Box::new(TraceProgram::new(prog)))
+                .with_irq_lines(irq_lines)
+                .with_slice(Cycles(20_000))
+                .with_pad(Cycles(8_000)),
+            DomainSpec::new(Box::new(TraceProgram::new(vec![Instr::Halt])))
+                .with_slice(Cycles(20_000))
+                .with_pad(Cycles(8_000)),
+        ])
+    }
+
+    /// Step `sys` until `done` holds.
+    fn step_until(sys: &mut System, done: impl Fn(&System) -> bool) {
+        for _ in 0..10_000 {
+            if done(sys) {
+                return;
+            }
+            sys.step();
+        }
+        panic!("condition never reached");
+    }
+
+    /// `sys.advance(budget, limit)`, checked against `step()` called once
+    /// per step it reports, on a clone: each step yields the same event
+    /// and both systems end in the same state.
+    fn advance_as_steps(sys: &mut System, budget: Cycles, limit: usize) -> (StepEvent, usize) {
+        let mut reference = sys.clone();
+        let (ev, n) = sys.advance(budget, limit);
+        for _ in 0..n {
+            assert_eq!(reference.step(), ev);
+        }
+        assert_eq!(reference.hw, sys.hw);
+        assert_eq!(reference.kernel.current, sys.kernel.current);
+        assert_eq!(reference.kernel.deadline, sys.kernel.deadline);
+        assert_eq!(reference.kernel.switch_log, sys.kernel.switch_log);
+        (ev, n)
+    }
+
+    fn d0_halted(sys: &System) -> bool {
+        sys.kernel.current == DomainId(0) && sys.kernel.domains[0].state == DomState::Halted
+    }
+
+    #[test]
+    fn advance_stops_exactly_at_the_deadline() {
+        let mut sys = System::new(MachineConfig::single_core(), halting(vec![], vec![])).unwrap();
+        step_until(&mut sys, d0_halted);
+        let start = sys.now().0;
+        let (ev, n) = advance_as_steps(&mut sys, Cycles(u64::MAX), usize::MAX);
+        assert_eq!(ev, StepEvent::IdleTick);
+        assert_eq!(sys.now(), sys.kernel.deadline, "the last tick is shortened");
+        assert_eq!(n as u64, (20_000 - start).div_ceil(IDLE_QUANTUM));
+        assert!(matches!(sys.step(), StepEvent::Switched { .. }));
+    }
+
+    #[test]
+    fn advance_stops_exactly_at_a_message_ready_time() {
+        // Domain 0 sends in its first slice; the endpoint's minimum
+        // delivery time puts the message's ready time inside the
+        // receiver's slice, after it has blocked in `Recv`.
+        let mut kcfg = halting(
+            vec![Instr::Syscall(SyscallReq::Send { ep: 0, msg: 7 })],
+            vec![],
+        )
+        .with_endpoints(vec![EndpointSpec {
+            min_delivery: Some(Cycles(40_000)),
+        }]);
+        kcfg.domains[1].program = Box::new(TraceProgram::new(vec![
+            Instr::Syscall(SyscallReq::Recv { ep: 0 }),
+            Instr::Halt,
+        ]));
+        let mut sys = System::new(MachineConfig::single_core(), kcfg).unwrap();
+        step_until(&mut sys, |s| {
+            matches!(s.kernel.domains[1].state, DomState::BlockedRecv { .. })
+        });
+        assert!(sys.now().0 < 40_000);
+        let (ev, n) = advance_as_steps(&mut sys, Cycles(u64::MAX), usize::MAX);
+        assert_eq!(ev, StepEvent::IdleTick);
+        assert!(n > 1);
+        assert_eq!(sys.now(), Cycles(40_000));
+        assert_eq!(
+            sys.step(),
+            StepEvent::IpcDelivered {
+                domain: DomainId(1)
+            }
+        );
+    }
+
+    #[test]
+    fn advance_stops_before_an_unmasked_device_timer_fires() {
+        // Domain 0 arms its own line and halts: the interrupt is
+        // enabled while it waits, so the step after the run handles it.
+        let io = Instr::Syscall(SyscallReq::IoSubmit {
+            line: 5,
+            delay: 5_000,
+        });
+        let mut sys =
+            System::new(MachineConfig::single_core(), halting(vec![io], vec![5])).unwrap();
+        step_until(&mut sys, d0_halted);
+        let fire = sys.hw.irq.next_fire().expect("armed");
+        let (ev, n) = advance_as_steps(&mut sys, Cycles(u64::MAX), usize::MAX);
+        assert_eq!(ev, StepEvent::IdleTick);
+        assert!(n > 1);
+        assert!(
+            sys.now() >= fire && sys.now().0 < fire.0 + IDLE_QUANTUM,
+            "the last tick starts before {fire:?}, the next at or after it"
+        );
+        assert_eq!(sys.hw.irq.next_fire(), Some(fire), "not fired yet");
+        assert_eq!(sys.step(), StepEvent::IrqHandled { line: 5 });
+    }
+
+    #[test]
+    fn advance_stops_before_a_masked_device_timer_fires() {
+        // Domain 0's timer fires during domain 1's halted slice, where
+        // partitioning masks it: the tick that fires it, and the ones
+        // after it, stay idle.
+        let io = Instr::Syscall(SyscallReq::IoSubmit {
+            line: 5,
+            delay: 30_000,
+        });
+        let mut sys =
+            System::new(MachineConfig::single_core(), halting(vec![io], vec![5])).unwrap();
+        step_until(&mut sys, |s| {
+            s.kernel.current == DomainId(1) && s.kernel.domains[1].state == DomState::Halted
+        });
+        let fire = sys.hw.irq.next_fire().expect("armed");
+        assert!(fire > sys.now() && fire < sys.kernel.deadline);
+        let (ev, n) = advance_as_steps(&mut sys, Cycles(u64::MAX), usize::MAX);
+        assert_eq!(ev, StepEvent::IdleTick);
+        assert!(n > 1);
+        assert!(sys.now() >= fire && sys.now().0 < fire.0 + IDLE_QUANTUM);
+        assert!(!sys.hw.irq.is_pending(5));
+        let (ev, n) = advance_as_steps(&mut sys, Cycles(u64::MAX), usize::MAX);
+        assert_eq!(ev, StepEvent::IdleTick);
+        assert!(n > 1, "idle again after the masked fire");
+        assert!(sys.hw.irq.is_pending(5), "latched, masked");
+        assert_eq!(sys.hw.irq.next_fire(), None);
+        assert_eq!(sys.now(), sys.kernel.deadline);
+    }
+
+    #[test]
+    fn advance_stops_at_a_budget_off_the_tick_grid() {
+        let mut sys = System::new(MachineConfig::single_core(), halting(vec![], vec![])).unwrap();
+        step_until(&mut sys, d0_halted);
+        let start = sys.now().0;
+        let budget = Cycles(start + 1_000);
+        assert!(start + 16 * IDLE_QUANTUM < sys.kernel.deadline.0);
+        let mut batched = sys.clone();
+        // Ticks start at `start + 0, 64, …, 960`: the 17th would start
+        // at or after the budget.
+        let (ev, n) = advance_as_steps(&mut sys, budget, usize::MAX);
+        assert_eq!((ev, n), (StepEvent::IdleTick, 16));
+        assert_eq!(sys.now(), Cycles(start + 16 * IDLE_QUANTUM));
+        // `run_cycles` stops on the same step as the step-by-step loop.
+        assert_eq!(batched.run_cycles(budget, usize::MAX), 16);
+        assert_eq!(batched.hw, sys.hw);
+    }
+
+    #[test]
+    fn advance_stops_at_its_limit() {
+        let mut sys = System::new(MachineConfig::single_core(), halting(vec![], vec![])).unwrap();
+        step_until(&mut sys, d0_halted);
+        let start = sys.now().0;
+        assert_eq!(
+            advance_as_steps(&mut sys, Cycles(u64::MAX), 5),
+            (StepEvent::IdleTick, 5)
+        );
+        assert_eq!(sys.now(), Cycles(start + 5 * IDLE_QUANTUM));
+        // A limit of zero still takes the one step.
+        assert_eq!(
+            advance_as_steps(&mut sys, Cycles(u64::MAX), 0),
+            (StepEvent::IdleTick, 1)
         );
     }
 
