@@ -1,10 +1,11 @@
 //! Std-only microbenches for the simulator substrate itself: cache
 //! access, TLB lookup, flush, the L1 set digests and access pricing of
-//! the hashed time models, DRAM misses through the interconnect, kernel
-//! step, one monitored run under a hashed time model, a halted domain's
-//! idle wait to the end of its slice, the switch-time P check and a
-//! dirty switch's checks, the digesting used by the invariant checkers
-//! and the content fingerprints behind cache keys.
+//! the hashed time models, the observation sink's per-event fold, DRAM
+//! misses through the interconnect, kernel step, one monitored run
+//! under a hashed time model, a halted domain's idle wait to the end of
+//! its slice, the switch-time P check and a dirty switch's checks, the
+//! digesting used by the invariant checkers and the content
+//! fingerprints behind cache keys.
 //! These put numbers on the cost of "proof by exhaustive checking" —
 //! the reproduction's analogue of proof effort.
 
@@ -18,8 +19,9 @@ use tp_core::ProofMode;
 use tp_hw::cache::{Cache, CacheConfig};
 use tp_hw::clock::{MemEvent, TimeModel};
 use tp_hw::machine::{Machine, MachineConfig};
+use tp_hw::obs::{obs_digest, ObsEvent, ObsSink};
 use tp_hw::tlb::{Tlb, TlbEntry};
-use tp_hw::types::{Asid, CoreId, DomainTag, PAddr, VAddr};
+use tp_hw::types::{Asid, CoreId, Cycles, DomainTag, PAddr, VAddr};
 use tp_kernel::config::{DomainSpec, KernelConfig, Mechanism};
 use tp_kernel::domain::{DomState, DomainId};
 use tp_kernel::kernel::{StepEvent, System};
@@ -28,12 +30,33 @@ use tp_kernel::program::IdleProgram;
 /// Time `iters` iterations of `f` and print the mean and the fastest
 /// iteration in ns/op: host load raises the mean, rarely the minimum.
 fn bench<R>(name: &str, iters: u32, f: impl FnMut() -> R) {
+    bench_ops(name, iters, 1, f);
+}
+
+/// [`bench`] for an `f` that does `ops` operations per iteration,
+/// printed per operation.
+fn bench_ops<R>(name: &str, iters: u32, ops: u32, f: impl FnMut() -> R) {
     let (total, min) = tp_bench::time_iters(iters, f);
     println!(
         "{name:<32} {iters:>9} iters  {:>10.1} ns/op  (min {:>10.1})",
-        total.as_nanos() as f64 / iters as f64,
-        min.as_nanos() as f64
+        total.as_nanos() as f64 / (iters * ops) as f64,
+        min.as_nanos() as f64 / ops as f64
     );
+}
+
+/// A deterministic event stream shaped like a monitored run: mostly
+/// clock reads, some IPC deliveries, the odd fault.
+fn obs_stream(n: u64) -> Vec<ObsEvent> {
+    (0..n)
+        .map(|i| match i % 7 {
+            5 => ObsEvent::IpcRecv {
+                msg: i,
+                at: Cycles(i * 3),
+            },
+            6 => ObsEvent::Fault,
+            _ => ObsEvent::Clock(Cycles(i)),
+        })
+        .collect()
 }
 
 fn main() {
@@ -87,6 +110,25 @@ fn main() {
         ev.prefetches = (ev.local_state % 5) as u8;
         model.mem_cost(black_box(&ev))
     });
+
+    // The kernel's emit path: a digest-only sink folding each event of
+    // a 4,096-event stream, priced per event.
+    const EVENTS: u32 = 4096;
+    let events = obs_stream(EVENTS.into());
+    let mut sink = ObsSink::digest_only();
+    bench_ops("obs/record_digest_only", 2_000, EVENTS, || {
+        for e in &events {
+            sink.record(*e);
+        }
+        black_box(sink.digest())
+    });
+    let mut sink = ObsSink::digest_only();
+    events.iter().for_each(|e| sink.record(*e));
+    assert_eq!(
+        sink.digest(),
+        obs_digest(&events),
+        "the sink priced other work"
+    );
 
     let mut tlb = Tlb::new(64);
     for v in 0..64 {

@@ -11,8 +11,8 @@
 //! * `json_lines` — tracing sink: counting plus a formatted trace line
 //!   behind a mutex (spans only; counters never touch the buffer).
 //!
-//! The CI bench step runs this next to `emit.rs`; the null numbers are
-//! the regression canary for "telemetry crept onto the hot path".
+//! The CI bench step runs this next to `substrate.rs`; the null numbers
+//! are the regression canary for "telemetry crept onto the hot path".
 
 use std::hint::black_box;
 

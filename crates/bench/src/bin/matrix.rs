@@ -89,7 +89,10 @@ fn main() {
         }
     };
 
-    let mut cache = args.cache.as_deref().map(open_cache);
+    let mut cache = args
+        .cache
+        .as_deref()
+        .map(|path| tp_bench::cli::open_cache("matrix", path));
     let (outcomes, stats) = tp_bench::run_matrix_cells(&matrix, &indices, cache.as_mut(), progress);
     if let Some(cache) = &mut cache {
         if let Some(e) = cache.take_log_error() {
@@ -104,28 +107,6 @@ fn main() {
     tp_bench::finish_telemetry(args.metrics, args.trace_out.as_deref(), indices.len());
 
     emit_output(&args, tp_bench::proved_or_exit("matrix", outcomes));
-}
-
-/// Open the `--cache` file as the sweep's append-only log. A missing
-/// file is a cold start, not an error; a torn final group (a crash
-/// mid-append) is dropped and reported on its own stderr line; a file
-/// malformed anywhere else is untrusted input and fails loudly rather
-/// than silently proving everything live.
-fn open_cache(path: &str) -> tp_core::ProofCache {
-    match tp_core::ProofCache::open(std::path::Path::new(path)) {
-        Ok(cache) => {
-            eprintln!("cache log: {} torn-dropped", cache.torn_dropped());
-            cache
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-            eprintln!("matrix: cannot parse cache {path}: {e}");
-            std::process::exit(tp_bench::cli::EXIT_MALFORMED);
-        }
-        Err(e) => {
-            eprintln!("matrix: cannot open cache {path}: {e}");
-            std::process::exit(2);
-        }
-    }
 }
 
 /// Print the run's stdout: wire records in `--worker` mode, the

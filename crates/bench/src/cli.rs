@@ -212,6 +212,30 @@ pub fn expand_cell_spec(spec: &[RangeInclusive<usize>], total: usize) -> Result<
     Ok(spec.iter().cloned().flatten().collect())
 }
 
+/// Open a `--cache` file as an append-only proof log, for `prog`
+/// (`matrix`, `tp-serve`). A missing file is a cold start, not an
+/// error; a torn final group (a crash mid-append) is dropped and
+/// reported on stderr as `{prog}: cache log: N torn-dropped`; a file
+/// malformed anywhere else is untrusted input and exits with
+/// [`EXIT_MALFORMED`] rather than silently proving everything live; an
+/// unreadable file exits with 2.
+pub fn open_cache(prog: &str, path: &str) -> tp_core::ProofCache {
+    match tp_core::ProofCache::open(std::path::Path::new(path)) {
+        Ok(cache) => {
+            eprintln!("{prog}: cache log: {} torn-dropped", cache.torn_dropped());
+            cache
+        }
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+            eprintln!("{prog}: cannot parse cache {path}: {e}");
+            std::process::exit(EXIT_MALFORMED);
+        }
+        Err(e) => {
+            eprintln!("{prog}: cannot open cache {path}: {e}");
+            std::process::exit(2);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

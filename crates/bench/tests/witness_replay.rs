@@ -6,7 +6,7 @@
 
 use tp_bench::canonical_scenario;
 use tp_core::check_noninterference;
-use tp_core::noninterference::{first_divergence, run_monitored, NiVerdict};
+use tp_core::noninterference::{first_divergence, obs_digest, run_monitored, NiVerdict};
 use tp_kernel::config::Mechanism;
 use tp_kernel::domain::ObsEvent;
 use tp_kernel::kernel::System;
@@ -16,12 +16,16 @@ use tp_kernel::kernel::System;
 fn monitored_lo_trace(disable: Option<Mechanism>, secret: u64) -> Vec<ObsEvent> {
     let sc = canonical_scenario(disable);
     let sys = System::new(sc.mcfg.clone(), (sc.make_kcfg)(secret)).expect("canonical system");
-    let run = run_monitored(sys, sc.lo, sc.budget, sc.max_steps);
-    let trace = run.lo_trace.expect("recording run keeps a trace");
+    let mut run = run_monitored(sys, sc.lo, sc.budget, sc.max_steps);
+    let trace = run
+        .system
+        .take_observation(sc.lo)
+        .expect("recording run keeps a trace");
+    assert_eq!(run.lo_len, trace.len());
     assert_eq!(
-        trace,
-        run.system.observation(sc.lo).events,
-        "certified trace must be the system's own log"
+        run.lo_digest,
+        obs_digest(&trace),
+        "certified digest must be the system's own log's"
     );
     trace
 }

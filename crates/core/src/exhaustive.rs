@@ -17,7 +17,7 @@
 //! would write), doubling as a channel-discovery tool.
 
 use tp_hw::machine::MachineConfig;
-use tp_hw::obs::RecordingSink;
+use tp_hw::obs::ObsSink;
 use tp_hw::types::Cycles;
 use tp_kernel::config::{DomainSpec, KernelConfig, TimeProtConfig};
 use tp_kernel::domain::{DomainId, ObsEvent};
@@ -203,7 +203,7 @@ impl ExhaustiveRunner {
     /// recording mode and of divergence witness extraction.
     pub fn run_recorded_into(&self, hi: &[Instr], buf: &mut Vec<ObsEvent>) {
         let mut sys = self.stamp(hi);
-        sys.set_obs_sink(DomainId(1), RecordingSink::with_buffer(std::mem::take(buf)));
+        sys.set_obs_sink(DomainId(1), ObsSink::recording_into(std::mem::take(buf)));
         sys.run_cycles(self.budget, self.max_steps);
         *buf = sys
             .take_observation(DomainId(1))
@@ -223,7 +223,7 @@ impl ExhaustiveRunner {
     /// lockstep witness extractor drives step by step.
     fn recording_system(&self, hi: &[Instr]) -> tp_kernel::kernel::System {
         let mut sys = self.stamp(hi);
-        sys.set_obs_sink(DomainId(1), RecordingSink::default());
+        sys.set_obs_sink(DomainId(1), ObsSink::default());
         sys
     }
 }

@@ -21,11 +21,11 @@
 //! ## Digest-first execution
 //!
 //! The hot path never materialises an observation log. Each run's
-//! system carries [`tp_hw::obs::DigestSink`]s, so Lo's log exists only
-//! as a rolling `(len, digest)` fingerprint folded as events are
-//! emitted; [`check_ni_parts`] compares fingerprints. Only when two
-//! fingerprints disagree does the checker re-run the offending pair
-//! with [`tp_hw::obs::RecordingSink`]s to extract the replayable
+//! system carries [`tp_hw::obs::ObsSink::digest_only`] sinks, so Lo's
+//! log exists only as a rolling `(len, digest)` fingerprint folded as
+//! events are emitted; [`check_ni_parts`] compares fingerprints. Only
+//! when two fingerprints disagree does the checker re-run the offending
+//! pair with recording sinks to extract the replayable
 //! witness ([`first_divergence`] index plus the diverging events) —
 //! byte-identical to what a fully recorded comparison reports, because
 //! sinks cannot influence execution. The engine's proof shards take the
@@ -47,8 +47,8 @@
 //! through the run, so one digest comparison against a plain,
 //! unmonitored replay ([`TransparencyCert`]) proves monitoring cannot
 //! have perturbed the trace. Certified transparency is what lets the
-//! engine reuse the monitored run's Lo trace as the NI baseline and
-//! drop the second replay per (model, secret) cell.
+//! engine reuse the monitored run's Lo fingerprint as the NI baseline
+//! and drop the second replay per (model, secret) cell.
 
 use crate::flush::FlushReference;
 use crate::obligation::ObligationResult;
@@ -211,12 +211,9 @@ pub struct MonitoredRun {
     pub t: ObligationResult,
     /// Steps executed.
     pub steps: usize,
-    /// Lo's certified observation trace — identical to
-    /// `system.observation(lo).events` — when the system records.
-    /// `None` on the digest-only hot path, where the `(lo_len,
-    /// lo_digest)` fingerprint stands in for the trace.
-    pub lo_trace: Option<Vec<ObsEvent>>,
-    /// Number of events Lo observed.
+    /// Number of events Lo observed. When the system records, Lo's
+    /// trace itself is `system.observation(lo)`; on the digest-only hot
+    /// path the `(lo_len, lo_digest)` fingerprint stands in for it.
     pub lo_len: usize,
     /// Rolling digest of Lo's observation log, folded event by event by
     /// the sink as the run progressed (equals [`obs_digest`] of the
@@ -310,7 +307,6 @@ pub fn run_monitored_with(
     // exists *during* the run and nothing here retains the trace.
     let lo_len = sys.obs_len(lo);
     let mut lo_digest = sys.obs_digest(lo);
-    let lo_trace = sys.observation_opt(lo).map(|o| o.events.clone());
     // Recording runs cross-check the rolling digest against a fresh
     // fold of the final log. They differ only when a monitor bypassed
     // the sink and edited the log behind its back (append, rewrite or
@@ -320,8 +316,8 @@ pub fn run_monitored_with(
     // trace the rolling digest never saw. Digest-only runs have no log
     // to edit, so the rolling digest is the ground truth by
     // construction.
-    if let Some(trace) = &lo_trace {
-        let final_digest = obs_digest(trace);
+    if let Some(log) = sys.observation_opt(lo) {
+        let final_digest = obs_digest(&log.events);
         if lo_digest != final_digest {
             lo_digest = mix_digest(lo_digest, final_digest);
         }
@@ -332,7 +328,6 @@ pub fn run_monitored_with(
         f,
         t,
         steps,
-        lo_trace,
         lo_len,
         lo_digest,
         switch_digest,
@@ -389,8 +384,8 @@ pub fn check_noninterference(sc: &NiScenario) -> NiVerdict {
 /// [`crate::proof::prove`] to substitute machine configurations (e.g.
 /// different time models) without rebuilding the scenario.
 ///
-/// Digest-first: every secret runs against [`tp_hw::obs::DigestSink`]s
-/// and only `(len, digest)` fingerprints are compared. On a mismatch,
+/// Digest-first: every secret runs against digest-only sinks and only
+/// `(len, digest)` fingerprints are compared. On a mismatch,
 /// the baseline and the offending secret are re-run with recording
 /// sinks to extract the witness; the resulting [`NiVerdict::Leak`] is
 /// byte-identical to the fully recorded comparison's
@@ -700,8 +695,7 @@ mod tests {
         assert!(run.p.checked_points > 0);
         assert!(run.f.checked_points > 0);
         assert!(run.t.checked_points > 0);
-        let trace = run.lo_trace.as_ref().expect("recording run keeps a trace");
-        assert_eq!(trace, &run.system.observation(sc.lo).events);
+        let trace = &run.system.observation(sc.lo).events;
         assert_eq!(run.lo_len, trace.len());
         assert_eq!(run.lo_digest, obs_digest(trace));
     }
@@ -721,7 +715,10 @@ mod tests {
         let mut sys = System::new(sc.mcfg.clone(), (sc.make_kcfg)(7)).unwrap();
         sys.use_digest_sinks();
         let digest_only = run_monitored(sys, sc.lo, Cycles(800_000), 200_000);
-        assert!(digest_only.lo_trace.is_none(), "digest runs keep no trace");
+        assert!(
+            digest_only.system.observation_opt(sc.lo).is_none(),
+            "digest runs keep no trace"
+        );
         assert_eq!(digest_only.lo_len, recorded.lo_len);
         assert_eq!(digest_only.lo_digest, recorded.lo_digest);
         assert_eq!(digest_only.switch_digest, recorded.switch_digest);

@@ -81,7 +81,7 @@ proptest! {
             let sys = System::new(sc.mcfg.clone(), (sc.make_kcfg)(secret)).expect("system");
             let run = run_monitored(sys, sc.lo, sc.budget, sc.max_steps);
             let replay = lo_trace(&sc.mcfg, &(sc.make_kcfg)(secret), sc.lo, sc.budget, sc.max_steps);
-            let trace = run.lo_trace.as_ref().expect("recording run keeps a trace");
+            let trace = &run.system.observation(sc.lo).events;
             prop_assert_eq!(trace, &replay, "seed {} secret {}", seed, secret);
             prop_assert_eq!(run.lo_digest, obs_digest(&replay));
 
@@ -92,7 +92,7 @@ proptest! {
                 System::new(sc.mcfg.clone(), (sc.make_kcfg)(secret)).expect("system");
             digest_sys.use_digest_sinks();
             let digest_run = run_monitored(digest_sys, sc.lo, sc.budget, sc.max_steps);
-            prop_assert!(digest_run.lo_trace.is_none());
+            prop_assert!(digest_run.system.observation_opt(sc.lo).is_none());
             prop_assert_eq!(digest_run.lo_len, run.lo_len);
             prop_assert_eq!(digest_run.lo_digest, run.lo_digest);
             prop_assert_eq!(digest_run.switch_digest, run.switch_digest);

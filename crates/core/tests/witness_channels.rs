@@ -91,8 +91,9 @@ fn witness_scenario(tp: TimeProtConfig) -> NiScenario {
 /// Lo's trace from a monitored replay of one secret.
 fn monitored_trace(sc: &NiScenario, secret: u64) -> Vec<ObsEvent> {
     let sys = System::new(sc.mcfg.clone(), (sc.make_kcfg)(secret)).expect("witness system");
-    run_monitored(sys, sc.lo, sc.budget, sc.max_steps)
-        .lo_trace
+    let mut run = run_monitored(sys, sc.lo, sc.budget, sc.max_steps);
+    run.system
+        .take_observation(sc.lo)
         .expect("recording run keeps a trace")
 }
 

@@ -66,7 +66,5 @@ pub use aisa::{check_conformance, ConformanceReport, Resource, ResourceClass};
 pub use cache::{Cache, CacheConfig, ReplacementPolicy};
 pub use clock::{CostTable, HwClock, MemEvent, MemLevel, TimeModel};
 pub use machine::{AddressSpace, Machine, MachineConfig, Translation, WalkFootprint};
-pub use obs::{
-    fold_obs_event, obs_digest, DigestSink, ObsEvent, ObsSinkKind, Observation, RecordingSink,
-};
+pub use obs::{fold_obs_event, obs_digest, ObsEvent, ObsSink, Observation};
 pub use types::{Asid, Colour, CoreId, Cycles, DomainTag, Fault, Generation, PAddr, VAddr};

@@ -167,10 +167,12 @@ impl Core {
 
     /// Structural equality of the state [`Core::microarch_digest`]
     /// covers (everything core-local except the architectural clock and
-    /// core id). Strictly stronger than digest equality — no collisions
-    /// — and much cheaper than hashing: field compares vectorise, hash
-    /// chains serialise. Monitors use this as the fast path and fall
-    /// back to the digest only on mismatch.
+    /// core id). Strictly stronger than digest equality: it has no
+    /// collisions, so a core that equals a pristine one shows that no
+    /// valid line survived the flush. It is not the cheaper test — the
+    /// running digests make [`Core::microarch_digest`] a few loads — so
+    /// monitors use it for that certainty and read the digest only on
+    /// mismatch.
     pub fn microarch_eq(&self, other: &Core) -> bool {
         self.l1i == other.l1i
             && self.l1d == other.l1d

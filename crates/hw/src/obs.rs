@@ -1,4 +1,4 @@
-//! Observable events and pluggable observation sinks.
+//! Observable events and the observation sink.
 //!
 //! What a domain's program can architecturally *see* — clock reads, IPC
 //! deliveries, faults, its own halting — is the raw material of every
@@ -8,26 +8,24 @@
 //! boundary currency between the modelled machine and every consumer
 //! above it (kernel, checkers, experiments).
 //!
-//! ## Sinks
+//! ## The sink
 //!
-//! How observations are *consumed* is chosen per run. The kernel emits
-//! each event exactly once, into an [`ObsSinkKind`], whose variant
-//! decides what to keep:
+//! The kernel emits each event exactly once, into the domain's
+//! [`ObsSink`], which folds it into a rolling FNV-1a `(len, digest)`
+//! fingerprint and, when recording, appends it to the full log:
 //!
-//! * [`RecordingSink`] keeps the full `Vec<ObsEvent>` log (and the
-//!   rolling digest alongside it) — the mode every witness extractor,
-//!   experiment and test inspector runs in.
-//! * [`DigestSink`] folds each event into a rolling FNV-1a digest as it
-//!   is emitted and drops it — the proof engine's hot path. A
-//!   digest-only run allocates no per-event storage at all; two runs
-//!   with equal `(len, digest)` pairs have equal logs (modulo a 2⁻⁶⁴
-//!   FNV collision, the same ground PR 4's transparency certification
-//!   already stands on), so the checkers compare fingerprints in the
-//!   hot loop and re-run with a [`RecordingSink`] only when a
-//!   divergence needs a concrete, replayable witness.
+//! * recording ([`ObsSink::default`], [`ObsSink::recording_into`]) —
+//!   the mode every witness extractor, experiment and test inspector
+//!   runs in;
+//! * [`ObsSink::digest_only`] — the proof engine's hot path, which
+//!   allocates no per-event storage at all. Two runs with equal `(len,
+//!   digest)` pairs have equal logs (modulo a 2⁻⁶⁴ FNV collision, the
+//!   same ground the transparency certification stands on), so the
+//!   checkers compare fingerprints in the hot loop and re-run recording
+//!   only when a divergence needs a concrete, replayable witness.
 //!
-//! Sinks cannot influence execution — the kernel hands them events and
-//! never reads them back — so which sink a system carries is invisible
+//! A sink cannot influence execution — the kernel hands it events and
+//! never reads them back — so whether a system records is invisible
 //! to the run itself. That is what makes digest-first verdicts
 //! bit-identical to recording-mode verdicts (the equivalence suites in
 //! `tp-core` pin this).
@@ -123,7 +121,7 @@ pub fn fold_obs_event(h: u64, e: &ObsEvent) -> u64 {
 }
 
 /// Digest of a whole observation trace: the value a rolling
-/// [`DigestSink`] converges to, recomputable from any recorded trace.
+/// [`ObsSink`] converges to, recomputable from any recorded trace.
 pub fn obs_digest(events: &[ObsEvent]) -> u64 {
     events.iter().fold(OBS_DIGEST_SEED, fold_obs_event)
 }
@@ -226,186 +224,103 @@ impl WordFold {
 }
 
 // ---------------------------------------------------------------------
-// Sinks
+// The sink
 // ---------------------------------------------------------------------
 
-/// A sink that folds every event into the rolling FNV digest as it is
-/// emitted and keeps nothing else: the trace-free hot path.
-#[derive(Debug, Clone)]
-pub struct DigestSink {
-    digest: u64,
-    len: usize,
-}
-
-impl Default for DigestSink {
-    fn default() -> Self {
-        DigestSink {
-            digest: OBS_DIGEST_SEED,
-            len: 0,
-        }
-    }
-}
-
-impl DigestSink {
-    #[inline]
-    fn record(&mut self, e: ObsEvent) {
-        self.digest = fold_obs_event(self.digest, &e);
-        self.len += 1;
-    }
-}
-
-/// A sink that keeps the full event log (today's `Vec<ObsEvent>`) and
-/// maintains the rolling digest alongside it, so recording-mode digests
-/// are the same rolling values digest-only runs produce.
-#[derive(Debug, Clone)]
-pub struct RecordingSink {
-    obs: Observation,
-    digest: u64,
-}
-
-impl Default for RecordingSink {
-    fn default() -> Self {
-        RecordingSink {
-            obs: Observation::default(),
-            digest: OBS_DIGEST_SEED,
-        }
-    }
-}
-
-impl RecordingSink {
-    /// A recording sink that reuses `buf` as its event storage (cleared
-    /// first): the per-worker scratch-buffer path of the exhaustive
-    /// checker's recording fallback.
-    pub fn with_buffer(mut buf: Vec<ObsEvent>) -> Self {
-        buf.clear();
-        RecordingSink {
-            obs: Observation { events: buf },
-            digest: OBS_DIGEST_SEED,
-        }
-    }
-
-    #[inline]
-    fn record(&mut self, e: ObsEvent) {
-        self.digest = fold_obs_event(self.digest, &e);
-        self.obs.events.push(e);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Static dispatch
-// ---------------------------------------------------------------------
-
-/// Where a domain's observations go as the kernel emits them: the
-/// closed set of sinks, dispatched by one enum match per call.
+/// Where a domain's observations go as the kernel emits them: a rolling
+/// FNV digest and event count, plus the full log when recording.
 ///
 /// The kernel hands it each event exactly once, in program order, and
 /// never reads events back during a run — a sink is write-only from
-/// the machine's point of view, which is why the choice of sink cannot
-/// perturb execution. Every domain carries an `ObsSinkKind`; the
-/// variant is chosen once per run (recording by default,
-/// [`DigestSink`] via `System::use_digest_sinks`) and never changes
-/// mid-run, so the match predicts
-/// perfectly in the hot loop and the sink methods inline into the
-/// kernel's step.
+/// the machine's point of view, which is why whether it records cannot
+/// perturb execution. Every domain carries one; it records by default,
+/// and `System::use_digest_sinks` makes it [`ObsSink::digest_only`]
+/// once per run.
 #[derive(Debug, Clone)]
-pub enum ObsSinkKind {
-    /// Full log + rolling digest ([`RecordingSink`]).
-    Recording(RecordingSink),
-    /// Rolling digest only ([`DigestSink`]) — the proof hot path.
-    Digest(DigestSink),
+pub struct ObsSink {
+    digest: u64,
+    len: usize,
+    /// The retained log; `None` on a digest-only sink.
+    log: Option<Observation>,
 }
 
-impl Default for ObsSinkKind {
+impl Default for ObsSink {
+    /// A recording sink.
     fn default() -> Self {
-        ObsSinkKind::Recording(RecordingSink::default())
+        ObsSink::recording_into(Vec::new())
     }
 }
 
-impl From<RecordingSink> for ObsSinkKind {
-    fn from(s: RecordingSink) -> Self {
-        ObsSinkKind::Recording(s)
-    }
-}
-
-impl From<DigestSink> for ObsSinkKind {
-    fn from(s: DigestSink) -> Self {
-        ObsSinkKind::Digest(s)
-    }
-}
-
-impl ObsSinkKind {
-    /// Consume one event.
-    #[inline]
-    pub fn record(&mut self, e: ObsEvent) {
-        match self {
-            ObsSinkKind::Recording(s) => s.record(e),
-            ObsSinkKind::Digest(s) => s.record(e),
+impl ObsSink {
+    /// A sink that folds each event into the digest and keeps nothing
+    /// else: the trace-free hot path.
+    pub fn digest_only() -> Self {
+        ObsSink {
+            digest: OBS_DIGEST_SEED,
+            len: 0,
+            log: None,
         }
     }
 
-    /// Consume a batch of events in order: one dispatch per step-sized
-    /// batch. Identical digests/logs to recording each event singly.
+    /// A recording sink that reuses `buf` as its event storage (cleared
+    /// first): the per-worker scratch-buffer path of the exhaustive
+    /// checker's recording runs.
+    pub fn recording_into(mut buf: Vec<ObsEvent>) -> Self {
+        buf.clear();
+        ObsSink {
+            log: Some(Observation { events: buf }),
+            ..ObsSink::digest_only()
+        }
+    }
+
+    /// Consume one event.
     #[inline]
-    pub fn record_batch(&mut self, events: &[ObsEvent]) {
-        match self {
-            ObsSinkKind::Recording(s) => events.iter().for_each(|&e| s.record(e)),
-            ObsSinkKind::Digest(s) => events.iter().for_each(|&e| s.record(e)),
+    pub fn record(&mut self, e: ObsEvent) {
+        self.digest = fold_obs_event(self.digest, &e);
+        self.len += 1;
+        if let Some(log) = &mut self.log {
+            log.events.push(e);
         }
     }
 
     /// Number of events recorded so far.
     #[inline]
     pub fn len(&self) -> usize {
-        match self {
-            ObsSinkKind::Recording(s) => s.obs.events.len(),
-            ObsSinkKind::Digest(s) => s.len,
-        }
+        self.len
     }
 
     /// Whether no event has been recorded yet.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Rolling digest of everything recorded so far (equals
     /// [`obs_digest`] of the event sequence).
     #[inline]
     pub fn digest(&self) -> u64 {
-        match self {
-            ObsSinkKind::Recording(s) => s.digest,
-            ObsSinkKind::Digest(s) => s.digest,
-        }
+        self.digest
     }
 
-    /// The retained log, if this sink keeps one.
+    /// The retained log, if this sink records.
     pub fn observation(&self) -> Option<&Observation> {
-        match self {
-            ObsSinkKind::Recording(s) => Some(&s.obs),
-            _ => None,
-        }
+        self.log.as_ref()
     }
 
     /// Mutable access to the retained log, if any (the tamper seam the
     /// adversarial transparency suites use; real monitors never touch it).
     pub fn observation_mut(&mut self) -> Option<&mut Observation> {
-        match self {
-            ObsSinkKind::Recording(s) => Some(&mut s.obs),
-            _ => None,
-        }
+        self.log.as_mut()
     }
 
-    /// Take the retained event buffer out (leaving the sink empty), if
-    /// this sink keeps one — the allocation-reuse path for drivers that
-    /// stamp thousands of recording runs.
+    /// Take the retained event buffer out (leaving the sink empty and
+    /// still recording), if this sink records — the allocation-reuse
+    /// path for drivers that stamp thousands of recording runs.
     pub fn take_events(&mut self) -> Option<Vec<ObsEvent>> {
-        match self {
-            ObsSinkKind::Recording(s) => {
-                s.digest = OBS_DIGEST_SEED;
-                Some(core::mem::take(&mut s.obs.events))
-            }
-            _ => None,
-        }
+        let log = self.log.as_mut()?;
+        self.digest = OBS_DIGEST_SEED;
+        self.len = 0;
+        Some(core::mem::take(&mut log.events))
     }
 }
 
@@ -435,14 +350,14 @@ mod tests {
         assert_eq!(obs.ipc_recvs(), vec![(7, Cycles(9))]);
     }
 
-    /// Both sinks converge to [`obs_digest`] of the same sequence, with
+    /// Both modes converge to [`obs_digest`] of the same sequence, with
     /// matching lengths — the invariant every digest-first comparison
     /// rests on.
     #[test]
     fn sinks_agree_with_the_batch_digest() {
         let events = sample_events();
-        let mut d = ObsSinkKind::from(DigestSink::default());
-        let mut r = ObsSinkKind::from(RecordingSink::default());
+        let mut d = ObsSink::digest_only();
+        let mut r = ObsSink::default();
         for e in &events {
             d.record(*e);
             r.record(*e);
@@ -453,26 +368,29 @@ mod tests {
         assert_eq!(r.digest(), obs_digest(&events));
         assert_eq!(r.observation().unwrap().events, events);
         assert!(d.observation().is_none());
+        assert!(d.clone().observation_mut().is_none());
+        assert!(d.clone().take_events().is_none());
         assert!(!d.is_empty() && !r.is_empty());
     }
 
     #[test]
     fn empty_sinks_carry_the_seed_digest() {
-        let digest = ObsSinkKind::from(DigestSink::default());
+        let digest = ObsSink::digest_only();
         assert_eq!(digest.digest(), obs_digest(&[]));
-        assert_eq!(ObsSinkKind::default().digest(), obs_digest(&[]));
+        assert_eq!(ObsSink::default().digest(), obs_digest(&[]));
         assert!(digest.is_empty());
     }
 
-    /// `with_buffer` reuses the allocation and `take_events` hands it
+    /// `recording_into` reuses the allocation and `take_events` hands it
     /// back — no per-run growth when cycling one scratch buffer.
     #[test]
     fn recording_buffer_roundtrip_reuses_the_allocation() {
         let mut buf = Vec::with_capacity(64);
         buf.push(ObsEvent::Fault); // stale content must be cleared
         let cap = buf.capacity();
-        let mut sink = ObsSinkKind::from(RecordingSink::with_buffer(buf));
-        assert!(sink.is_empty(), "with_buffer must clear stale events");
+        let mut sink = ObsSink::recording_into(buf);
+        assert!(sink.is_empty(), "recording_into must clear stale events");
+        assert_eq!(sink.observation().unwrap().events, vec![]);
         sink.record(ObsEvent::Halted);
         assert_eq!(sink.digest(), obs_digest(&[ObsEvent::Halted]));
         let back = sink.take_events().unwrap();
@@ -480,62 +398,7 @@ mod tests {
         assert!(back.capacity() >= cap, "allocation must be preserved");
         assert!(sink.is_empty());
         assert_eq!(sink.digest(), obs_digest(&[]), "take_events resets");
-    }
-
-    /// Every variant ends with the same length, digest and log whether
-    /// the events arrive one at a time or as one batch.
-    #[test]
-    fn sink_kind_matches_wrapped_sink() {
-        let events = sample_events();
-        for mut kind in [
-            ObsSinkKind::default(),
-            ObsSinkKind::from(DigestSink::default()),
-        ] {
-            let mut batched = kind.clone();
-            for e in &events {
-                kind.record(*e);
-            }
-            batched.record_batch(&events);
-            assert_eq!(kind.len(), batched.len());
-            assert_eq!(kind.digest(), batched.digest());
-            assert_eq!(
-                kind.observation().map(|o| o.events.clone()),
-                batched.observation().map(|o| o.events.clone())
-            );
-        }
-        // Recording variant retains the log; digest does not.
-        let mut rec = ObsSinkKind::default();
-        rec.record_batch(&events);
-        assert_eq!(rec.observation().unwrap().events, events);
-        assert_eq!(rec.digest(), obs_digest(&events));
-        assert_eq!(rec.take_events().unwrap(), events);
-        let mut dig = ObsSinkKind::from(DigestSink::default());
-        dig.record_batch(&events);
-        assert_eq!(dig.len(), events.len());
-        assert_eq!(dig.digest(), obs_digest(&events));
-        assert!(dig.observation_mut().is_none());
-        assert!(dig.take_events().is_none());
-    }
-
-    /// Batched recording equals per-event recording — the invariant the
-    /// kernel's step-granular flush rests on.
-    #[test]
-    fn record_batch_equals_per_event_recording() {
-        let events = sample_events();
-        let mut single = ObsSinkKind::default();
-        let mut batch = ObsSinkKind::default();
-        for e in &events {
-            single.record(*e);
-        }
-        batch.record_batch(&events);
-        assert_eq!(single.digest(), batch.digest());
-        assert_eq!(single.observation(), batch.observation());
-        // Split batches chain: digest state carries across flushes.
-        let mut split = ObsSinkKind::from(DigestSink::default());
-        split.record_batch(&events[..2]);
-        split.record_batch(&events[2..]);
-        assert_eq!(split.digest(), obs_digest(&events));
-        assert_eq!(split.len(), events.len());
+        assert!(sink.observation().is_some(), "still recording");
     }
 
     #[test]

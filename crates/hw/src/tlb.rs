@@ -514,4 +514,58 @@ mod tests {
         }
         assert!(moves > 0);
     }
+
+    /// The lookup memo against a naive scan: over random lookups,
+    /// inserts and every kind of invalidation on a small key space,
+    /// every `lookup` answers what the first matching valid slot in slot
+    /// order holds, whether the memo or the scan answered it. The
+    /// reference reads only `iter()`, so it holds under any replacement
+    /// policy.
+    #[test]
+    fn memoised_lookups_match_a_naive_scan() {
+        let mut rng = proptest::TestRng::new(0x3e40);
+        let mut t = Tlb::new(4);
+        let mut memo_hits = 0;
+        for step in 0..20_000 {
+            let asid = Asid(rng.below(2) as u16);
+            let vaddr = VAddr(rng.below(3) << 12);
+            let vpn = vaddr.vpn();
+            match rng.below(16) {
+                0..=7 => {
+                    let expected = t
+                        .iter()
+                        .find(|e| e.vpn == vpn && (e.global || e.asid == asid))
+                        .map_or(TlbLookup::Miss, |e| TlbLookup::Hit {
+                            pfn: e.pfn,
+                            writable: e.writable,
+                        });
+                    let memoised = t
+                        .memo
+                        .iter()
+                        .flatten()
+                        .any(|m| m.vpn == vpn && m.asid == asid);
+                    memo_hits += usize::from(memoised);
+                    assert_eq!(t.lookup(asid, vaddr), expected, "step {step}");
+                }
+                8..=10 => {
+                    t.insert(TlbEntry {
+                        pfn: rng.below(1 << 20),
+                        writable: rng.below(2) == 0,
+                        global: rng.below(4) == 0,
+                        ..entry(asid.0, vpn)
+                    });
+                }
+                11 | 12 => {
+                    t.flush_asid(asid);
+                }
+                13 | 14 => {
+                    t.invalidate_page(asid, vaddr);
+                }
+                _ => {
+                    t.flush_all();
+                }
+            }
+        }
+        assert!(memo_hits > 0, "the memo never answered a lookup");
+    }
 }

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use tp_hw::cache::{Cache, CacheConfig, ReplacementPolicy};
 use tp_hw::machine::{Machine, MachineConfig};
-use tp_hw::obs::{obs_digest, DigestSink, ObsEvent, ObsSinkKind, RecordingSink};
+use tp_hw::obs::{obs_digest, ObsEvent, ObsSink};
 use tp_hw::tlb::{Tlb, TlbEntry, TlbLookup};
 use tp_hw::types::{Asid, CoreId, Cycles, DomainTag, PAddr, VAddr};
 
@@ -217,42 +217,27 @@ proptest! {
         }
     }
 
-    /// Batched event folding is a pure re-association of per-event
-    /// folding: for any event sequence and any batch boundaries
-    /// (including the degenerate single-event batches the kernel emits
-    /// at flush-at-divergence points), the rolling `(len, digest)`
-    /// fingerprint is identical — across the digest-only sink, the
-    /// recording sink, and the free-function fold.
+    /// The sink's per-event folding matches the batch fold of the whole
+    /// trace ([`obs_digest`]) in both modes: for any event sequence the
+    /// digest-only and the recording sink carry the same `(len,
+    /// digest)` fingerprint, and the recording sink retains exactly the
+    /// events it was given (what a divergence replay would consume).
     #[test]
     fn batched_folding_matches_per_event_folding(
         events in prop::collection::vec(obs_event_strategy(), 0..200),
-        cuts in prop::collection::vec(any::<usize>(), 0..8),
     ) {
-        // Arbitrary batch boundaries from the random cut points.
-        let mut bounds: Vec<usize> = cuts.iter().map(|i| i % (events.len() + 1)).collect();
-        bounds.push(0);
-        bounds.push(events.len());
-        bounds.sort_unstable();
-        bounds.dedup();
-
-        let mut per_event = ObsSinkKind::from(DigestSink::default());
+        let mut digest_only = ObsSink::digest_only();
+        let mut recording = ObsSink::default();
         for e in &events {
-            per_event.record(*e);
+            digest_only.record(*e);
+            recording.record(*e);
         }
 
-        let mut batched = ObsSinkKind::from(DigestSink::default());
-        let mut recording = ObsSinkKind::from(RecordingSink::default());
-        for w in bounds.windows(2) {
-            batched.record_batch(&events[w[0]..w[1]]);
-            recording.record_batch(&events[w[0]..w[1]]);
+        for sink in [&digest_only, &recording] {
+            prop_assert_eq!(sink.digest(), obs_digest(&events));
+            prop_assert_eq!(sink.len(), events.len());
         }
-
-        prop_assert_eq!(batched.digest(), per_event.digest());
-        prop_assert_eq!(batched.len(), per_event.len());
-        prop_assert_eq!(batched.digest(), obs_digest(&events));
-        // The recording sink agrees on the fingerprint AND retains the
-        // exact event sequence (what a divergence replay would consume).
-        prop_assert_eq!(recording.digest(), per_event.digest());
+        prop_assert!(digest_only.observation().is_none());
         prop_assert_eq!(
             recording.observation().map(|o| o.events.as_slice()),
             Some(events.as_slice())

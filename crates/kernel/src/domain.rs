@@ -12,16 +12,15 @@
 //! halting. Noninterference (§5.2) is stated over these logs: a Lo
 //! domain's observation sequence must be identical across all Hi secrets.
 //!
-//! Each domain's observations flow into an [`ObsSinkKind`]
-//! (`tp_hw::obs`): a [`tp_hw::obs::RecordingSink`] keeps the full log
-//! (the default, and what every witness extractor needs), while a
-//! [`tp_hw::obs::DigestSink`] folds events into a rolling digest as
-//! they are emitted — the proof engine's trace-free hot path.
+//! Each domain's observations flow into an [`ObsSink`] (`tp_hw::obs`),
+//! which folds every event into a rolling `(len, digest)` fingerprint
+//! and, by default, keeps the full log too (what every witness
+//! extractor needs); a [`ObsSink::digest_only`] sink keeps only the
+//! fingerprint — the proof engine's trace-free hot path.
 
 use crate::program::{Program, StepFeedback};
 use crate::vspace::VSpace;
-use tp_hw::obs::RecordingSink;
-pub use tp_hw::obs::{ObsEvent, ObsSinkKind, Observation};
+pub use tp_hw::obs::{ObsEvent, ObsSink, Observation};
 use tp_hw::types::{Asid, Colour, Cycles, DomainTag, VAddr, PAGE_SIZE};
 
 /// Index of a domain within the kernel.
@@ -89,9 +88,8 @@ pub struct Domain {
     /// Feedback pending for the next program step.
     pub feedback: StepFeedback,
     /// Where everything the program observes goes: a recording sink by
-    /// default, a digest-only sink on the proof engine's hot path. A
-    /// closed enum, so the kernel's per-event emit is a static dispatch.
-    pub obs: ObsSinkKind,
+    /// default, a digest-only sink on the proof engine's hot path.
+    pub obs: ObsSink,
     /// Cached size in bytes of the contiguous code window (see
     /// [`Domain::recompute_code_bytes`]): the PC-wrap modulus the
     /// kernel's fetch path reads every instruction. Kept in sync by the
@@ -99,11 +97,6 @@ pub struct Domain {
     pub code_bytes: u64,
     /// Number of instructions retired (diagnostics).
     pub retired: u64,
-}
-
-/// The default sink: record the full log, like the pre-sink kernel.
-pub(crate) fn default_obs_sink() -> ObsSinkKind {
-    ObsSinkKind::Recording(RecordingSink::default())
 }
 
 impl Domain {
@@ -133,15 +126,5 @@ mod tests {
     #[test]
     fn domain_tag_matches_id() {
         assert_eq!(DomainId(3).tag(), DomainTag(3));
-    }
-
-    #[test]
-    fn default_sink_records() {
-        let mut sink = default_obs_sink();
-        sink.record(ObsEvent::Fault);
-        assert_eq!(
-            sink.observation().expect("default sink records").events,
-            vec![ObsEvent::Fault]
-        );
     }
 }

@@ -17,9 +17,7 @@
 
 use crate::colour::{AllocError, ColourAllocator};
 use crate::config::{KernelConfig, TimeProtConfig};
-use crate::domain::{
-    default_obs_sink, DomState, Domain, DomainId, ObsEvent, ObsSinkKind, Observation,
-};
+use crate::domain::{DomState, Domain, DomainId, ObsEvent, ObsSink, Observation};
 use crate::ipc::{Endpoint, QueuedMsg};
 use crate::kclone::{
     GlobalKernelData, KAccess, KernelImage, KernelOp, SyscallKind, KDATA_FRAMES, KGLOBAL_FRAMES,
@@ -28,7 +26,7 @@ use crate::kclone::{
 use crate::layout::{CODE_VPN, DATA_VPN};
 use crate::program::{Instr, IpcDelivery, Program, StepFeedback, SyscallReq};
 use crate::vspace::{MapError, Mapping, VSpace};
-use tp_hw::irq::TIMER_LINE;
+use tp_hw::irq::{NUM_LINES, TIMER_LINE};
 use tp_hw::machine::{Machine, MachineConfig};
 use tp_hw::types::{Asid, Colour, CoreId, Cycles, DomainTag, VAddr, PAGE_SIZE};
 
@@ -56,6 +54,11 @@ pub enum KernelError {
     },
     /// A domain claims the preemption-timer line.
     TimerLineReserved,
+    /// A domain claims a line the interrupt controller does not have.
+    IrqLineOutOfRange {
+        /// The claimed line (at least `tp_hw::irq::NUM_LINES`).
+        line: u8,
+    },
     /// More domains than available colours.
     TooManyDomains {
         /// Domains requested.
@@ -198,7 +201,7 @@ pub struct Kernel {
     /// Frame allocator (retained for dynamic map/unmap).
     pub allocator: ColourAllocator,
     /// IRQ line ownership.
-    irq_owner: [Option<DomainId>; 64],
+    irq_owner: [Option<DomainId>; NUM_LINES as usize],
     /// Scratch buffer for kernel-footprint charging: reused across
     /// every `charge_kernel` call instead of collecting a fresh vector
     /// per kernel entry. Always empty between steps.
@@ -206,9 +209,10 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    /// The owner of interrupt `line`, if assigned.
+    /// The owner of interrupt `line`, if assigned (`None` for a line
+    /// the interrupt controller does not have).
     pub fn irq_owner(&self, line: u8) -> Option<DomainId> {
-        self.irq_owner[line as usize]
+        self.irq_owner.get(line as usize).copied().flatten()
     }
 
     /// The enable mask appropriate for `d` under the current policy.
@@ -292,7 +296,7 @@ impl System {
 
         // Domains.
         let mut domains = Vec::with_capacity(n);
-        let mut irq_owner: [Option<DomainId>; 64] = [None; 64];
+        let mut irq_owner = [None; NUM_LINES as usize];
         for (i, spec) in kcfg.domains.iter().enumerate() {
             let id = DomainId(i);
             let tag = id.tag();
@@ -301,6 +305,9 @@ impl System {
             for &line in &spec.irq_lines {
                 if line == TIMER_LINE {
                     return Err(KernelError::TimerLineReserved);
+                }
+                if line >= NUM_LINES {
+                    return Err(KernelError::IrqLineOutOfRange { line });
                 }
                 if irq_owner[line as usize].is_some() {
                     return Err(KernelError::IrqConflict { line });
@@ -378,7 +385,7 @@ impl System {
                 pc: crate::layout::CODE_BASE,
                 state: DomState::Runnable,
                 feedback: StepFeedback::default(),
-                obs: default_obs_sink(),
+                obs: ObsSink::default(),
                 code_bytes: (spec.code_pages * PAGE_SIZE).max(PAGE_SIZE),
                 retired: 0,
             });
@@ -481,18 +488,16 @@ impl System {
         self.kernel.domains[d.0].obs.take_events()
     }
 
-    /// Replace domain `d`'s observation sink (any of the
-    /// [`ObsSinkKind`] variants, or a bare sink via its `From` impl).
-    /// Only sound before the domain has observed anything: events
-    /// already in the old sink are discarded, so swapping mid-run would
-    /// rewrite history.
-    pub fn set_obs_sink(&mut self, d: DomainId, sink: impl Into<ObsSinkKind>) {
+    /// Replace domain `d`'s observation sink. Only sound before the
+    /// domain has observed anything: events already in the old sink are
+    /// discarded, so swapping mid-run would rewrite history.
+    pub fn set_obs_sink(&mut self, d: DomainId, sink: ObsSink) {
         let dom = &mut self.kernel.domains[d.0];
         debug_assert!(
             dom.obs.is_empty(),
             "set_obs_sink is only sound before the domain has observed anything"
         );
-        dom.obs = sink.into();
+        dom.obs = sink;
     }
 
     /// Switch every domain to a digest-only sink: the trace-free proof
@@ -502,7 +507,7 @@ impl System {
     /// recording run's.
     pub fn use_digest_sinks(&mut self) {
         for i in 0..self.kernel.domains.len() {
-            self.set_obs_sink(DomainId(i), tp_hw::obs::DigestSink::default());
+            self.set_obs_sink(DomainId(i), ObsSink::digest_only());
         }
     }
 
@@ -690,9 +695,8 @@ impl System {
             let tag = dom.id.tag();
             if let Err(_f) = self.hw.fetch_virt(core, asid, pc, &dom.vspace, tag) {
                 dom.state = DomState::Halted;
-                // The one multi-event step: both events are folded by a
-                // single step-granular batch flush, not two sink calls.
-                dom.obs.record_batch(&[ObsEvent::Fault, ObsEvent::Halted]);
+                dom.obs.record(ObsEvent::Fault);
+                dom.obs.record(ObsEvent::Halted);
                 return StepEvent::Fault { domain: d };
             }
         }
@@ -805,8 +809,8 @@ impl System {
             SyscallReq::IoSubmit { line, delay } => {
                 let allowed =
                     !self.kernel.tp.irq_partition || self.kernel.irq_owner(line) == Some(d);
-                if allowed && line != TIMER_LINE && line < tp_hw::irq::NUM_LINES {
-                    let fire = self.hw.now(core) + Cycles(delay);
+                if allowed && line != TIMER_LINE && line < NUM_LINES {
+                    let fire = Cycles(self.hw.now(core).0.saturating_add(delay));
                     self.hw.irq.arm_timer(line, fire);
                 } else {
                     self.kernel.io_denied += 1;
@@ -1563,6 +1567,65 @@ mod tests {
         let mut sys = System::new(MachineConfig::single_core(), kcfg).unwrap();
         sys.run_steps(10);
         assert_eq!(sys.kernel.io_denied, 0);
+    }
+
+    /// A line past the controller's is denied like a foreign one, with
+    /// or without partitioning, and never reaches the ownership table.
+    #[test]
+    fn io_submit_denies_out_of_range_lines() {
+        for line in [NUM_LINES, u8::MAX] {
+            for tp in [TimeProtConfig::full(), TimeProtConfig::off()] {
+                let prog = TraceProgram::new(vec![
+                    Instr::Syscall(SyscallReq::IoSubmit { line, delay: 10 }),
+                    Instr::Halt,
+                ]);
+                let kcfg = KernelConfig::new(vec![
+                    DomainSpec::new(Box::new(prog)),
+                    DomainSpec::new(Box::new(IdleProgram)).with_irq_lines(vec![7]),
+                ])
+                .with_tp(tp);
+                let mut sys = System::new(MachineConfig::single_core(), kcfg).unwrap();
+                assert_eq!(sys.kernel.irq_owner(line), None);
+                sys.run_steps(10);
+                assert_eq!(sys.kernel.io_denied, 1, "line {line}, {tp:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn construction_rejects_out_of_range_irq_lines() {
+        let kcfg = KernelConfig::new(vec![
+            DomainSpec::new(Box::new(IdleProgram)).with_irq_lines(vec![NUM_LINES])
+        ]);
+        assert_eq!(
+            System::new(MachineConfig::single_core(), kcfg).err(),
+            Some(KernelError::IrqLineOutOfRange { line: NUM_LINES })
+        );
+    }
+
+    /// A device delay near `u64::MAX` arms the timer at the end of time
+    /// instead of wrapping round to fire at once.
+    #[test]
+    fn huge_io_delay_never_fires_inside_the_budget() {
+        let prog = TraceProgram::new(vec![
+            Instr::Syscall(SyscallReq::IoSubmit {
+                line: 5,
+                delay: u64::MAX - 1,
+            }),
+            Instr::Halt,
+        ]);
+        let kcfg = KernelConfig::new(vec![
+            DomainSpec::new(Box::new(prog)).with_irq_lines(vec![5]),
+            DomainSpec::new(Box::new(IdleProgram)),
+        ]);
+        let mut sys = System::new(MachineConfig::single_core(), kcfg).unwrap();
+        let budget = Cycles(200_000);
+        while sys.now() < budget {
+            let (ev, _) = sys.advance(budget, usize::MAX);
+            assert!(!matches!(ev, StepEvent::IrqHandled { .. }), "{ev:?}");
+        }
+        assert_eq!(sys.kernel.io_denied, 0);
+        assert_eq!(sys.hw.irq.next_fire(), Some(Cycles(u64::MAX)));
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! append-only log: it is loaded at startup (a torn final group, left
 //! by a daemon killed mid-append, is dropped and reported on stderr),
 //! and every cell a cached job proves is appended and fsynced as it
-//! completes. The exit codes for a bad cache file match the sweep
-//! binaries (`EXIT_MALFORMED` for a file that fails wire parsing, 2 for
-//! an unreadable one). `--journal DIR` is accepted and ignored: the
+//! completes. The cache is opened by `matrix`'s own code
+//! (`tp_bench::cli::open_cache`), so the exit codes for a bad cache file
+//! match (`EXIT_MALFORMED` for a file that fails wire parsing, 2 for an
+//! unreadable one). `--journal DIR` is accepted and ignored: the
 //! cache file is its own checkpoint journal now.
 
 use tp_serve::Server;
@@ -51,24 +52,11 @@ fn main() {
     // Counters on by default: a daemon without METRICS is blind.
     tp_telemetry::install(tp_telemetry::TelemetrySink::counters());
 
-    // Same trichotomy as the sweep binaries: missing file = cold start,
+    // `matrix`'s cache-open path: missing file = cold start,
     // unparseable = malformed input (own exit code), unreadable = I/O.
     let cache = match &cache_path {
         None => tp_core::ProofCache::new(),
-        Some(path) => match tp_core::ProofCache::open(std::path::Path::new(path)) {
-            Ok(c) => {
-                eprintln!("tp-serve: cache log: {} torn-dropped", c.torn_dropped());
-                c
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                eprintln!("tp-serve: cannot parse cache {path}: {e}");
-                std::process::exit(tp_bench::cli::EXIT_MALFORMED);
-            }
-            Err(e) => {
-                eprintln!("tp-serve: cannot open cache {path}: {e}");
-                std::process::exit(2);
-            }
-        },
+        Some(path) => tp_bench::cli::open_cache("tp-serve", path),
     };
 
     let server = match Server::bind(&addr, cache) {

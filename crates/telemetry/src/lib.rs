@@ -9,7 +9,7 @@
 //! ever folded into an observation digest; the determinism harness pins
 //! that runs with telemetry on and off are byte-identical.
 //!
-//! The design mirrors the kernel's `ObsSinkKind` static dispatch: one
+//! The design is a closed set of sinks behind one static dispatch: a
 //! process-wide [`TelemetrySink`] enum —
 //!
 //! * [`TelemetrySink::Null`] (the default) — every emit site is guarded
@@ -282,9 +282,8 @@ impl Recorder {
     }
 }
 
-/// The process-wide telemetry sink, in the workspace's static-dispatch
-/// sink style (`ObsSinkKind` for the modelled system, this for the
-/// machinery). [`TelemetrySink::Null`] is the default and the contract:
+/// The process-wide telemetry sink: a closed enum, dispatched by one
+/// match per emit. [`TelemetrySink::Null`] is the default and the contract:
 /// with it installed, every emit site reduces to one relaxed load.
 #[derive(Debug, Clone, Default)]
 pub enum TelemetrySink {
