@@ -3,8 +3,8 @@
 //! the hashed time models, the observation sink's per-event fold, DRAM
 //! misses through the interconnect, kernel step, one monitored run
 //! under a hashed time model, a halted domain's idle wait to the end of
-//! its slice, the switch-time P check and a dirty switch's checks, the
-//! digesting used by the invariant checkers and the content
+//! its slice, the switch-time P check, a pristine and a dirty switch's
+//! checks, the digesting used by the invariant checkers and the content
 //! fingerprints behind cache keys.
 //! These put numbers on the cost of "proof by exhaustive checking" —
 //! the reproduction's analogue of proof effort.
@@ -243,11 +243,11 @@ fn main() {
         sys.run_cycles(deadline, usize::MAX)
     });
 
-    // The switch-time checks on that cell's system at its eighth
-    // switch: obligation P by the full scan and by the run's monitor
-    // (frame memo warm), and the monitor's whole switch answer (F, P and
-    // the digest) on a core left dirty (the `-Flush` cell) with the TLB
-    // and predictor parts warm.
+    // The switch-time checks on that cell's system right after its
+    // eighth switch: obligation P by the full scan and by the run's
+    // monitor (frame memo warm), and the monitor's whole switch answer
+    // (F, P and the digest) on the flushed, pristine core and on a core
+    // left dirty (the `-Flush` cell).
     let mid_run = |disable| {
         let sc = tp_bench::canonical_scenario(disable);
         let mut sys = System::new(sc.mcfg, (sc.make_kcfg)(sc.secrets[0])).unwrap();
@@ -267,6 +267,10 @@ fn main() {
     });
     bench("partition/monitor", 10_000, || {
         monitor.check_partition(black_box(&sys))
+    });
+    assert!(reference.is_pristine(&sys), "the flushed core is pristine");
+    bench("partition/pristine_switch", 10_000, || {
+        monitor.at_switch(black_box(&sys))
     });
     let sys = mid_run(Some(Mechanism::Flush));
     assert!(!reference.is_pristine(&sys), "the -Flush core is dirty");

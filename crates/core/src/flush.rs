@@ -8,11 +8,12 @@
 //!    digest of a pristine core (computed once from a fresh machine).
 //!    [`check_flush_at_switch`] hashes the live core every time and is
 //!    the reference. The monitored loop asks its run's
-//!    [`crate::partition::SwitchMonitor`] instead, which compares the
-//!    core with a [`FlushReference`]'s pristine core first: an equal
-//!    core has the reference's digest, and a dirty one's digest, which
-//!    its components keep current, is read once for F and the switch
-//!    digest both.
+//!    [`crate::partition::SwitchMonitor`] instead, which first asks a
+//!    [`FlushReference`] whether the core is pristine: its components
+//!    count the slots out of their reset state, so that is a few loads.
+//!    A pristine core has the reference's digest, and a dirty one's
+//!    digest, which its components keep current, is read once for F and
+//!    the switch digest both.
 //! 2. **History-independence check** — a direct differential experiment:
 //!    run two copies of a system through wildly different histories,
 //!    flush both, and require digest equality. This is the executable
@@ -20,6 +21,7 @@
 //!    history-independent state".
 
 use crate::obligation::{ObligationResult, ViolationKind};
+use tp_hw::cache::Cache;
 use tp_hw::machine::{Core, Machine, MachineConfig};
 use tp_hw::types::CoreId;
 use tp_kernel::kernel::System;
@@ -32,11 +34,9 @@ pub fn canonical_core_digest(sys: &System) -> u64 {
 }
 
 /// The canonical post-flush core state, kept around by monitors so the
-/// per-switch reset check can be a structural comparison, which no
-/// digest collision can fool and which also shows that no valid line
-/// survived. The digest is the hash of exactly that state, so
-/// `state == reference.core` implies the core's digest *is*
-/// `reference.digest`.
+/// per-switch reset check is exact: no digest collision can fool it, and
+/// it also shows that no valid line survived. The digest is the hash of
+/// exactly that state, so a core in it has digest `reference.digest`.
 ///
 /// A reference depends only on the core's geometry (caches, TLB,
 /// predictors), not on the time model or on anything the kernel runs,
@@ -57,17 +57,35 @@ impl FlushReference {
     }
 
     /// The reference whose pristine state is `core` — a fresh
-    /// [`Core::new`].
+    /// [`Core::new`]: [`FlushReference::is_pristine`] reads only its
+    /// geometry and its prefetcher.
     pub fn from_core(core: Core) -> Self {
         let digest = core.microarch_digest();
         FlushReference { core, digest }
     }
 
-    /// Whether the scheduled core's state equals the pristine core: the
-    /// one structural comparison a domain switch needs
-    /// ([`crate::partition::SwitchMonitor::at_switch`]).
+    /// Whether the scheduled core's state equals the pristine core's,
+    /// as [`Core::microarch_eq`] would find, in time independent of the
+    /// caches' sizes: the core has the reference's geometry (cache
+    /// configurations, TLB capacity, predictor sizes), its caches, TLB
+    /// and branch predictor each count no slot out of its reset state,
+    /// and its 16-slot prefetcher equals the reference's. The one check
+    /// a domain switch needs ([`crate::partition::SwitchMonitor::at_switch`]).
     pub fn is_pristine(&self, sys: &System) -> bool {
-        sys.hw.cores[sys.kernel.core.0].microarch_eq(&self.core)
+        let (core, fresh) = (&sys.hw.cores[sys.kernel.core.0], &self.core);
+        let reset_like = |c: &Cache, f: &Cache| c.config() == f.config() && c.is_reset();
+        let l2 = match (&core.l2, &fresh.l2) {
+            (Some(c), Some(f)) => reset_like(c, f),
+            (c, f) => c.is_none() && f.is_none(),
+        };
+        reset_like(&core.l1i, &fresh.l1i)
+            && reset_like(&core.l1d, &fresh.l1d)
+            && l2
+            && core.tlb.capacity() == fresh.tlb.capacity()
+            && core.tlb.is_reset()
+            && core.bp.geometry() == fresh.bp.geometry()
+            && core.bp.is_reset()
+            && core.pf == fresh.pf
     }
 }
 
@@ -229,6 +247,54 @@ mod tests {
         let single = FlushReference::from_core(Core::new(CoreId(0), &MachineConfig::single_core()));
         assert!(of_sys.core.microarch_eq(&single.core));
         assert_eq!(of_sys.digest, single.digest);
+    }
+
+    /// The reset-count test against the structural compare it replaces:
+    /// over the first steps and at the first switches of a flushing and
+    /// a non-flushing run, and on cores of another geometry.
+    #[test]
+    fn is_pristine_agrees_with_the_structural_compare() {
+        let (mut pristine, mut dirty) = (0, 0);
+        for tp in [TimeProtConfig::full(), TimeProtConfig::off()] {
+            let mut sys = dirty_system(tp);
+            let reference = FlushReference::of(&sys);
+            let (mut check, mut switches) = (true, 0);
+            for step in 0..400_000 {
+                if check {
+                    let want = sys.hw.cores[0].microarch_eq(&reference.core);
+                    assert_eq!(reference.is_pristine(&sys), want, "step {step}");
+                    pristine += usize::from(want);
+                    dirty += usize::from(!want);
+                }
+                let switched = matches!(sys.step(), StepEvent::Switched { .. });
+                switches += usize::from(switched);
+                if switches == 4 {
+                    break;
+                }
+                check = step < 2000 || switched;
+            }
+            assert_eq!(switches, 4);
+        }
+        // The fresh cores and the flushed switches were pristine.
+        assert!(pristine > 4 && dirty > 0, "{pristine} {dirty}");
+
+        let sys = dirty_system(TimeProtConfig::full());
+        let mut other = MachineConfig::single_core();
+        other.l1d.ways *= 2;
+        let reference = FlushReference::from_core(Core::new(CoreId(0), &other));
+        assert!(!reference.is_pristine(&sys), "another L1D geometry");
+        other = MachineConfig::single_core();
+        other.tlb_entries += 1;
+        let reference = FlushReference::from_core(Core::new(CoreId(0), &other));
+        assert!(!reference.is_pristine(&sys), "another TLB capacity");
+        other = MachineConfig::single_core();
+        other.l2 = match other.l2 {
+            Some(_) => None,
+            None => Some(tp_hw::cache::CacheConfig::l2()),
+        };
+        let reference = FlushReference::from_core(Core::new(CoreId(0), &other));
+        assert!(!reference.is_pristine(&sys), "with and without an L2");
+        assert!(FlushReference::of(&sys).is_pristine(&sys));
     }
 
     #[test]

@@ -20,8 +20,7 @@
 //! [`check_partition`] is the full scan and the reference. The monitored
 //! loop checks P after every domain switch, where most of that state has
 //! not changed since the last check, so it asks a [`SwitchMonitor`]
-//! instead, which gives the same result at a cost in proportion to what
-//! changed:
+//! instead, which gives the same result without walking the caches:
 //!
 //! * frame colouring is memoised. The key is the memory's
 //!   [`tp_hw::mem::PhysMem::generation`] (bumped by every frame
@@ -30,31 +29,36 @@
 //!   edited colour assignment misses too; the value is the owned-frame
 //!   count of the last clean scan. A hit adds that count and scans
 //!   nothing.
-//! * LLC placement is scanned every time, over the cache's line slice
-//!   one colour at a time, against the same bitmasks. The LLC changes
-//!   on most fills, so a change bit per set would put a write on the
-//!   hottest path for a scan that costs about a microsecond.
+//! * LLC placement reads the LLC's owner counts
+//!   ([`tp_hw::cache::Cache::owner_counts`]): the valid lines of each
+//!   (colour, owner) pair, which the cache keeps current on every fill,
+//!   eviction and flush. Each non-zero count must have its colour in
+//!   its owner's bitmask, and the counts sum to the full scan's points.
+//!   The cost is one row per colour, whatever the LLC holds.
 //! * the TLB residency check is the full check's, unchanged.
 //!
 //! The fast path only recognises a clean state. If any part finds a
-//! violation, or the machine is outside what the bitmasks hold (more
-//! than 128 colours, more than 16 domains, or an LLC of another
-//! geometry), it returns [`check_partition`]'s result, so violations,
-//! their order, times and details are the full scan's, and the clean
-//! path formats nothing.
+//! violation, or the machine is outside what the bitmasks and counts
+//! hold (more than 128 colours, a line owned by a domain past the 16
+//! counted ones or by nobody, or an LLC of another geometry), it returns
+//! [`check_partition`]'s result, so violations, their order, times and
+//! details are the full scan's, and the clean path formats nothing.
 //!
 //! The same monitor answers obligation F and the switch digest
-//! ([`SwitchMonitor::at_switch`]), from one structural compare of the
-//! scheduled core with its run's [`FlushReference`] per switch. A
-//! pristine core has the reference's digest and no valid line, so F
-//! holds with nothing hashed. A core the flush left dirty gives its
-//! [`tp_hw::machine::Core::microarch_digest`], for F and the switch
-//! digest both: its caches, TLB and predictor keep their digests
+//! ([`SwitchMonitor::at_switch`]), from one
+//! [`FlushReference::is_pristine`] test of the scheduled core per
+//! switch: its caches, TLB and predictor each count the slots out of
+//! their reset state, so the test reads a few counts and compares the
+//! 16-slot prefetcher. A pristine core has the reference's digest and no
+//! valid line, so F holds with nothing hashed. A core the flush left
+//! dirty gives its [`tp_hw::machine::Core::microarch_digest`], for F
+//! and the switch digest both: its components keep their digests
 //! current, so that chains a few loads. The F result equals
 //! [`crate::flush::check_flush_at_switch`] exactly.
 
 use crate::flush::{flush_result, FlushReference};
 use crate::obligation::{ObligationResult, ViolationKind};
+use tp_hw::cache::{COUNTED_DOMAINS, KERNEL_SLOT, OTHER_SLOT};
 use tp_hw::types::{Colour, DomainTag, Generation};
 use tp_kernel::kernel::System;
 
@@ -151,24 +155,22 @@ pub fn check_partition(sys: &System) -> ObligationResult {
     r
 }
 
-/// Most domains a [`SwitchMonitor`] keeps colour bitmasks for; a
-/// system with more is checked by the full scan.
-const MASKED_DOMAINS: usize = 16;
-
 /// Every principal's colour set as a bitmask over the LLC's colours
 /// (bit `c` set: colour `c` allowed). Colours at or past the LLC's
-/// count name no frame and no set, so they are left out.
+/// count name no frame and no set, so they are left out. There is one
+/// mask per domain the LLC counts lines for one by one; a system with
+/// more domains is checked by the full scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ColourMasks {
     kernel: u128,
-    domains: [u128; MASKED_DOMAINS],
+    domains: [u128; COUNTED_DOMAINS],
 }
 
 impl ColourMasks {
     /// `sys`'s masks, or `None` when they do not fit.
     fn of(sys: &System, llc_colours: usize) -> Option<Self> {
         let assignment = &sys.kernel.colour_assignment;
-        if llc_colours > u128::BITS as usize || assignment.len() > MASKED_DOMAINS {
+        if llc_colours > u128::BITS as usize || assignment.len() > COUNTED_DOMAINS {
             return None;
         }
         let mask = |set: &[Colour]| {
@@ -176,7 +178,7 @@ impl ColourMasks {
                 .filter(|c| (c.0 as usize) < llc_colours)
                 .fold(0u128, |m, c| m | 1 << c.0)
         };
-        let mut domains = [0; MASKED_DOMAINS];
+        let mut domains = [0; COUNTED_DOMAINS];
         for (m, set) in domains.iter_mut().zip(assignment) {
             *m = mask(set);
         }
@@ -193,6 +195,17 @@ impl ColourMasks {
             self.kernel
         } else {
             self.domains.get(tag.0 as usize).copied().unwrap_or(0)
+        }
+    }
+
+    /// The mask of an LLC owner-count slot below [`OTHER_SLOT`]: a
+    /// domain's, or the kernel's.
+    #[inline]
+    fn of_slot(&self, slot: usize) -> u128 {
+        if slot == KERNEL_SLOT {
+            self.kernel
+        } else {
+            self.domains[slot]
         }
     }
 }
@@ -232,12 +245,11 @@ impl<'r> SwitchMonitor<'r> {
     /// `(F, P, digest)` right after a switch: the results of
     /// [`crate::flush::check_flush_at_switch`] and [`check_partition`],
     /// and the scheduled core's
-    /// [`tp_hw::machine::Core::microarch_digest`]. One structural
-    /// compare of the core with the reference's pristine core decides
-    /// the path: a pristine core has the reference's digest and no valid
-    /// line, so F holds wherever flushing is claimed, with nothing
-    /// scanned; a dirty core's digest is read once, for F and the
-    /// digest both.
+    /// [`tp_hw::machine::Core::microarch_digest`]. One
+    /// [`FlushReference::is_pristine`] test decides the path: a pristine
+    /// core has the reference's digest and no valid line, so F holds
+    /// wherever flushing is claimed, with nothing scanned; a dirty
+    /// core's digest is read once, for F and the digest both.
     pub fn at_switch(&mut self, sys: &System) -> (ObligationResult, ObligationResult, u64) {
         let reference = self.reference;
         let (f, digest) = if reference.is_pristine(sys) {
@@ -270,7 +282,9 @@ impl<'r> SwitchMonitor<'r> {
     }
 
     /// The check points of a clean `sys`, or `None` when the state has
-    /// a violation or does not fit the bitmasks.
+    /// a violation or does not fit the bitmasks and owner counts. The
+    /// LLC part reads one owner-count row per colour and never walks the
+    /// lines.
     fn clean_points(&mut self, sys: &System) -> Option<usize> {
         if !sys.kernel.tp.colouring {
             return Some(0);
@@ -286,16 +300,16 @@ impl<'r> SwitchMonitor<'r> {
             if *llc.config() != llc_cfg {
                 return None;
             }
-            let run = llc_cfg.sets / llc_colours * llc_cfg.ways;
-            for (colour, lines) in llc.lines().chunks_exact(run).enumerate() {
+            for (colour, counts) in llc.owner_counts().iter().enumerate() {
+                if counts[OTHER_SLOT] != 0 {
+                    return None;
+                }
                 let bit = 1u128 << colour;
-                for line in lines.iter().filter(|l| l.valid) {
-                    points += 1;
-                    if let Some(owner) = line.owner {
-                        if masks.of_tag(owner) & bit == 0 {
-                            return None;
-                        }
+                for (slot, &n) in counts[..OTHER_SLOT].iter().enumerate() {
+                    if n != 0 && masks.of_slot(slot) & bit == 0 {
+                        return None;
                     }
+                    points += n as usize;
                 }
             }
         }

@@ -32,7 +32,9 @@ impl BranchOutcome {
 ///
 /// The predictor keeps its state digest current (see [`slot_term`]):
 /// PHT counter `i` is slot `i`, BTB entry `j` slot `pht + j` and the
-/// global history the slot after those, each 0 in its reset state.
+/// global history the slot after those, each 0 in its reset state. It
+/// also counts the slots out of their reset state, ghost owners
+/// included ([`BranchPredictor::is_reset`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BranchPredictor {
     /// Pattern history table of 2-bit saturating counters.
@@ -46,6 +48,9 @@ pub struct BranchPredictor {
     owners: Vec<Option<DomainTag>>,
     /// Running [`BranchPredictor::state_digest`].
     digest: u64,
+    /// PHT counters off [`PHT_RESET`], filled BTB slots, `Some` owners
+    /// and a non-zero history.
+    live: usize,
 }
 
 /// A PHT counter's reset value: weakly not-taken.
@@ -72,7 +77,13 @@ impl BranchPredictor {
             btb: vec![(0, 0); btb_entries],
             owners: vec![None; pht_entries],
             digest: 0,
+            live: 0,
         }
+    }
+
+    /// `(PHT entries, BTB entries)`.
+    pub fn geometry(&self) -> (usize, usize) {
+        (self.pht.len(), self.btb.len())
     }
 
     /// Default geometry: 1024-entry PHT, 64-entry BTB.
@@ -120,25 +131,31 @@ impl BranchPredictor {
             self.pht[idx].saturating_sub(1)
         };
         if counter != self.pht[idx] {
-            self.digest ^= self.pht_term(idx);
+            let before = self.pht_term(idx);
             self.pht[idx] = counter;
-            self.digest ^= self.pht_term(idx);
+            let after = self.pht_term(idx);
+            self.account(before, after);
+        }
+        if self.owners[idx].is_none() {
+            self.live += 1;
         }
         self.owners[idx] = Some(owner);
 
         // Update BTB on taken branches.
         if taken && !btb_hit {
-            self.digest ^= self.btb_term(bidx);
+            let before = self.btb_term(bidx);
             self.btb[bidx] = (tag, target.0);
-            self.digest ^= self.btb_term(bidx);
+            let after = self.btb_term(bidx);
+            self.account(before, after);
         }
 
         // Shift history.
         let ghr = ((self.ghr << 1) | taken as u64) & ((1 << GSHARE_HISTORY_BITS) - 1);
         if ghr != self.ghr {
-            self.digest ^= self.ghr_term();
+            let before = self.ghr_term();
             self.ghr = ghr;
-            self.digest ^= self.ghr_term();
+            let after = self.ghr_term();
+            self.account(before, after);
         }
 
         BranchOutcome {
@@ -155,6 +172,7 @@ impl BranchPredictor {
         self.btb.fill((0, 0));
         self.owners.fill(None);
         self.digest = 0;
+        self.live = 0;
     }
 
     /// Ghost owners of PHT entries, for the partitioning checker.
@@ -175,32 +193,51 @@ impl BranchPredictor {
     /// [`BranchPredictor::state_digest`] folded afresh from every slot:
     /// the oracle the running digest is tested against.
     pub fn digest_from_scratch(&self) -> u64 {
-        let pht = (0..self.pht.len()).fold(self.ghr_term(), |h, i| h ^ self.pht_term(i));
-        (0..self.btb.len()).fold(pht, |h, j| h ^ self.btb_term(j))
+        let term = |t: Option<u64>| t.unwrap_or(0);
+        let pht =
+            (0..self.pht.len()).fold(term(self.ghr_term()), |h, i| h ^ term(self.pht_term(i)));
+        (0..self.btb.len()).fold(pht, |h, j| h ^ term(self.btb_term(j)))
     }
 
-    /// PHT counter `i`'s term.
-    fn pht_term(&self, i: usize) -> u64 {
+    /// Whether every counter, BTB slot, owner and the history are at
+    /// their reset values: `self == BranchPredictor::new(pht, btb)`, in
+    /// one load.
+    #[inline]
+    pub fn is_reset(&self) -> bool {
+        self.live == 0
+    }
+
+    /// PHT counter `i`'s term; `None` at [`PHT_RESET`].
+    fn pht_term(&self, i: usize) -> Option<u64> {
         match self.pht[i] {
-            PHT_RESET => 0,
-            c => slot_term(i as u64, c as u64),
+            PHT_RESET => None,
+            c => Some(slot_term(i as u64, c as u64)),
         }
     }
 
-    /// BTB entry `j`'s term, at slot `pht + j`.
-    fn btb_term(&self, j: usize) -> u64 {
+    /// BTB entry `j`'s term, at slot `pht + j`; `None` while empty.
+    fn btb_term(&self, j: usize) -> Option<u64> {
         match self.btb[j] {
-            (0, 0) => 0,
-            (tag, target) => slot_term((self.pht.len() + j) as u64, mix2(tag, target)),
+            (0, 0) => None,
+            (tag, target) => Some(slot_term((self.pht.len() + j) as u64, mix2(tag, target))),
         }
     }
 
-    /// The global history's term, at the slot after the BTB's.
-    fn ghr_term(&self) -> u64 {
+    /// The global history's term, at the slot after the BTB's; `None`
+    /// at 0.
+    fn ghr_term(&self) -> Option<u64> {
         match self.ghr {
-            0 => 0,
-            ghr => slot_term((self.pht.len() + self.btb.len()) as u64, ghr),
+            0 => None,
+            ghr => Some(slot_term((self.pht.len() + self.btb.len()) as u64, ghr)),
         }
+    }
+
+    /// Account for one slot changing from term `before` to `after` in
+    /// the digest and the live count.
+    #[inline]
+    fn account(&mut self, before: Option<u64>, after: Option<u64>) {
+        self.live = self.live + usize::from(after.is_some()) - usize::from(before.is_some());
+        self.digest ^= before.unwrap_or(0) ^ after.unwrap_or(0);
     }
 }
 
@@ -303,7 +340,10 @@ mod tests {
     }
 
     /// Random resolves and flushes: after each one the running digest
-    /// equals the fold from scratch, and a flushed predictor's digest is 0.
+    /// equals the fold from scratch, a flushed predictor's digest is 0,
+    /// the live count equals a tally of the slots off their reset
+    /// values, and `is_reset` agrees with a compare against a new
+    /// predictor.
     #[test]
     fn the_running_digest_matches_the_fold_after_every_mutation() {
         let mut rng = proptest::TestRng::new(0xb9);
@@ -319,10 +359,49 @@ mod tests {
                 bp.resolve(pc, rng.below(2) == 0, VAddr(rng.below(4) << 8), D);
             }
             assert_eq!(bp.state_digest(), bp.digest_from_scratch(), "step {step}");
+            assert_live_current(&bp, &format!("step {step}"));
             btb_moves += usize::from(bp.btb != before.btb);
             ghr_moves += usize::from(bp.ghr != before.ghr);
         }
         assert!(btb_moves > 0 && ghr_moves > 0);
+    }
+
+    /// The live count equals a tally over every slot, and `is_reset`
+    /// agrees with a compare against a new predictor of the same size.
+    fn assert_live_current(bp: &BranchPredictor, ctx: &str) {
+        let live = bp.pht.iter().filter(|&&c| c != PHT_RESET).count()
+            + bp.btb.iter().filter(|&&e| e != (0, 0)).count()
+            + bp.owners.iter().filter(|o| o.is_some()).count()
+            + usize::from(bp.ghr != 0);
+        assert_eq!(bp.live, live, "{ctx}: live");
+        let (pht, btb) = bp.geometry();
+        assert_eq!(
+            bp.is_reset(),
+            *bp == BranchPredictor::new(pht, btb),
+            "{ctx}"
+        );
+    }
+
+    /// A counter trained up and back down is at its reset value again,
+    /// but the predictor is not reset: the counter's owner, the BTB and
+    /// the history remember the branches.
+    #[test]
+    fn a_counter_trained_back_keeps_the_predictor_live() {
+        let mut bp = BranchPredictor::new(16, 4);
+        // Taken at counter 1 (history 0) raises it to 2 and shifts a 1
+        // into the history; a not-taken branch whose PC XOR that history
+        // indexes counter 1 again lowers it back to its reset value.
+        bp.resolve(VAddr(1 << 2), true, VAddr(0x100), D);
+        assert_eq!(bp.pht[1], 2);
+        bp.resolve(VAddr(0), false, VAddr(0), D);
+        assert!(bp.pht.iter().all(|&c| c == PHT_RESET), "{:?}", bp.pht);
+        assert!(bp.owners[1].is_some());
+        assert!(!bp.is_reset());
+        assert_ne!(bp, BranchPredictor::new(16, 4));
+        assert_live_current(&bp, "trained back");
+        bp.flush();
+        assert!(bp.is_reset());
+        assert_live_current(&bp, "flushed");
     }
 
     #[test]

@@ -208,6 +208,27 @@ pub struct FlushOutcome {
     pub writebacks: usize,
 }
 
+/// Domains whose valid lines a [`Cache`] counts per colour one by one
+/// (tags `0..COUNTED_DOMAINS`); see [`Cache::owner_counts`].
+pub const COUNTED_DOMAINS: usize = 16;
+/// The owner-count slot of lines owned by [`DomainTag::KERNEL`].
+pub const KERNEL_SLOT: usize = COUNTED_DOMAINS;
+/// The owner-count slot of every other owner: a domain tag at or past
+/// [`COUNTED_DOMAINS`], or no owner.
+pub const OTHER_SLOT: usize = COUNTED_DOMAINS + 1;
+/// Owner-count slots per colour.
+pub const OWNER_SLOTS: usize = COUNTED_DOMAINS + 2;
+
+/// The owner-count slot of a line owned by `owner`.
+#[inline]
+pub fn owner_slot(owner: Option<DomainTag>) -> usize {
+    match owner {
+        Some(DomainTag::KERNEL) => KERNEL_SLOT,
+        Some(DomainTag(d)) if (d as usize) < COUNTED_DOMAINS => d as usize,
+        _ => OTHER_SLOT,
+    }
+}
+
 /// A physically indexed set-associative cache.
 ///
 /// The cache keeps its state digests current (see [`slot_term`]): every
@@ -216,6 +237,12 @@ pub struct FlushOutcome {
 /// `GlobalRandom` LFSR one of its own, each 0 in its reset state. A set's
 /// digest is the XOR of its lines' and its recency term, the whole
 /// cache's the XOR of every set's and the LFSR's.
+///
+/// Next to the digests it keeps two exact counts, updated where a term
+/// changes: how many of those slots are out of their reset state
+/// ([`Cache::is_reset`]), and how many valid lines each owner holds in
+/// each colour ([`Cache::owner_counts`]). Both are functions of the
+/// state, so the derived equality stays structural.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cache {
     cfg: CacheConfig,
@@ -231,6 +258,13 @@ pub struct Cache {
     set_digests: Vec<u64>,
     /// Running [`Cache::state_digest`].
     digest: u64,
+    /// Slots out of their reset state: valid lines, sets whose recency
+    /// state is not reset, and the LFSR off its seed.
+    live: usize,
+    /// `log2` of the sets per colour: a set's colour is `set >> shift`.
+    colour_shift: u32,
+    /// Valid lines per colour and owner slot ([`owner_slot`]).
+    owner_counts: Vec<[u32; OWNER_SLOTS]>,
 }
 
 /// The LFSR's reset value.
@@ -254,6 +288,9 @@ impl Cache {
             lfsr: LFSR_SEED,
             set_digests: vec![0; cfg.sets],
             digest: 0,
+            live: 0,
+            colour_shift: (cfg.sets / cfg.colours()).trailing_zeros(),
+            owner_counts: vec![[0; OWNER_SLOTS]; cfg.colours()],
         }
     }
 
@@ -322,6 +359,11 @@ impl Cache {
             owner: Some(owner),
         };
         self.replace_term(set, before, self.line_term(base + way));
+        let counts = &mut self.owner_counts[set >> self.colour_shift];
+        if victim.valid {
+            counts[owner_slot(victim.owner)] -= 1;
+        }
+        counts[owner_slot(Some(owner))] += 1;
         self.fill_touch(set, way);
 
         AccessOutcome {
@@ -370,6 +412,8 @@ impl Cache {
         self.lfsr = LFSR_SEED;
         self.set_digests.fill(0);
         self.digest = 0;
+        self.live = 0;
+        self.owner_counts.fill([0; OWNER_SLOTS]);
         out
     }
 
@@ -377,6 +421,8 @@ impl Cache {
     pub fn flush_set(&mut self, set: usize) -> FlushOutcome {
         let mut out = FlushOutcome::default();
         let base = set * self.cfg.ways;
+        self.live -= usize::from(self.recency_live(set));
+        let counts = &mut self.owner_counts[set >> self.colour_shift];
         for way in 0..self.cfg.ways {
             let l = &mut self.lines[base + way];
             if l.valid {
@@ -384,10 +430,12 @@ impl Cache {
                 if l.dirty {
                     out.writebacks += 1;
                 }
+                counts[owner_slot(l.owner)] -= 1;
             }
             *l = LineState::INVALID;
             self.lru[base + way] = 0;
         }
+        self.live -= out.invalidated;
         self.plru[set] = 0;
         self.digest ^= self.set_digests[set];
         self.set_digests[set] = 0;
@@ -406,6 +454,7 @@ impl Cache {
                 let before = self.line_term(i);
                 self.lines[i] = LineState::INVALID;
                 self.replace_term(set, before, self.line_term(i));
+                self.owner_counts[set >> self.colour_shift][owner_slot(l.owner)] -= 1;
                 return FlushOutcome {
                     invalidated: 1,
                     writebacks: l.dirty as usize,
@@ -423,13 +472,6 @@ impl Cache {
     /// Number of dirty lines currently held.
     pub fn dirty_lines(&self) -> usize {
         self.lines.iter().filter(|l| l.valid && l.dirty).count()
-    }
-
-    /// Every line, row-major by set: set `s` holds
-    /// `lines()[s * ways..(s + 1) * ways]`, so a colour's sets
-    /// ([`Cache::sets_of_colour`]) are one contiguous run.
-    pub fn lines(&self) -> &[LineState] {
-        &self.lines
     }
 
     /// Iterate over `(set, way, state)` for every line. Used by the
@@ -463,7 +505,7 @@ impl Cache {
     /// [`Cache::state_digest`] folded afresh from every slot: the oracle
     /// the running digest is tested against.
     pub fn digest_from_scratch(&self) -> u64 {
-        (0..self.cfg.sets).fold(self.lfsr_term(), |h, set| {
+        (0..self.cfg.sets).fold(self.lfsr_term().unwrap_or(0), |h, set| {
             h ^ self.set_digest_from_scratch(set)
         })
     }
@@ -471,59 +513,95 @@ impl Cache {
     /// [`Cache::set_digest`] folded afresh from the set's slots.
     fn set_digest_from_scratch(&self, set: usize) -> u64 {
         let ways = set * self.cfg.ways..(set + 1) * self.cfg.ways;
-        ways.fold(self.recency_term(set), |h, i| h ^ self.line_term(i))
+        ways.fold(self.recency_term(set).unwrap_or(0), |h, i| {
+            h ^ self.line_term(i).unwrap_or(0)
+        })
+    }
+
+    /// Whether every line is invalid and every piece of replacement
+    /// state is at its reset value: `self == Cache::new(*self.config())`,
+    /// in one load.
+    #[inline]
+    pub fn is_reset(&self) -> bool {
+        self.live == 0
+    }
+
+    /// Valid lines per colour (indexed by colour) and owner: entry
+    /// [`owner_slot`]`(owner)` of a colour's row counts the valid lines
+    /// `owner` installed in that colour's sets. Kept current by every
+    /// mutator, so reading a colour's row is one load.
+    pub fn owner_counts(&self) -> &[[u32; OWNER_SLOTS]] {
+        &self.owner_counts
     }
 
     // ---- running digest ------------------------------------------------
+    //
+    // Each slot's term is `None` in its reset state, decided from the
+    // slot's content, so the running `live` count is exact. Testing a
+    // term for 0 instead would take a live slot whose hash is 0 (a 2^-64
+    // chance) for a reset one.
 
     /// Line `i`'s term: slot `i`, content its tag and dirty bit.
     #[inline]
-    fn line_term(&self, i: usize) -> u64 {
+    fn line_term(&self, i: usize) -> Option<u64> {
         let l = &self.lines[i];
-        if l.valid {
-            slot_term(i as u64, (l.tag << 1) | l.dirty as u64)
-        } else {
-            0
+        l.valid
+            .then(|| slot_term(i as u64, (l.tag << 1) | l.dirty as u64))
+    }
+
+    /// Whether `set`'s recency state (the PLRU word, or its LRU ranks)
+    /// is off its reset value.
+    #[inline]
+    fn recency_live(&self, set: usize) -> bool {
+        if self.cfg.policy == ReplacementPolicy::TreePlru {
+            return self.plru[set] != 0;
         }
+        let ranks = &self.lru[set * self.cfg.ways..(set + 1) * self.cfg.ways];
+        ranks.iter().any(|&r| r != 0)
     }
 
     /// `set`'s recency term: slot `lines + set`, content the PLRU word
     /// or the set's LRU ranks, packed a byte each (words of eight ranks
     /// past the first chained in by `mix2`).
-    fn recency_term(&self, set: usize) -> u64 {
+    fn recency_term(&self, set: usize) -> Option<u64> {
+        if !self.recency_live(set) {
+            return None;
+        }
         let slot = (self.lines.len() + set) as u64;
         if self.cfg.policy == ReplacementPolicy::TreePlru {
-            return match self.plru[set] {
-                0 => 0,
-                word => slot_term(slot, word as u64),
-            };
+            return Some(slot_term(slot, self.plru[set] as u64));
         }
         let ranks = &self.lru[set * self.cfg.ways..(set + 1) * self.cfg.ways];
-        if ranks.iter().all(|&r| r == 0) {
-            return 0;
-        }
         let mut words = ranks.chunks(8).map(|c| {
             let mut w = [0; 8];
             w[..c.len()].copy_from_slice(c);
             u64::from_le_bytes(w)
         });
         let first = words.next().unwrap_or(0);
-        slot_term(slot, words.fold(first, mix2))
+        Some(slot_term(slot, words.fold(first, mix2)))
     }
 
     /// The LFSR's term: the slot after every set's, content the LFSR.
-    fn lfsr_term(&self) -> u64 {
-        match self.lfsr {
-            LFSR_SEED => 0,
-            lfsr => slot_term((self.lines.len() + self.cfg.sets) as u64, lfsr as u64),
-        }
+    fn lfsr_term(&self) -> Option<u64> {
+        (self.lfsr != LFSR_SEED)
+            .then(|| slot_term((self.lines.len() + self.cfg.sets) as u64, self.lfsr as u64))
     }
 
-    /// Swap one of `set`'s terms, `before`, for `after` in the digests.
+    /// Account for one slot changing from term `before` to `after` in
+    /// the live count; returns what the digests must XOR in.
     #[inline]
-    fn replace_term(&mut self, set: usize, before: u64, after: u64) {
-        self.set_digests[set] ^= before ^ after;
-        self.digest ^= before ^ after;
+    fn account(&mut self, before: Option<u64>, after: Option<u64>) -> u64 {
+        self.live = self.live + usize::from(after.is_some()) - usize::from(before.is_some());
+        before.unwrap_or(0) ^ after.unwrap_or(0)
+    }
+
+    /// Swap one of `set`'s terms, `before`, for `after` in the digests
+    /// and the live count.
+    #[inline]
+    fn replace_term(&mut self, set: usize, before: Option<u64>, after: Option<u64>) {
+        let delta = self.account(before, after);
+        self.set_digests[set] ^= delta;
+        self.digest ^= delta;
     }
 
     // ---- replacement ---------------------------------------------------
@@ -643,7 +721,8 @@ impl Cache {
                 let before = self.lfsr_term();
                 let bit = (self.lfsr ^ (self.lfsr >> 2) ^ (self.lfsr >> 3) ^ (self.lfsr >> 5)) & 1;
                 self.lfsr = (self.lfsr >> 1) | (bit << 15);
-                self.digest ^= before ^ self.lfsr_term();
+                let after = self.lfsr_term();
+                self.digest ^= self.account(before, after);
                 (self.lfsr as usize) % self.cfg.ways
             }
         }
@@ -845,19 +924,37 @@ mod tests {
         assert_ne!(c.set_digest(2), before);
     }
 
-    /// Every running digest equals its from-scratch fold.
+    /// Every running digest equals its from-scratch fold, the live count
+    /// and the owner counts equal a tally over the lines and recency
+    /// state, and `is_reset` agrees with a compare against a new cache.
     fn assert_digests_current(c: &Cache, ctx: &str) {
         for set in 0..c.cfg.sets {
             let want = c.set_digest_from_scratch(set);
             assert_eq!(c.set_digest(set), want, "{ctx}: set {set}");
         }
         assert_eq!(c.state_digest(), c.digest_from_scratch(), "{ctx}");
+
+        let ways = c.cfg.ways;
+        let recency = (0..c.cfg.sets)
+            .filter(|&s| c.plru[s] != 0 || c.lru[s * ways..(s + 1) * ways].iter().any(|&r| r != 0))
+            .count();
+        let live = c.occupancy() + recency + usize::from(c.lfsr != LFSR_SEED);
+        assert_eq!(c.live, live, "{ctx}: live");
+        assert_eq!(c.is_reset(), *c == Cache::new(c.cfg), "{ctx}: is_reset");
+
+        let sets_per_colour = c.cfg.sets / c.cfg.colours();
+        let mut tally = vec![[0u32; OWNER_SLOTS]; c.cfg.colours()];
+        for (i, l) in c.lines.iter().enumerate().filter(|(_, l)| l.valid) {
+            tally[i / ways / sets_per_colour][owner_slot(l.owner)] += 1;
+        }
+        assert_eq!(c.owner_counts(), &tally[..], "{ctx}: owner counts");
     }
 
     /// Random accesses, prefetch fills and all three flushes under every
     /// policy: after each one, every set digest and the whole-cache
-    /// digest equal the fold from scratch, and a flushed cache's digest
-    /// is 0.
+    /// digest equal the fold from scratch, a flushed cache's digest is
+    /// 0, and the live and owner counts match their tallies. Two
+    /// geometries: one colour, and four colours of 64 sets each.
     #[test]
     fn running_digests_match_the_fold_after_every_mutation() {
         let mut rng = proptest::TestRng::new(0x5e7d);
@@ -867,36 +964,48 @@ mod tests {
             ReplacementPolicy::TreePlru,
             ReplacementPolicy::GlobalRandom,
         ] {
-            for write_back in [true, false] {
+            for (write_back, sets) in [(true, 8), (false, 8), (true, 256)] {
                 for ways in [1, 2, 3, 4, 8, 12] {
                     let mut c = Cache::new(CacheConfig {
-                        sets: 8,
+                        sets,
                         ways,
                         write_back,
                         policy,
                     });
                     assert_eq!(c.state_digest(), 0, "a new cache hashes nothing");
+                    // Owners in every kind of owner slot.
+                    let owners = [
+                        DomainTag(0),
+                        DomainTag(1),
+                        DomainTag(15),
+                        DomainTag(16),
+                        DomainTag::KERNEL,
+                    ];
                     for step in 0..600 {
                         let before = c.clone();
                         // Few tags per set, so hits, re-hits and evictions
-                        // all come up often.
-                        let a = PAddr(rng.below(8 * (ways as u64 + 2)) << LINE_BITS);
+                        // all come up often; on the larger cache the sets
+                        // are picked from four colours.
+                        let set = rng.below(8) * (sets as u64 / 8);
+                        let a =
+                            PAddr((set + rng.below(ways as u64 + 2) * sets as u64) << LINE_BITS);
+                        let owner = owners[rng.below(owners.len() as u64) as usize];
                         let op = rng.below(20);
                         match op {
                             0..=7 => {
-                                c.access(a, false, DomainTag(0));
+                                c.access(a, false, owner);
                             }
                             8..=13 => {
-                                c.access(a, true, DomainTag(1));
+                                c.access(a, true, owner);
                             }
                             14..=15 => {
-                                c.prefetch_fill(a, DomainTag(2));
+                                c.prefetch_fill(a, owner);
                             }
                             16..=17 => {
                                 c.flush_line(a);
                             }
                             18 => {
-                                c.flush_set(rng.below(8) as usize);
+                                c.flush_set(set as usize);
                             }
                             _ => {
                                 if rng.below(4) == 0 {
@@ -905,8 +1014,9 @@ mod tests {
                                 }
                             }
                         }
-                        let ctx =
-                            format!("{policy:?} wb={write_back} ways={ways} step {step} op {op}");
+                        let ctx = format!(
+                            "{policy:?} wb={write_back} sets={sets} ways={ways} step {step} op {op}"
+                        );
                         assert_digests_current(&c, &ctx);
                         lfsr_moves += usize::from(c.lfsr != before.lfsr);
                         plru_moves += usize::from(c.plru != before.plru);
@@ -921,6 +1031,47 @@ mod tests {
             lfsr_moves > 0 && plru_moves > 0 && rank_moves > 0 && dirtying > 0,
             "{lfsr_moves} {plru_moves} {rank_moves} {dirtying}"
         );
+    }
+
+    /// A line filled and then flushed leaves its set's recency state
+    /// moved, so the cache holds no valid line yet is not in its reset
+    /// state, and a flush of its set or the whole cache brings it back.
+    #[test]
+    fn a_flushed_line_leaves_recency_live() {
+        for policy in [ReplacementPolicy::Lru, ReplacementPolicy::TreePlru] {
+            let mut c = tiny(policy);
+            let a = addr_for(1, 0);
+            c.access(a, true, DomainTag(3));
+            c.flush_line(a);
+            assert_eq!(c.occupancy(), 0, "{policy:?}");
+            assert_eq!(c.owner_counts(), &[[0; OWNER_SLOTS]][..], "{policy:?}");
+            assert!(!c.is_reset(), "{policy:?}: the recency state moved");
+            assert_ne!(c, tiny(policy), "{policy:?}");
+            assert_digests_current(&c, "flushed lines");
+            c.flush_set(1);
+            assert!(c.is_reset(), "{policy:?}");
+            assert_eq!(c, tiny(policy), "{policy:?}");
+        }
+    }
+
+    /// The owner slots: domains below the counted bound, the kernel, and
+    /// everything else in one slot.
+    #[test]
+    fn owner_slots_split_domains_kernel_and_the_rest() {
+        assert_eq!(owner_slot(Some(DomainTag(0))), 0);
+        assert_eq!(owner_slot(Some(DomainTag(15))), 15);
+        assert_eq!(owner_slot(Some(DomainTag::KERNEL)), KERNEL_SLOT);
+        assert_eq!(owner_slot(Some(DomainTag(16))), OTHER_SLOT);
+        assert_eq!(owner_slot(None), OTHER_SLOT);
+        let mut c = Cache::new(CacheConfig::llc());
+        c.access(PAddr::from_pfn(5, 64), false, DomainTag::KERNEL);
+        c.access(PAddr::from_pfn(5 + 128, 0), true, DomainTag(2));
+        c.access(PAddr::from_pfn(127, 0), true, DomainTag(40));
+        let counts = c.owner_counts();
+        assert_eq!(counts.len(), 128);
+        assert_eq!((counts[5][KERNEL_SLOT], counts[5][2]), (1, 1));
+        assert_eq!(counts[127][OTHER_SLOT], 1);
+        assert_eq!(counts.iter().flatten().sum::<u32>(), 3);
     }
 
     /// Two sets holding the same recency state have different recency
@@ -940,7 +1091,7 @@ mod tests {
             };
             let (a, b) = (run(0), run(1));
             assert_eq!(a.lines, b.lines, "{policy:?}: same lines");
-            assert_ne!(a.recency_term(0), 0, "{policy:?}");
+            assert!(a.recency_term(0).is_some(), "{policy:?}");
             assert_ne!(a.recency_term(0), a.recency_term(1), "{policy:?}");
             assert_ne!(a.state_digest(), b.state_digest(), "{policy:?}");
             assert_digests_current(&a, "a");

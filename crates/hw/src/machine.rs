@@ -168,11 +168,12 @@ impl Core {
     /// Structural equality of the state [`Core::microarch_digest`]
     /// covers (everything core-local except the architectural clock and
     /// core id). Strictly stronger than digest equality: it has no
-    /// collisions, so a core that equals a pristine one shows that no
-    /// valid line survived the flush. It is not the cheaper test — the
-    /// running digests make [`Core::microarch_digest`] a few loads — so
-    /// monitors use it for that certainty and read the digest only on
-    /// mismatch.
+    /// collisions. It walks every line, counter and entry, so the
+    /// switch-time reset check does not call it: that check
+    /// (`FlushReference::is_pristine` in `tp-core`) reads the
+    /// components' live-slot counts, and this compare is the oracle the
+    /// tests pin it to. The engine also uses it to share one flush
+    /// reference between equal pristine cores.
     pub fn microarch_eq(&self, other: &Core) -> bool {
         self.l1i == other.l1i
             && self.l1d == other.l1d

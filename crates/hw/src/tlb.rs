@@ -53,7 +53,8 @@ pub enum TlbLookup {
 ///
 /// The TLB keeps its state digest current (see [`slot_term`]): slot `i`
 /// has one term for its entry and slot `capacity + i` one for its
-/// recency rank, each 0 while invalid or at rank 0.
+/// recency rank, each 0 while invalid or at rank 0. It also counts the
+/// slots out of that reset state ([`Tlb::is_reset`]).
 #[derive(Debug, Clone)]
 pub struct Tlb {
     entries: Vec<Option<TlbEntry>>,
@@ -73,6 +74,8 @@ pub struct Tlb {
     memo_next: u8,
     /// Running [`Tlb::state_digest`].
     digest: u64,
+    /// Valid entries plus non-zero ranks.
+    live: usize,
 }
 
 /// One memoised lookup (see [`Tlb::memo`]).
@@ -87,9 +90,9 @@ struct LookupMemo {
 /// 2^52 - 1 (64-bit addresses, 12-bit pages), so this cannot collide.
 const NO_KEY: u64 = u64::MAX;
 
-/// Equality ignores the lookup memo (pure acceleration state) and the
-/// digest (a function of the rest): two TLBs are the same hardware state
-/// iff their entries and recency ranks agree.
+/// Equality ignores the lookup memo (pure acceleration state), the
+/// digest and the live count (functions of the rest): two TLBs are the
+/// same hardware state iff their entries and recency ranks agree.
 impl PartialEq for Tlb {
     fn eq(&self, other: &Self) -> bool {
         self.entries == other.entries && self.lru == other.lru
@@ -115,6 +118,7 @@ impl Tlb {
             memo: [None; 2],
             memo_next: 0,
             digest: 0,
+            live: 0,
         }
     }
 
@@ -230,10 +234,11 @@ impl Tlb {
     /// Replace slot `idx`'s entry, keeping the VPN index and the digest
     /// current.
     fn set_entry(&mut self, idx: usize, entry: Option<TlbEntry>) {
-        self.digest ^= self.entry_term(idx);
+        let before = self.entry_term(idx);
         self.entries[idx] = entry;
         self.vpn_key[idx] = entry.map_or(NO_KEY, |e| e.vpn);
-        self.digest ^= self.entry_term(idx);
+        let after = self.entry_term(idx);
+        self.account(before, after);
     }
 
     /// Invalidate every entry (including globals). Canonical reset state.
@@ -244,6 +249,7 @@ impl Tlb {
         self.lru.fill(0);
         self.vpn_key.fill(NO_KEY);
         self.digest = 0;
+        self.live = 0;
         n
     }
 
@@ -290,26 +296,43 @@ impl Tlb {
     /// [`Tlb::state_digest`] folded afresh from every slot: the oracle
     /// the running digest is tested against.
     pub fn digest_from_scratch(&self) -> u64 {
-        (0..self.entries.len()).fold(0, |h, i| h ^ self.entry_term(i) ^ self.rank_term(i))
+        (0..self.entries.len()).fold(0, |h, i| {
+            h ^ self.entry_term(i).unwrap_or(0) ^ self.rank_term(i).unwrap_or(0)
+        })
     }
 
-    /// Slot `i`'s entry term: content its ASID, VPN, PFN and global bit.
-    fn entry_term(&self, i: usize) -> u64 {
-        match &self.entries[i] {
-            Some(e) => slot_term(
+    /// Whether every slot is invalid at rank 0: `self == Tlb::new(cap)`,
+    /// in one load.
+    #[inline]
+    pub fn is_reset(&self) -> bool {
+        self.live == 0
+    }
+
+    /// Slot `i`'s entry term: content its ASID, VPN, PFN and global bit;
+    /// `None` while the slot is invalid.
+    fn entry_term(&self, i: usize) -> Option<u64> {
+        self.entries[i].as_ref().map(|e| {
+            slot_term(
                 i as u64,
                 mix2(e.asid.0 as u64, mix2(e.vpn, mix2(e.pfn, e.global as u64))),
-            ),
-            None => 0,
+            )
+        })
+    }
+
+    /// Slot `i`'s rank term, at slot `capacity + i`; `None` at rank 0.
+    fn rank_term(&self, i: usize) -> Option<u64> {
+        match self.lru[i] {
+            0 => None,
+            r => Some(slot_term((self.lru.len() + i) as u64, r as u64)),
         }
     }
 
-    /// Slot `i`'s rank term, at slot `capacity + i`.
-    fn rank_term(&self, i: usize) -> u64 {
-        match self.lru[i] {
-            0 => 0,
-            r => slot_term((self.lru.len() + i) as u64, r as u64),
-        }
+    /// Account for one slot changing from term `before` to `after` in
+    /// the digest and the live count.
+    #[inline]
+    fn account(&mut self, before: Option<u64>, after: Option<u64>) {
+        self.live = self.live + usize::from(after.is_some()) - usize::from(before.is_some());
+        self.digest ^= before.unwrap_or(0) ^ after.unwrap_or(0);
     }
 
     /// Digest of the entries belonging to one ASID (plus globals), i.e.
@@ -333,9 +356,10 @@ impl Tlb {
         }
         for i in 0..self.lru.len() {
             if self.lru[i] < old || i == idx {
-                self.digest ^= self.rank_term(i);
+                let before = self.rank_term(i);
                 self.lru[i] = if i == idx { 0 } else { self.lru[i] + 1 };
-                self.digest ^= self.rank_term(i);
+                let after = self.rank_term(i);
+                self.account(before, after);
             }
         }
     }
@@ -473,13 +497,15 @@ mod tests {
     }
 
     /// Random lookups, inserts and every kind of invalidation: after
-    /// each one the running digest equals the fold from scratch, and a
-    /// flushed TLB's digest is 0.
+    /// each one the running digest equals the fold from scratch, a
+    /// flushed TLB's digest is 0, the live count equals a tally of the
+    /// valid entries and non-zero ranks, and `is_reset` agrees with a
+    /// compare against a new TLB.
     #[test]
     fn the_running_digest_matches_the_fold_after_every_mutation() {
         let mut rng = proptest::TestRng::new(0x71b);
         let mut t = Tlb::new(4);
-        let mut moves = 0;
+        let (mut moves, mut resets) = (0, 0);
         for step in 0..4000 {
             let digest = t.state_digest();
             let asid = Asid(rng.below(3) as u16);
@@ -510,9 +536,13 @@ mod tests {
                 t.digest_from_scratch(),
                 "step {step} op {op}"
             );
+            let live = t.occupancy() + t.lru.iter().filter(|&&r| r != 0).count();
+            assert_eq!(t.live, live, "step {step} op {op}: live");
+            assert_eq!(t.is_reset(), t == Tlb::new(4), "step {step} op {op}");
             moves += usize::from(t.state_digest() != digest);
+            resets += usize::from(t.is_reset());
         }
-        assert!(moves > 0);
+        assert!(moves > 0 && resets > 0, "{moves} {resets}");
     }
 
     /// The lookup memo against a naive scan: over random lookups,

@@ -50,10 +50,16 @@ impl ColourAllocator {
     /// Panics if `colours == 0`.
     pub fn new(frames: usize, colours: usize, reserved: u64) -> Self {
         assert!(colours > 0, "need at least one colour");
-        let mut free = vec![Vec::new(); colours];
-        for pfn in (reserved..frames as u64).rev() {
-            free[(pfn as usize) % colours].push(pfn);
-        }
+        let (frames, stride) = (frames as u64, colours as u64);
+        // Colour `c`'s frames are every `stride`-th frame from the first
+        // one of its colour at or past `reserved`; list them top down.
+        let free = (0..stride)
+            .map(|c| {
+                let first = reserved + (c + stride - reserved % stride) % stride;
+                let n = frames.saturating_sub(first).div_ceil(stride);
+                (0..n).rev().map(|k| first + k * stride).collect()
+            })
+            .collect();
         ColourAllocator { colours, free }
     }
 
@@ -227,6 +233,34 @@ mod tests {
         let a = ColourAllocator::new(16, 8, 8);
         let total: usize = (0..8).map(|c| a.free_in(Colour(c))).sum();
         assert_eq!(total, 8, "first 8 frames reserved");
+    }
+
+    /// The stride-built free lists hold exactly the frames a scan by
+    /// `pfn % colours` puts in each, in the same descending order, with
+    /// no spare capacity.
+    #[test]
+    fn free_lists_match_a_modulo_scan() {
+        for (frames, colours, reserved) in [
+            (16, 8, 0),
+            (16, 8, 8),
+            (17, 8, 3),
+            (4096, 128, 130),
+            (100, 7, 13),
+            (5, 8, 2),
+            (8, 3, 20),
+            (1, 1, 0),
+        ] {
+            let a = ColourAllocator::new(frames, colours, reserved);
+            let mut want = vec![Vec::new(); colours];
+            for pfn in (reserved..frames as u64).rev() {
+                want[pfn as usize % colours].push(pfn);
+            }
+            assert_eq!(
+                a.free, want,
+                "{frames} frames, {colours} colours, {reserved}"
+            );
+            assert!(a.free.iter().all(|l| l.capacity() == l.len()));
+        }
     }
 
     #[test]

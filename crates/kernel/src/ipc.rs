@@ -76,8 +76,8 @@ impl Endpoint {
         let ready_at = match self.spec.min_delivery {
             // The deterministic time: slice start + threshold, regardless
             // of when inside the slice the send happened. If the sender
-            // overran the threshold, delivery degrades to the send time
-            // (and the proof harness flags the threshold as unsafe).
+            // overran the threshold, delivery degrades to the send time.
+            // Nothing flags such an overrun yet (ROADMAP item 1).
             Some(min) => {
                 let t = sender_slice_start + min;
                 if t.0 >= now.0 {
@@ -97,9 +97,9 @@ impl Endpoint {
     }
 
     /// Enqueue a message with an explicitly computed `ready_at`. The
-    /// kernel uses this so that the [`crate::config::TimeProtConfig::
-    /// deterministic_ipc`] switch can decide whether the endpoint's
-    /// threshold is enforced.
+    /// kernel sends through this, at the send time, when
+    /// [`crate::config::TimeProtConfig::deterministic_ipc`] is off, and
+    /// through [`Endpoint::send`] when it is on.
     pub fn send_at(&mut self, msg: u64, sender: DomainId, ready_at: Cycles) {
         self.queue.push_back(QueuedMsg {
             msg,

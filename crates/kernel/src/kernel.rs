@@ -823,24 +823,13 @@ impl System {
                     return StepEvent::Syscall { domain: d };
                 }
                 let now = self.hw.now(core);
-                let slice_start = self.kernel.slice_start;
-                let spec = self.kernel.endpoints[ep].spec();
+                let endpoint = &mut self.kernel.endpoints[ep];
                 let ready_at = if self.kernel.tp.deterministic_ipc {
-                    match spec.min_delivery {
-                        Some(min) => {
-                            let t = slice_start + min;
-                            if t.0 >= now.0 {
-                                t
-                            } else {
-                                now
-                            }
-                        }
-                        None => now,
-                    }
+                    endpoint.send(msg, d, now, self.kernel.slice_start)
                 } else {
+                    endpoint.send_at(msg, d, now);
                     now
                 };
-                self.kernel.endpoints[ep].send_at(msg, d, ready_at);
 
                 // Pipeline mode: wake the blocked receiver by switching.
                 if self.kernel.ipc_switch {

@@ -208,18 +208,12 @@ impl Clone for Box<dyn Program> {
 pub struct TraceProgram {
     instrs: Vec<Instr>,
     pos: usize,
-    /// Clock values observed via `ReadClock`, in order (for assertions).
-    pub observed_clocks: Vec<Cycles>,
 }
 
 impl TraceProgram {
     /// Create from an instruction list.
     pub fn new(instrs: Vec<Instr>) -> Self {
-        TraceProgram {
-            instrs,
-            pos: 0,
-            observed_clocks: Vec::new(),
-        }
+        TraceProgram { instrs, pos: 0 }
     }
 
     /// Convenience: a program touching each address in `addrs` once.
@@ -229,19 +223,16 @@ impl TraceProgram {
 }
 
 impl Program for TraceProgram {
-    fn next(&mut self, feedback: &StepFeedback) -> Instr {
-        if let Some(c) = feedback.clock {
-            self.observed_clocks.push(c);
-        }
+    fn next(&mut self, _feedback: &StepFeedback) -> Instr {
         let i = self.instrs.get(self.pos).copied().unwrap_or(Instr::Halt);
         self.pos += 1;
         i
     }
 
-    /// The replay position and every remaining-or-replayed instruction
-    /// fully determine a trace program's output (`observed_clocks` is
-    /// write-only bookkeeping), so the fold over (pos, len, instrs) is a
-    /// complete fingerprint.
+    /// A trace program ignores its feedback, so the replay position and
+    /// every remaining-or-replayed instruction fully determine its
+    /// output, and the fold over (pos, len, instrs) is a complete
+    /// fingerprint.
     fn content_fingerprint(&self) -> Option<u64> {
         let mut f = WordFold::new(TRACE_PROGRAM_TAG);
         f.push(self.pos as u64);
@@ -285,19 +276,18 @@ mod tests {
         assert_eq!(p.next(&fb), Instr::Halt);
     }
 
+    /// Clock feedback does not steer a trace program: it replays its
+    /// list whatever the clock reads returned.
     #[test]
-    fn trace_program_records_clock_feedback() {
+    fn trace_program_ignores_clock_feedback() {
         let mut p = TraceProgram::new(vec![Instr::ReadClock, Instr::ReadClock]);
-        p.next(&StepFeedback::default());
-        p.next(&StepFeedback {
-            clock: Some(Cycles(55)),
+        assert_eq!(p.next(&StepFeedback::default()), Instr::ReadClock);
+        let fb = |c| StepFeedback {
+            clock: Some(Cycles(c)),
             ..Default::default()
-        });
-        p.next(&StepFeedback {
-            clock: Some(Cycles(99)),
-            ..Default::default()
-        });
-        assert_eq!(p.observed_clocks, vec![Cycles(55), Cycles(99)]);
+        };
+        assert_eq!(p.next(&fb(55)), Instr::ReadClock);
+        assert_eq!(p.next(&fb(99)), Instr::Halt);
     }
 
     #[test]
