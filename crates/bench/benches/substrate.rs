@@ -1,5 +1,6 @@
 //! Std-only microbenches for the simulator substrate itself: cache
-//! access, TLB lookup, flush, the L1 set digests and access pricing of
+//! access, TLB lookup, a core-local flush after a Lo-like footprint,
+//! the L1 set digests and access pricing of
 //! the hashed time models, the observation sink's per-event fold, DRAM
 //! misses through the interconnect, kernel step, one monitored run
 //! under a hashed time model, a halted domain's idle wait to the end of
@@ -159,7 +160,21 @@ fn main() {
             DomainTag(0),
         )
     });
-    bench("machine/flush_core_local", 10_000, || {
+    // A flush of what a Lo slice leaves behind: 48 loads over 8 pages
+    // and one line of instruction fetches, then the core-local flush.
+    // Re-dirtied every iteration, so no iteration prices an empty flush.
+    let mut m = Machine::new(MachineConfig::single_core());
+    bench("machine/lo_footprint_then_flush", 10_000, || {
+        for page in 0..8 {
+            for line in 0..6 {
+                let a = PAddr::from_pfn(16 + page, line * 10 * 64);
+                black_box(m.access_phys(CoreId(0), a, false, false, DomainTag(1)).ok());
+            }
+        }
+        for word in 0..16 {
+            let pc = PAddr::from_pfn(8, word * 4);
+            black_box(m.access_phys(CoreId(0), pc, false, true, DomainTag(1)).ok());
+        }
         black_box(m.flush_core_local(CoreId(0)))
     });
 

@@ -1,16 +1,16 @@
 //! Acceptance test for digest-first execution: on the E11 ablation
-//! sweep, the engine's trace-free certified proof (swept on an
+//! sweep, the engine's digest-first certified proof (swept on an
 //! explicit pool) must be functionally bit-identical to the
 //! recording reference — the sequential [`prove`], which keeps each
 //! run's trace — and do exactly the work it claims.
 //!
-//! Digest-first keeps no per-step trace, so it cannot read a leak
-//! witness off the recorded runs: it adds one lockstep witness
-//! extraction per leaking (cell, time model) verdict, where the
-//! recording reference reads every witness off its traces and runs no
-//! lockstep at all. The work is counted from telemetry spans, so the
-//! assertions are exact at any worker count and never depend on
-//! wall-clock timing.
+//! Digest-first records only Lo's log in each monitored run and
+//! compares fingerprints; on a mismatch its merge reads the witness off
+//! the pair's Lo logs inside one `lockstep` span per leaking (cell,
+//! time model) verdict, where the recording reference reads every
+//! witness off its traces without that span. The work is counted from
+//! telemetry spans, so the assertions are exact at any worker count
+//! and never depend on wall-clock timing.
 //!
 //! The telemetry sink is process-global, so the test holds
 //! [`TELEMETRY`] while it counts: a sibling test running concurrently
@@ -100,9 +100,9 @@ fn digest_first_work_counts_are_exact_on_the_e11_sweep() {
     }
 
     // Work gate: one monitored run per (cell, model, secret), one
-    // certification replay per cell, and one lockstep per leaking
-    // verdict — only because there is no trace to read the witness
-    // from, so the recording reference runs none.
+    // certification replay per cell, and one witness extraction
+    // (`lockstep` span) per leaking verdict, which the recording
+    // reference does not count.
     let leaking = digest
         .cells
         .iter()

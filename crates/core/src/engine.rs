@@ -19,12 +19,13 @@
 //!   (cell × model × secret) task list, and hands each cell's outcome
 //!   to the caller in deterministic cell order as soon as the cell's
 //!   outputs have arrived. Each (model, secret) shard is one
-//!   *certified, trace-free* monitored run whose rolling Lo fingerprint
-//!   doubles as the NI baseline, with a single digest-only plain replay
-//!   certifying observation transparency ([`TransparencyCert`]); the merge
-//!   follows the exact lexicographic order the sequential `prove`
-//!   accumulates in, re-running only fingerprint-diverging pairs with
-//!   recording sinks for their witnesses. An optional [`ProofCache`]
+//!   *certified* monitored run whose rolling Lo fingerprint doubles as
+//!   the NI baseline and which records Lo's log (every other domain runs
+//!   digest-only), with a single digest-only plain replay certifying
+//!   observation transparency ([`TransparencyCert`]); the merge follows
+//!   the exact lexicographic order the sequential `prove` accumulates
+//!   in, and reads a fingerprint-diverging pair's witness off the two
+//!   runs' Lo logs. An optional [`ProofCache`]
 //!   answers validated hits without running anything (handing the
 //!   caller each hit's stored wire bytes) and takes every freshly proved
 //!   cell — appending it to the cache's file when the cache has one — and
@@ -38,10 +39,12 @@
 //!   fingerprint; a leak verdict is the *lowest-index* witness, which
 //!   is precisely the sequential first-witness.
 //!
-//! Every shard takes one path: digest-first. No monitored run, replay
-//! or exhaustive word keeps a trace, the NI baseline is always the
-//! certified monitored run, and a leak's witness always comes from a
-//! lockstep re-run of the diverging pair.
+//! Every shard takes one path: digest-first. A monitored run keeps Lo's
+//! log and nothing else, no replay keeps a trace, the NI baseline is
+//! always the certified monitored run's fingerprint, and a leak's
+//! witness is the first divergence of the two runs' Lo logs, so the
+//! merge runs no system. The exhaustive check keeps no trace per word
+//! and finds its witness by a lockstep re-run of the leaking pair.
 //!
 //! The zero-argument-pool forms run on the process-wide
 //! [`tp_sched::global`] pool; the `_on` forms take a pool. The
@@ -60,7 +63,7 @@ use crate::exhaustive::{
 };
 use crate::flush::FlushReference;
 use crate::noninterference::{
-    compare_secret_digests, lo_digest_len, lockstep_leak, run_monitored_with, MonitoredRun,
+    compare_secret_digests, leak_between, lo_digest_len, run_monitored_with, MonitoredRun,
     NiScenario, TransparencyCert,
 };
 use crate::obligation::ObligationResult;
@@ -69,6 +72,7 @@ use tp_hw::aisa::{check_conformance, ConformanceReport};
 use tp_hw::cache::CacheConfig;
 use tp_hw::clock::TimeModel;
 use tp_hw::machine::{Core, MachineConfig};
+use tp_hw::obs::{ObsEvent, ObsSink};
 use tp_hw::types::{CoreId, Cycles};
 use tp_kernel::config::{KernelConfig, Mechanism, TimeProtConfig};
 use tp_kernel::domain::DomainId;
@@ -84,9 +88,9 @@ pub use tp_sched::available_threads;
 // ---------------------------------------------------------------------
 
 /// How the engine proves a cell. There is one way: certified
-/// single-run proofs, where one *trace-free* monitored run per (model,
-/// secret) provides the P/F/T evidence and a rolling `(len, digest)`
-/// fingerprint of Lo's observations — the NI baseline — plus a single
+/// single-run proofs, where one monitored run per (model, secret)
+/// provides the P/F/T evidence, a rolling `(len, digest)` fingerprint
+/// of Lo's observations — the NI baseline — and Lo's log, plus a single
 /// digest-only plain replay of the first pair whose digest certifies
 /// that monitoring is observation-transparent ([`TransparencyCert`]).
 ///
@@ -129,11 +133,14 @@ impl ProofTask {
             .expect("scenario construction must succeed for every secret")
     }
 
-    /// The trace-free monitored run for this shard, checked against the
-    /// cell's shared flush reference.
+    /// The monitored run for this shard, checked against the cell's
+    /// shared flush reference. Lo records its log, the witness source
+    /// should the merge find a fingerprint divergence; every other
+    /// domain runs digest-only.
     fn monitored(&self, flush: &FlushReference) -> MonitoredRun {
         let mut sys = self.build();
         sys.use_digest_sinks();
+        sys.set_obs_sink(self.lo, ObsSink::recording_into(Vec::new()));
         run_monitored_with(sys, flush, self.lo, self.budget, self.max_steps, |_| {})
     }
 
@@ -173,6 +180,9 @@ struct ProofShard {
     /// Lo's `(len, digest)` fingerprint in the monitored run, straight
     /// from the observation sink — the NI baseline.
     monitored: (usize, u64),
+    /// Lo's log in the monitored run, moved out of the system: the
+    /// witness source when fingerprints diverge.
+    lo_log: Vec<ObsEvent>,
     /// Rolling chain of post-switch core digests.
     switch_digest: u64,
 }
@@ -189,10 +199,8 @@ enum TaskOutput {
 struct PlannedProof {
     aisa: ConformanceReport,
     secrets: Vec<u64>,
-    /// One entry per (model, secret), model-major — the order the merge
-    /// consumes shards in, kept for divergence re-runs (pointer-cheap:
-    /// the configs are `Arc`-shared with the tasks).
-    runs: Vec<ProofTask>,
+    /// The matrix cell the proof belongs to (telemetry attribution).
+    cell: usize,
     /// How many engine tasks this proof submitted.
     tasks: usize,
 }
@@ -243,13 +251,13 @@ fn plan_proof(
     let before = tasks.len();
     tasks.push(EngineTask::CertReplay(runs[0].clone()));
     tasks.extend(
-        runs.iter()
-            .map(|t| EngineTask::Run(t.clone(), Arc::clone(&flush))),
+        runs.into_iter()
+            .map(|t| EngineTask::Run(t, Arc::clone(&flush))),
     );
     PlannedProof {
         aisa: check_conformance(&scenario.mcfg),
         secrets: scenario.secrets.clone(),
-        runs,
+        cell,
         tasks: tasks.len() - before,
     }
 }
@@ -308,16 +316,21 @@ fn run_engine_task(task: EngineTask) -> TaskOutput {
         }
         EngineTask::Run(t, flush) => {
             let span = tp_telemetry::span_start();
-            let run = t.monitored(&flush);
+            let mut run = t.monitored(&flush);
             if let Some(start) = span {
                 tp_telemetry::span(SpanKind::Prove, t.cell, worker, start);
             }
+            let lo_log = run
+                .system
+                .take_observation(t.lo)
+                .expect("Lo records in every monitored run");
             TaskOutput::Run(Box::new(ProofShard {
                 p: run.p,
                 f: run.f,
                 t: run.t,
                 steps: run.steps,
                 monitored: (run.lo_len, run.lo_digest),
+                lo_log,
                 switch_digest: run.switch_digest,
             }))
         }
@@ -358,7 +371,7 @@ impl PlannedProof {
         if let Some(msg) = panic_msg {
             return Err(msg);
         }
-        let cell = self.runs[0].cell;
+        let cell = self.cell;
         let span = tp_telemetry::span_start();
         let merged = catch_unwind(AssertUnwindSafe(|| self.merge(models, outputs)));
         if let Some(start) = span {
@@ -375,9 +388,9 @@ impl PlannedProof {
     /// verdicts, same violation order, same first witness, same step
     /// count, same transparency certificate.
     ///
-    /// When a model's fingerprints disagree, the merge re-runs the
-    /// offending pair with recording sinks, in lockstep, to extract the
-    /// witness — the only trace materialisation a proof ever performs.
+    /// When a model's fingerprints disagree, the merge reads the witness
+    /// off the baseline's and the offending secret's Lo logs, which
+    /// their monitored runs recorded: it runs no system.
     ///
     /// Alongside the report, returns each run's
     /// `(secret, lo_len, monitored_digest)` observation fingerprint in
@@ -387,7 +400,7 @@ impl PlannedProof {
         let PlannedProof {
             aisa,
             secrets,
-            runs,
+            cell,
             ..
         } = self;
         let mut it = outputs.into_iter();
@@ -402,8 +415,9 @@ impl PlannedProof {
         let mut steps = 0;
         let mut transparency: Option<TransparencyCert> = None;
         let mut fps = Vec::with_capacity(models.len() * secrets.len());
-        for (mi, model) in models.iter().enumerate() {
+        for model in models {
             let mut baselines = Vec::with_capacity(secrets.len());
+            let mut logs = Vec::with_capacity(secrets.len());
             for &s in &secrets {
                 let shard = match it.next() {
                     Some(TaskOutput::Run(s)) => *s,
@@ -423,32 +437,19 @@ impl PlannedProof {
                     });
                 }
                 baselines.push((s, lo_len, monitored_digest));
+                logs.push(shard.lo_log);
             }
             let verdict = compare_secret_digests(&baselines).unwrap_or_else(|b| {
-                // Fingerprint divergence: lockstep re-run of the
-                // baseline and the offending secret with recording
-                // sinks, stopped at the first diverging event. Sinks
-                // (and the read-only monitors, per the transparency
-                // certification) cannot influence execution, so the
-                // extracted witness is exactly what the digest runs
-                // observed.
-                let model_runs = &runs[mi * secrets.len()..(mi + 1) * secrets.len()];
-                let (base, other) = (&model_runs[0], &model_runs[b]);
+                // Fingerprint divergence: the witness is the first
+                // diverging event of the two runs' Lo logs. Sinks (and
+                // the read-only monitors, per the transparency
+                // certification) cannot influence execution, so it is
+                // exactly what a plain re-run of the pair would show.
                 let span = tp_telemetry::span_start();
-                let leak = lockstep_leak(
-                    (secrets[0], base.build()),
-                    (secrets[b], other.build()),
-                    base.lo,
-                    base.budget,
-                    base.max_steps,
-                );
+                let leak = leak_between(secrets[0], &logs[0], secrets[b], &logs[b])
+                    .expect("a fingerprint mismatch implies a trace divergence");
                 if let Some(start) = span {
-                    tp_telemetry::span(
-                        SpanKind::Lockstep,
-                        base.cell,
-                        tp_sched::current_worker(),
-                        start,
-                    );
+                    tp_telemetry::span(SpanKind::Lockstep, cell, tp_sched::current_worker(), start);
                 }
                 leak
             });
@@ -1177,17 +1178,14 @@ mod tests {
         assert!(available_threads() >= 1);
     }
 
-    /// The engine must force `cell.tp` into the kernel configuration:
-    /// even a callback that hardcodes full protection and ignores the
-    /// cell gets leaking ablation cells.
-    #[test]
-    fn run_applies_cell_protection_despite_oblivious_callback() {
-        use crate::noninterference::check_noninterference;
+    /// Hi stores a secret-sized footprint; Lo sweeps its lines and
+    /// reads the clock. Padded, sliced and hardcoded to full protection.
+    fn hi_lo_scenario() -> NiScenario {
         use tp_kernel::config::{DomainSpec, KernelConfig};
         use tp_kernel::layout::data_addr;
         use tp_kernel::program::TraceProgram;
 
-        let make = || NiScenario {
+        NiScenario {
             mcfg: MachineConfig::single_core(),
             make_kcfg: Box::new(|secret| {
                 let hi = TraceProgram::new(
@@ -1218,12 +1216,43 @@ mod tests {
             secrets: vec![0, 6],
             budget: Cycles(350_000),
             max_steps: 150_000,
+        }
+    }
+
+    /// A monitored run records Lo's log, and only Lo's: its fingerprint
+    /// is the log's own, and Hi runs digest-only.
+    #[test]
+    fn a_monitored_run_records_lo_only() {
+        use crate::noninterference::obs_digest;
+
+        let sc = hi_lo_scenario();
+        let mut tasks = Vec::new();
+        plan_proof(&sc, &[sc.mcfg.time_model], 0, &mut Vec::new(), &mut tasks);
+        let EngineTask::Run(task, flush) = &tasks[1] else {
+            panic!("the certification replay leads, the monitored runs follow");
         };
+        let run = task.monitored(flush);
+        assert!(run.system.observation_opt(DomainId(0)).is_none());
+        let log = &run
+            .system
+            .observation_opt(sc.lo)
+            .expect("Lo records")
+            .events;
+        assert!(!log.is_empty());
+        assert_eq!((log.len(), obs_digest(log)), (run.lo_len, run.lo_digest));
+    }
+
+    /// The engine must force `cell.tp` into the kernel configuration:
+    /// even a callback that hardcodes full protection and ignores the
+    /// cell gets leaking ablation cells.
+    #[test]
+    fn run_applies_cell_protection_despite_oblivious_callback() {
+        use crate::noninterference::check_noninterference;
 
         let matrix = ScenarioMatrix::new("base", MachineConfig::single_core())
             .with_ablations(vec![None, Some(Mechanism::Padding)])
             .with_models(vec![MachineConfig::single_core().time_model]);
-        let report = matrix.run(|_| make());
+        let report = matrix.run(|_| hi_lo_scenario());
         let verdicts: Vec<_> = report
             .cells
             .iter()
@@ -1246,10 +1275,10 @@ mod tests {
         // And each cell's verdict equals the sequential checker run on
         // the equivalently-ablated scenario.
         for &(cell, v) in &verdicts {
-            let mut sc = make();
+            let mut sc = hi_lo_scenario();
             sc.make_kcfg = {
                 let tp = cell.tp;
-                let inner = make().make_kcfg;
+                let inner = hi_lo_scenario().make_kcfg;
                 Box::new(move |s| {
                     let mut k = inner(s);
                     k.tp = tp;

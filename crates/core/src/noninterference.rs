@@ -20,19 +20,21 @@
 //!
 //! ## Digest-first execution
 //!
-//! The hot path never materialises an observation log. Each run's
-//! system carries [`tp_hw::obs::ObsSink::digest_only`] sinks, so Lo's
-//! log exists only as a rolling `(len, digest)` fingerprint folded as
-//! events are emitted; [`check_ni_parts`] compares fingerprints. Only
-//! when two fingerprints disagree does the checker re-run the offending
-//! pair with recording sinks to extract the replayable
+//! The sequential checker never materialises an observation log. Each
+//! run's system carries [`tp_hw::obs::ObsSink::digest_only`] sinks, so
+//! Lo's log exists only as a rolling `(len, digest)` fingerprint folded
+//! as events are emitted; [`check_ni_parts`] compares fingerprints.
+//! Only when two fingerprints disagree does the checker re-run the
+//! offending pair with recording sinks to extract the replayable
 //! witness ([`first_divergence`] index plus the diverging events) —
 //! byte-identical to what a fully recorded comparison reports, because
-//! sinks cannot influence execution. The engine's proof shards take the
-//! same path ([`crate::engine`]). [`check_ni_parts_recording`] and the
-//! sequential [`crate::proof::prove`] keep the fully materialised
-//! comparison alive as the references the digest path is pinned
-//! against.
+//! sinks cannot influence execution. The engine's proof shards compare
+//! the same fingerprints, but each monitored run records Lo's log as
+//! well, so the engine reads a witness off the pair's logs
+//! ([`leak_between`]) instead of re-running it ([`crate::engine`]).
+//! [`check_ni_parts_recording`] and the sequential
+//! [`crate::proof::prove`] keep the fully materialised comparison alive
+//! as the references the digest path is pinned against.
 //!
 //! ## Observation transparency
 //!
@@ -477,8 +479,9 @@ pub fn lo_digest_len(
 }
 
 /// The [`NiVerdict::Leak`] between two recorded runs, or `None` when
-/// they agree. Shared by every divergence-fallback path so the witness
-/// shape is identical wherever the leak was first noticed.
+/// they agree. The engine's merge and [`compare_secret_runs`] read
+/// their witnesses with it, and the lockstep path builds the same
+/// shape, so a witness looks the same wherever the leak was noticed.
 pub fn leak_between(
     secret_a: u64,
     base: &[ObsEvent],
@@ -498,10 +501,12 @@ pub fn leak_between(
 /// their Lo observations' first divergence — `(index, event_a,
 /// event_b)` — or `None` when the full runs agree event for event.
 ///
-/// This is the witness extractor behind every digest-first fallback:
-/// both systems execute only **up to the diverging event** (leaks
-/// typically diverge within the first observation window, so the
-/// fallback costs a fraction of two full runs), yet the result is
+/// This is the witness extractor of the sequential digest-first
+/// checker ([`check_ni_parts`]) and of the exhaustive check, whose runs
+/// keep no log, and the oracle for the engine's witnesses. Both systems
+/// execute only **up to the diverging event** (leaks typically diverge
+/// within the first observation window, so the fallback costs a
+/// fraction of two full runs), yet the result is
 /// exactly [`first_divergence`] over the two complete traces — each
 /// system advances under the same `budget`/`max_steps` bounds as
 /// [`System::run_cycles`], idle runs batched the same way (an idle tick
@@ -545,9 +550,10 @@ pub fn lockstep_divergence(
 
 /// Materialise the [`NiVerdict::Leak`] for two secrets whose
 /// fingerprints diverged, by running their freshly built (recording)
-/// systems in lockstep to the first diverging event. Shared by the
-/// sequential checker and the engine's merge, so a witness has one
-/// shape wherever the leak was first noticed.
+/// systems in lockstep to the first diverging event. The sequential
+/// checker's witness path; its shape is [`leak_between`]'s, which the
+/// engine's merge applies to its monitored runs' Lo logs, so a witness
+/// has one shape wherever the leak was first noticed.
 pub(crate) fn lockstep_leak(
     (secret_a, a): (u64, System),
     (secret_b, b): (u64, System),

@@ -85,9 +85,8 @@ proptest! {
             prop_assert_eq!(trace, &replay, "seed {} secret {}", seed, secret);
             prop_assert_eq!(run.lo_digest, obs_digest(&replay));
 
-            // The digest-only monitored run — the engine's trace-free
-            // hot path — carries the identical fingerprint without
-            // retaining a trace at all.
+            // A digest-only monitored run carries the identical
+            // fingerprint without retaining a trace at all.
             let mut digest_sys =
                 System::new(sc.mcfg.clone(), (sc.make_kcfg)(secret)).expect("system");
             digest_sys.use_digest_sinks();

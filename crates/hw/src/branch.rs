@@ -165,8 +165,12 @@ impl BranchPredictor {
     }
 
     /// Reset all prediction state to the canonical power-on state (§4.1
-    /// flushing). History-independent by construction.
+    /// flushing). History-independent by construction. A predictor
+    /// already in it is left alone.
     pub fn flush(&mut self) {
+        if self.live == 0 {
+            return;
+        }
         self.pht.fill(PHT_RESET);
         self.ghr = 0;
         self.btb.fill((0, 0));
@@ -402,6 +406,20 @@ mod tests {
         bp.flush();
         assert!(bp.is_reset());
         assert_live_current(&bp, "flushed");
+    }
+
+    /// Flushing a predictor that is already reset, new or just flushed,
+    /// leaves it equal to a new one.
+    #[test]
+    fn flushing_a_reset_predictor_leaves_it_new() {
+        let mut bp = BranchPredictor::new(16, 4);
+        bp.flush();
+        assert_eq!(bp, BranchPredictor::new(16, 4));
+        bp.resolve(VAddr(1 << 2), true, VAddr(0x100), D);
+        bp.flush();
+        bp.flush();
+        assert_eq!(bp, BranchPredictor::new(16, 4));
+        assert_live_current(&bp, "flushed twice");
     }
 
     #[test]

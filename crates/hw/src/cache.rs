@@ -241,17 +241,26 @@ pub fn owner_slot(owner: Option<DomainTag>) -> usize {
 /// Next to the digests it keeps two exact counts, updated where a term
 /// changes: how many of those slots are out of their reset state
 /// ([`Cache::is_reset`]), and how many valid lines each owner holds in
-/// each colour ([`Cache::owner_counts`]). Both are functions of the
-/// state, so the derived equality stays structural.
+/// each colour ([`Cache::owner_counts`]). It also keeps each set's
+/// current recency term, so a recency update hashes only the new one.
+/// All three are functions of the state, so the derived equality stays
+/// structural. The one exception, the sets touched since the last
+/// [`Cache::flush_all`], is left out of it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cache {
     cfg: CacheConfig,
     /// `sets * ways` lines, row-major by set.
     lines: Vec<LineState>,
-    /// Per-line LRU ranks (0 = most recent) for `Lru`.
+    /// Per-line LRU ranks (0 = most recent) for `Lru` and
+    /// `GlobalRandom`; empty under `TreePlru`, which never reads them.
     lru: Vec<u8>,
     /// Per-set PLRU tree bits for `TreePlru` (one word per set).
     plru: Vec<u32>,
+    /// Each set's current recency term ([`Cache::recency_term`]), 0
+    /// while the set's recency state is reset.
+    recency: Vec<u64>,
+    /// Sets accessed since the last [`Cache::flush_all`].
+    touched: TouchedSets,
     /// Global LFSR for `GlobalRandom`.
     lfsr: u32,
     /// Running [`Cache::set_digest`] of every set.
@@ -270,6 +279,36 @@ pub struct Cache {
 /// The LFSR's reset value.
 const LFSR_SEED: u32 = 0xace1;
 
+/// The sets a [`Cache`] has accessed since its last flush, one bit
+/// each. Every set outside it is in its reset state, so
+/// [`Cache::flush_all`] resets only the sets inside.
+///
+/// Acceleration state, not cache state: a set stays marked after
+/// [`Cache::flush_set`] resets it, so two equal caches can hold
+/// different marks. Every `TouchedSets` therefore compares equal, and
+/// the cache's derived equality stays structural.
+#[derive(Debug, Clone)]
+struct TouchedSets(Vec<u64>);
+
+impl PartialEq for TouchedSets {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for TouchedSets {}
+
+impl TouchedSets {
+    fn new(sets: usize) -> Self {
+        TouchedSets(vec![0; sets.div_ceil(64)])
+    }
+
+    #[inline]
+    fn mark(&mut self, set: usize) {
+        self.0[set / 64] |= 1 << (set % 64);
+    }
+}
+
 impl Cache {
     /// Create an empty cache with the given geometry.
     ///
@@ -280,11 +319,18 @@ impl Cache {
             panic!("invalid cache config: {e}");
         }
         let n = cfg.sets * cfg.ways;
+        let ranks = if cfg.policy == ReplacementPolicy::TreePlru {
+            0
+        } else {
+            n
+        };
         Cache {
             cfg,
             lines: vec![LineState::INVALID; n],
-            lru: vec![0; n],
+            lru: vec![0; ranks],
             plru: vec![0; cfg.sets],
+            recency: vec![0; cfg.sets],
+            touched: TouchedSets::new(cfg.sets),
             lfsr: LFSR_SEED,
             set_digests: vec![0; cfg.sets],
             digest: 0,
@@ -324,6 +370,7 @@ impl Cache {
         let set = self.set_of(paddr);
         let tag = paddr.line();
         let base = set * self.cfg.ways;
+        self.touched.mark(set);
 
         // Hit?
         for way in 0..self.cfg.ways {
@@ -396,21 +443,20 @@ impl Cache {
     ///
     /// Resets line state, replacement state *and* the global LFSR: the
     /// canonical, history-independent reset state required by §4.1.
+    /// Only the sets accessed since the last flush are rewritten: every
+    /// other set holds no valid line and reset recency state already.
     pub fn flush_all(&mut self) -> FlushOutcome {
         let mut out = FlushOutcome::default();
-        for l in &mut self.lines {
-            if l.valid {
-                out.invalidated += 1;
-                if l.dirty {
-                    out.writebacks += 1;
-                }
+        for w in 0..self.touched.0.len() {
+            let mut bits = std::mem::take(&mut self.touched.0[w]);
+            while bits != 0 {
+                let cleared = self.clear_set(w * 64 + bits.trailing_zeros() as usize);
+                out.invalidated += cleared.invalidated;
+                out.writebacks += cleared.writebacks;
+                bits &= bits - 1;
             }
-            *l = LineState::INVALID;
         }
-        self.lru.fill(0);
-        self.plru.fill(0);
         self.lfsr = LFSR_SEED;
-        self.set_digests.fill(0);
         self.digest = 0;
         self.live = 0;
         self.owner_counts.fill([0; OWNER_SLOTS]);
@@ -419,25 +465,37 @@ impl Cache {
 
     /// Invalidate every line in one set (clflush-by-set analogue).
     pub fn flush_set(&mut self, set: usize) -> FlushOutcome {
-        let mut out = FlushOutcome::default();
-        let base = set * self.cfg.ways;
         self.live -= usize::from(self.recency_live(set));
         let counts = &mut self.owner_counts[set >> self.colour_shift];
-        for way in 0..self.cfg.ways {
-            let l = &mut self.lines[base + way];
+        let ways = set * self.cfg.ways..(set + 1) * self.cfg.ways;
+        for l in self.lines[ways].iter().filter(|l| l.valid) {
+            counts[owner_slot(l.owner)] -= 1;
+        }
+        self.digest ^= self.set_digests[set];
+        let out = self.clear_set(set);
+        self.live -= out.invalidated;
+        out
+    }
+
+    /// Reset `set`'s lines, recency state, stored recency term and set
+    /// digest, tallying the valid and dirty lines it held. The
+    /// whole-cache digest, the live count and the owner counts are the
+    /// caller's to settle.
+    fn clear_set(&mut self, set: usize) -> FlushOutcome {
+        let ways = set * self.cfg.ways..(set + 1) * self.cfg.ways;
+        let mut out = FlushOutcome::default();
+        for l in &mut self.lines[ways.clone()] {
             if l.valid {
                 out.invalidated += 1;
-                if l.dirty {
-                    out.writebacks += 1;
-                }
-                counts[owner_slot(l.owner)] -= 1;
+                out.writebacks += usize::from(l.dirty);
             }
             *l = LineState::INVALID;
-            self.lru[base + way] = 0;
         }
-        self.live -= out.invalidated;
+        if !self.lru.is_empty() {
+            self.lru[ways].fill(0);
+        }
         self.plru[set] = 0;
-        self.digest ^= self.set_digests[set];
+        self.recency[set] = 0;
         self.set_digests[set] = 0;
         out
     }
@@ -604,6 +662,17 @@ impl Cache {
         self.digest ^= delta;
     }
 
+    /// Settle a change of `set`'s recency state, live before it iff
+    /// `was_live`: the old term comes from the stored one, so only the
+    /// new state is hashed.
+    #[inline]
+    fn rehash_recency(&mut self, set: usize, was_live: bool) {
+        let before = was_live.then_some(self.recency[set]);
+        let after = self.recency_term(set);
+        self.recency[set] = after.unwrap_or(0);
+        self.replace_term(set, before, after);
+    }
+
     // ---- replacement ---------------------------------------------------
 
     /// Recency update for a *fill* into a previously invalid or evicted
@@ -614,14 +683,14 @@ impl Cache {
             self.cfg.policy,
             ReplacementPolicy::Lru | ReplacementPolicy::GlobalRandom
         ) {
-            let before = self.recency_term(set);
+            let was_live = self.recency_live(set);
             for w in 0..self.cfg.ways {
                 if w != way {
                     self.lru[base + w] = self.lru[base + w].saturating_add(1);
                 }
             }
             self.lru[base + way] = 0;
-            self.replace_term(set, before, self.recency_term(set));
+            self.rehash_recency(set, was_live);
         } else {
             self.touch(set, way);
         }
@@ -638,14 +707,14 @@ impl Cache {
                 if old == 0 {
                     return;
                 }
-                let before = self.recency_term(set);
+                // A non-zero rank: the set's recency state was live.
                 for w in 0..self.cfg.ways {
                     if self.lru[base + w] < old {
                         self.lru[base + w] += 1;
                     }
                 }
                 self.lru[base + way] = 0;
-                self.replace_term(set, before, self.recency_term(set));
+                self.rehash_recency(set, true);
             }
             ReplacementPolicy::TreePlru => {
                 // Set the tree bits on the path to `way` to point away.
@@ -668,9 +737,9 @@ impl Cache {
                 }
                 // A touch that leaves the word unchanged hashes nothing.
                 if bits != self.plru[set] {
-                    let before = self.recency_term(set);
+                    let was_live = self.plru[set] != 0;
                     self.plru[set] = bits;
-                    self.replace_term(set, before, self.recency_term(set));
+                    self.rehash_recency(set, was_live);
                 }
             }
         }
@@ -924,19 +993,26 @@ mod tests {
         assert_ne!(c.set_digest(2), before);
     }
 
-    /// Every running digest equals its from-scratch fold, the live count
-    /// and the owner counts equal a tally over the lines and recency
-    /// state, and `is_reset` agrees with a compare against a new cache.
+    /// Every running digest equals its from-scratch fold, every stored
+    /// recency term its set's term, the live count and the owner counts
+    /// equal a tally over the lines and recency state, and `is_reset`
+    /// agrees with a compare against a new cache.
     fn assert_digests_current(c: &Cache, ctx: &str) {
         for set in 0..c.cfg.sets {
             let want = c.set_digest_from_scratch(set);
             assert_eq!(c.set_digest(set), want, "{ctx}: set {set}");
+            let term = c.recency_term(set).unwrap_or(0);
+            assert_eq!(c.recency[set], term, "{ctx}: set {set}'s recency term");
         }
         assert_eq!(c.state_digest(), c.digest_from_scratch(), "{ctx}");
 
         let ways = c.cfg.ways;
+        let plru = c.cfg.policy == ReplacementPolicy::TreePlru;
+        assert_eq!(c.lru.len(), if plru { 0 } else { c.lines.len() }, "{ctx}");
+        let ranks_live =
+            |s: usize| !plru && c.lru[s * ways..(s + 1) * ways].iter().any(|&r| r != 0);
         let recency = (0..c.cfg.sets)
-            .filter(|&s| c.plru[s] != 0 || c.lru[s * ways..(s + 1) * ways].iter().any(|&r| r != 0))
+            .filter(|&s| c.plru[s] != 0 || ranks_live(s))
             .count();
         let live = c.occupancy() + recency + usize::from(c.lfsr != LFSR_SEED);
         assert_eq!(c.live, live, "{ctx}: live");
@@ -1009,8 +1085,14 @@ mod tests {
                             }
                             _ => {
                                 if rng.below(4) == 0 {
-                                    c.flush_all();
+                                    let held = c.lines.iter().filter(|l| l.valid);
+                                    let tally = FlushOutcome {
+                                        invalidated: held.clone().count(),
+                                        writebacks: held.filter(|l| l.dirty).count(),
+                                    };
+                                    assert_eq!(c.flush_all(), tally, "a flush counts every line");
                                     assert_eq!(c.state_digest(), 0, "a flush hashes nothing");
+                                    assert_eq!(c, Cache::new(c.cfg), "a flush resets everything");
                                 }
                             }
                         }
@@ -1051,6 +1133,36 @@ mod tests {
             c.flush_set(1);
             assert!(c.is_reset(), "{policy:?}");
             assert_eq!(c, tiny(policy), "{policy:?}");
+        }
+    }
+
+    /// A set reset by `flush_set` stays marked as touched, and a later
+    /// `flush_all` resets the other touched set too: the cache comes
+    /// back equal to a new one, recency terms included.
+    #[test]
+    fn flush_all_after_flush_set_resets_every_touched_set() {
+        for policy in [
+            ReplacementPolicy::Lru,
+            ReplacementPolicy::TreePlru,
+            ReplacementPolicy::GlobalRandom,
+        ] {
+            let mut c = tiny(policy);
+            for t in 0..3 {
+                c.access(addr_for(1, t), true, DomainTag(2));
+                c.access(addr_for(3, t), false, DomainTag(4));
+            }
+            c.flush_set(1);
+            assert_digests_current(&c, "after flush_set");
+            assert_eq!(
+                c.flush_all(),
+                FlushOutcome {
+                    invalidated: 2,
+                    writebacks: 0
+                },
+                "{policy:?}: set 3's two lines, none dirty"
+            );
+            assert_eq!(c, tiny(policy), "{policy:?}");
+            assert_digests_current(&c, "after flush_all");
         }
     }
 

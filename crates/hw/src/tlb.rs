@@ -242,7 +242,11 @@ impl Tlb {
     }
 
     /// Invalidate every entry (including globals). Canonical reset state.
+    /// A TLB already in it is left alone: it holds no entry, so no memo.
     pub fn flush_all(&mut self) -> usize {
+        if self.live == 0 {
+            return 0;
+        }
         self.clear_memo();
         let n = self.occupancy();
         self.entries.fill(None);
@@ -543,6 +547,26 @@ mod tests {
             resets += usize::from(t.is_reset());
         }
         assert!(moves > 0 && resets > 0, "{moves} {resets}");
+    }
+
+    /// Flushing a TLB that is already reset, new or just flushed,
+    /// invalidates nothing and leaves it equal to a new one.
+    #[test]
+    fn flushing_a_reset_tlb_leaves_it_new() {
+        let mut t = Tlb::new(4);
+        assert_eq!(t.flush_all(), 0);
+        assert_eq!(t, Tlb::new(4));
+        t.insert(entry(1, 5));
+        // A hit leaves a memo entry behind for the flush to drop.
+        assert!(matches!(
+            t.lookup(Asid(1), VAddr(5 << 12)),
+            TlbLookup::Hit { .. }
+        ));
+        assert_eq!(t.flush_all(), 1);
+        assert_eq!(t.flush_all(), 0);
+        assert!(t.is_reset());
+        assert_eq!(t, Tlb::new(4));
+        assert_eq!(t.lookup(Asid(1), VAddr(5 << 12)), TlbLookup::Miss);
     }
 
     /// The lookup memo against a naive scan: over random lookups,

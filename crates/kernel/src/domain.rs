@@ -16,7 +16,8 @@
 //! which folds every event into a rolling `(len, digest)` fingerprint
 //! and, by default, keeps the full log too (what every witness
 //! extractor needs); a [`ObsSink::digest_only`] sink keeps only the
-//! fingerprint — the proof engine's trace-free hot path.
+//! fingerprint — what the proof engine gives every domain but the
+//! observer, and every replay.
 
 use crate::program::{Program, StepFeedback};
 use crate::vspace::VSpace;

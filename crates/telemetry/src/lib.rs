@@ -156,7 +156,10 @@ pub enum SpanKind {
     QueueWait = 0,
     /// One monitored proof run (a (model, secret) shard).
     Prove,
-    /// Lockstep witness extraction after a fingerprint divergence.
+    /// Witness extraction after a fingerprint divergence: the engine
+    /// reads it off the pair's recorded Lo logs inside its merge. The
+    /// name stays `lockstep` because traces, the work-count fixture and
+    /// the benchmark ledger key on it.
     Lockstep,
     /// The certification replay: one plain digest-only run per proof
     /// that grounds its transparency certificate.
